@@ -75,8 +75,6 @@ _EVAL_DEFAULTS = {
     "split_seed": 0,
     "lsdm_iters": 800,
     "lsdm_lr": 0.05,
-    "threads": 1,
-    "strict_deterministic": False,
 }
 
 _SCORE_DEFAULTS = {"scorer": "tgne", "B": 200, "seed": 0}
@@ -259,7 +257,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         auc_out[name] = per_scorer
         for idx, inst in enumerate(instances):
             row = [name, inst.i, inst.j, inst.k, inst.label]
-            row += [repr(scored_lists[s][idx].score) for s in scorers]
+            row += [scored_lists[s][idx].score for s in scorers]
             instance_rows.append(row)
 
     with open(outdir / "auc.json", "w", encoding="utf-8") as handle:
@@ -276,17 +274,17 @@ def cmd_eval(args: argparse.Namespace) -> int:
         )
     _write_instances_csv(outdir / "instances.csv", instance_rows, scorers)
 
-    # node-level uncertainty table
+    # node-level uncertainty table; csv writes a float as its repr(), the
+    # shortest string that round-trips
+    u, nd, deg = evl.node_table(fm, counts)
     with open(outdir / "uncertainty_nodes.csv", "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(["node", "k", "u", "neighbor_dist", "degree"])
-        for i in range(ev.n):
-            for k in range(1, part.K + 1):
-                u = evl.node_uncertainty(fm.state, i, k)
-                nd = evl.neighbor_distance(fm, counts, i, k)
-                writer.writerow(
-                    [i, k, repr(u), "" if nd is None else repr(nd), counts.degree(i, k)]
-                )
+        for i, (u_i, nd_i, deg_i) in enumerate(zip(u.tolist(), nd.tolist(), deg.tolist())):
+            writer.writerows(
+                [i, k, u_ik, "" if np.isnan(nd_ik) else nd_ik, deg_ik]
+                for k, u_ik, nd_ik, deg_ik in zip(range(1, part.K + 1), u_i, nd_i, deg_i)
+            )
 
     # edge-level posterior-predictive uncertainty over the training pairs
     pairs = sorted(train_counts.active_pairs())
@@ -299,14 +297,16 @@ def cmd_eval(args: argparse.Namespace) -> int:
             fm.state, fm.hyper.rate_model, part, ii, jj, kk0, B, seed,
             fm.hyper.riemann_r,
         )
+        n_events = counts.counts_of(ii, jj, kk0 + 1)
         with open(outdir / "uncertainty_edges.csv", "w", encoding="utf-8", newline="") as handle:
             writer = csv.writer(handle)
             writer.writerow(["i", "j", "k", "N", "lambda_mean", "lambda_std"])
-            for a, b, k0, mn, sd in zip(ii, jj, kk0, mean, std):
-                writer.writerow(
-                    [int(a), int(b), int(k0) + 1, counts.count(int(a), int(b), int(k0) + 1),
-                     repr(float(mn)), repr(float(sd))]
+            writer.writerows(
+                zip(
+                    ii.tolist(), jj.tolist(), (kk0 + 1).tolist(), n_events.tolist(),
+                    mean.tolist(), std.tolist(),
                 )
+            )
 
     records = evl.rate_vs_uncertainty_table(
         ev, fm.state, fm.hyper.rate_model, part, B=B, seed=seed
@@ -314,11 +314,11 @@ def cmd_eval(args: argparse.Namespace) -> int:
     with open(outdir / "rate_vs_uncertainty.csv", "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(["i", "j", "t", "k", "is_negative", "rate", "rate_std", "N"])
-        for rec in records:
-            writer.writerow(
-                [rec.i, rec.j, repr(rec.t), rec.k, int(rec.is_negative),
-                 repr(rec.rate), repr(rec.rate_std), rec.n_events]
-            )
+        writer.writerows(
+            [rec.i, rec.j, rec.t, rec.k, int(rec.is_negative), rec.rate, rec.rate_std,
+             rec.n_events]
+            for rec in records
+        )
 
     resolved["events"] = str(args.events)
     resolved["model"] = str(args.model)
@@ -430,11 +430,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--split-seed", dest="split_seed", type=int)
     p_eval.add_argument("--lsdm-iters", dest="lsdm_iters", type=int)
     p_eval.add_argument("--lsdm-lr", dest="lsdm_lr", type=float)
-    p_eval.add_argument("--threads", type=int)
-    p_eval.add_argument(
-        "--strict-deterministic", dest="strict_deterministic",
-        action=argparse.BooleanOptionalAction,
-    )
     p_eval.set_defaults(func=cmd_eval)
 
     p_score = sub.add_parser("score", help="score explicit (i,j,k) triplets with a fitted model")

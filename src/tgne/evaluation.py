@@ -14,8 +14,8 @@ and its regression against interaction counts.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
-from typing import Iterable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 from scipy.special import expit
@@ -44,6 +44,15 @@ def restrict_counts(counts: CountTensor, pairs: Iterable[Pair]) -> CountTensor:
     return CountTensor(n=counts.n, K=counts.K, directed=counts.directed, counts=sub)
 
 
+def _sorted_pairs(pairs: Iterable[Pair], directed: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Stored-orientation pairs as (i, j) arrays in ascending (i, j) order."""
+    arr = np.asarray(list(pairs), dtype=np.int64).reshape(-1, 2)
+    if not directed:
+        arr = np.sort(arr, axis=1)
+    order = np.lexsort((arr[:, 1], arr[:, 0]))
+    return arr[order, 0], arr[order, 1]
+
+
 def build_instances(
     counts: CountTensor,
     pairs: Iterable[Pair],
@@ -58,7 +67,7 @@ def build_instances(
     event in that interval. Returns the instances plus a per-interval
     shortfall count for intervals whose negatives ran out.
     """
-    pair_list = sorted(canonical_pair(a, b, counts.directed) for a, b in pairs)
+    pair_i, pair_j = _sorted_pairs(pairs, counts.directed)
     n = counts.n
     universe = n * (n - 1) if counts.directed else n * (n - 1) // 2
     active_by_k: dict[int, set[Pair]] = {k: set() for k in range(1, part.K + 1)}
@@ -69,7 +78,8 @@ def build_instances(
     instances: list[ScoredInstance] = []
     shortfall: dict[int, int] = {}
     for k in range(1, part.K + 1):
-        positives = [p for p in pair_list if counts.count(p[0], p[1], k) >= 1]
+        hit = counts.counts_of(pair_i, pair_j, k) >= 1
+        positives = list(zip(pair_i[hit].tolist(), pair_j[hit].tolist()))
         for i, j in positives:
             instances.append(ScoredInstance(i=i, j=j, k=k, label=1))
         active = active_by_k[k]
@@ -123,13 +133,21 @@ def auc(instances: Sequence[ScoredInstance]) -> float:
     return auc_from_scores(scores, labels)
 
 
+def _endpoints(z: np.ndarray, ii: np.ndarray, kk0: np.ndarray):
+    """(z[ii, kk0, :], z[ii, kk0 + 1, :]) gathered as rows of the (n*(K+1), d) view.
+
+    ``take`` on flat rows is several times faster than the two-array index.
+    """
+    flat = z.reshape(-1, z.shape[2])
+    rows = ii * z.shape[1] + kk0
+    return flat.take(rows, axis=0), flat.take(rows + 1, axis=0)
+
+
 def _lambda_batch(z, beta, kind, part, ii, jj, kk0, riemann_r=10):
     """Cumulative rates for triplet arrays (0-based interval index)."""
     lengths = part.lengths[kk0]
-    zi_a = z[ii, kk0, :]
-    zi_b = z[ii, kk0 + 1, :]
-    zj_a = z[jj, kk0, :]
-    zj_b = z[jj, kk0 + 1, :]
+    zi_a, zi_b = _endpoints(z, ii, kk0)
+    zj_a, zj_b = _endpoints(z, jj, kk0)
     if kind == EUCLIDEAN:
         lam, _, _ = _closed_rate_batch(zi_a - zj_a, zi_b - zj_b, beta, lengths)
     else:
@@ -189,9 +207,12 @@ def _lsdm_nll_grad(z: np.ndarray, beta: float, ii, jj, y):
     nll = float(-(y * np.log(p + 1e-300) + (1 - y) * np.log(1 - p + 1e-300)).sum())
     resid = p - y
     g_pair = -2.0 * resid[:, None] * diff
-    g_z = np.zeros_like(z)
-    np.add.at(g_z, ii, g_pair)
-    np.add.at(g_z, jj, -g_pair)
+    # bincount adds each node's terms in array order: all ii terms, then all jj
+    nodes = np.concatenate([ii, jj])
+    g_both = np.concatenate([g_pair, -g_pair])
+    g_z = np.empty_like(z)
+    for c in range(z.shape[1]):
+        g_z[:, c] = np.bincount(nodes, weights=g_both[:, c], minlength=z.shape[0])
     return nll, g_z, float(resid.sum())
 
 
@@ -210,12 +231,10 @@ def fit_lsdm(
     fit independently. Returns the best iterate; warns on non-convergence.
     """
     opts = opts or LsdmOpts()
-    pair_list = sorted(canonical_pair(a, b, counts.directed) for a, b in train_pairs)
-    if not pair_list:
+    ii, jj = _sorted_pairs(train_pairs, counts.directed)
+    if ii.size == 0:
         raise ValueError("need at least one training pair")
-    ii = np.asarray([p[0] for p in pair_list])
-    jj = np.asarray([p[1] for p in pair_list])
-    y = np.asarray([1.0 if counts.count(a, b, k) >= 1 else 0.0 for a, b in pair_list])
+    y = (counts.counts_of(ii, jj, k) >= 1).astype(np.float64)
 
     rng = np.random.default_rng(opts.seed)
     n = counts.n
@@ -276,8 +295,8 @@ def node_uncertainty(vs: VariationalState, i: int, k: int) -> float:
     K = vs.log_sigma.shape[1] - 1
     if not 1 <= k <= K:
         raise ValueError(f"interval index must be in 1..{K}, got {k}")
-    sigma = vs.sigma
-    return float(0.5 * (sigma[i, k - 1] + sigma[i, k]))
+    sigma = np.exp(vs.log_sigma[i, k - 1 : k + 1])
+    return float(0.5 * (sigma[0] + sigma[1]))
 
 
 def neighbor_distance(
@@ -286,16 +305,67 @@ def neighbor_distance(
     """Mean distance to interval-k neighbors at the interval midpoint.
 
     Positions are the mean trajectories interpolated at the midpoint; returns
-    None when the node has no neighbors in the interval (undefined).
+    None when the node has no neighbors in the interval (undefined). Costs
+    O(degree) after the tensor's neighbor index is built.
     """
-    neighbors = [
-        j for j in range(counts.n) if j != i and counts.count(i, j, k) >= 1
-    ]
-    if not neighbors:
+    neighbors = counts.neighbors(i, k)
+    if neighbors.size == 0:
         return None
-    mid = 0.5 * (fm.state.mu[:, k - 1, :] + fm.state.mu[:, k, :])
-    dists = np.linalg.norm(mid[neighbors] - mid[i], axis=1)
+    mu = fm.state.mu
+    mid_i = 0.5 * (mu[i, k - 1, :] + mu[i, k, :])
+    mid_nb = 0.5 * (mu[neighbors, k - 1, :] + mu[neighbors, k, :])
+    dists = np.linalg.norm(mid_nb - mid_i, axis=1)
     return float(dists.mean())
+
+
+def node_table(
+    fm: FittedModel, counts: CountTensor
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(n, K) tables of u(i,k), neighbor distance (NaN if undefined) and degree.
+
+    Entry (i, k-1) equals ``node_uncertainty``, ``neighbor_distance`` and
+    ``counts.degree`` at (i, k) bit for bit; the distances come from one pass
+    over the tensor's neighbor index.
+    """
+    sigma = fm.state.sigma
+    u = 0.5 * (sigma[:, :-1] + sigma[:, 1:])
+    mu = fm.state.mu
+    mid = 0.5 * (mu[:, :-1, :] + mu[:, 1:, :])  # (n, K, d)
+    K = counts.K
+    indptr, nbr = counts.adjacency()
+    slots = np.repeat(np.arange(counts.n * K), np.diff(indptr))
+    node, k0 = np.divmod(slots, K)
+    dists = np.linalg.norm(mid[nbr, k0] - mid[node, k0], axis=1)
+    nd = np.full(counts.n * K, np.nan)
+    # a per-segment mean(): np.add.reduceat sums in another order
+    for s in np.flatnonzero(np.diff(indptr)).tolist():
+        nd[s] = dists[indptr[s] : indptr[s + 1]].mean()
+    return u, nd.reshape(counts.n, K), counts.degrees
+
+
+def _posterior_draws(
+    vs: VariationalState,
+    rng: np.random.Generator,
+    B: int,
+    size: int,
+    values_at: Callable[[np.ndarray], np.ndarray],
+) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and population std of ``values_at(z)`` over B configuration draws.
+
+    Each draw is z = mu + sigma * eps with eps from ``rng``; ``values_at``
+    maps a configuration to ``size`` values.
+    """
+    sigma3 = vs.sigma[:, :, None]
+    total = np.zeros(size)
+    total_sq = np.zeros(size)
+    for _ in range(B):
+        z = vs.mu + sigma3 * rng.standard_normal(vs.mu.shape)
+        values = values_at(z)
+        total += values
+        total_sq += values * values
+    mean = total / B
+    var = np.maximum(total_sq / B - mean * mean, 0.0)
+    return mean, np.sqrt(var)
 
 
 def _posterior_lambda_draws(
@@ -310,18 +380,10 @@ def _posterior_lambda_draws(
     riemann_r: int = 10,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Mean and population std of Lambda over B shared configuration draws."""
-    rng = np.random.default_rng(seed)
-    sigma3 = vs.sigma[:, :, None]
-    total = np.zeros(ii.shape[0])
-    total_sq = np.zeros(ii.shape[0])
-    for _ in range(B):
-        z = vs.mu + sigma3 * rng.standard_normal(vs.mu.shape)
-        lam = _lambda_batch(z, vs.beta, rm_kind, part, ii, jj, kk0, riemann_r)
-        total += lam
-        total_sq += lam * lam
-    mean = total / B
-    var = np.maximum(total_sq / B - mean * mean, 0.0)
-    return mean, np.sqrt(var)
+    return _posterior_draws(
+        vs, np.random.default_rng(seed), B, ii.shape[0],
+        lambda z: _lambda_batch(z, vs.beta, rm_kind, part, ii, jj, kk0, riemann_r),
+    )
 
 
 def edge_uncertainty(
@@ -390,9 +452,7 @@ def uncertainty_regression(
     jj = np.asarray([p[1] for p in pairs]).repeat(K)
     kk0 = np.tile(np.arange(K), P)
     _, stds = _posterior_lambda_draws(vs, rm_kind, part, ii, jj, kk0, B, seed)
-    n_events = np.asarray(
-        [counts.count(a, b, k0 + 1) for a, b, k0 in zip(ii, jj, kk0)], dtype=np.float64
-    )
+    n_events = counts.counts_of(ii, jj, kk0 + 1).astype(np.float64)
     return regression_slope_from_points(n_events, stds, per_unique_n=per_unique_n)
 
 
@@ -410,6 +470,24 @@ class RateRecord:
     n_events: int
 
 
+def _swapped_destinations(
+    src: np.ndarray, dst: np.ndarray, n: int, rng: np.random.Generator
+) -> np.ndarray:
+    """For each (i, j), a uniform destination in 0..n-1 other than i and j.
+
+    One draw in 0..n-3 per pair, shifted past min(i, j) and then past
+    max(i, j): the same stream and picks as indexing the sorted candidates.
+    """
+    if n < 3:
+        raise ValueError(
+            f"a swapped-destination negative needs n >= 3 nodes, got n={n}"
+        )
+    picks = rng.integers(n - 2, size=src.shape[0])
+    picks += picks >= np.minimum(src, dst)
+    picks += picks >= np.maximum(src, dst)
+    return picks
+
+
 def rate_vs_uncertainty_table(
     ev: EventList,
     vs: VariationalState,
@@ -422,9 +500,10 @@ def rate_vs_uncertainty_table(
 
     For each event (i, j, t) two records are emitted: the event itself and a
     negative with the destination swapped to a uniform random node j' with
-    j' != i and (i, j') != (i, j). ``rate`` is lambda at the posterior-mean
-    configuration; ``rate_std`` is the population std over B posterior draws;
-    ``n_events`` tags the record's pair count in the containing interval.
+    j' != i and (i, j') != (i, j), which needs n >= 3. ``rate`` is lambda at
+    the posterior-mean configuration; ``rate_std`` is the population std over
+    B posterior draws; ``n_events`` tags the record's pair count in the
+    containing interval.
     """
     if ev.m == 0:
         return []
@@ -436,11 +515,7 @@ def rate_vs_uncertainty_table(
     k1 = np.atleast_1d(k1)
     s = np.atleast_1d(s)
 
-    # negatives: swap destination, avoiding i and the original pair
-    neg_j = np.empty(ev.m, dtype=np.int64)
-    for m, (i, j) in enumerate(zip(ev.src.tolist(), ev.dst.tolist())):
-        choices = [x for x in range(ev.n) if x not in (i, j)]
-        neg_j[m] = choices[int(rng.integers(len(choices)))]
+    neg_j = _swapped_destinations(ev.src, ev.dst, ev.n, rng)
 
     ii = np.concatenate([ev.src, ev.src])
     jj = np.concatenate([ev.dst, neg_j])
@@ -452,41 +527,25 @@ def rate_vs_uncertainty_table(
     def rates_at(z):
         om = (1.0 - ss)[:, None]
         sc = ss[:, None]
-        pi = om * z[ii, kk0, :] + sc * z[ii, kk0 + 1, :]
-        pj = om * z[jj, kk0, :] + sc * z[jj, kk0 + 1, :]
+        zi_a, zi_b = _endpoints(z, ii, kk0)
+        zj_a, zj_b = _endpoints(z, jj, kk0)
+        pi = om * zi_a + sc * zi_b
+        pj = om * zj_a + sc * zj_b
         if rm_kind == EUCLIDEAN:
             diff = pi - pj
             return np.exp(vs.beta - np.einsum("md,md->m", diff, diff))
         return np.exp(vs.beta + np.einsum("md,md->m", pi, pj))
 
     rate_mean_cfg = rates_at(vs.mu)
-    sigma3 = vs.sigma[:, :, None]
-    total = np.zeros(ii.shape[0])
-    total_sq = np.zeros(ii.shape[0])
-    for _ in range(B):
-        z = vs.mu + sigma3 * rng.standard_normal(vs.mu.shape)
-        lam = rates_at(z)
-        total += lam
-        total_sq += lam * lam
-    mean_b = total / B
-    std = np.sqrt(np.maximum(total_sq / B - mean_b * mean_b, 0.0))
-
-    records = []
-    for m in range(ii.shape[0]):
-        i, j, k = int(ii[m]), int(jj[m]), int(kk0[m]) + 1
-        records.append(
-            RateRecord(
-                i=i,
-                j=j,
-                t=float(tt[m]),
-                k=k,
-                is_negative=bool(is_neg[m]),
-                rate=float(rate_mean_cfg[m]),
-                rate_std=float(std[m]),
-                n_events=counts.count(i, j, k),
-            )
+    _, std = _posterior_draws(vs, rng, B, ii.shape[0], rates_at)
+    n_events = counts.counts_of(ii, jj, kk0 + 1)
+    return [
+        RateRecord(i=i, j=j, t=t, k=k, is_negative=neg, rate=rate, rate_std=sd, n_events=c)
+        for i, j, t, k, neg, rate, sd, c in zip(
+            ii.tolist(), jj.tolist(), tt.tolist(), (kk0 + 1).tolist(), is_neg.tolist(),
+            rate_mean_cfg.tolist(), std.tolist(), n_events.tolist(),
         )
-    return records
+    ]
 
 
 SCORER_NAMES = ("tgne", "tgne_predictive", "lsdm", "pa", "random")
@@ -501,15 +560,23 @@ def score_instances(
     seed: int = 0,
     B: int = 200,
 ) -> list[ScoredInstance]:
-    """Return a copy of the instances scored by the named scorer."""
+    """Return a copy of the instances scored by the named scorer.
+
+    ``tgne`` and ``tgne_predictive`` need ``fm``, ``lsdm`` needs
+    ``lsdm_models`` (one model per interval) and ``pa`` needs
+    ``train_counts``.
+    """
     if scorer not in SCORER_NAMES:
         raise ValueError(f"unknown scorer {scorer!r}; choose from {SCORER_NAMES}")
-    out = [replace(inst) for inst in instances]
-    if not out:
-        return out
-    ii = np.asarray([inst.i for inst in out])
-    jj = np.asarray([inst.j for inst in out])
-    kk = np.asarray([inst.k for inst in out])
+    needed = {"tgne": ("fm", fm), "tgne_predictive": ("fm", fm),
+              "lsdm": ("lsdm_models", lsdm_models), "pa": ("train_counts", train_counts)}
+    if scorer in needed and needed[scorer][1] is None:
+        raise ValueError(f"scorer {scorer!r} needs the {needed[scorer][0]} argument")
+    if not instances:
+        return []
+    ii = np.asarray([inst.i for inst in instances])
+    jj = np.asarray([inst.j for inst in instances])
+    kk = np.asarray([inst.k for inst in instances])
     if scorer == "tgne":
         scores = score_tgne_many(fm, ii, jj, kk)
     elif scorer == "tgne_predictive":
@@ -518,16 +585,20 @@ def score_instances(
             fm.hyper.riemann_r,
         )
     elif scorer == "lsdm":
-        scores = np.asarray(
-            [lsdm_score(lsdm_models[int(k)], int(i), int(j)) for i, j, k in zip(ii, jj, kk)]
-        )
+        # the gathered form of lsdm_score; np.vecdot matches its diff @ diff
+        scores = np.empty(len(instances))
+        for k in np.unique(kk).tolist():
+            sel = kk == k
+            model = lsdm_models[k]
+            diff = model.z[ii[sel]] - model.z[jj[sel]]
+            scores[sel] = expit(model.beta - np.vecdot(diff, diff))
     elif scorer == "pa":
-        scores = np.asarray(
-            [score_pa(train_counts, int(i), int(j), int(k)) for i, j, k in zip(ii, jj, kk)]
-        )
+        deg = train_counts.degrees
+        scores = (deg[ii, kk - 1] * deg[jj, kk - 1]).astype(np.float64)
     else:
         rng = np.random.default_rng(seed)
-        scores = rng.random(len(out))
-    for inst, sc in zip(out, scores):
-        inst.score = float(sc)
-    return out
+        scores = rng.random(len(instances))
+    return [
+        ScoredInstance(i=inst.i, j=inst.j, k=inst.k, score=sc, label=inst.label)
+        for inst, sc in zip(instances, scores.tolist())
+    ]

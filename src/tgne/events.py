@@ -10,6 +10,7 @@ inputs and a seed.
 from __future__ import annotations
 
 import csv
+import itertools
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Optional, Sequence, TextIO
@@ -307,23 +308,64 @@ class IntervalPartition:
 
 @dataclass(eq=False)
 class CountTensor:
-    """Sparse per-pair per-interval event counts N_ij(I_k), k 1-based."""
+    """Sparse per-pair per-interval event counts N_ij(I_k), k 1-based.
+
+    ``counts`` maps stored-orientation keys (i, j, k) to counts and must not
+    change after construction: the array indexes behind ``counts_of``,
+    ``degrees`` and ``neighbors`` are built from it on first use.
+    """
 
     n: int
     K: int
     directed: bool
     counts: dict[tuple[int, int, int], int]
+    _sorted: Optional[tuple[np.ndarray, np.ndarray, np.ndarray]] = field(
+        default=None, init=False, repr=False
+    )
+    _degrees: Optional[np.ndarray] = field(default=None, init=False, repr=False)
+    _adjacency: Optional[tuple[np.ndarray, np.ndarray]] = field(
+        default=None, init=False, repr=False
+    )
 
-    def __post_init__(self):
-        deg = np.zeros((self.n, self.K), dtype=np.int64)
-        for (i, j, k), c in self.counts.items():
-            deg[i, k - 1] += c
-            deg[j, k - 1] += c
-        self._degrees = deg
+    def _code(self, i, j, k):
+        return (i * self.n + j) * self.K + (k - 1)
+
+    def _index(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(keys (nnz, 3), codes, values), sorted by the int64 key code."""
+        if self._sorted is None:
+            nnz = len(self.counts)
+            keys = np.fromiter(
+                itertools.chain.from_iterable(self.counts), dtype=np.int64, count=3 * nnz
+            ).reshape(nnz, 3)
+            values = np.fromiter(self.counts.values(), dtype=np.int64, count=nnz)
+            codes = self._code(keys[:, 0], keys[:, 1], keys[:, 2])
+            order = np.argsort(codes, kind="stable")
+            self._sorted = (keys[order], codes[order], values[order])
+        return self._sorted
 
     def count(self, i: int, j: int, k: int) -> int:
         a, b = canonical_pair(i, j, self.directed)
         return self.counts.get((a, b, k), 0)
+
+    def counts_of(self, i, j, k) -> np.ndarray:
+        """Vectorized ``count``: int64 counts for broadcast triplet arrays."""
+        i, j, k = np.broadcast_arrays(
+            np.asarray(i, dtype=np.int64), np.asarray(j, dtype=np.int64),
+            np.asarray(k, dtype=np.int64),
+        )
+        if not self.directed:
+            i, j = np.minimum(i, j), np.maximum(i, j)
+        _keys, codes, values = self._index()
+        out = np.zeros(i.shape, dtype=np.int64)
+        if codes.size == 0:
+            return out
+        query = self._code(i, j, k)
+        pos = np.minimum(np.searchsorted(codes, query), codes.size - 1)
+        # out-of-range ids would alias another key's code
+        valid = (i >= 0) & (i < self.n) & (j >= 0) & (j < self.n) & (k >= 1) & (k <= self.K)
+        hit = valid & (codes[pos] == query)
+        out[hit] = values[pos[hit]]
+        return out
 
     def total(self) -> int:
         return sum(self.counts.values())
@@ -334,12 +376,54 @@ class CountTensor:
     def active_pairs(self) -> set[Pair]:
         return {(i, j) for (i, j, _k) in self.counts}
 
+    @property
+    def degrees(self) -> np.ndarray:
+        """(n, K) int64 table of deg(i, k), column k-1 for interval k."""
+        if self._degrees is None:
+            keys, _codes, values = self._index()
+            k0 = keys[:, 2] - 1
+            slots = np.concatenate([keys[:, 0] * self.K + k0, keys[:, 1] * self.K + k0])
+            weights = np.tile(values, 2).astype(np.float64)  # exact below 2**53
+            deg = np.bincount(slots, weights=weights, minlength=self.n * self.K)
+            self._degrees = deg.astype(np.int64).reshape(self.n, self.K)
+        return self._degrees
+
     def degree(self, i: int, k: int) -> int:
-        return int(self._degrees[i, k - 1])
+        return int(self.degrees[i, k - 1])
 
     def node_event_count(self, i: int, k: int) -> int:
         """N_i(I_k): interactions of node i in interval k (= degree)."""
         return self.degree(i, k)
+
+    def adjacency(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per (node, interval) neighbor lists in CSR form ``(indptr, nbr)``.
+
+        The neighbors of node i in interval k are ``nbr[indptr[s]:indptr[s+1]]``
+        with ``s = i * K + k - 1``, ascending: every j with N_ij(I_k) >= 1,
+        where a directed tensor counts only the stored (i, j) orientation.
+        """
+        if self._adjacency is None:
+            keys, _codes, values = self._index()
+            keys = keys[values >= 1]
+            a, b, k0 = keys[:, 0], keys[:, 1], keys[:, 2] - 1
+            if not self.directed:
+                a, b, k0 = np.concatenate([a, b]), np.concatenate([b, a]), np.tile(k0, 2)
+            slots = a * self.K + k0
+            order = np.lexsort((b, slots))
+            indptr = np.zeros(self.n * self.K + 1, dtype=np.int64)
+            np.cumsum(np.bincount(slots, minlength=self.n * self.K), out=indptr[1:])
+            self._adjacency = (indptr, b[order])
+        return self._adjacency
+
+    def neighbors(self, i: int, k: int) -> np.ndarray:
+        """Ascending neighbors of node i in interval k; see ``adjacency``."""
+        if not 0 <= i < self.n:
+            raise ValueError(f"node id must be in 0..{self.n - 1}, got {i}")
+        if not 1 <= k <= self.K:
+            raise ValueError(f"interval index must be in 1..{self.K}, got {k}")
+        indptr, nbr = self.adjacency()
+        s = i * self.K + k - 1
+        return nbr[indptr[s] : indptr[s + 1]]
 
 
 def interval_counts(ev: EventList, part: IntervalPartition) -> CountTensor:

@@ -159,6 +159,37 @@ class TestEval:
         doc = json.loads((out / "auc.json").read_text())
         assert 0.45 <= doc["auc"]["train"]["random"] <= 0.55
 
+    def test_rerun_identical_outputs(self, tmp_path, sim_dir, fit_dir):
+        args = ["eval", "--events", sim_dir / "events.csv", "--model",
+                fit_dir / "model.json", "--test-frac", 0.1, "--split-seed", 5,
+                "--scorers", "tgne,tgne_predictive,lsdm,pa,random", "--B", 8,
+                "--lsdm-iters", 20, "--seed", 4]
+        a, b = tmp_path / "a", tmp_path / "b"
+        assert run(args + ["--out", a]) == 0
+        assert run(args + ["--out", b]) == 0
+        for name in ("auc.json", "instances.csv", "uncertainty_nodes.csv",
+                     "uncertainty_edges.csv", "rate_vs_uncertainty.csv"):
+            assert (a / name).read_bytes() == (b / name).read_bytes()
+
+    def test_two_nodes_exit_one_with_reason(self, tmp_path, capsys):
+        events = tmp_path / "events.csv"
+        events.write_text("source,dest,timestamp\na,b,1\na,b,2\nb,a,3\na,b,5\n")
+        assert run(["fit", "--events", events, "--out", tmp_path / "fit",
+                    "--K", 2, "--epochs", 3]) == 0
+        capsys.readouterr()
+        # no scorers: the reconstruction benchmark has no negatives on one pair
+        code = run(["eval", "--events", events, "--model", tmp_path / "fit" / "model.json",
+                    "--out", tmp_path / "eval", "--test-frac", 0, "--B", 2, "--scorers", ""])
+        assert code == 1
+        assert "needs n >= 3" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", [["--threads", "2"], ["--strict-deterministic"]])
+    def test_fit_only_flags_rejected(self, sim_dir, fit_dir, tmp_path, flag):
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", "--events", str(sim_dir / "events.csv"), "--model",
+                  str(fit_dir / "model.json"), "--out", str(tmp_path / "x"), *flag])
+        assert exc.value.code == 2
+
     def test_missing_model_flag_usage_error(self, sim_dir, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(["eval", "--events", str(sim_dir / "events.csv"),

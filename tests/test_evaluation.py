@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.special import expit
 
 from tgne.events import IntervalPartition, interval_counts, split_edges
 from tgne.evaluation import (
+    LsdmModel,
     LsdmOpts,
     ScoredInstance,
     _lsdm_nll_grad,
+    _swapped_destinations,
     auc,
     auc_from_scores,
     build_instances,
@@ -14,10 +17,12 @@ from tgne.evaluation import (
     fit_lsdm,
     lsdm_score,
     neighbor_distance,
+    node_table,
     node_uncertainty,
     rate_vs_uncertainty_table,
     regression_slope_from_points,
     restrict_counts,
+    score_instances,
     score_pa,
     score_random,
     score_tgne,
@@ -259,6 +264,26 @@ class TestLsdm:
         ) / (2 * h)
         assert abs(g_b - fd_b) <= 1e-4 * max(abs(fd_b), 1e-8)
 
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 10_000), n=st.integers(2, 9), d=st.integers(1, 4),
+           P=st.integers(1, 40))
+    def test_gradient_matches_add_at_scatter(self, seed, n, d, P):
+        rng = np.random.default_rng(seed)
+        z = rng.standard_normal((n, d))
+        ii = rng.integers(0, n, P)
+        jj = (ii + 1 + rng.integers(0, n - 1, P)) % n
+        y = rng.integers(0, 2, P).astype(float)
+        beta = float(rng.standard_normal())
+        _nll, g_z, _g_b = _lsdm_nll_grad(z, beta, ii, jj, y)
+        # reference: the per-pair gradient scattered by two np.add.at passes
+        diff = z[ii] - z[jj]
+        resid = expit(beta - np.einsum("pd,pd->p", diff, diff)) - y
+        g_pair = -2.0 * resid[:, None] * diff
+        ref = np.zeros_like(z)
+        np.add.at(ref, ii, g_pair)
+        np.add.at(ref, jj, -g_pair)
+        assert np.array_equal(g_z, ref)
+
     def test_overfits_training_interval(self, sbm_sample):
         ev = sbm_sample.events
         part = IntervalPartition.uniform(15)
@@ -342,6 +367,40 @@ class TestNodeUncertainty:
         vs = VariationalState(mu=np.zeros((1, 3, 2)), log_sigma=np.zeros((1, 3)), beta=0.0)
         with pytest.raises(ValueError):
             node_uncertainty(vs, 0, 3)
+
+
+def _neighbor_distance_scan(fm, counts, i, k):
+    """Reference: scan every node for interval-k neighbors."""
+    neighbors = [j for j in range(counts.n) if j != i and counts.count(i, j, k) >= 1]
+    if not neighbors:
+        return None
+    mid = 0.5 * (fm.state.mu[:, k - 1, :] + fm.state.mu[:, k, :])
+    return float(np.linalg.norm(mid[neighbors] - mid[i], axis=1).mean())
+
+
+class TestNodeTable:
+    # m = 40 leaves nodes without neighbors; m = 300 gives nodes 8 to 12, the
+    # counts at which ndarray.mean() sums with 8 accumulators
+    @pytest.mark.parametrize("m", [40, 300])
+    @pytest.mark.parametrize("d", [1, 2, 3, 9])
+    @pytest.mark.parametrize("directed", [False, True])
+    def test_matches_brute_force_scan(self, m, d, directed):
+        n, K = 14, 4
+        rng = np.random.default_rng(d)
+        fm = static_model(np.zeros((n, d)), K=K, d=d)
+        fm.state.mu = rng.standard_normal((n, K + 1, d))
+        fm.state.log_sigma = rng.standard_normal((n, K + 1))
+        ev = random_events(n=n, m=m, seed=d, directed=directed)
+        counts = interval_counts(ev, fm.part)
+        u, nd, deg = node_table(fm, counts)
+        for i in range(n):
+            for k in range(1, K + 1):
+                ref = _neighbor_distance_scan(fm, counts, i, k)
+                got = None if np.isnan(nd[i, k - 1]) else float(nd[i, k - 1])
+                assert got == ref
+                assert neighbor_distance(fm, counts, i, k) == ref
+                assert float(u[i, k - 1]) == node_uncertainty(fm.state, i, k)
+                assert deg[i, k - 1] == counts.degree(i, k)
 
 
 class TestNeighborDistance:
@@ -438,9 +497,64 @@ class TestRateVsUncertaintyTable:
             assert neg.i == pos.i and neg.t == pos.t
             assert neg.j != pos.j and neg.j != neg.i
 
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_shifted_draw_matches_candidate_list(self, n):
+        pairs = [(i, j) for i in range(n) for j in range(n) if i != j] * 20
+        src = np.asarray([p[0] for p in pairs])
+        dst = np.asarray([p[1] for p in pairs])
+        got = _swapped_destinations(src, dst, n, np.random.default_rng(17))
+        rng = np.random.default_rng(17)
+        ref = []
+        for i, j in pairs:
+            choices = [x for x in range(n) if x not in (i, j)]
+            ref.append(choices[int(rng.integers(len(choices)))])
+        assert got.tolist() == ref
+
+    def test_two_nodes_rejected(self):
+        ev = random_events(n=2, m=5, seed=0)
+        fm = static_model([(0.0, 0.0), (1.0, 0.0)], K=2)
+        with pytest.raises(ValueError, match="n >= 3"):
+            rate_vs_uncertainty_table(ev, fm.state, EUCLIDEAN, fm.part, B=2, seed=0)
+
     def test_degenerate_posterior_zero_std(self, ten_node_events):
         fm = static_model([(float(i), 0.0) for i in range(10)], sigma=1e-9, K=4)
         records = rate_vs_uncertainty_table(
             ten_node_events, fm.state, EUCLIDEAN, fm.part, B=20, seed=0
         )
         assert all(r.rate_std < 1e-7 for r in records)
+
+
+class TestScoreInstances:
+    @pytest.fixture(scope="class")
+    def setup(self):
+        ev = random_events(n=12, m=60, seed=8)
+        part = IntervalPartition.uniform(3)
+        counts = interval_counts(ev, part)
+        instances, _ = build_instances(counts, ev.unique_pairs(), part, seed=1)
+        rng = np.random.default_rng(3)
+        models = {
+            k: LsdmModel(z=rng.standard_normal((12, 2)), beta=float(rng.standard_normal()),
+                         nll_trace=np.empty(0), converged=False)
+            for k in range(1, 4)
+        }
+        return counts, instances, models
+
+    def test_lsdm_and_pa_match_scalar_scorers(self, setup):
+        counts, instances, models = setup
+        lsdm = score_instances(instances, "lsdm", lsdm_models=models)
+        pa = score_instances(instances, "pa", train_counts=counts)
+        for inst, a, b in zip(instances, lsdm, pa):
+            assert (a.i, a.j, a.k, a.label) == (inst.i, inst.j, inst.k, inst.label)
+            assert a.score == lsdm_score(models[inst.k], inst.i, inst.j)
+            assert b.score == score_pa(counts, inst.i, inst.j, inst.k)
+        assert all(np.isnan(inst.score) for inst in instances)
+
+    @pytest.mark.parametrize(
+        "scorer, missing",
+        [("tgne", "fm"), ("tgne_predictive", "fm"), ("lsdm", "lsdm_models"),
+         ("pa", "train_counts")],
+    )
+    def test_missing_input_named(self, setup, scorer, missing):
+        _counts, instances, _models = setup
+        with pytest.raises(ValueError, match=missing):
+            score_instances(instances, scorer)

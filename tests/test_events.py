@@ -311,3 +311,74 @@ class TestSampleNegativePairs:
             estimates[s] = (pool_s / len(pairs)) * sum(f[j] for _, j in pairs)
         se = estimates.std(ddof=1) / np.sqrt(draws)
         assert abs(estimates.mean() - exact) < 3 * se
+
+
+def _count_tensor_cases():
+    """(undirected, directed) count tensors with repeated pair-interval keys."""
+    part = IntervalPartition.uniform(3)
+    return [
+        interval_counts(random_events(n=7, m=40, seed=11), part),
+        interval_counts(random_events(n=7, m=40, seed=12, directed=True), part),
+    ]
+
+
+class TestCountIndex:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        n=st.integers(2, 8),
+        K=st.integers(1, 5),
+        directed=st.booleans(),
+        extra=st.lists(
+            st.tuples(st.integers(0, 7), st.integers(0, 7), st.integers(0, 6)), max_size=30
+        ),
+    )
+    def test_counts_of_matches_count(self, seed, n, K, directed, extra):
+        ev = random_events(n=n, m=20, seed=seed, directed=directed)
+        counts = interval_counts(ev, IntervalPartition.uniform(K))
+        # stored keys, their reversed orientation, and arbitrary (often absent) triplets
+        triplets = [key for key in counts.counts]
+        triplets += [(j, i, k) for i, j, k in counts.counts]
+        triplets += [(i % n, j % n, k) for i, j, k in extra]
+        if not triplets:
+            return
+        ii, jj, kk = (np.asarray(col) for col in zip(*triplets))
+        got = counts.counts_of(ii, jj, kk)
+        assert got.dtype == np.int64
+        assert got.tolist() == [counts.count(i, j, k) for i, j, k in triplets]
+
+    def test_counts_of_empty_tensor_and_broadcast_interval(self):
+        part = IntervalPartition.uniform(2)
+        empty = interval_counts(
+            EventList(src=np.empty(0), dst=np.empty(0), time=np.empty(0), n=3), part
+        )
+        assert empty.counts_of(np.array([0, 1]), np.array([1, 2]), 1).tolist() == [0, 0]
+        counts = _count_tensor_cases()[0]
+        ii, jj = np.array([0, 1, 2]), np.array([3, 4, 5])
+        assert counts.counts_of(ii, jj, 2).tolist() == [
+            counts.count(i, j, 2) for i, j in zip(ii.tolist(), jj.tolist())
+        ]
+
+    @pytest.mark.parametrize("case", [0, 1], ids=["undirected", "directed"])
+    def test_degrees_match_key_loop(self, case):
+        counts = _count_tensor_cases()[case]
+        ref = np.zeros((counts.n, counts.K), dtype=np.int64)
+        for (i, j, k), c in counts.counts.items():
+            ref[i, k - 1] += c
+            ref[j, k - 1] += c
+        assert np.array_equal(counts.degrees, ref)
+        assert counts.degree(3, 2) == ref[3, 1]
+
+    @pytest.mark.parametrize("case", [0, 1], ids=["undirected", "directed"])
+    def test_neighbors_match_scan(self, case):
+        counts = _count_tensor_cases()[case]
+        for i in range(counts.n):
+            for k in range(1, counts.K + 1):
+                scan = [j for j in range(counts.n) if j != i and counts.count(i, j, k) >= 1]
+                assert counts.neighbors(i, k).tolist() == scan
+
+    def test_neighbors_rejects_out_of_range(self):
+        counts = _count_tensor_cases()[0]
+        for i, k in [(0, 0), (0, counts.K + 1), (-1, 1), (counts.n, 1)]:
+            with pytest.raises(ValueError):
+                counts.neighbors(i, k)

@@ -27,6 +27,8 @@ from .model import (
     EUCLIDEAN,
     LatentConfiguration,
     SamplingPlan,
+    _pair_array,
+    _pair_codes,
     nll_value_grad,
     realize_plan,
 )
@@ -259,15 +261,14 @@ def empirical_beta(ev: EventList, excluded_pairs=frozenset()) -> float:
     """
     if ev.m == 0:
         return 0.0
+    n = ev.n
+    codes = _pair_codes(ev.src, ev.dst, n)
     if excluded_pairs:
-        keep = ~np.asarray(
-            [(a, b) in excluded_pairs for a, b in zip(ev.src.tolist(), ev.dst.tolist())]
-        )
-        m = int(keep.sum())
-        pairs = len({(a, b) for a, b in zip(ev.src[keep].tolist(), ev.dst[keep].tolist())})
-    else:
-        m = ev.m
-        pairs = len(ev.unique_pairs())
+        # held-out pairs match events in stored orientation only
+        ex = _pair_array(excluded_pairs, n)
+        codes = codes[~np.isin(codes, _pair_codes(ex[:, 0], ex[:, 1], n))]
+    m = int(codes.size)
+    pairs = int(np.unique(codes).size)
     if m == 0 or pairs == 0:
         return 0.0
     return float(np.log(m / pairs))
@@ -386,16 +387,26 @@ def save_model(fm: FittedModel, path: str | Path) -> None:
 
 
 def load_model(path: str | Path) -> FittedModel:
+    """Read a save_model file; ValueError naming the field if its shapes disagree."""
     with open(path, "r", encoding="utf-8") as handle:
         doc = json.load(handle)
     if doc.get("format") != MODEL_FORMAT:
         raise ValueError(f"unrecognized model format {doc.get('format')!r}")
     part = IntervalPartition(np.asarray(doc["cut_points"]))
-    state = VariationalState(
-        mu=np.asarray(doc["mu"]),
-        log_sigma=np.asarray(doc["log_sigma"]),
-        beta=float(doc["beta"]),
-    )
+    n, K, d = doc["n"], doc["K"], doc["d"]
+    if K != part.K:
+        raise ValueError(f"K is {K} but cut_points has {part.K + 1} entries")
+    mu = np.asarray(doc["mu"])
+    log_sigma = np.asarray(doc["log_sigma"])
+    if mu.shape != (n, K + 1, d):
+        raise ValueError(f"mu has shape {mu.shape}, expected (n, K+1, d) = {(n, K + 1, d)}")
+    if log_sigma.shape != (n, K + 1):
+        raise ValueError(
+            f"log_sigma has shape {log_sigma.shape}, expected (n, K+1) = {(n, K + 1)}"
+        )
+    if len(doc["node_labels"]) != n:
+        raise ValueError(f"node_labels has {len(doc['node_labels'])} entries, expected n = {n}")
+    state = VariationalState(mu=mu, log_sigma=log_sigma, beta=float(doc["beta"]))
     hp = Hyperparams(**doc["hyperparams"])
     return FittedModel(
         state=state,

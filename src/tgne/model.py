@@ -26,7 +26,7 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy.special import erfc
 
-from .events import EventList, IntervalPartition, canonical_pair
+from .events import EventList, IntervalPartition
 
 SQRT_2PI = np.sqrt(2.0 * np.pi)
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
@@ -52,9 +52,13 @@ def _normal_cdf_diff(u0, u1):
     arguments sit in the far right tail, where the complementary form
     erfc(u0) - erfc(u1) avoids cancellation.
     """
-    base = 0.5 * (erfc(-u1 * INV_SQRT2) - erfc(-u0 * INV_SQRT2))
-    tail = 0.5 * (erfc(u0 * INV_SQRT2) - erfc(u1 * INV_SQRT2))
-    return np.where(u0 > 6.0, tail, base)
+    u0 = np.asarray(u0, dtype=np.float64)
+    u1 = np.asarray(u1, dtype=np.float64)
+    out = np.asarray(0.5 * (erfc(-u1 * INV_SQRT2) - erfc(-u0 * INV_SQRT2)))
+    far = u0 > 6.0
+    if far.any():
+        out[far] = 0.5 * (erfc(u0[far] * INV_SQRT2) - erfc(u1[far] * INV_SQRT2))
+    return out
 
 
 def _exp_linear_integrals(c):
@@ -165,36 +169,35 @@ def _closed_rate_batch(da, db, beta, lengths, want_grad=False):
     u1 = (1.0 - mu) / sig
     C = SQRT_2PI * _normal_cdf_diff(u0, u1)
     pref = lengths * np.exp(beta - a)
-    lam_nd = pref * sig * C
+    lam = np.asarray(pref * sig * C)
 
-    # linear exponent gamma(s) ~= c0 + c1 s when da ~= db
-    c0 = norm_da2
-    c1 = 2.0 * (np.einsum("...d,...d->...", da, db) - c0)
-    e0, e1 = _exp_linear_integrals(c1)
-    pref_d = lengths * np.exp(beta - c0)
-    lam_d = pref_d * e0
+    if want_grad:
+        g0 = np.exp(-0.5 * u0 * u0)
+        g1 = np.exp(-0.5 * u1 * u1)
+        s1 = g0 - g1
+        s2 = u0 * g0 - u1 * g1 + C
+        a1 = pref * sig * (mu * C + sig * s1)  # a0 is lam
+        a2 = pref * sig * (mu * mu * C + 2.0 * mu * sig * s1 + sig * sig * s2)
+        ga = -2.0 * (da * (lam - 2.0 * a1 + a2)[..., None] + db * (a1 - a2)[..., None])
+        gb = -2.0 * (da * (a1 - a2)[..., None] + db * a2[..., None])
 
-    lam = np.where(degen, lam_d, lam_nd)
+    if degen.any():
+        # linear exponent gamma(s) ~= c0 + c1 s when da ~= db, on those rows only
+        da_d, db_d = da[degen], db[degen]
+        c0 = norm_da2[degen]
+        c1 = 2.0 * (np.einsum("...d,...d->...", da_d, db_d) - c0)
+        e0, e1 = _exp_linear_integrals(c1)
+        pref_d = np.broadcast_to(lengths, degen.shape)[degen] * np.exp(beta - c0)
+        lam[degen] = pref_d * e0
+        if want_grad:
+            a1_d = pref_d * e1
+            a0_d = lam[degen]
+            ga[degen] = -2.0 * (da_d * (a0_d - 2.0 * a1_d)[..., None] + db_d * a1_d[..., None])
+            gb[degen] = -2.0 * da_d * a1_d[..., None]
+
     if not want_grad:
         return lam, None, None
-
-    g0 = np.exp(-0.5 * u0 * u0)
-    g1 = np.exp(-0.5 * u1 * u1)
-    s1 = g0 - g1
-    s2 = u0 * g0 - u1 * g1 + C
-    a0 = pref * sig * C
-    a1 = pref * sig * (mu * C + sig * s1)
-    a2 = pref * sig * (mu * mu * C + 2.0 * mu * sig * s1 + sig * sig * s2)
-    ga_nd = -2.0 * (da * (a0 - 2.0 * a1 + a2)[..., None] + db * (a1 - a2)[..., None])
-    gb_nd = -2.0 * (da * (a1 - a2)[..., None] + db * a2[..., None])
-
-    a0_d = lam_d
-    a1_d = pref_d * e1
-    ga_d = -2.0 * (da * (a0_d - 2.0 * a1_d)[..., None] + db * a1_d[..., None])
-    gb_d = -2.0 * da * a1_d[..., None]
-
-    mask = degen[..., None]
-    return lam, np.where(mask, ga_d, ga_nd), np.where(mask, gb_d, gb_nd)
+    return lam, ga, gb
 
 
 def _riemann_rate_batch(zi_a, zi_b, zj_a, zj_b, beta, lengths, R, kind, want_grad=False):
@@ -328,6 +331,12 @@ def _pair_codes(i: np.ndarray, j: np.ndarray, n: int) -> np.ndarray:
     return i.astype(np.int64) * n + j.astype(np.int64)
 
 
+def _pair_array(pairs, n: int) -> np.ndarray:
+    """Pairs as an (m, 2) int64 array, without those naming a node outside 0..n-1."""
+    arr = np.asarray(list(pairs), dtype=np.int64).reshape(-1, 2)
+    return arr[((arr >= 0) & (arr < n)).all(axis=1)]
+
+
 def realize_plan(ev: EventList, part: IntervalPartition, plan: SamplingPlan) -> _Terms:
     """Materialize a sampling plan into weighted survival and event terms.
 
@@ -338,13 +347,9 @@ def realize_plan(ev: EventList, part: IntervalPartition, plan: SamplingPlan) -> 
     and unbiased otherwise.
     """
     n = ev.n
-    excl_codes = np.asarray(
-        sorted(
-            a * n + b
-            for a, b in (canonical_pair(x, y, ev.directed) for x, y in plan.excluded_pairs)
-        ),
-        dtype=np.int64,
-    )
+    excluded = _pair_array(plan.excluded_pairs, n)
+    canon = excluded if ev.directed else np.sort(excluded, axis=1)
+    excl_codes = np.unique(_pair_codes(canon[:, 0], canon[:, 1], n))
 
     in_batch = None
     scale = 1.0
@@ -388,28 +393,31 @@ def realize_plan(ev: EventList, part: IntervalPartition, plan: SamplingPlan) -> 
         parts_j = [pos_j[nz]]
         parts_w = [w_pos[nz]]
 
-        partners: list[set[int]] = [set() for _ in range(n)]
-        for a, b in zip(ev.src.tolist(), ev.dst.tolist()):
-            partners[a].add(b)
-            partners[b].add(a)
-        excluded_of: dict[int, set[int]] = {}
-        for a, b in plan.excluded_pairs:
-            excluded_of.setdefault(a, set()).add(b)
-            excluded_of.setdefault(b, set()).add(a)
+        # blocked (node, partner) codes: event partners and excluded pairs in
+        # both orientations, and the node itself; node i owns [i*n, (i+1)*n)
+        src = np.concatenate([ev.src, excluded[:, 0]]).astype(np.int64)
+        dst = np.concatenate([ev.dst, excluded[:, 1]]).astype(np.int64)
+        blocked = np.unique(np.concatenate(
+            [src * n + dst, dst * n + src, np.arange(n, dtype=np.int64) * (n + 1)]
+        ))
+        starts = np.searchsorted(blocked, np.arange(n + 1, dtype=np.int64) * n)
+        free = np.ones(n, dtype=bool)
 
         rng = np.random.default_rng(plan.seed)
         nodes = sorted(plan.node_batch) if plan.node_batch is not None else range(n)
         half = 1.0 if ev.directed else 0.5
         for i in nodes:
-            blocked = partners[i] | excluded_of.get(i, set())
-            pool = [j for j in range(n) if j != i and j not in blocked]
-            if not pool:
+            cols = blocked[starts[i]:starts[i + 1]] - i * n
+            free[cols] = False
+            pool = np.flatnonzero(free)
+            free[cols] = True
+            if not pool.size:
                 continue
-            take = min(plan.negatives_per_node, len(pool))
-            idx = rng.choice(len(pool), size=take, replace=False)
-            w_neg = scale * half * len(pool) / take
+            take = min(plan.negatives_per_node, pool.size)
+            idx = rng.choice(pool.size, size=take, replace=False)
+            w_neg = scale * half * pool.size / take
             parts_i.append(np.full(take, i, dtype=np.int64))
-            parts_j.append(np.asarray(pool, dtype=np.int64)[idx])
+            parts_j.append(pool[idx])
             parts_w.append(np.full(take, w_neg))
         pair_i = np.concatenate(parts_i)
         pair_j = np.concatenate(parts_j)
@@ -433,13 +441,27 @@ def realize_plan(ev: EventList, part: IntervalPartition, plan: SamplingPlan) -> 
     return _Terms(pair_i, pair_j, pair_w, ev_i, ev_j, ev_k0, ev_s, ev_w)
 
 
+def _endpoints(z: np.ndarray, ii: np.ndarray, kk0: np.ndarray):
+    """(z[ii, kk0, :], z[ii, kk0 + 1, :]) gathered as rows of the (n*(K+1), d) view.
+
+    ``take`` on flat rows is several times faster than the two-array index.
+    """
+    flat = z.reshape(-1, z.shape[2])
+    rows = ii * z.shape[1] + kk0
+    return flat.take(rows, axis=0), flat.take(rows + 1, axis=0)
+
+
 def _scatter_add(dz: np.ndarray, flat_cut: np.ndarray, contrib: np.ndarray) -> None:
-    """Add contrib (..., d) into dz rows given flat (node, cut) indices."""
+    """Add contrib (..., d) into the rows of C-contiguous dz at flat (node, cut) indices.
+
+    One bincount per latent dimension; each bin sums its terms in array order.
+    """
     n, kp1, d = dz.shape
-    idx = flat_cut[..., None] * d + np.arange(d)
-    dz += np.bincount(
-        idx.ravel(), weights=contrib.ravel(), minlength=n * kp1 * d
-    ).reshape(n, kp1, d)
+    rows = dz.reshape(n * kp1, d)
+    flat_cut = flat_cut.ravel()
+    contrib = contrib.reshape(-1, d)
+    for c in range(d):
+        rows[:, c] += np.bincount(flat_cut, weights=contrib[:, c], minlength=n * kp1)
 
 
 def _survival_chunk(z, beta, kind, lengths, riemann_r, terms, sl, want_grad):
@@ -449,10 +471,10 @@ def _survival_chunk(z, beta, kind, lengths, riemann_r, terms, sl, want_grad):
     pi = terms.pair_i[sl]
     pj = terms.pair_j[sl]
     w = terms.pair_w[sl]
-    zi_a = z[pi, :-1, :]
-    zi_b = z[pi, 1:, :]
-    zj_a = z[pj, :-1, :]
-    zj_b = z[pj, 1:, :]
+    zi = z.take(pi, axis=0)
+    zj = z.take(pj, axis=0)
+    zi_a, zi_b = zi[:, :-1], zi[:, 1:]
+    zj_a, zj_b = zj[:, :-1], zj[:, 1:]
     if kind == EUCLIDEAN:
         lam, ga, gb = _closed_rate_batch(
             zi_a - zj_a, zi_b - zj_b, beta, lengths[None, :], want_grad
@@ -470,7 +492,7 @@ def _survival_chunk(z, beta, kind, lengths, riemann_r, terms, sl, want_grad):
 
     ga_i, gb_i, ga_j, gb_j = grads
     wcol = w[:, None, None]
-    dz = np.zeros_like(z)
+    dz = np.zeros(z.shape)
     cuts_a = np.arange(K, dtype=np.int64)[None, :]
     flat_ia = pi[:, None] * kp1 + cuts_a
     flat_ib = flat_ia + 1
@@ -497,8 +519,9 @@ def nll_value_grad(
 
     Returns (value, dz, dbeta); dz is None unless ``want_grad``. With
     threads > 1 the survival batch is split into chunks evaluated on a
-    thread pool; partials are summed in fixed chunk order, so results match
-    the single-threaded path.
+    thread pool; partials are summed in fixed chunk order, so a given thread
+    count is reproducible, but the chunked sums match the single-threaded
+    path only to rounding, not bit for bit.
     """
     n, kp1, d = z.shape
     lengths = part.lengths
@@ -520,7 +543,7 @@ def nll_value_grad(
 
     value = 0.0
     dbeta = 0.0
-    dz = np.zeros_like(z) if want_grad else None
+    dz = np.zeros(z.shape) if want_grad else None
     for val, dz_part, dbeta_part in results:
         value += val
         dbeta += dbeta_part
@@ -532,8 +555,10 @@ def nll_value_grad(
         kk = terms.ev_k0
         s = terms.ev_s[:, None]
         om = 1.0 - s
-        pi_pos = om * z[terms.ev_i, kk, :] + s * z[terms.ev_i, kk + 1, :]
-        pj_pos = om * z[terms.ev_j, kk, :] + s * z[terms.ev_j, kk + 1, :]
+        zi_a, zi_b = _endpoints(z, terms.ev_i, kk)
+        zj_a, zj_b = _endpoints(z, terms.ev_j, kk)
+        pi_pos = om * zi_a + s * zi_b
+        pj_pos = om * zj_a + s * zj_b
         w = terms.ev_w
         if kind == EUCLIDEAN:
             diff = pi_pos - pj_pos

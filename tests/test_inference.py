@@ -407,3 +407,66 @@ class TestModelIo:
         emb_lines = emb_path.read_text().strip().splitlines()
         assert emb_lines[0] == "node,k,eta,mu_0,mu_1,sigma"
         assert len(emb_lines) == 1 + ten_node_events.n * 4
+
+    def test_save_load_save_is_byte_identical(self, tmp_path, ten_node_events):
+        fm = fit(ten_node_events, Hyperparams(K=3, epochs=3, seed=0))
+        first, second = tmp_path / "a.json", tmp_path / "b.json"
+        save_model(fm, first)
+        save_model(load_model(first), second)
+        assert first.read_bytes() == second.read_bytes()
+
+    @pytest.mark.parametrize(
+        "field, edit",
+        [
+            ("K", lambda doc: doc.update(K=doc["K"] + 1)),
+            ("cut_points", lambda doc: doc.update(cut_points=[0.0, 0.5, 1.0])),
+            ("mu", lambda doc: doc.update(n=doc["n"] + 1, node_labels=doc["node_labels"] + ["x"])),
+            ("mu", lambda doc: doc.update(d=doc["d"] + 1)),
+            ("log_sigma", lambda doc: doc.update(log_sigma=[r[:-1] for r in doc["log_sigma"]])),
+            ("node_labels", lambda doc: doc.update(node_labels=doc["node_labels"][:5])),
+        ],
+        ids=["K", "cut_points", "n", "d", "log_sigma", "node_labels"],
+    )
+    def test_inconsistent_file_rejected(self, tmp_path, ten_node_events, field, edit):
+        fm = fit(ten_node_events, Hyperparams(K=3, epochs=2, seed=0))
+        path = tmp_path / "model.json"
+        save_model(fm, path)
+        doc = json.loads(path.read_text())
+        edit(doc)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=field):
+            load_model(path)
+
+
+def set_based_empirical_beta(ev, excluded_pairs=frozenset()):
+    """empirical_beta through per-event tuple membership and a set of pairs."""
+    if ev.m == 0:
+        return 0.0
+    if excluded_pairs:
+        keep = ~np.asarray(
+            [(a, b) in excluded_pairs for a, b in zip(ev.src.tolist(), ev.dst.tolist())]
+        )
+        m = int(keep.sum())
+        pairs = len({(a, b) for a, b in zip(ev.src[keep].tolist(), ev.dst[keep].tolist())})
+    else:
+        m = ev.m
+        pairs = len(ev.unique_pairs())
+    if m == 0 or pairs == 0:
+        return 0.0
+    return float(np.log(m / pairs))
+
+
+class TestEmpiricalBeta:
+    @pytest.mark.parametrize("directed", [False, True])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_set_based_form(self, directed, seed):
+        ev = random_events(n=9, m=60, seed=seed, directed=directed)
+        rng = np.random.default_rng(seed)
+        pairs = sorted(ev.unique_pairs())
+        held = [pairs[r] for r in rng.choice(len(pairs), size=len(pairs) // 3, replace=False)]
+        flipped = {(b, a) for a, b in held[: len(held) // 2]}  # match no stored event
+        for excluded in (frozenset(), frozenset(held), frozenset(held) | flipped,
+                         frozenset(pairs), frozenset({(0, 99), (-1, 2)})):
+            got = empirical_beta(ev, excluded)
+            assert got == set_based_empirical_beta(ev, excluded)
+            assert type(got) is float

@@ -1,11 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
+from scipy.special import erfc
 
-from tgne.events import EventList, IntervalPartition
+from tgne.events import EventList, IntervalPartition, canonical_pair
 from tgne.model import (
     DOT,
+    EPS_DEGENERATE,
     EUCLIDEAN,
+    INV_SQRT2,
+    SQRT_2PI,
     LatentConfiguration,
     RateModel,
     SamplingPlan,
@@ -17,6 +22,10 @@ from tgne.model import (
     position_at,
     realize_plan,
     total_nll,
+    _closed_rate_batch,
+    _exp_linear_integrals,
+    _normal_cdf_diff,
+    _scatter_add,
 )
 
 from conftest import random_events
@@ -447,3 +456,293 @@ class TestInvariances:
         one = total_nll(cfg, rm, ev, part, threads=1)
         four = total_nll(cfg, rm, ev, part, threads=4)
         assert np.isclose(one, four, rtol=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# The kernels against plain reference forms, bit for bit. The references
+# evaluate every branch on every row and select with np.where (rate kernel,
+# CDF difference), scatter through one flat (row * d + dim) bincount, and
+# build negative pools with a per-node range(n) scan over Python sets.
+# ---------------------------------------------------------------------------
+
+
+def ref_normal_cdf_diff(u0, u1):
+    base = 0.5 * (erfc(-u1 * INV_SQRT2) - erfc(-u0 * INV_SQRT2))
+    tail = 0.5 * (erfc(u0 * INV_SQRT2) - erfc(u1 * INV_SQRT2))
+    return np.where(u0 > 6.0, tail, base)
+
+
+def ref_closed_rate_batch(da, db, beta, lengths, want_grad=False):
+    da = np.asarray(da, dtype=np.float64)
+    db = np.asarray(db, dtype=np.float64)
+    v = da - db
+    w2 = np.einsum("...d,...d->...", v, v)
+    norm_da2 = np.einsum("...d,...d->...", da, da)
+    degen = w2 < EPS_DEGENERATE**2
+    w2_safe = np.where(degen, 1.0, w2)
+    sig = 1.0 / np.sqrt(2.0 * w2_safe)
+    dav = np.einsum("...d,...d->...", da, v)
+    mu = dav / w2_safe
+    a = np.maximum(norm_da2 - dav * mu, 0.0)
+    u0 = -mu / sig
+    u1 = (1.0 - mu) / sig
+    C = SQRT_2PI * ref_normal_cdf_diff(u0, u1)
+    pref = lengths * np.exp(beta - a)
+    lam_nd = pref * sig * C
+    c0 = norm_da2
+    c1 = 2.0 * (np.einsum("...d,...d->...", da, db) - c0)
+    e0, e1 = _exp_linear_integrals(c1)
+    pref_d = lengths * np.exp(beta - c0)
+    lam_d = pref_d * e0
+    lam = np.where(degen, lam_d, lam_nd)
+    if not want_grad:
+        return lam, None, None
+    g0 = np.exp(-0.5 * u0 * u0)
+    g1 = np.exp(-0.5 * u1 * u1)
+    s1 = g0 - g1
+    s2 = u0 * g0 - u1 * g1 + C
+    a0 = pref * sig * C
+    a1 = pref * sig * (mu * C + sig * s1)
+    a2 = pref * sig * (mu * mu * C + 2.0 * mu * sig * s1 + sig * sig * s2)
+    ga_nd = -2.0 * (da * (a0 - 2.0 * a1 + a2)[..., None] + db * (a1 - a2)[..., None])
+    gb_nd = -2.0 * (da * (a1 - a2)[..., None] + db * a2[..., None])
+    a1_d = pref_d * e1
+    ga_d = -2.0 * (da * (lam_d - 2.0 * a1_d)[..., None] + db * a1_d[..., None])
+    gb_d = -2.0 * da * a1_d[..., None]
+    mask = degen[..., None]
+    return lam, np.where(mask, ga_d, ga_nd), np.where(mask, gb_d, gb_nd)
+
+
+def assert_bits_equal(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
+ROW_KINDS = ("plain", "exact_degenerate", "near_degenerate", "far_tail")
+
+
+def mixed_rows(rng, kinds, d):
+    """(da, db) rows: generic, da == db, |da - db| ~ 1e-10, and u0 > 6."""
+    da = np.empty((len(kinds), d))
+    db = np.empty((len(kinds), d))
+    for r, kind in enumerate(kinds):
+        x = rng.standard_normal(d)
+        if kind == "plain":
+            y = rng.standard_normal(d)
+        elif kind == "exact_degenerate":
+            y = x.copy()
+        elif kind == "near_degenerate":
+            step = rng.standard_normal(d)
+            y = x + 1e-10 * step / np.linalg.norm(step)
+        else:
+            # da = p + mu v with p orthogonal to v, so the closest approach
+            # sits at s = mu < 0 and u0 = -mu sqrt(2 |v|^2) > 6
+            v = rng.standard_normal(d)
+            v *= rng.uniform(1.0, 3.0) / np.linalg.norm(v)
+            p = rng.standard_normal(d)
+            p -= (p @ v) / (v @ v) * v
+            mu = -rng.uniform(8.0, 20.0) / np.sqrt(2.0 * (v @ v))
+            x = 0.3 * p + mu * v
+            y = x - v
+        da[r], db[r] = x, y
+    return da, db
+
+
+class TestKernelsMatchBothBranchForms:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        d=st.integers(1, 9),
+        P=st.integers(1, 7),
+        K=st.integers(1, 5),
+        beta=st.floats(-2.0, 2.0),
+        kinds=st.lists(st.sampled_from(ROW_KINDS), min_size=1, max_size=35),
+    )
+    def test_closed_rate_batch_pk_rows(self, seed, d, P, K, beta, kinds):
+        rng = np.random.default_rng(seed)
+        idx = rng.integers(len(kinds), size=P * K)
+        da, db = mixed_rows(rng, [kinds[r] for r in idx], d)
+        da, db = da.reshape(P, K, d), db.reshape(P, K, d)
+        lengths = rng.uniform(0.01, 0.5, size=K)[None, :]
+        for want_grad in (False, True):
+            got = _closed_rate_batch(da, db, beta, lengths, want_grad)
+            want = ref_closed_rate_batch(da, db, beta, lengths, want_grad)
+            for g, w in zip(got, want):
+                if w is None:
+                    assert g is None
+                else:
+                    assert_bits_equal(g, w)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        d=st.integers(1, 9),
+        kind=st.sampled_from(ROW_KINDS),
+        beta=st.floats(-2.0, 2.0),
+        length=st.floats(0.01, 1.0),
+    )
+    def test_closed_rate_batch_single_row(self, seed, d, kind, beta, length):
+        # (d,) inputs give 0-d results, as cumulative_rate_closed passes them
+        da, db = mixed_rows(np.random.default_rng(seed), [kind], d)
+        got = _closed_rate_batch(da[0], db[0], beta, length, True)
+        want = ref_closed_rate_batch(da[0], db[0], beta, length, True)
+        assert got[0].shape == ()
+        for g, w in zip(got, want):
+            assert_bits_equal(g, w)
+
+    def test_mixed_rows_cover_every_branch(self):
+        rng = np.random.default_rng(0)
+        da, db = mixed_rows(rng, ROW_KINDS, 3)
+        v = da - db
+        w2 = np.einsum("rd,rd->r", v, v)
+        assert list(w2 < EPS_DEGENERATE**2) == [False, True, True, False]
+        u0 = -(np.einsum("rd,rd->r", da, v) / w2[3]) * np.sqrt(2.0 * w2[3])
+        assert u0[3] > 6.0
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        d=st.integers(1, 9),
+        kinds=st.lists(st.sampled_from(ROW_KINDS), min_size=1, max_size=30),
+    )
+    def test_normal_cdf_diff(self, seed, d, kinds):
+        da, db = mixed_rows(np.random.default_rng(seed), kinds, d)
+        v = da - db
+        w2 = np.maximum(np.einsum("rd,rd->r", v, v), EPS_DEGENERATE**2)
+        sig = 1.0 / np.sqrt(2.0 * w2)
+        mu = np.einsum("rd,rd->r", da, v) / w2
+        u0, u1 = -mu / sig, (1.0 - mu) / sig
+        assert_bits_equal(_normal_cdf_diff(u0, u1), ref_normal_cdf_diff(u0, u1))
+        for a, b in zip(u0, u1):
+            assert_bits_equal(_normal_cdf_diff(a, b), ref_normal_cdf_diff(a, b))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 6),
+        K=st.integers(1, 4),
+        d=st.integers(1, 5),
+        shape=st.sampled_from([(0,), (1,), (13,), (40,), (5, 3), (9, 4)]),
+    )
+    def test_scatter_add(self, seed, n, K, d, shape):
+        rng = np.random.default_rng(seed)
+        dz = rng.standard_normal((n, K + 1, d))
+        flat_cut = rng.integers(n * (K + 1), size=shape)
+        contrib = rng.standard_normal(shape + (d,))
+        idx = flat_cut[..., None] * d + np.arange(d)
+        want = dz + np.bincount(
+            idx.ravel(), weights=contrib.ravel(), minlength=n * (K + 1) * d
+        ).reshape(n, K + 1, d)
+        _scatter_add(dz, flat_cut, contrib)
+        assert_bits_equal(dz, want)
+
+
+def ref_negative_pairs(ev, plan):
+    """pair_i, pair_j, pair_w of a negatives plan from per-node list pools."""
+    n = ev.n
+    excl_codes = np.asarray(
+        sorted(
+            a * n + b
+            for a, b in (canonical_pair(x, y, ev.directed) for x, y in plan.excluded_pairs)
+        ),
+        dtype=np.int64,
+    )
+    in_batch = None
+    scale = 1.0
+    if plan.node_batch is not None:
+        in_batch = np.zeros(n, dtype=bool)
+        in_batch[list(plan.node_batch)] = True
+        scale = n / len(plan.node_batch)
+
+    def pair_weights(pi, pj):
+        if in_batch is None:
+            return np.ones(pi.shape[0], dtype=np.float64)
+        if ev.directed:
+            return scale * in_batch[pi].astype(np.float64)
+        return scale * 0.5 * (in_batch[pi].astype(np.float64) + in_batch[pj].astype(np.float64))
+
+    pos_codes = np.unique(ev.src.astype(np.int64) * n + ev.dst.astype(np.int64))
+    if ev.directed:
+        rev = (pos_codes % n) * n + pos_codes // n
+        pos_codes = np.unique(np.concatenate([pos_codes, rev]))
+    if excl_codes.size:
+        pos_codes = pos_codes[~np.isin(pos_codes, excl_codes)]
+    pos_i, pos_j = pos_codes // n, pos_codes % n
+    w_pos = pair_weights(pos_i, pos_j)
+    nz = w_pos > 0
+    parts_i, parts_j, parts_w = [pos_i[nz]], [pos_j[nz]], [w_pos[nz]]
+
+    partners = [set() for _ in range(n)]
+    for a, b in zip(ev.src.tolist(), ev.dst.tolist()):
+        partners[a].add(b)
+        partners[b].add(a)
+    excluded_of = {}
+    for a, b in plan.excluded_pairs:
+        excluded_of.setdefault(a, set()).add(b)
+        excluded_of.setdefault(b, set()).add(a)
+    rng = np.random.default_rng(plan.seed)
+    nodes = sorted(plan.node_batch) if plan.node_batch is not None else range(n)
+    half = 1.0 if ev.directed else 0.5
+    for i in nodes:
+        blocked = partners[i] | excluded_of.get(i, set())
+        pool = [j for j in range(n) if j != i and j not in blocked]
+        if not pool:
+            continue
+        take = min(plan.negatives_per_node, len(pool))
+        idx = rng.choice(len(pool), size=take, replace=False)
+        parts_i.append(np.full(take, i, dtype=np.int64))
+        parts_j.append(np.asarray(pool, dtype=np.int64)[idx])
+        parts_w.append(np.full(take, scale * half * len(pool) / take))
+    return np.concatenate(parts_i), np.concatenate(parts_j), np.concatenate(parts_w)
+
+
+def assert_plan_matches_reference(ev, plan):
+    terms = realize_plan(ev, IntervalPartition.uniform(3), plan)
+    for got, want in zip((terms.pair_i, terms.pair_j, terms.pair_w), ref_negative_pairs(ev, plan)):
+        assert_bits_equal(got, want)
+
+
+class TestNegativePoolsMatchListForm:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        n=st.integers(2, 12),
+        m=st.integers(1, 40),
+        directed=st.booleans(),
+        S=st.integers(1, 12),
+        n_excl=st.integers(0, 6),
+        use_batch=st.booleans(),
+    )
+    def test_random_plans(self, seed, n, m, directed, S, n_excl, use_batch):
+        ev = random_events(n=n, m=m, seed=seed, directed=directed)
+        rng = np.random.default_rng(seed + 1)
+        excluded = set()
+        for _ in range(n_excl):
+            a, b = rng.choice(n, size=2, replace=False).tolist()
+            excluded.add((a, b))  # either orientation, as given
+        batch = None
+        if use_batch:
+            size = int(rng.integers(1, n + 1))
+            batch = tuple(sorted(rng.choice(n, size=size, replace=False).tolist()))
+        plan = SamplingPlan(
+            negatives_per_node=S, node_batch=batch, seed=seed, excluded_pairs=frozenset(excluded)
+        )
+        assert_plan_matches_reference(ev, plan)
+
+    @pytest.mark.parametrize("directed", [False, True])
+    def test_hub_with_empty_pool(self, directed):
+        # node 0 meets every other node, so its pool is empty and it draws nothing
+        n = 7
+        src = np.r_[np.zeros(n - 1, dtype=np.int64), 2, 5]
+        dst = np.r_[np.arange(1, n), 4, 6]
+        if directed:
+            src, dst = dst.copy(), src.copy()  # node 0 only ever receives
+        ev = EventList(src=src, dst=dst, time=np.linspace(0.1, 0.9, src.size), n=n,
+                       directed=directed)
+        assert ev.partners(0) == set(range(1, n))
+        excluded = frozenset({(3, 1), (1, 6)})
+        for batch in (None, (0, 3, 4)):
+            plan = SamplingPlan(negatives_per_node=2, node_batch=batch, seed=5,
+                                excluded_pairs=excluded)
+            assert_plan_matches_reference(ev, plan)

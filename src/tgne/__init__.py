@@ -12,9 +12,9 @@ from .events import (
     EventParseError,
     IntervalPartition,
     interval_counts,
-    node_degree,
     normalize_times,
     parse_events,
+    restrict_counts,
     sample_negative_pairs,
     split_edges,
 )
@@ -65,7 +65,6 @@ from .evaluation import (
     node_uncertainty,
     rate_vs_uncertainty_table,
     regression_slope_from_points,
-    restrict_counts,
     score_pa,
     score_random,
     score_tgne,

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -22,6 +23,7 @@ from .events import (
     interval_counts,
     parse_events,
     split_edges,
+    write_csv_columns,
     write_events_csv,
     write_nodes_csv,
 )
@@ -184,12 +186,14 @@ def cmd_fit(args: argparse.Namespace) -> int:
     return 0
 
 
-def _write_instances_csv(path, rows, scorers):
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["split", "i", "j", "k", "label"] + [f"score_{s}" for s in scorers])
-        for row in rows:
-            writer.writerow(row)
+def _write_instances_csv(path, splits, scorers):
+    """``splits``: (name, InstanceTable, {scorer: score array}) in output order."""
+    names, tables, scores = zip(*splits)
+    columns = [[name for name, table in zip(names, tables) for _ in range(len(table))]]
+    columns += [np.concatenate([getattr(t, c) for t in tables]) for c in ("i", "j", "k", "label")]
+    columns += [np.concatenate([sc[s] for sc in scores]) for s in scorers]
+    header = ["split", "i", "j", "k", "label"] + [f"score_{s}" for s in scorers]
+    write_csv_columns(path, header, columns)
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
@@ -232,7 +236,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
     auc_out: dict[str, dict[str, float]] = {}
     shortfall_out: dict[str, int] = {}
-    instance_rows = []
+    instance_splits = []
     inst_seeds = rng.spawn(len(split_sets))
     for (name, pairs), sseq in zip(split_sets.items(), inst_seeds):
         child = np.random.default_rng(sseq)
@@ -241,7 +245,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         )
         shortfall_out[name] = sum(shortfall.values())
         per_scorer = {}
-        scored_lists = {}
+        scores = {}
         for scorer in scorers:
             scored = evl.score_instances(
                 instances,
@@ -252,13 +256,10 @@ def cmd_eval(args: argparse.Namespace) -> int:
                 seed=int(child.integers(2**63)),
                 B=B,
             )
-            scored_lists[scorer] = scored
+            scores[scorer] = scored.score
             per_scorer[scorer] = evl.auc(scored)
         auc_out[name] = per_scorer
-        for idx, inst in enumerate(instances):
-            row = [name, inst.i, inst.j, inst.k, inst.label]
-            row += [scored_lists[s][idx].score for s in scorers]
-            instance_rows.append(row)
+        instance_splits.append((name, instances, scores))
 
     with open(outdir / "auc.json", "w", encoding="utf-8") as handle:
         json.dump(
@@ -272,53 +273,45 @@ def cmd_eval(args: argparse.Namespace) -> int:
             indent=2,
             sort_keys=True,
         )
-    _write_instances_csv(outdir / "instances.csv", instance_rows, scorers)
+    _write_instances_csv(outdir / "instances.csv", instance_splits, scorers)
 
-    # node-level uncertainty table; csv writes a float as its repr(), the
-    # shortest string that round-trips
+    # node-level uncertainty table, one row per (node, interval)
     u, nd, deg = evl.node_table(fm, counts)
-    with open(outdir / "uncertainty_nodes.csv", "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["node", "k", "u", "neighbor_dist", "degree"])
-        for i, (u_i, nd_i, deg_i) in enumerate(zip(u.tolist(), nd.tolist(), deg.tolist())):
-            writer.writerows(
-                [i, k, u_ik, "" if np.isnan(nd_ik) else nd_ik, deg_ik]
-                for k, u_ik, nd_ik, deg_ik in zip(range(1, part.K + 1), u_i, nd_i, deg_i)
-            )
+    n, K = u.shape
+    write_csv_columns(
+        outdir / "uncertainty_nodes.csv", ["node", "k", "u", "neighbor_dist", "degree"],
+        [
+            np.repeat(np.arange(n), K), np.tile(np.arange(1, K + 1), n), u.ravel(),
+            ["" if math.isnan(x) else repr(x) for x in nd.ravel().tolist()], deg.ravel(),
+        ],
+    )
 
     # edge-level posterior-predictive uncertainty over the training pairs
-    pairs = sorted(train_counts.active_pairs())
-    if pairs:
-        P, K = len(pairs), part.K
-        ii = np.asarray([p[0] for p in pairs]).repeat(K)
-        jj = np.asarray([p[1] for p in pairs]).repeat(K)
-        kk0 = np.tile(np.arange(K), P)
+    pi, pj = train_counts.active_pair_arrays()
+    if pi.size:
+        ii, jj = pi.repeat(K), pj.repeat(K)
+        kk0 = np.tile(np.arange(K), pi.size)
         mean, std = evl._posterior_lambda_draws(
             fm.state, fm.hyper.rate_model, part, ii, jj, kk0, B, seed,
             fm.hyper.riemann_r,
         )
-        n_events = counts.counts_of(ii, jj, kk0 + 1)
-        with open(outdir / "uncertainty_edges.csv", "w", encoding="utf-8", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(["i", "j", "k", "N", "lambda_mean", "lambda_std"])
-            writer.writerows(
-                zip(
-                    ii.tolist(), jj.tolist(), (kk0 + 1).tolist(), n_events.tolist(),
-                    mean.tolist(), std.tolist(),
-                )
-            )
+        write_csv_columns(
+            outdir / "uncertainty_edges.csv", ["i", "j", "k", "N", "lambda_mean", "lambda_std"],
+            [ii, jj, kk0 + 1, counts.counts_of(ii, jj, kk0 + 1), mean, std],
+        )
 
-    records = evl.rate_vs_uncertainty_table(
+    rates = evl.rate_vs_uncertainty_table(
         ev, fm.state, fm.hyper.rate_model, part, B=B, seed=seed
     )
-    with open(outdir / "rate_vs_uncertainty.csv", "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["i", "j", "t", "k", "is_negative", "rate", "rate_std", "N"])
-        writer.writerows(
-            [rec.i, rec.j, rec.t, rec.k, int(rec.is_negative), rec.rate, rec.rate_std,
-             rec.n_events]
-            for rec in records
-        )
+    times = list(map(repr, ev.time.tolist()))  # the negatives repeat the events' times
+    write_csv_columns(
+        outdir / "rate_vs_uncertainty.csv",
+        ["i", "j", "t", "k", "is_negative", "rate", "rate_std", "N"],
+        [
+            rates.i, rates.j, times + times, rates.k, rates.is_negative.astype(np.int64),
+            rates.rate, rates.rate_std, rates.n_events,
+        ],
+    )
 
     resolved["events"] = str(args.events)
     resolved["model"] = str(args.model)
@@ -335,7 +328,7 @@ def cmd_score(args: argparse.Namespace) -> int:
     scorer = str(resolved["scorer"])
     if scorer not in ("tgne", "tgne_predictive"):
         raise ValueError("score supports the model-based scorers: tgne, tgne_predictive")
-    triplets = []
+    triplets, lines = [], []
     with open(args.triplets, "r", encoding="utf-8", newline="") as handle:
         reader = csv.reader(handle)
         header = next(reader, None)
@@ -344,13 +337,17 @@ def cmd_score(args: argparse.Namespace) -> int:
         for row in reader:
             if not row:
                 continue
-            i, j, k = (int(x) for x in row[:3])
-            triplets.append((i, j, k))
+            if len(row) < 3:
+                raise ValueError(f"line {reader.line_num}: expected 3 fields, got {len(row)}")
+            try:
+                triplets.append([int(x) for x in row[:3]])
+            except ValueError as exc:
+                raise ValueError(f"line {reader.line_num}: {exc}") from None
+            lines.append(reader.line_num)
     if not triplets:
         raise ValueError("no triplets to score")
-    ii = np.asarray([t[0] for t in triplets])
-    jj = np.asarray([t[1] for t in triplets])
-    kk = np.asarray([t[2] for t in triplets])
+    ii, jj, kk = np.asarray(triplets, dtype=np.int64).T
+    evl.check_triplets(fm, ii, jj, kk, lines=lines)
     if scorer == "tgne":
         scores = evl.score_tgne_many(fm, ii, jj, kk)
     else:
@@ -359,11 +356,7 @@ def cmd_score(args: argparse.Namespace) -> int:
             int(resolved["B"]), int(resolved["seed"]), fm.hyper.riemann_r,
         )
     out_path = Path(args.out)
-    with open(out_path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["i", "j", "k", "score"])
-        for (i, j, k), sc in zip(triplets, scores):
-            writer.writerow([i, j, k, repr(float(sc))])
+    write_csv_columns(out_path, ["i", "j", "k", "score"], [ii, jj, kk, scores])
     print(f"scored {len(triplets)} triplets with {scorer} -> {out_path}")
     return 0
 

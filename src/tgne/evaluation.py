@@ -14,16 +14,29 @@ and its regression against interaction counts.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence
+from dataclasses import dataclass, fields, replace
+from typing import Callable, ClassVar, Iterable, Optional, Sequence
 
 import numpy as np
 from scipy.special import expit
 from scipy.stats import rankdata
 
-from .events import CountTensor, EventList, IntervalPartition, Pair, canonical_pair
+from .events import (
+    CountTensor,
+    EventList,
+    IntervalPartition,
+    Pair,
+    canonical_pair,
+    restrict_counts,  # part of this module's API; it works on the code storage
+)
 from .inference import FittedModel, VariationalState
-from .model import EUCLIDEAN, _closed_rate_batch, _endpoints, _riemann_rate_batch
+from .model import (
+    EUCLIDEAN,
+    _all_pair_arrays,
+    _closed_rate_batch,
+    _endpoints,
+    _riemann_rate_batch,
+)
 
 
 @dataclass
@@ -37,11 +50,52 @@ class ScoredInstance:
     label: int = 0
 
 
-def restrict_counts(counts: CountTensor, pairs: Iterable[Pair]) -> CountTensor:
-    """Counts filtered down to the given pairs (train-only views)."""
-    keep = {canonical_pair(a, b, counts.directed) for a, b in pairs}
-    sub = {key: c for key, c in counts.counts.items() if (key[0], key[1]) in keep}
-    return CountTensor(n=counts.n, K=counts.K, directed=counts.directed, counts=sub)
+class _Rows:
+    """Row access to a dataclass whose fields are equal-length column arrays.
+
+    ``len`` is the row count. Iterating, or indexing with an int, gives rows
+    of ``_row``, a class whose fields are the columns in the same order; a
+    slice gives the table of the sliced columns.
+    """
+
+    _row: ClassVar[type]
+
+    def _columns(self) -> list[np.ndarray]:
+        return [getattr(self, f.name) for f in fields(self)]
+
+    def __len__(self) -> int:
+        return len(self._columns()[0])
+
+    def __iter__(self):
+        return map(self._row, *(col.tolist() for col in self._columns()))
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return type(self)(*(col[index] for col in self._columns()))
+        return self._row(*(col[index].item() for col in self._columns()))
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return all(
+            np.array_equal(a, b, equal_nan=True)
+            for a, b in zip(self._columns(), other._columns())
+        )
+
+
+@dataclass(eq=False)
+class InstanceTable(_Rows):
+    """Classification instances as columns; its rows are ``ScoredInstance``s.
+
+    ``score`` is NaN until ``score_instances`` fills it in.
+    """
+
+    i: np.ndarray
+    j: np.ndarray
+    k: np.ndarray
+    score: np.ndarray
+    label: np.ndarray
+    _row: ClassVar[type] = ScoredInstance
 
 
 def _sorted_pairs(pairs: Iterable[Pair], directed: bool) -> tuple[np.ndarray, np.ndarray]:
@@ -58,60 +112,61 @@ def build_instances(
     pairs: Iterable[Pair],
     part: IntervalPartition,
     seed: int = 0,
-) -> tuple[list[ScoredInstance], dict[int, int]]:
+) -> tuple[InstanceTable, dict[int, int]]:
     """Positives from one split, with 1:1 matched negatives per interval.
 
     Every pair of the split that is active in interval k yields a positive;
     each positive draws one negative uniformly (without replacement within
     the interval) from the node-pair universe restricted to pairs with no
-    event in that interval. Returns the instances plus a per-interval
+    event in that interval. Returns the instances (per interval, positives
+    then negatives, each in ascending (i, j) order) plus a per-interval
     shortfall count for intervals whose negatives ran out.
     """
     pair_i, pair_j = _sorted_pairs(pairs, counts.directed)
     n = counts.n
     universe = n * (n - 1) if counts.directed else n * (n - 1) // 2
-    active_by_k: dict[int, set[Pair]] = {k: set() for k in range(1, part.K + 1)}
-    for (a, b, k), _c in counts.counts.items():
-        active_by_k[k].add((a, b))
 
     rng = np.random.default_rng(seed)
-    instances: list[ScoredInstance] = []
+    blocks: list[tuple[np.ndarray, np.ndarray, int, int]] = []  # (i, j, k, label)
     shortfall: dict[int, int] = {}
     for k in range(1, part.K + 1):
         hit = counts.counts_of(pair_i, pair_j, k) >= 1
-        positives = list(zip(pair_i[hit].tolist(), pair_j[hit].tolist()))
-        for i, j in positives:
-            instances.append(ScoredInstance(i=i, j=j, k=k, label=1))
-        active = active_by_k[k]
+        blocks.append((pair_i[hit], pair_j[hit], k, 1))
+        n_pos = int(hit.sum())
+        active = counts.pairs_active_in(k)
         n_inactive = universe - len(active)
-        take = min(len(positives), n_inactive)
-        if take < len(positives):
-            shortfall[k] = len(positives) - take
-        chosen: set[Pair] = set()
+        take = min(n_pos, n_inactive)
+        if take < n_pos:
+            shortfall[k] = n_pos - take
         if take and n_inactive <= 4 * take:
-            # dense interval: enumerate the inactive pairs and sample directly
-            inactive = [
-                (i, j)
-                for i in range(n)
-                for j in (range(n) if counts.directed else range(i + 1, n))
-                if i != j and (i, j) not in active
-            ]
-            picks = rng.choice(len(inactive), size=take, replace=False)
-            chosen = {inactive[c] for c in picks.tolist()}
-        else:
-            # sparse interval: rejection-sample uniform inactive pairs
-            while len(chosen) < take:
-                i = int(rng.integers(n))
-                j = int(rng.integers(n))
-                if i == j:
-                    continue
-                p = canonical_pair(i, j, counts.directed)
-                if p in active or p in chosen:
-                    continue
-                chosen.add(p)
-        for i, j in sorted(chosen):
-            instances.append(ScoredInstance(i=i, j=j, k=k, label=0))
-    return instances, shortfall
+            # dense interval: enumerate the inactive pairs in (i, j) order and
+            # sample directly; sorted picks give the chosen pairs in order
+            all_i, all_j = _all_pair_arrays(n, counts.directed)
+            free = counts.counts_of(all_i, all_j, k) == 0
+            picks = np.sort(rng.choice(n_inactive, size=take, replace=False))
+            blocks.append((all_i[free][picks], all_j[free][picks], k, 0))
+            continue
+        # sparse interval: rejection-sample uniform inactive pairs
+        chosen: set[Pair] = set()
+        while len(chosen) < take:
+            i = int(rng.integers(n))
+            j = int(rng.integers(n))
+            if i == j:
+                continue
+            p = canonical_pair(i, j, counts.directed)
+            if p in active or p in chosen:
+                continue
+            chosen.add(p)
+        neg = np.asarray(sorted(chosen), dtype=np.int64).reshape(-1, 2)
+        blocks.append((neg[:, 0], neg[:, 1], k, 0))
+
+    bi, bj, bk, blabel = zip(*blocks)
+    sizes = [b.size for b in bi]
+    table = InstanceTable(
+        i=np.concatenate(bi), j=np.concatenate(bj), k=np.repeat(bk, sizes),
+        score=np.full(sum(sizes), np.nan), label=np.repeat(blabel, sizes),
+    )
+    return table, shortfall
 
 
 def auc_from_scores(scores: np.ndarray, labels: np.ndarray) -> float:
@@ -127,7 +182,9 @@ def auc_from_scores(scores: np.ndarray, labels: np.ndarray) -> float:
     return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
 
-def auc(instances: Sequence[ScoredInstance]) -> float:
+def auc(instances: InstanceTable | Sequence[ScoredInstance]) -> float:
+    if isinstance(instances, InstanceTable):
+        return auc_from_scores(instances.score, instances.label)
     scores = np.asarray([inst.score for inst in instances])
     labels = np.asarray([inst.label for inst in instances])
     return auc_from_scores(scores, labels)
@@ -145,17 +202,32 @@ def _lambda_batch(z, beta, kind, part, ii, jj, kk0, riemann_r=10):
     return lam
 
 
+def check_triplets(fm: FittedModel, ii, jj, kk, lines=None) -> None:
+    """Raise ValueError at the first (i, j, k) outside the model's range.
+
+    Node ids must lie in 0..n-1 and k in 1..K. The message names the
+    triplet's position, or its entry of ``lines`` (file line numbers).
+    """
+    n, K = fm.state.n, fm.part.K
+    ii, jj, kk = np.asarray(ii), np.asarray(jj), np.asarray(kk)
+    bad = np.flatnonzero((ii < 0) | (ii >= n) | (jj < 0) | (jj >= n) | (kk < 1) | (kk > K))
+    if bad.size:
+        b = int(bad[0])
+        where = f"triplet {b}" if lines is None else f"line {lines[b]}"
+        raise ValueError(
+            f"{where}: (i, j, k) = ({ii[b]}, {jj[b]}, {kk[b]}) is out of range; "
+            f"node ids must be in 0..{n - 1} and k in 1..{K}"
+        )
+
+
 def score_tgne(fm: FittedModel, i: int, j: int, k: int) -> float:
     """Expected interactions Lambda_ij(I_k) at the posterior-mean trajectories."""
-    lam = _lambda_batch(
-        fm.state.mu, fm.state.beta, fm.hyper.rate_model, fm.part,
-        np.asarray([i]), np.asarray([j]), np.asarray([k - 1]),
-        fm.hyper.riemann_r,
-    )
-    return float(lam[0])
+    return float(score_tgne_many(fm, [i], [j], [k])[0])
 
 
 def score_tgne_many(fm: FittedModel, ii, jj, kk) -> np.ndarray:
+    """``score_tgne`` for triplet arrays; ValueError on an out-of-range triplet."""
+    check_triplets(fm, ii, jj, kk)
     return _lambda_batch(
         fm.state.mu, fm.state.beta, fm.hyper.rate_model, fm.part,
         np.asarray(ii), np.asarray(jj), np.asarray(kk) - 1, fm.hyper.riemann_r,
@@ -433,14 +505,12 @@ def uncertainty_regression(
     on per-unique-N averages of the std; ``per_unique_n=False`` uses the raw
     (N, std) points instead.
     """
-    pairs = sorted(counts.active_pairs())
-    if not pairs:
+    pi, pj = counts.active_pair_arrays()
+    if not pi.size:
         raise ValueError("counts contain no active pairs")
-    P = len(pairs)
     K = part.K
-    ii = np.asarray([p[0] for p in pairs]).repeat(K)
-    jj = np.asarray([p[1] for p in pairs]).repeat(K)
-    kk0 = np.tile(np.arange(K), P)
+    ii, jj = pi.repeat(K), pj.repeat(K)
+    kk0 = np.tile(np.arange(K), pi.size)
     _, stds = _posterior_lambda_draws(vs, rm_kind, part, ii, jj, kk0, B, seed)
     n_events = counts.counts_of(ii, jj, kk0 + 1).astype(np.float64)
     return regression_slope_from_points(n_events, stds, per_unique_n=per_unique_n)
@@ -458,6 +528,21 @@ class RateRecord:
     rate: float
     rate_std: float
     n_events: int
+
+
+@dataclass(eq=False)
+class RateTable(_Rows):
+    """The rate-vs-uncertainty table as columns; its rows are ``RateRecord``s."""
+
+    i: np.ndarray
+    j: np.ndarray
+    t: np.ndarray
+    k: np.ndarray
+    is_negative: np.ndarray
+    rate: np.ndarray
+    rate_std: np.ndarray
+    n_events: np.ndarray
+    _row: ClassVar[type] = RateRecord
 
 
 def _swapped_destinations(
@@ -485,18 +570,20 @@ def rate_vs_uncertainty_table(
     part: IntervalPartition,
     B: int = 200,
     seed: int = 0,
-) -> list[RateRecord]:
+) -> RateTable:
     """Per-event rates and posterior rate spread, with matched negatives.
 
     For each event (i, j, t) two records are emitted: the event itself and a
     negative with the destination swapped to a uniform random node j' with
-    j' != i and (i, j') != (i, j), which needs n >= 3. ``rate`` is lambda at
-    the posterior-mean configuration; ``rate_std`` is the population std over
-    B posterior draws; ``n_events`` tags the record's pair count in the
-    containing interval.
+    j' != i and (i, j') != (i, j), which needs n >= 3. The events come first,
+    in event order, then their negatives in the same order. ``rate`` is
+    lambda at the posterior-mean configuration; ``rate_std`` is the
+    population std over B posterior draws; ``n_events`` tags the record's
+    pair count in the containing interval.
     """
     if ev.m == 0:
-        return []
+        ints, floats = np.empty(0, dtype=np.int64), np.empty(0)
+        return RateTable(ints, ints, floats, ints, np.empty(0, dtype=bool), floats, floats, ints)
     from .events import interval_counts  # local import to avoid cycle at module load
 
     counts = interval_counts(ev, part)
@@ -529,28 +616,25 @@ def rate_vs_uncertainty_table(
     rate_mean_cfg = rates_at(vs.mu)
     _, std = _posterior_draws(vs, rng, B, ii.shape[0], rates_at)
     n_events = counts.counts_of(ii, jj, kk0 + 1)
-    return [
-        RateRecord(i=i, j=j, t=t, k=k, is_negative=neg, rate=rate, rate_std=sd, n_events=c)
-        for i, j, t, k, neg, rate, sd, c in zip(
-            ii.tolist(), jj.tolist(), tt.tolist(), (kk0 + 1).tolist(), is_neg.tolist(),
-            rate_mean_cfg.tolist(), std.tolist(), n_events.tolist(),
-        )
-    ]
+    return RateTable(
+        i=ii, j=jj, t=tt, k=kk0 + 1, is_negative=is_neg, rate=rate_mean_cfg,
+        rate_std=std, n_events=n_events,
+    )
 
 
 SCORER_NAMES = ("tgne", "tgne_predictive", "lsdm", "pa", "random")
 
 
 def score_instances(
-    instances: list[ScoredInstance],
+    instances: InstanceTable,
     scorer: str,
     fm: Optional[FittedModel] = None,
     train_counts: Optional[CountTensor] = None,
     lsdm_models: Optional[dict[int, LsdmModel]] = None,
     seed: int = 0,
     B: int = 200,
-) -> list[ScoredInstance]:
-    """Return a copy of the instances scored by the named scorer.
+) -> InstanceTable:
+    """Return the instances with the named scorer's ``score`` column.
 
     ``tgne`` and ``tgne_predictive`` need ``fm``, ``lsdm`` needs
     ``lsdm_models`` (one model per interval) and ``pa`` needs
@@ -562,11 +646,9 @@ def score_instances(
               "lsdm": ("lsdm_models", lsdm_models), "pa": ("train_counts", train_counts)}
     if scorer in needed and needed[scorer][1] is None:
         raise ValueError(f"scorer {scorer!r} needs the {needed[scorer][0]} argument")
-    if not instances:
-        return []
-    ii = np.asarray([inst.i for inst in instances])
-    jj = np.asarray([inst.j for inst in instances])
-    kk = np.asarray([inst.k for inst in instances])
+    if len(instances) == 0:
+        return replace(instances, score=np.empty(0))
+    ii, jj, kk = instances.i, instances.j, instances.k
     if scorer == "tgne":
         scores = score_tgne_many(fm, ii, jj, kk)
     elif scorer == "tgne_predictive":
@@ -588,7 +670,4 @@ def score_instances(
     else:
         rng = np.random.default_rng(seed)
         scores = rng.random(len(instances))
-    return [
-        ScoredInstance(i=inst.i, j=inst.j, k=inst.k, score=sc, label=inst.label)
-        for inst, sc in zip(instances, scores.tolist())
-    ]
+    return replace(instances, score=scores)

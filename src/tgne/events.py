@@ -10,7 +10,9 @@ inputs and a seed.
 from __future__ import annotations
 
 import csv
+import io
 import itertools
+import operator
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Optional, Sequence, TextIO
@@ -146,12 +148,25 @@ def parse_events(source: TextIO | str | Path, directed: bool = False) -> EventLi
     (count reported on the result), times are min-max normalized to [0, 1]
     and events sorted by time. Raises :class:`EventParseError` with a line
     number on malformed rows and on empty input.
+
+    Plain input (unquoted fields, see ``_fast_columns``) is split into columns
+    in one pass; anything else goes through the row-by-row ``_loop_columns``,
+    which reads it the same way and raises the errors.
     """
     if isinstance(source, (str, Path)):
         with open(source, "r", encoding="utf-8", newline="") as handle:
-            return parse_events(handle, directed=directed)
+            text = handle.read()
+    else:
+        text = source.read()
+    columns = _fast_columns(text)
+    if columns is None:
+        columns = _loop_columns(io.StringIO(text, newline=""))
+    return _event_list(*columns, directed=directed)
 
-    reader = csv.reader(source)
+
+def _loop_columns(handle: TextIO):
+    """(src ids, dst ids, times, labels, dropped self-loops), row by row with csv."""
+    reader = csv.reader(handle)
     labels: dict[str, int] = {}
     srcs: list[int] = []
     dsts: list[int] = []
@@ -191,43 +206,142 @@ def parse_events(source: TextIO | str | Path, directed: bool = False) -> EventLi
         if dropped:
             raise EventParseError("no events left after dropping self-loops")
         raise EventParseError("no event rows found")
+    return (
+        np.asarray(srcs, dtype=np.int64),
+        np.asarray(dsts, dtype=np.int64),
+        np.asarray(times, dtype=np.float64),
+        list(labels),
+        dropped,
+    )
 
-    src = np.asarray(srcs, dtype=np.int64)
-    dst = np.asarray(dsts, dtype=np.int64)
-    t_arr = np.asarray(times, dtype=np.float64)
+
+def _fast_columns(text: str):
+    """``_loop_columns`` of ``text`` split in one pass, or None if unsure.
+
+    Takes only text that csv.reader splits into plain lines of three unquoted
+    fields: no quote or NUL, no lone carriage return, exactly two commas on
+    every line (so no blank line, and the header too), and no line past csv's
+    field size limit. It then gives up on anything the loop would reject or
+    read differently: a timestamp ``float`` refuses or that is not finite and
+    non-negative, an empty label, a label with surrounding whitespace, or no
+    event left. The timestamps go through the same ``float``.
+    """
+    if '"' in text or "\0" in text:
+        return None
+    if "\r" in text:
+        if text.count("\r") != text.count("\r\n"):
+            return None
+        text = text.replace("\r\n", "\n")
+    if text.endswith("\n"):
+        text = text[:-1]
+    if "\n" not in text or not _three_fields_per_line(text):
+        return None
+    fields = text.replace("\n", ",").split(",")
+    src, dst, t_raw = fields[3::3], fields[4::3], fields[5::3]  # past the header
+    try:
+        times = np.fromiter(map(float, t_raw), dtype=np.float64, count=len(t_raw))
+    except ValueError:
+        return None
+    if not (np.isfinite(times).all() and (times >= 0).all()):
+        return None
+    labels = dict.fromkeys(itertools.chain.from_iterable(zip(src, dst)))
+    if "" in labels or any(label != label.strip() for label in labels):
+        return None
+    loops = np.fromiter(map(operator.eq, src, dst), dtype=bool, count=len(src))
+    dropped = int(loops.sum())
+    if dropped:
+        keep = (~loops).tolist()
+        src = list(itertools.compress(src, keep))
+        dst = list(itertools.compress(dst, keep))
+        times = times[~loops]
+        if not src:
+            return None
+        labels = dict.fromkeys(itertools.chain.from_iterable(zip(src, dst)))
+    ids = {label: idx for idx, label in enumerate(labels)}
+    return (
+        np.fromiter(map(ids.__getitem__, src), dtype=np.int64, count=len(src)),
+        np.fromiter(map(ids.__getitem__, dst), dtype=np.int64, count=len(dst)),
+        times,
+        list(labels),
+        dropped,
+    )
+
+
+def _three_fields_per_line(text: str) -> bool:
+    """Every "\\n"-separated line has two commas and fits csv's field size limit."""
+    data = np.frombuffer(text.encode("utf-8"), dtype=np.uint8)
+    ends = np.flatnonzero(data == ord("\n"))
+    line_of_comma = np.searchsorted(ends, np.flatnonzero(data == ord(",")))
+    if not (np.bincount(line_of_comma, minlength=ends.size + 1) == 2).all():
+        return False
+    return bool(np.diff(ends, prepend=-1, append=data.size).max() <= csv.field_size_limit())
+
+
+def _event_list(src, dst, times, labels, dropped, directed: bool) -> EventList:
+    """Parsed columns to an EventList: stored orientation, normalized, time-sorted."""
     if not directed:
-        lo = np.minimum(src, dst)
-        hi = np.maximum(src, dst)
-        src, dst = lo, hi
-    t_min = float(t_arr.min())
-    t_max = float(t_arr.max())
+        src, dst = np.minimum(src, dst), np.maximum(src, dst)
+    t_min = float(times.min())
+    t_max = float(times.max())
     if t_max > t_min:
-        t_arr = (t_arr - t_min) / (t_max - t_min)
+        times = (times - t_min) / (t_max - t_min)
     else:
-        t_arr = np.zeros_like(t_arr)
-    order = np.argsort(t_arr, kind="stable")
-    label_list = [None] * len(labels)
-    for label, idx in labels.items():
-        label_list[idx] = label
+        times = np.zeros_like(times)
+    order = np.argsort(times, kind="stable")
     return EventList(
         src=src[order],
         dst=dst[order],
-        time=t_arr[order],
+        time=times[order],
         n=len(labels),
         directed=directed,
-        node_labels=label_list,
+        node_labels=labels,
         time_range=(t_min, t_max),
         dropped_self_loops=dropped,
     )
 
 
+CSV_CHUNK_ROWS = 8192
+
+
+def csv_field(text: str) -> str:
+    """``text`` as csv.writer writes it in a row of two or more fields."""
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def _rendered(column) -> list:
+    if isinstance(column, np.ndarray):
+        if column.dtype.kind == "f":
+            return list(map(repr, column.tolist()))
+        if column.dtype.kind in "biu":
+            return list(map(str, column.tolist()))
+        return column.tolist()
+    return column
+
+
+def write_csv_columns(path: str | Path, header: Sequence[str], columns: Sequence) -> None:
+    """Write equal-length columns as CSV with the bytes of csv.writer.
+
+    A float array is written as ``repr`` of each value and a bool or integer
+    array as ``str``, which is what csv.writer writes for Python floats and
+    ints; any other column holds fields already rendered as text (see
+    ``csv_field``). Fields are joined by "," and rows end in "\\r\\n". Rows are
+    rendered ``CSV_CHUNK_ROWS`` at a time, so only one chunk of strings is alive.
+    """
+    rows = len(columns[0]) if columns else 0
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        handle.write(",".join(map(csv_field, header)) + "\r\n")
+        for start in range(0, rows, CSV_CHUNK_ROWS):
+            fields = [_rendered(col[start : start + CSV_CHUNK_ROWS]) for col in columns]
+            handle.write("\r\n".join(map(",".join, zip(*fields))) + "\r\n")
+
+
 def write_events_csv(ev: EventList, path: str | Path) -> None:
     """Write events in the same `source,dest,timestamp` format parse_events reads."""
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["source", "dest", "timestamp"])
-        for a, b, t in zip(ev.src.tolist(), ev.dst.tolist(), ev.time.tolist()):
-            writer.writerow([ev.node_labels[a], ev.node_labels[b], repr(t)])
+    labels = np.asarray([csv_field(label) for label in ev.node_labels], dtype=object)
+    columns = [labels[ev.src], labels[ev.dst], ev.time]
+    write_csv_columns(path, ["source", "dest", "timestamp"], columns)
 
 
 def write_nodes_csv(ev: EventList, path: str | Path) -> None:
@@ -310,16 +424,20 @@ class IntervalPartition:
 class CountTensor:
     """Sparse per-pair per-interval event counts N_ij(I_k), k 1-based.
 
-    ``counts`` maps stored-orientation keys (i, j, k) to counts and must not
-    change after construction: the array indexes behind ``counts_of``,
-    ``degrees`` and ``neighbors`` are built from it on first use.
+    The storage is ``codes``, the ascending unique int64 key codes
+    ``(i * n + j) * K + k - 1`` of the stored-orientation keys (i, j, k), and
+    ``values``, their counts (each >= 1). Both must not change after
+    construction: the ``counts`` dict and the indexes behind ``degrees`` and
+    ``neighbors`` are built from them on first use.
     """
 
     n: int
     K: int
     directed: bool
-    counts: dict[tuple[int, int, int], int]
-    _sorted: Optional[tuple[np.ndarray, np.ndarray, np.ndarray]] = field(
+    codes: np.ndarray
+    values: np.ndarray
+    _keys: Optional[np.ndarray] = field(default=None, init=False, repr=False)
+    _counts: Optional[dict[tuple[int, int, int], int]] = field(
         default=None, init=False, repr=False
     )
     _degrees: Optional[np.ndarray] = field(default=None, init=False, repr=False)
@@ -332,16 +450,19 @@ class CountTensor:
 
     def _index(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(keys (nnz, 3), codes, values), sorted by the int64 key code."""
-        if self._sorted is None:
-            nnz = len(self.counts)
-            keys = np.fromiter(
-                itertools.chain.from_iterable(self.counts), dtype=np.int64, count=3 * nnz
-            ).reshape(nnz, 3)
-            values = np.fromiter(self.counts.values(), dtype=np.int64, count=nnz)
-            codes = self._code(keys[:, 0], keys[:, 1], keys[:, 2])
-            order = np.argsort(codes, kind="stable")
-            self._sorted = (keys[order], codes[order], values[order])
-        return self._sorted
+        if self._keys is None:
+            pair, k0 = np.divmod(self.codes, self.K)
+            i, j = np.divmod(pair, self.n)
+            self._keys = np.stack([i, j, k0 + 1], axis=1)
+        return self._keys, self.codes, self.values
+
+    @property
+    def counts(self) -> dict[tuple[int, int, int], int]:
+        """Read-only dict view: stored-orientation key (i, j, k) -> count."""
+        if self._counts is None:
+            keys, _codes, values = self._index()
+            self._counts = dict(zip(map(tuple, keys.tolist()), values.tolist()))
+        return self._counts
 
     def count(self, i: int, j: int, k: int) -> int:
         a, b = canonical_pair(i, j, self.directed)
@@ -355,7 +476,7 @@ class CountTensor:
         )
         if not self.directed:
             i, j = np.minimum(i, j), np.maximum(i, j)
-        _keys, codes, values = self._index()
+        codes, values = self.codes, self.values
         out = np.zeros(i.shape, dtype=np.int64)
         if codes.size == 0:
             return out
@@ -368,13 +489,21 @@ class CountTensor:
         return out
 
     def total(self) -> int:
-        return sum(self.counts.values())
+        return int(self.values.sum())
+
+    def active_pair_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """(i, j) arrays of the pairs active in some interval, ascending (i, j)."""
+        pair = np.unique(self.codes // self.K)
+        return np.divmod(pair, self.n)
 
     def pairs_active_in(self, k: int) -> set[Pair]:
-        return {(i, j) for (i, j, kk) in self.counts if kk == k}
+        keys, _codes, _values = self._index()
+        sel = keys[:, 2] == k
+        return set(zip(keys[sel, 0].tolist(), keys[sel, 1].tolist()))
 
     def active_pairs(self) -> set[Pair]:
-        return {(i, j) for (i, j, _k) in self.counts}
+        i, j = self.active_pair_arrays()
+        return set(zip(i.tolist(), j.tolist()))
 
     @property
     def degrees(self) -> np.ndarray:
@@ -390,10 +519,6 @@ class CountTensor:
 
     def degree(self, i: int, k: int) -> int:
         return int(self.degrees[i, k - 1])
-
-    def node_event_count(self, i: int, k: int) -> int:
-        """N_i(I_k): interactions of node i in interval k (= degree)."""
-        return self.degree(i, k)
 
     def adjacency(self) -> tuple[np.ndarray, np.ndarray]:
         """Per (node, interval) neighbor lists in CSR form ``(indptr, nbr)``.
@@ -429,16 +554,19 @@ class CountTensor:
 def interval_counts(ev: EventList, part: IntervalPartition) -> CountTensor:
     """Count events per pair and interval; t = 1 lands in interval K."""
     ks = part.interval_of(ev.time) if ev.m else np.empty(0, dtype=np.int64)
-    counts: dict[tuple[int, int, int], int] = {}
-    for a, b, k in zip(ev.src.tolist(), ev.dst.tolist(), np.atleast_1d(ks).tolist()):
-        key = (a, b, int(k))
-        counts[key] = counts.get(key, 0) + 1
-    return CountTensor(n=ev.n, K=part.K, directed=ev.directed, counts=counts)
+    codes = (ev.src * ev.n + ev.dst) * part.K + (np.atleast_1d(ks) - 1)
+    codes, values = np.unique(codes, return_counts=True)
+    return CountTensor(n=ev.n, K=part.K, directed=ev.directed, codes=codes, values=values)
 
 
-def node_degree(counts: CountTensor, i: int, k: int) -> int:
-    """deg(i, k): total interactions of node i in interval k, all partners."""
-    return counts.degree(i, k)
+def restrict_counts(counts: CountTensor, pairs: Iterable[Pair]) -> CountTensor:
+    """Counts filtered down to the given pairs (train-only views)."""
+    keep = np.asarray(list(pairs), dtype=np.int64).reshape(-1, 2)
+    keep = keep[((keep >= 0) & (keep < counts.n)).all(axis=1)]  # no aliased codes
+    if not counts.directed:
+        keep = np.sort(keep, axis=1)
+    sel = np.isin(counts.codes // counts.K, keep[:, 0] * counts.n + keep[:, 1])
+    return CountTensor(counts.n, counts.K, counts.directed, counts.codes[sel], counts.values[sel])
 
 
 @dataclass(frozen=True)
@@ -467,14 +595,15 @@ def split_edges(
     """
     if test_frac < 0 or val_frac < 0 or test_frac + val_frac >= 1:
         raise ValueError("need 0 <= test_frac + val_frac < 1")
-    pairs = sorted(ev.unique_pairs())
-    if len(pairs) < 3:
-        raise ValueError(f"need at least 3 unique pairs to split, got {len(pairs)}")
+    # ascending pair codes are the pairs in sorted (i, j) order
+    pi, pj = np.divmod(np.unique(ev.src * ev.n + ev.dst), ev.n)
+    if pi.size < 3:
+        raise ValueError(f"need at least 3 unique pairs to split, got {pi.size}")
     rng = np.random.default_rng(seed)
-    order = rng.permutation(len(pairs))
-    shuffled = [pairs[i] for i in order]
-    n_test = int(len(pairs) * test_frac)
-    n_val = int(len(pairs) * val_frac)
+    order = rng.permutation(pi.size)
+    shuffled = list(zip(pi[order].tolist(), pj[order].tolist()))
+    n_test = int(pi.size * test_frac)
+    n_val = int(pi.size * val_frac)
     test = frozenset(shuffled[:n_test])
     val = frozenset(shuffled[n_test : n_test + n_val])
     train = frozenset(shuffled[n_test + n_val :])

@@ -1,10 +1,22 @@
 import csv
+import io
 import json
 
 import pytest
 
 from tgne.cli import main
+from tgne.evaluation import rate_vs_uncertainty_table
 from tgne.events import parse_events
+from tgne.inference import load_model
+from tgne.simulate import default_sbm_spec, sbm_generate
+
+
+def csv_writer_bytes(header, rows) -> bytes:
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue().encode("utf-8")
 
 
 def run(args) -> int:
@@ -50,6 +62,17 @@ class TestSimulate:
         assert run(["simulate", "--out", b, "--seed", 7, "--n", 20]) == 0
         assert (a / "events.csv").read_bytes() == (b / "events.csv").read_bytes()
         assert (a / "labels.csv").read_bytes() == (b / "labels.csv").read_bytes()
+
+    def test_events_bytes_match_csv_writer(self, tmp_path):
+        out = tmp_path / "s"
+        assert run(["simulate", "--out", out, "--seed", 7, "--n", 20]) == 0
+        ev = sbm_generate(default_sbm_spec(n=20, intra_rate=8.0, inter_rate=0.3, seed=7)).events
+        rows = [
+            [ev.node_labels[a], ev.node_labels[b], repr(t)]
+            for a, b, t in zip(ev.src.tolist(), ev.dst.tolist(), ev.time.tolist())
+        ]
+        expected = csv_writer_bytes(["source", "dest", "timestamp"], rows)
+        assert (out / "events.csv").read_bytes() == expected
 
     def test_zero_rates_header_only(self, tmp_path):
         out = tmp_path / "z"
@@ -171,6 +194,32 @@ class TestEval:
                      "uncertainty_edges.csv", "rate_vs_uncertainty.csv"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
 
+    def test_rate_table_bytes_match_csv_writer(self, tmp_path, sim_dir, fit_dir):
+        out = tmp_path / "eval_rate"
+        assert run(
+            ["eval", "--events", sim_dir / "events.csv", "--model", fit_dir / "model.json",
+             "--out", out, "--test-frac", 0.1, "--split-seed", 5, "--scorers", "random",
+             "--B", 6, "--seed", 2]
+        ) == 0
+        fm = load_model(fit_dir / "model.json")
+        table = rate_vs_uncertainty_table(
+            parse_events(sim_dir / "events.csv"), fm.state, fm.hyper.rate_model, fm.part,
+            B=6, seed=2,
+        )
+        rows = [
+            [r.i, r.j, r.t, r.k, int(r.is_negative), r.rate, r.rate_std, r.n_events]
+            for r in table
+        ]
+        header = ["i", "j", "t", "k", "is_negative", "rate", "rate_std", "N"]
+        assert (out / "rate_vs_uncertainty.csv").read_bytes() == csv_writer_bytes(header, rows)
+        # every eval table round-trips through csv unchanged: same quoting and line ends
+        for name in ("instances.csv", "uncertainty_nodes.csv", "uncertainty_edges.csv"):
+            data = (out / name).read_bytes()
+            with open(out / name, newline="") as fh:
+                parsed = list(csv.reader(fh))
+            assert data.endswith(b"\r\n")
+            assert data == csv_writer_bytes(parsed[0], parsed[1:])
+
     def test_two_nodes_exit_one_with_reason(self, tmp_path, capsys):
         events = tmp_path / "events.csv"
         events.write_text("source,dest,timestamp\na,b,1\na,b,2\nb,a,3\na,b,5\n")
@@ -220,6 +269,34 @@ class TestScore:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 3
         assert all(float(r["score"]) >= 0 for r in rows)
+
+    @pytest.mark.parametrize("bad", [[0, 1, 0], [-1, 1, 1], [0, 1, 9], [0, 24, 1]])
+    def test_out_of_range_triplet_exits_one(self, tmp_path, fit_dir, capsys, bad):
+        # the model has n = 24 nodes and K = 8 intervals; the bad triplet is on line 3
+        triplets = tmp_path / "triplets.csv"
+        with open(triplets, "w", newline="") as fh:
+            csv.writer(fh).writerows([["i", "j", "k"], [0, 1, 1], bad])
+        out = tmp_path / "scores.csv"
+        code = run(["score", "--model", fit_dir / "model.json", "--triplets", triplets,
+                    "--out", out])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "line 3" in err and "out of range" in err
+        assert not out.exists()
+
+    def test_score_bytes_match_csv_writer(self, tmp_path, fit_dir):
+        triplets = tmp_path / "triplets.csv"
+        triplets.write_text("i,j,k\n0,1,1\n\n 2,3,4\n5,6,8,extra\n")
+        out = tmp_path / "scores.csv"
+        assert run(["score", "--model", fit_dir / "model.json", "--triplets", triplets,
+                    "--out", out]) == 0
+        with open(out, newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert [r[:3] for r in rows] == [["i", "j", "k"], ["0", "1", "1"], ["2", "3", "4"],
+                                          ["5", "6", "8"]]
+        assert out.read_bytes() == csv_writer_bytes(
+            rows[0], [[int(a), int(b), int(c), float(x)] for a, b, c, x in rows[1:]]
+        )
 
     def test_unknown_subcommand_usage_error(self):
         with pytest.raises(SystemExit) as exc:

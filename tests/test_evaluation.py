@@ -3,10 +3,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.special import expit
 
-from tgne.events import IntervalPartition, interval_counts, split_edges
+from tgne.events import IntervalPartition, canonical_pair, interval_counts, split_edges
 from tgne.evaluation import (
+    InstanceTable,
     LsdmModel,
     LsdmOpts,
+    RateRecord,
     ScoredInstance,
     _lsdm_nll_grad,
     _swapped_destinations,
@@ -133,6 +135,101 @@ class TestBuildInstances:
         assert n_pos and len(inst2) == 2 * n_pos
 
 
+def _build_instances_loop(counts, pairs, part, seed):
+    """The per-row form of build_instances: dict keys, pair sets, rows."""
+    n = counts.n
+    universe = n * (n - 1) if counts.directed else n * (n - 1) // 2
+    active_by_k = {k: set() for k in range(1, part.K + 1)}
+    for a, b, k in counts.counts:
+        active_by_k[k].add((a, b))
+    canon = sorted({canonical_pair(a, b, counts.directed) for a, b in pairs})
+    rng = np.random.default_rng(seed)
+    rows, shortfall = [], {}
+    for k in range(1, part.K + 1):
+        positives = [(i, j) for i, j in canon if counts.count(i, j, k) >= 1]
+        rows += [(i, j, k, 1) for i, j in positives]
+        active = active_by_k[k]
+        n_inactive = universe - len(active)
+        take = min(len(positives), n_inactive)
+        if take < len(positives):
+            shortfall[k] = len(positives) - take
+        chosen = set()
+        if take and n_inactive <= 4 * take:
+            inactive = [
+                (i, j)
+                for i in range(n)
+                for j in (range(n) if counts.directed else range(i + 1, n))
+                if i != j and (i, j) not in active
+            ]
+            picks = rng.choice(len(inactive), size=take, replace=False)
+            chosen = {inactive[c] for c in picks.tolist()}
+        else:
+            while len(chosen) < take:
+                i, j = int(rng.integers(n)), int(rng.integers(n))
+                if i == j:
+                    continue
+                p = canonical_pair(i, j, counts.directed)
+                if p not in active and p not in chosen:
+                    chosen.add(p)
+        rows += [(i, j, k, 0) for i, j in sorted(chosen)]
+    return rows, shortfall
+
+
+class TestInstanceTable:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000), n=st.integers(3, 9), m=st.integers(1, 60),
+        K=st.integers(1, 4), directed=st.booleans(), frac=st.floats(0.1, 1.0),
+    )
+    def test_matches_row_loop(self, seed, n, m, K, directed, frac):
+        # small n and many events make the dense (enumerating) branch common
+        ev = random_events(n=n, m=m, seed=seed, directed=directed)
+        part = IntervalPartition.uniform(K)
+        counts = interval_counts(ev, part)
+        pairs = sorted(ev.unique_pairs())
+        pairs = pairs[: max(1, int(len(pairs) * frac))]
+        table, shortfall = build_instances(counts, pairs, part, seed=seed)
+        rows, ref_shortfall = _build_instances_loop(counts, pairs, part, seed)
+        assert [(x.i, x.j, x.k, x.label) for x in table] == rows
+        assert shortfall == ref_shortfall
+        assert table.i.dtype == table.j.dtype == table.k.dtype == np.int64
+
+    def test_row_access(self):
+        table = InstanceTable(
+            i=np.array([0, 2]), j=np.array([1, 3]), k=np.array([1, 2]),
+            score=np.array([np.nan, 0.5]), label=np.array([1, 0]),
+        )
+        assert len(table) == 2
+        first, second = list(table)
+        assert (first.i, first.j, first.k, first.label) == (0, 1, 1, 1)
+        assert np.isnan(first.score) and np.isnan(table[0].score)
+        assert second == table[1] == ScoredInstance(2, 3, 2, 0.5, 0)
+        assert type(table[0].i) is int and type(table[1].score) is float
+        assert table[1:] == InstanceTable(
+            i=np.array([2]), j=np.array([3]), k=np.array([2]), score=np.array([0.5]),
+            label=np.array([0]),
+        )
+        same = InstanceTable(*(col.copy() for col in table._columns()))
+        assert table == same  # NaN scores compare equal
+        same.label[1] = 1
+        assert table != same
+
+
+class TestRestrictCounts:
+    @pytest.mark.parametrize("directed", [False, True])
+    def test_matches_key_filter(self, directed):
+        ev = random_events(n=8, m=50, seed=21, directed=directed)
+        counts = interval_counts(ev, IntervalPartition.uniform(3))
+        pairs = sorted(ev.unique_pairs())[::2]
+        # reversed orientation, never-active and out-of-range pairs too
+        given_pairs = [(j, i) for i, j in pairs[:3]] + pairs[3:] + [(0, 7), (0, 8), (-1, 2)]
+        keep = {canonical_pair(a, b, directed) for a, b in given_pairs}
+        ref = {key: c for key, c in counts.counts.items() if (key[0], key[1]) in keep}
+        sub = restrict_counts(counts, given_pairs)
+        assert sub.counts == ref
+        assert sub.codes.tolist() == sorted(sub.codes.tolist())
+
+
 class TestAuc:
     def test_perfect_separation(self):
         inst = [ScoredInstance(0, 1, 1, s, l) for s, l in [(0.9, 1), (0.8, 1), (0.2, 0), (0.1, 0)]]
@@ -185,6 +282,16 @@ class TestAuc:
 
 
 class TestScoreTgne:
+    @pytest.mark.parametrize(
+        "i, j, k", [(0, 1, 0), (-1, 1, 1), (0, 1, 5), (0, 3, 1), (3, 0, 2)]
+    )
+    def test_out_of_range_triplet_rejected(self, i, j, k):
+        fm = static_model([(0.0, 0.0), (1.0, 0.0), (2.0, 0.0)], K=4)
+        with pytest.raises(ValueError, match=r"triplet 1: .* out of range"):
+            score_tgne_many(fm, [0, i], [1, j], [1, k])
+        with pytest.raises(ValueError, match="out of range"):
+            score_tgne(fm, i, j, k)
+
     def test_coincident_static_means(self):
         fm = static_model([(0.0, 0.0), (0.0, 0.0)], beta=0.0, K=15)
         assert np.isclose(score_tgne(fm, 0, 1, 3), 1 / 15, rtol=1e-12)
@@ -522,6 +629,21 @@ class TestRateVsUncertaintyTable:
             ten_node_events, fm.state, EUCLIDEAN, fm.part, B=20, seed=0
         )
         assert all(r.rate_std < 1e-7 for r in records)
+
+    def test_rows_are_records_of_the_columns(self, ten_node_events):
+        fm = static_model([(float(i), 0.0) for i in range(10)], K=4)
+        table = rate_vs_uncertainty_table(
+            ten_node_events, fm.state, EUCLIDEAN, fm.part, B=5, seed=1
+        )
+        m = ten_node_events.m
+        assert np.array_equal(table.t, np.tile(ten_node_events.time, 2))
+        assert table.is_negative.tolist() == [False] * m + [True] * m
+        rows = list(table)
+        assert rows[m + 3] == table[m + 3] == RateRecord(
+            i=int(table.i[m + 3]), j=int(table.j[m + 3]), t=float(table.t[m + 3]),
+            k=int(table.k[m + 3]), is_negative=True, rate=float(table.rate[m + 3]),
+            rate_std=float(table.rate_std[m + 3]), n_events=int(table.n_events[m + 3]),
+        )
 
 
 class TestScoreInstances:

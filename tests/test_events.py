@@ -1,19 +1,27 @@
+import csv
 import io
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from tgne.events import (
+    CSV_CHUNK_ROWS,
     EventList,
     EventParseError,
     IntervalPartition,
+    _event_list,
+    _fast_columns,
+    _loop_columns,
+    csv_field,
     interval_counts,
-    node_degree,
     normalize_times,
     parse_events,
     sample_negative_pairs,
     split_edges,
+    write_csv_columns,
+    write_events_csv,
 )
 
 from conftest import random_events
@@ -191,7 +199,7 @@ class TestNodeDegree:
             src=ev.src, dst=ev.dst, time=ev.time, n=6, directed=False
         )
         counts6 = interval_counts(isolated, part)
-        assert all(node_degree(counts6, 5, k) == 0 for k in (1, 2, 3))
+        assert all(counts6.degree(5, k) == 0 for k in (1, 2, 3))
 
     def test_additivity(self):
         part = IntervalPartition.uniform(1)
@@ -202,13 +210,13 @@ class TestNodeDegree:
             n=6,
         )
         counts = interval_counts(ev, part)
-        assert node_degree(counts, 0, 1) == 5
+        assert counts.degree(0, 1) == 5
 
     def test_handshake_identity(self, sbm_sample):
         part = IntervalPartition.uniform(6)
         counts = interval_counts(sbm_sample.events, part)
         for k in range(1, 7):
-            total_deg = sum(node_degree(counts, i, k) for i in range(counts.n))
+            total_deg = sum(counts.degree(i, k) for i in range(counts.n))
             in_k = sum(c for (_i, _j, kk), c in counts.counts.items() if kk == k)
             assert total_deg == 2 * in_k
 
@@ -382,3 +390,213 @@ class TestCountIndex:
         for i, k in [(0, 0), (0, counts.K + 1), (-1, 1), (counts.n, 1)]:
             with pytest.raises(ValueError):
                 counts.neighbors(i, k)
+
+
+# labels and timestamps the one-pass reader takes, and ones it must hand to the loop
+_CLEAN_LABELS = ["a", "b", "c", "10", "2", "01", "1.0", "x y", "\u00e9"]
+_ODD_LABELS = [
+    "", " a", "b ", "\u00a0c", "d\x1c", '"a,b"', '"q""x"', '"a', "z\x00", "a\rb",
+]
+_CLEAN_TIMES = ["1", "2.5", "1e3", ".5", "1_0", "0", "-0.0", "7", " 3", "4 ", "\u0661"]
+_ODD_TIMES = [
+    "nan", "inf", "-1", "-2.5e-3", "-inf", "", "x", "1e400", "\x1c2", "1__0", '"5"', "1\r2",
+]
+_ODD_LINES = ["a,b", "a,b,1,x", "", "  ", "header"]
+
+
+@st.composite
+def _event_csv(draw):
+    """CSV text for parse_events: well formed, or with one kind of defect.
+
+    A defect is one odd label, timestamp, line, header or line ending, so
+    that the one-pass reader's checks meet them one at a time; "many"
+    mixes odd fields and lines anywhere.
+    """
+    kinds = ["none"] * 3 + ["label", "time", "line", "header", "ending", "many"]
+    defect = draw(st.sampled_from(kinds))
+
+    def pick(clean, odd):
+        rare = defect == "many" and draw(st.integers(0, 7)) == 0
+        return draw(st.sampled_from(odd if rare else clean))
+
+    lines = [pick(["source,dest,timestamp", "s,d,t"], _ODD_LINES)]
+    for _ in range(draw(st.integers(0, 8))):
+        a = pick(_CLEAN_LABELS, _ODD_LABELS)
+        b = a if draw(st.integers(0, 5)) == 0 else pick(_CLEAN_LABELS, _ODD_LABELS)
+        t = pick(_CLEAN_TIMES + [repr(draw(st.floats(0, 1e6)))], _ODD_TIMES)
+        lines.append(pick([f"{a},{b},{t}"], _ODD_LINES))
+    if defect == "header":
+        lines[0] = draw(st.sampled_from(_ODD_LINES))
+    elif defect in ("label", "time", "line") and len(lines) > 1:
+        row = draw(st.integers(1, len(lines) - 1))
+        fields = lines[row].split(",")
+        if defect == "line":
+            lines[row] = draw(st.sampled_from(_ODD_LINES))
+        elif defect == "label":
+            fields[draw(st.integers(0, 1))] = draw(st.sampled_from(_ODD_LABELS))
+            lines[row] = ",".join(fields)
+        else:
+            lines[row] = ",".join(fields[:2] + [draw(st.sampled_from(_ODD_TIMES))])
+    odd_ends = defect in ("ending", "many")
+    style = draw(st.sampled_from(["\n", "\r\n"] + ["mixed"] * odd_ends))
+    ends = [
+        draw(st.sampled_from(["\n", "\r\n", "\r"])) if style == "mixed" else style
+        for _ in lines
+    ]
+    if not draw(st.booleans()):
+        ends[-1] = ""
+    return "".join(line + end for line, end in zip(lines, ends))
+
+
+def _outcome(read):
+    try:
+        ev = read()
+    except EventParseError as exc:
+        return ("error", str(exc))
+    return (
+        "ok", ev.src.tolist(), ev.dst.tolist(), ev.time.tobytes(), ev.n, ev.node_labels,
+        ev.time_range, ev.dropped_self_loops,
+    )
+
+
+class TestFastParse:
+    @settings(max_examples=300, deadline=None)
+    @given(text=_event_csv(), directed=st.booleans())
+    def test_matches_line_loop(self, text, directed):
+        fast = _fast_columns(text)
+        if fast is not None:
+            src, dst, times, labels, dropped = _loop_columns(io.StringIO(text, newline=""))
+            assert fast[0].tolist() == src.tolist() and fast[1].tolist() == dst.tolist()
+            assert fast[2].tobytes() == times.tobytes()
+            assert (fast[3], fast[4]) == (labels, dropped)
+        got = _outcome(lambda: parse_events(io.StringIO(text, newline=""), directed=directed))
+        ref = _outcome(
+            lambda: _event_list(*_loop_columns(io.StringIO(text, newline="")), directed=directed)
+        )
+        assert got == ref
+
+    @pytest.mark.parametrize("end", ["\n", "\r\n"])
+    def test_plain_input_takes_one_pass(self, end):
+        rows = ["source,dest,timestamp", "a,b,1e3", "b,b,.5", "10,a,1_0", "c,10, 3", "a,c,0"]
+        text = end.join(rows) + end
+        src, dst, times, labels, dropped = _fast_columns(text)
+        assert labels == ["a", "b", "10", "c"] and dropped == 1
+        assert src.tolist() == [0, 2, 3, 0] and dst.tolist() == [1, 0, 2, 3]
+        assert times.tolist() == [1000.0, 10.0, 3.0, 0.0]
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            'source,dest,timestamp\n"a,b",c,1\n',
+            "source,dest,timestamp\na,b,1\n\nb,c,2\n",
+            "source,dest,timestamp\ra,b,1\r",
+            "source,dest,timestamp\na\rb,c,1\n",
+            "source,dest,timestamp\na,b,1\r2\n",
+            "source,dest,timestamp\na ,b,1\n",
+            "source,dest,timestamp\na,b,nan\n",
+            "source,dest,timestamp\n,b,1\n",
+            "source,dest,timestamp\na,b\n",
+            "source,dest,timestamp\na,a,1\n",
+        ],
+    )
+    def test_unsure_input_goes_to_the_loop(self, text):
+        assert _fast_columns(text) is None
+
+
+def _csv_writer_bytes(header, rows) -> bytes:
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue().encode("utf-8")
+
+
+_SPECIAL_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1e300, 0.1, -2.5]
+
+
+class TestCsvColumns:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        rows=st.lists(
+            st.tuples(
+                st.integers(-(2**63), 2**63 - 1),
+                st.one_of(st.sampled_from(_SPECIAL_FLOATS), st.floats()),
+                st.one_of(st.just(math.nan), st.floats(allow_nan=False)),
+                st.text(alphabet=list('ab ,"\r\n\t\u00e9'), max_size=5),
+                st.booleans(),
+            ),
+            max_size=12,
+        ),
+    )
+    def test_matches_csv_writer(self, tmp_path_factory, rows):
+        header = ["n", "x", "maybe", "text", "flag"]
+        cols = list(zip(*rows)) or [()] * 5
+        path = tmp_path_factory.mktemp("cols") / "t.csv"
+        write_csv_columns(
+            path, header,
+            [
+                np.asarray(cols[0], dtype=np.int64),
+                np.asarray(cols[1], dtype=np.float64),
+                ["" if math.isnan(x) else repr(x) for x in cols[2]],
+                [csv_field(x) for x in cols[3]],
+                np.asarray(cols[4], dtype=bool),
+            ],
+        )
+        ref = [[n, x, "" if math.isnan(m) else m, t, f] for n, x, m, t, f in rows]
+        assert path.read_bytes() == _csv_writer_bytes(header, ref)
+
+    @pytest.mark.parametrize("size", [0, 1, CSV_CHUNK_ROWS, CSV_CHUNK_ROWS + 1])
+    def test_chunk_edges(self, tmp_path, size):
+        rng = np.random.default_rng(size)
+        ints, floats = rng.integers(-50, 50, size), rng.standard_normal(size) * 1e3
+        write_csv_columns(tmp_path / "t.csv", ["i", "x"], [ints, floats])
+        ref = zip(ints.tolist(), floats.tolist())
+        assert (tmp_path / "t.csv").read_bytes() == _csv_writer_bytes(["i", "x"], ref)
+
+    def test_events_file_matches_csv_writer(self, tmp_path):
+        labels = ["a,b", 'q"x', "plain", " sp", "line\nbreak", "cr\r", ""]
+        ev = EventList(
+            src=np.array([0, 1, 2, 0, 3]), dst=np.array([1, 4, 5, 6, 6]),
+            time=np.array([0.0, 0.1, 1 / 3, 0.5, 1.0]), n=7, node_labels=labels,
+        )
+        write_events_csv(ev, tmp_path / "events.csv")
+        ref = [
+            [labels[a], labels[b], repr(t)]
+            for a, b, t in zip(ev.src.tolist(), ev.dst.tolist(), ev.time.tolist())
+        ]
+        expected = _csv_writer_bytes(["source", "dest", "timestamp"], ref)
+        assert (tmp_path / "events.csv").read_bytes() == expected
+
+
+class TestCodeStorage:
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000), n=st.integers(2, 8), K=st.integers(1, 5),
+        directed=st.booleans(),
+    )
+    def test_matches_key_dict(self, seed, n, K, directed):
+        ev = random_events(n=n, m=25, seed=seed, directed=directed)
+        part = IntervalPartition.uniform(K)
+        counts = interval_counts(ev, part)
+        ref: dict = {}
+        for a, b, k in zip(ev.src.tolist(), ev.dst.tolist(), part.interval_of(ev.time).tolist()):
+            ref[(a, b, k)] = ref.get((a, b, k), 0) + 1
+        assert counts.counts == ref
+        assert counts.codes.tolist() == sorted(counts.codes.tolist())
+        assert counts.total() == ev.m
+        assert counts.active_pairs() == {(a, b) for a, b, _k in ref}
+        for k in range(1, K + 1):
+            assert counts.pairs_active_in(k) == {(a, b) for a, b, kk in ref if kk == k}
+
+    @pytest.mark.parametrize("directed", [False, True])
+    def test_split_matches_sorted_pair_list(self, directed):
+        ev = random_events(n=9, m=60, seed=3, directed=directed)
+        for seed in range(5):
+            pairs = sorted(ev.unique_pairs())
+            order = np.random.default_rng(seed).permutation(len(pairs))
+            shuffled = [pairs[i] for i in order]
+            n_test, n_val = int(len(pairs) * 0.2), int(len(pairs) * 0.1)
+            split = split_edges(ev, 0.2, 0.1, seed=seed)
+            assert split.test == frozenset(shuffled[:n_test])
+            assert split.val == frozenset(shuffled[n_test : n_test + n_val])
+            assert split.train == frozenset(shuffled[n_test + n_val :])

@@ -28,7 +28,6 @@ def main():
     ap.add_argument("--epochs", type=int, default=500)
     ap.add_argument("--K", type=int, default=15)
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--B", type=int, default=200, help="posterior draws for uncertainty")
     ap.add_argument("--beta-init", type=float, default=None,
                     help="bias init; default = empirical log rate per active pair")
     args = ap.parse_args()
@@ -61,9 +60,8 @@ def main():
                         counts.degree(i, k), int(i == 0),
                     ])
 
-        slope = uncertainty_regression(
-            fm.state, counts, fm.hyper.rate_model, fm.part, B=args.B, seed=args.seed
-        )
+        # the euclidean model's posterior std is exact: no draws to set
+        slope = uncertainty_regression(fm.state, counts, fm.hyper.rate_model, fm.part)
         disp = mean_frame_displacement(fm.state)
         summary[tag] = {
             "tau": tau,

@@ -196,8 +196,17 @@ def _write_instances_csv(path, splits, scorers):
     write_csv_columns(path, header, columns)
 
 
+def _draw_count(resolved: dict) -> int:
+    """``--B``, which must be >= 2 (a std over fewer draws is undefined)."""
+    B = int(resolved["B"])
+    if B < 2:
+        raise ValueError(f"--B must be >= 2, got {B}")
+    return B
+
+
 def cmd_eval(args: argparse.Namespace) -> int:
     resolved = _resolve(args, _EVAL_DEFAULTS)
+    B = _draw_count(resolved)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     fm = load_model(args.model)
@@ -211,7 +220,6 @@ def cmd_eval(args: argparse.Namespace) -> int:
     split = _make_split(ev, resolved)
     counts = interval_counts(ev, part)
     scorers = [s.strip() for s in str(resolved["scorers"]).split(",") if s.strip()]
-    B = int(resolved["B"])
     seed = int(resolved["seed"])
     rng = np.random.SeedSequence(seed)
 
@@ -291,7 +299,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     if pi.size:
         ii, jj = pi.repeat(K), pj.repeat(K)
         kk0 = np.tile(np.arange(K), pi.size)
-        mean, std = evl._posterior_lambda_draws(
+        mean, std = evl._posterior_lambda_moments(
             fm.state, fm.hyper.rate_model, part, ii, jj, kk0, B, seed,
             fm.hyper.riemann_r,
         )
@@ -324,6 +332,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 def cmd_score(args: argparse.Namespace) -> int:
     resolved = _resolve(args, _SCORE_DEFAULTS)
+    B = _draw_count(resolved)
     fm = load_model(args.model)
     scorer = str(resolved["scorer"])
     if scorer not in ("tgne", "tgne_predictive"):
@@ -351,9 +360,9 @@ def cmd_score(args: argparse.Namespace) -> int:
     if scorer == "tgne":
         scores = evl.score_tgne_many(fm, ii, jj, kk)
     else:
-        scores, _ = evl._posterior_lambda_draws(
+        scores, _ = evl._posterior_lambda_moments(
             fm.state, fm.hyper.rate_model, fm.part, ii, jj, kk - 1,
-            int(resolved["B"]), int(resolved["seed"]), fm.hyper.riemann_r,
+            B, int(resolved["seed"]), fm.hyper.riemann_r, want_std=False,
         )
     out_path = Path(args.out)
     write_csv_columns(out_path, ["i", "j", "k", "score"], [ii, jj, kk, scores])
@@ -415,7 +424,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--out", required=True)
     p_eval.add_argument("--config", help="JSON file with default flag values")
     p_eval.add_argument("--scorers", help="comma-separated: tgne,tgne_predictive,lsdm,pa,random")
-    p_eval.add_argument("--B", type=int, help="posterior draws for predictive uncertainty")
+    p_eval.add_argument(
+        "--B", type=int,
+        help="posterior draws for the dot model's predictive moments (>= 2; "
+        "the euclidean model's are exact)",
+    )
     p_eval.add_argument("--seed", type=int)
     p_eval.add_argument("--directed", action=argparse.BooleanOptionalAction)
     p_eval.add_argument("--test-frac", dest="test_frac", type=float)
@@ -431,7 +444,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_score.add_argument("--out", required=True, help="output CSV path")
     p_score.add_argument("--config", help="JSON file with default flag values")
     p_score.add_argument("--scorer", choices=["tgne", "tgne_predictive"])
-    p_score.add_argument("--B", type=int)
+    p_score.add_argument(
+        "--B", type=int, help="posterior draws for the dot model's tgne_predictive (>= 2)"
+    )
     p_score.add_argument("--seed", type=int)
     p_score.set_defaults(func=cmd_score)
 

@@ -7,8 +7,25 @@ from the node pairs inactive in that interval; scorers then rank the
 instances and are compared by AUC.
 
 Uncertainty analytics summarize the fitted posterior: per-node scales u(i,k),
-posterior-predictive spread of cumulative rates across configuration draws,
-and its regression against interaction counts.
+the posterior-predictive mean and spread of rates and cumulative rates, and
+the spread's regression against interaction counts.
+
+For the euclidean model these moments are exact. Under the mean-field
+posterior, Delta(s) = z_i(s) - z_j(s) at local coordinate s of an interval is
+N(m(s), v(s) I_d), with m(s) = (1-s) m_a + s m_b and
+v(s) = (1-s)^2 v_a + s^2 v_b (m_a, m_b the mean differences and v_a, v_b the
+summed variances of the pair at the interval's ends), so
+
+    E[lambda(s)] = e^beta (1 + 2v)^(-d/2) exp(-|m|^2 / (1 + 2v)),
+
+and the second moments, E[lambda(s)^2] and E[lambda(s) lambda(t)] for the
+jointly normal (Delta(s), Delta(t)), are closed form as well. Every variance
+is taken as E_s E_t expm1(g) with g written without cancellation (beta drops
+out of g), never as E[x^2] - E[x]^2. The rate table uses the pointwise form;
+the interval moments E[Lambda] and Var[Lambda] are 8-point Gauss-Legendre
+sums on 2^p equal panels, with p raised per row until the row's mean settles.
+The dot model's moments are finite only while 4 v_i v_j < 1, so it keeps the
+B-draw Monte Carlo estimate of ``_posterior_draws``.
 """
 
 from __future__ import annotations
@@ -237,9 +254,17 @@ def score_tgne_many(fm: FittedModel, ii, jj, kk) -> np.ndarray:
 def score_tgne_predictive(
     fm: FittedModel, i: int, j: int, k: int, B: int = 200, seed: int = 0
 ) -> float:
-    """Posterior-predictive mean of Lambda_ij(I_k) over B configuration draws."""
-    mean, _ = edge_uncertainty(fm.state, fm.hyper.rate_model, fm.part, i, j, k, B, seed)
-    return mean
+    """Posterior-predictive mean of Lambda_ij(I_k).
+
+    Exact for the euclidean model (``B`` and ``seed`` are then unused); the
+    dot model averages B configuration draws from ``seed``.
+    """
+    check_triplets(fm, [i], [j], [k])
+    mean, _ = _posterior_lambda_moments(
+        fm.state, fm.hyper.rate_model, fm.part, np.asarray([i]), np.asarray([j]),
+        np.asarray([k - 1]), B, seed, fm.hyper.riemann_r, want_std=False,
+    )
+    return float(mean[0])
 
 
 @dataclass
@@ -399,9 +424,12 @@ def node_table(
     node, k0 = np.divmod(slots, K)
     dists = np.linalg.norm(mid[nbr, k0] - mid[node, k0], axis=1)
     nd = np.full(counts.n * K, np.nan)
-    # a per-segment mean(): np.add.reduceat sums in another order
-    for s in np.flatnonzero(np.diff(indptr)).tolist():
-        nd[s] = dists[indptr[s] : indptr[s + 1]].mean()
+    # one row-wise mean per distinct segment length: each row sums in the
+    # order of a 1-D .mean() (np.add.reduceat sums in another order)
+    seg_len = np.diff(indptr)
+    for length in np.unique(seg_len[seg_len > 0]).tolist():
+        seg = np.flatnonzero(seg_len == length)
+        nd[seg] = dists[indptr[seg, None] + np.arange(length)].mean(axis=1)
     return u, nd.reshape(counts.n, K), counts.degrees
 
 
@@ -415,8 +443,12 @@ def _posterior_draws(
     """Mean and population std of ``values_at(z)`` over B configuration draws.
 
     Each draw is z = mu + sigma * eps with eps from ``rng``; ``values_at``
-    maps a configuration to ``size`` values.
+    maps a configuration to ``size`` values. The dot model's moments come
+    from here; for the euclidean model it is the test oracle of the exact
+    moments.
     """
+    if B < 2:
+        raise ValueError("B must be >= 2")
     sigma3 = vs.sigma[:, :, None]
     total = np.zeros(size)
     total_sq = np.zeros(size)
@@ -430,7 +462,215 @@ def _posterior_draws(
     return mean, np.sqrt(var)
 
 
-def _posterior_lambda_draws(
+def _mean_differences(vs: VariationalState, ii, jj, kk0) -> tuple[np.ndarray, np.ndarray]:
+    """m_a, m_b: mu_i - mu_j at the start and end of interval kk0, each (rows, d)."""
+    mi_a, mi_b = _endpoints(vs.mu, ii, kk0)
+    mj_a, mj_b = _endpoints(vs.mu, jj, kk0)
+    return mi_a - mj_a, mi_b - mj_b
+
+
+def _summed_variances(vs: VariationalState, ii, jj, kk0) -> tuple[np.ndarray, np.ndarray]:
+    """v_a, v_b: sigma_i^2 + sigma_j^2 at the start and end of interval kk0."""
+    sigma = vs.sigma
+    var = sigma.ravel() ** 2
+    ri, rj = ii * sigma.shape[1] + kk0, jj * sigma.shape[1] + kk0
+    return var[ri] + var[rj], var[ri + 1] + var[rj + 1]
+
+
+def _pair_scalars(
+    vs: VariationalState, ii: np.ndarray, jj: np.ndarray, kk0: np.ndarray
+) -> np.ndarray:
+    """(5, rows): v_a, v_b, |m_a|^2, m_a.m_b, |m_b|^2 of each row.
+
+    m_a, m_b are the mean differences mu_i - mu_j and v_a, v_b the summed
+    variances sigma_i^2 + sigma_j^2 at the start and end of interval kk0.
+    """
+    m_a, m_b = _mean_differences(vs, ii, jj, kk0)
+    v_a, v_b = _summed_variances(vs, ii, jj, kk0)
+    return np.stack([v_a, v_b, np.vecdot(m_a, m_a), np.vecdot(m_a, m_b), np.vecdot(m_b, m_b)])
+
+
+def _bilinear_weights(s: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Weights of the pair scalars at node pairs (s, t): (len(s), 2) and (len(s), 3).
+
+    The first weight v_a, v_b into c = Cov(Delta(s), Delta(t)) per dimension,
+    the second |m_a|^2, m_a.m_b, |m_b|^2 into m(s).m(t). At s = t they give
+    v(s) and |m(s)|^2.
+    """
+    a, b = (1.0 - s) * (1.0 - t), s * t
+    return np.stack([a, b], axis=1), np.stack([a, (1.0 - s) * t + s * (1.0 - t), b], axis=1)
+
+
+_GL8_X, _GL8_W = np.polynomial.legendre.leggauss(8)
+MOMENT_RTOL = 1e-12  # a row's mean has settled once doubling moves it this little
+MAX_PANELS = 64  # past this many panels a row keeps its finest mean and warns
+MOMENT_ROWS = 512  # rows per chunk; a variance grid past one panel takes fewer
+
+
+class _Rule:
+    """The 8-point Gauss-Legendre rule on ``panels`` equal panels of [0, 1].
+
+    ``w`` are the node weights and ``Wv``, ``Wm`` the pair-scalar weights at
+    the nodes (see ``_bilinear_weights``).
+    """
+
+    def __init__(self, panels: int):
+        self.s = ((np.arange(panels)[:, None] + 0.5 * (_GL8_X + 1.0)) / panels).ravel()
+        self.w = np.tile(_GL8_W / (2.0 * panels), panels)
+        self.Wv, self.Wm = _bilinear_weights(self.s, self.s)
+        self._grid = None
+
+    def grid(self):
+        """(qi, ri, Wv2, Wm2, w2) of the upper triangle of the node grid.
+
+        ``qi``, ``ri`` index the nodes, ``Wv2``, ``Wm2`` are the pair-scalar
+        weights and ``w2`` the weights, off-diagonal entries counted twice
+        since the grid is symmetric. Built on first use: only the rules rows
+        settle on need it, and its size grows as panels^2.
+        """
+        if self._grid is None:
+            qi, ri = np.triu_indices(self.s.size)
+            self._grid = (
+                qi, ri, *_bilinear_weights(self.s[qi], self.s[ri]),
+                self.w[qi] * self.w[ri] * np.where(qi == ri, 1.0, 2.0),
+            )
+        return self._grid
+
+
+def _mean_terms(S: np.ndarray, rule: _Rule, beta: float, d: int):
+    """E[lambda], 1 + 2v and |m|^2 / (1 + 2v) at the rule's nodes, each (nodes, rows)."""
+    p = rule.Wv @ S[:2]
+    p *= 2.0
+    p += 1.0
+    a = rule.Wm @ S[2:]
+    a /= p
+    E = np.log(p)
+    E *= -0.5 * d
+    E -= a
+    E += beta
+    return np.exp(E, out=E), p, a
+
+
+def _interval_variance(S, E, p, a, rule: _Rule, d: int) -> np.ndarray:
+    """Double integral over [0, 1]^2 of Cov(lambda(s), lambda(t)) on the rule.
+
+    ``E``, ``p``, ``a`` are ``_mean_terms`` of the rows. With p, q = 1 + 2v at
+    s and t and c = Cov(Delta(s), Delta(t)) per dimension, D = pq - 4c^2 and
+    Cov = E_s E_t expm1(g) with
+
+        g = -(d/2) log1p(-4c^2 / (pq)) + (4c / D) (m(s).m(t) - c (|m(s)|^2 / p + |m(t)|^2 / q)).
+
+    Rows go in slices of at most MOMENT_ROWS one-panel grids' worth of values;
+    the arithmetic runs in place.
+    """
+    qi, ri, Wv2, Wm2, w2 = rule.grid()
+    out = np.empty(S.shape[1])
+    step = max(1, MOMENT_ROWS * 36 // qi.size)  # 36: the one-panel triangle
+    for lo in range(0, S.shape[1], step):
+        sl = slice(lo, lo + step)
+        c = Wv2 @ S[:2, sl]
+        g = Wm2 @ S[2:, sl]  # m(s).m(t), then g
+        pq = p[qi, sl] * p[ri, sl]
+        c2 = c * c
+        c2 *= 4.0
+        aa = a[qi, sl] + a[ri, sl]
+        aa *= c
+        g -= aa
+        c *= 4.0
+        g *= c
+        g /= np.subtract(pq, c2, out=aa)
+        c2 /= pq
+        np.negative(c2, out=c2)
+        np.log1p(c2, out=c2)
+        c2 *= 0.5 * d
+        g -= c2
+        np.expm1(g, out=g)
+        g *= E[qi, sl]
+        g *= E[ri, sl]
+        out[sl] = w2 @ g
+    return out
+
+
+def _min_panels(S: np.ndarray) -> np.ndarray:
+    """Panels each row needs before its mean may count as settled.
+
+    E[lambda(s)] is at most a bump of width sqrt(1 + 2 v_min) / |m_b - m_a|
+    in s, v_min = v_a v_b / (v_a + v_b) being the least v(s). Requiring
+    panels no wider than 8 such widths keeps the nodes of two successive
+    rules from both missing a narrow bump and agreeing on its absence.
+    """
+    dm = np.sqrt(np.maximum(S[2] - 2.0 * S[3] + S[4], 0.0))
+    v_min = S[0] * S[1] / (S[0] + S[1])
+    return dm / (8.0 * np.sqrt(1.0 + 2.0 * v_min))
+
+
+def _exact_lambda_moments(
+    vs: VariationalState,
+    part: IntervalPartition,
+    ii: np.ndarray,
+    jj: np.ndarray,
+    kk0: np.ndarray,
+    want_std: bool = True,
+) -> tuple[np.ndarray, Optional[np.ndarray]]:
+    """Exact posterior mean and std of Lambda under the euclidean model.
+
+    E[Lambda] = |I| * integral E[lambda(s)] ds and Var[Lambda] = |I|^2 *
+    double integral of Cov(lambda(s), lambda(t)), both by the 8-point rule on
+    2^p panels. Each row starts at one panel and doubles until its mean moves
+    by at most MOMENT_RTOL relative and the panels resolve its narrowest bump
+    (``_min_panels``); it keeps the finer mean, and its variance uses the
+    coarser, settled panel count. Rows still moving at MAX_PANELS take both
+    moments from the finest rule, with a RuntimeWarning.
+    """
+    d, beta = vs.mu.shape[2], vs.beta
+    S_all = _pair_scalars(vs, ii, jj, kk0)
+    mean = np.empty(S_all.shape[1])
+    var = np.empty(S_all.shape[1]) if want_std else None
+    rules: dict[int, _Rule] = {}
+
+    def rule(panels: int) -> _Rule:
+        if panels not in rules:
+            rules[panels] = _Rule(panels)
+        return rules[panels]
+
+    for lo in range(0, S_all.shape[1], MOMENT_ROWS):
+        S = S_all[:, lo : lo + MOMENT_ROWS]
+        rows = np.arange(lo, lo + S.shape[1])
+        need = _min_panels(S)
+        panels = 1
+        terms = _mean_terms(S, rule(1), beta, d)
+        coarse = rule(1).w @ terms[0]
+        while rows.size:
+            fine_terms = _mean_terms(S, rule(2 * panels), beta, d)
+            fine = rule(2 * panels).w @ fine_terms[0]
+            done = (np.abs(fine - coarse) <= MOMENT_RTOL * np.abs(fine)) & (panels >= need)
+            var_terms, var_rule = terms, rule(panels)
+            if 2 * panels >= MAX_PANELS and not done.all():
+                warnings.warn(
+                    f"{int((~done).sum())} interval means did not settle within "
+                    f"{MAX_PANELS} quadrature panels; keeping the finest",
+                    RuntimeWarning,
+                )
+                done[:] = True
+                var_terms, var_rule = fine_terms, rule(2 * panels)
+            mean[rows[done]] = fine[done]
+            if want_std and done.all():  # the usual case: no column copies
+                var[rows] = _interval_variance(S, *var_terms, var_rule, d)
+            elif want_std and done.any():
+                var[rows[done]] = _interval_variance(
+                    S[:, done], *(t[:, done] for t in var_terms), var_rule, d
+                )
+            keep = ~done
+            S, rows, need = S[:, keep], rows[keep], need[keep]
+            coarse, panels = fine[keep], 2 * panels
+            terms = [t[:, keep] for t in fine_terms]
+    lengths = part.lengths[kk0]
+    if not want_std:
+        return mean * lengths, None
+    return mean * lengths, np.sqrt(np.maximum(var, 0.0)) * lengths
+
+
+def _posterior_lambda_moments(
     vs: VariationalState,
     rm_kind: str,
     part: IntervalPartition,
@@ -440,8 +680,16 @@ def _posterior_lambda_draws(
     B: int,
     seed: int,
     riemann_r: int = 10,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Mean and population std of Lambda over B shared configuration draws."""
+    want_std: bool = True,
+) -> tuple[np.ndarray, Optional[np.ndarray]]:
+    """Posterior-predictive mean and std of Lambda for triplet arrays.
+
+    Exact for the euclidean model (``B``, ``seed`` and ``riemann_r`` unused;
+    std is None unless ``want_std``). The dot model takes the mean and
+    population std over B configuration draws shared by all rows.
+    """
+    if rm_kind == EUCLIDEAN:
+        return _exact_lambda_moments(vs, part, ii, jj, kk0, want_std)
     return _posterior_draws(
         vs, np.random.default_rng(seed), B, ii.shape[0],
         lambda z: _lambda_batch(z, vs.beta, rm_kind, part, ii, jj, kk0, riemann_r),
@@ -458,10 +706,14 @@ def edge_uncertainty(
     B: int,
     seed: int = 0,
 ) -> tuple[float, float]:
-    """Posterior-predictive mean and std (divisor B) of Lambda_ij(I_k)."""
+    """Posterior-predictive mean and std of Lambda_ij(I_k).
+
+    Exact for the euclidean model; the dot model's are over B draws from
+    ``seed``, std with divisor B. ``B`` must be >= 2 either way.
+    """
     if B < 2:
         raise ValueError("B must be >= 2")
-    mean, std = _posterior_lambda_draws(
+    mean, std = _posterior_lambda_moments(
         vs, rm_kind, part, np.asarray([i]), np.asarray([j]), np.asarray([k - 1]), B, seed
     )
     return float(mean[0]), float(std[0])
@@ -499,11 +751,12 @@ def uncertainty_regression(
 ) -> float:
     """OLS slope of posterior Std(Lambda_ij(I_k)) against N_ij(I_k).
 
-    The population is every (pair, interval) with the pair taken from the
-    given counts (pass a train-restricted tensor to stay on training data),
-    including the pair's zero-count intervals. By default the regression runs
-    on per-unique-N averages of the std; ``per_unique_n=False`` uses the raw
-    (N, std) points instead.
+    The std is exact for the euclidean model; the dot model's is over B
+    draws from ``seed``. The population is every (pair, interval) with the
+    pair taken from the given counts (pass a train-restricted tensor to stay
+    on training data), including the pair's zero-count intervals. By default
+    the regression runs on per-unique-N averages of the std;
+    ``per_unique_n=False`` uses the raw (N, std) points instead.
     """
     pi, pj = counts.active_pair_arrays()
     if not pi.size:
@@ -511,7 +764,7 @@ def uncertainty_regression(
     K = part.K
     ii, jj = pi.repeat(K), pj.repeat(K)
     kk0 = np.tile(np.arange(K), pi.size)
-    _, stds = _posterior_lambda_draws(vs, rm_kind, part, ii, jj, kk0, B, seed)
+    _, stds = _posterior_lambda_moments(vs, rm_kind, part, ii, jj, kk0, B, seed)
     n_events = counts.counts_of(ii, jj, kk0 + 1).astype(np.float64)
     return regression_slope_from_points(n_events, stds, per_unique_n=per_unique_n)
 
@@ -563,6 +816,27 @@ def _swapped_destinations(
     return picks
 
 
+def _exact_rate_std(vs: VariationalState, ii, jj, kk0, s) -> np.ndarray:
+    """Posterior std of lambda at local coordinate s, euclidean model, per row.
+
+    With v = v(s) and |m|^2 = |m(s)|^2 (m(s) formed as a vector, so it has no
+    cancellation where a pair crosses), Var = E[lambda]^2 expm1(g) with
+
+        g = (d/2) log1p(4v^2 / (1 + 4v)) + 4v |m|^2 / ((1 + 2v)(1 + 4v)).
+    """
+    d = vs.mu.shape[2]
+    m_a, m_b = _mean_differences(vs, ii, jj, kk0)
+    v_a, v_b = _summed_variances(vs, ii, jj, kk0)
+    om = 1.0 - s
+    m = om[:, None] * m_a + s[:, None] * m_b
+    m2 = np.vecdot(m, m)
+    v = om * om * v_a + s * s * v_b
+    p, r = 1.0 + 2.0 * v, 1.0 + 4.0 * v
+    mean = np.exp(vs.beta - m2 / p - 0.5 * d * np.log(p))
+    g = 0.5 * d * np.log1p(4.0 * v * v / r) + 4.0 * v * m2 / (p * r)
+    return mean * np.sqrt(np.expm1(g))
+
+
 def rate_vs_uncertainty_table(
     ev: EventList,
     vs: VariationalState,
@@ -578,8 +852,10 @@ def rate_vs_uncertainty_table(
     j' != i and (i, j') != (i, j), which needs n >= 3. The events come first,
     in event order, then their negatives in the same order. ``rate`` is
     lambda at the posterior-mean configuration; ``rate_std`` is the
-    population std over B posterior draws; ``n_events`` tags the record's
-    pair count in the containing interval.
+    posterior std of lambda, exact for the euclidean model and the population
+    std over B draws for the dot model; ``n_events`` tags the record's pair
+    count in the containing interval. ``seed`` draws the negatives first, and
+    then the dot model's configurations.
     """
     if ev.m == 0:
         ints, floats = np.empty(0, dtype=np.int64), np.empty(0)
@@ -614,7 +890,10 @@ def rate_vs_uncertainty_table(
         return np.exp(vs.beta + np.einsum("md,md->m", pi, pj))
 
     rate_mean_cfg = rates_at(vs.mu)
-    _, std = _posterior_draws(vs, rng, B, ii.shape[0], rates_at)
+    if rm_kind == EUCLIDEAN:
+        std = _exact_rate_std(vs, ii, jj, kk0, ss)
+    else:
+        _, std = _posterior_draws(vs, rng, B, ii.shape[0], rates_at)
     n_events = counts.counts_of(ii, jj, kk0 + 1)
     return RateTable(
         i=ii, j=jj, t=tt, k=kk0 + 1, is_negative=is_neg, rate=rate_mean_cfg,
@@ -652,9 +931,9 @@ def score_instances(
     if scorer == "tgne":
         scores = score_tgne_many(fm, ii, jj, kk)
     elif scorer == "tgne_predictive":
-        scores, _ = _posterior_lambda_draws(
+        scores, _ = _posterior_lambda_moments(
             fm.state, fm.hyper.rate_model, fm.part, ii, jj, kk - 1, B, seed,
-            fm.hyper.riemann_r,
+            fm.hyper.riemann_r, want_std=False,
         )
     elif scorer == "lsdm":
         # the gathered form of lsdm_score; np.vecdot matches its diff @ diff

@@ -245,6 +245,15 @@ class TestEval:
                   "--out", str(tmp_path / "x")])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("B", [0, 1])
+    def test_too_few_draws_exit_one(self, sim_dir, fit_dir, tmp_path, capsys, B):
+        out = tmp_path / "eval_b"
+        code = run(["eval", "--events", sim_dir / "events.csv", "--model",
+                    fit_dir / "model.json", "--out", out, "--B", B])
+        assert code == 1
+        assert f"--B must be >= 2, got {B}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_model_file_exits_one(self, sim_dir, tmp_path):
         code = run(
             ["eval", "--events", sim_dir / "events.csv", "--model",
@@ -297,6 +306,17 @@ class TestScore:
         assert out.read_bytes() == csv_writer_bytes(
             rows[0], [[int(a), int(b), int(c), float(x)] for a, b, c, x in rows[1:]]
         )
+
+    @pytest.mark.parametrize("B", [0, 1])
+    def test_too_few_draws_exit_one(self, tmp_path, fit_dir, capsys, B):
+        triplets = tmp_path / "triplets.csv"
+        triplets.write_text("i,j,k\n0,1,1\n")
+        out = tmp_path / "scores.csv"
+        code = run(["score", "--model", fit_dir / "model.json", "--triplets", triplets,
+                    "--out", out, "--scorer", "tgne_predictive", "--B", B])
+        assert code == 1
+        assert f"--B must be >= 2, got {B}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unknown_subcommand_usage_error(self):
         with pytest.raises(SystemExit) as exc:

@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.special import expit
 
+from tgne import evaluation
 from tgne.events import IntervalPartition, canonical_pair, interval_counts, split_edges
 from tgne.evaluation import (
     InstanceTable,
@@ -10,7 +13,12 @@ from tgne.evaluation import (
     LsdmOpts,
     RateRecord,
     ScoredInstance,
+    _exact_lambda_moments,
+    _exact_rate_std,
+    _lambda_batch,
     _lsdm_nll_grad,
+    _posterior_draws,
+    _posterior_lambda_moments,
     _swapped_destinations,
     auc,
     auc_from_scores,
@@ -32,7 +40,7 @@ from tgne.evaluation import (
     score_tgne_predictive,
 )
 from tgne.inference import FittedModel, Hyperparams, VariationalState, fit
-from tgne.model import EUCLIDEAN
+from tgne.model import DOT, EUCLIDEAN
 
 from conftest import random_events
 
@@ -552,18 +560,265 @@ class TestEdgeUncertainty:
         b = edge_uncertainty(fm.state, EUCLIDEAN, fm.part, 0, 1, 1, B=500, seed=3)
         assert a == b
 
-    def test_two_seed_agreement_at_large_B(self):
-        fm = static_model([(0.0, 0.0), (0.8, 0.0)], sigma=0.3, K=4)
-        B = 100_000
-        m1, s1 = edge_uncertainty(fm.state, EUCLIDEAN, fm.part, 0, 1, 1, B=B, seed=1)
-        m2, s2 = edge_uncertainty(fm.state, EUCLIDEAN, fm.part, 0, 1, 1, B=B, seed=2)
-        se = np.sqrt(s1**2 / B + s2**2 / B)
-        assert abs(m1 - m2) < 3 * se
-
     def test_b_must_be_at_least_two(self):
         fm = static_model([(0.0, 0.0), (0.8, 0.0)], K=2)
         with pytest.raises(ValueError):
             edge_uncertainty(fm.state, EUCLIDEAN, fm.part, 0, 1, 1, B=1)
+
+
+class PairMoments:
+    """Posterior moments of one pair's lambda(s), written out in Python floats.
+
+    Delta(s) = (1-s) Delta_a + s Delta_b with Delta_a ~ N(m_a, v_a I_d) and
+    Delta_b ~ N(m_b, v_b I_d) independent; lambda = exp(beta - |Delta|^2).
+    ``sigmas`` are (sigma_ia, sigma_ib, sigma_ja, sigma_jb).
+    """
+
+    def __init__(self, m_a, m_b, sigmas, beta):
+        self.m_a = [float(x) for x in m_a]
+        self.m_b = [float(x) for x in m_b]
+        s_ia, s_ib, s_ja, s_jb = (float(x) for x in sigmas)
+        self.v_a, self.v_b = s_ia**2 + s_ja**2, s_ib**2 + s_jb**2
+        self.beta, self.d = float(beta), len(self.m_a)
+
+    def m(self, s):
+        return [(1 - s) * a + s * b for a, b in zip(self.m_a, self.m_b)]
+
+    def v(self, s):
+        return (1 - s) ** 2 * self.v_a + s * s * self.v_b
+
+    def c(self, s, t):
+        return (1 - s) * (1 - t) * self.v_a + s * t * self.v_b
+
+    def mean(self, s):
+        p, ms = 1 + 2 * self.v(s), self.m(s)
+        return math.exp(self.beta - _dot(ms, ms) / p - 0.5 * self.d * math.log(p))
+
+    def cov(self, s, t):
+        """Cov(lambda(s), lambda(t)) and the scale of the terms it is made of."""
+        p, q, c = 1 + 2 * self.v(s), 1 + 2 * self.v(t), self.c(s, t)
+        ms, mt = self.m(s), self.m(t)
+        D = p * q - 4 * c * c
+        parts = [4 * c / D * _dot(ms, mt), 4 * c * c / D * (_dot(ms, ms) / p + _dot(mt, mt) / q),
+                 0.5 * self.d * math.log1p(-4 * c * c / (p * q))]
+        ee = self.mean(s) * self.mean(t)
+        return ee * math.expm1(parts[0] - parts[1] - parts[2]), ee * sum(map(abs, parts))
+
+    def naive_cov(self, mp, s, t):
+        """E[lambda(s) lambda(t)] - E[lambda(s)] E[lambda(t)] at 60 digits of ``mp``.
+
+        Per dimension (Delta(s), Delta(t)) is bivariate normal with covariance
+        Sigma, and E[exp(-x'x)] = det(I + 2 Sigma)^(-1/2) exp(-mu'(I + 2 Sigma)^(-1) mu).
+        """
+        with mp.workdps(60):
+            s, t = mp.mpf(s), mp.mpf(t)
+            vs_, vt_, c = (self.v_a * (1 - s) ** 2 + self.v_b * s * s,
+                           self.v_a * (1 - t) ** 2 + self.v_b * t * t,
+                           self.v_a * (1 - s) * (1 - t) + self.v_b * s * t)
+            M = mp.matrix([[1 + 2 * vs_, 2 * c], [2 * c, 1 + 2 * vt_]])
+            Minv = M**-1
+            quad, ms2, mt2 = mp.mpf(0), mp.mpf(0), mp.mpf(0)
+            for a, b in zip(self.m_a, self.m_b):
+                x = (1 - s) * a + s * b
+                y = (1 - t) * a + t * b
+                quad += Minv[0, 0] * x * x + 2 * Minv[0, 1] * x * y + Minv[1, 1] * y * y
+                ms2 += x * x
+                mt2 += y * y
+            d, beta = self.d, mp.mpf(self.beta)
+            joint = mp.exp(2 * beta - quad) * mp.det(M) ** (-mp.mpf(d) / 2)
+            e_s = mp.exp(beta - ms2 / (1 + 2 * vs_)) * (1 + 2 * vs_) ** (-mp.mpf(d) / 2)
+            e_t = mp.exp(beta - mt2 / (1 + 2 * vt_)) * (1 + 2 * vt_) ** (-mp.mpf(d) / 2)
+            return float(joint - e_s * e_t)
+
+    def crossing(self):
+        """Local coordinate where |m(s)| is least, when inside (0, 1)."""
+        dm = [b - a for a, b in zip(self.m_a, self.m_b)]
+        if _dot(dm, dm) == 0:
+            return None
+        s0 = -_dot(self.m_a, dm) / _dot(dm, dm)
+        return [s0] if 0 < s0 < 1 else None
+
+    def interval_moments(self, length, tol=1e-10):
+        """|I| * quad of E[lambda] and |I| * sqrt(nested quad of the covariance)."""
+        from scipy.integrate import quad
+
+        pts = self.crossing()
+        opts = dict(points=pts, epsabs=0.0, epsrel=tol, limit=200)
+        mean = quad(self.mean, 0, 1, **opts)[0]
+        var = quad(lambda s: quad(lambda t: self.cov(s, t)[0], 0, 1, **opts)[0], 0, 1, **opts)[0]
+        return length * mean, length * math.sqrt(var)
+
+
+def _dot(x, y):
+    return sum(a * b for a, b in zip(x, y))
+
+
+@st.composite
+def pair_rows(draw):
+    """(m_a, m_b, sigmas, beta): generic pairs and pairs crossing at |dm| <= 12."""
+    d = draw(st.integers(1, 3))
+    sigmas = [10.0 ** draw(st.floats(-9, 0)) for _ in range(4)]
+    beta = draw(st.floats(-2, 2))
+    coord = st.floats(-1, 1)
+    if draw(st.booleans()):
+        u = np.asarray([draw(coord) for _ in range(d)])
+        u = u / np.linalg.norm(u) if np.linalg.norm(u) > 0.1 else np.eye(d)[0]
+        perp = np.asarray([draw(coord) for _ in range(d)]) * draw(st.floats(0, 0.5))
+        perp -= (perp @ u) * u
+        dm, s0 = draw(st.floats(0, 12)), draw(st.floats(0, 1))
+        m_a, m_b = -s0 * dm * u + perp, (1 - s0) * dm * u + perp
+    else:
+        m_a = np.asarray([3 * draw(coord) for _ in range(d)])
+        m_b = np.asarray([3 * draw(coord) for _ in range(d)])
+    return m_a, m_b, sigmas, beta
+
+
+def pair_state(m_a, m_b, sigmas, beta):
+    """Two nodes on cut-points [0, 0.4, 1]: interval 2 holds the pair's row.
+
+    Node 0 moves from m_a to m_b over interval 2 and node 1 sits at 0, so the
+    mean difference is (m_a, m_b); interval 1 holds filler values.
+    """
+    d = len(m_a)
+    mu = np.zeros((2, 3, d))
+    mu[0, 0], mu[0, 1], mu[0, 2] = 0.5, m_a, m_b
+    s_ia, s_ib, s_ja, s_jb = sigmas
+    log_sigma = np.log([[0.3, s_ia, s_ib], [0.2, s_ja, s_jb]])
+    part = IntervalPartition(np.asarray([0.0, 0.4, 1.0]))
+    return VariationalState(mu=mu, log_sigma=log_sigma, beta=beta), part
+
+
+ONE = (np.asarray([0]), np.asarray([1]), np.asarray([1]))  # pair (0, 1) in interval 2
+
+
+class TestExactMoments:
+    @settings(max_examples=30, deadline=None)
+    @given(pair_rows())
+    @example(([-4.0, 0.1], [8.0, 0.1], [1e-9] * 4, 0.5))  # crossing, tiny variance
+    @example(([0.3], [-0.7], [1e-9, 2e-9, 1e-9, 3e-9], -1.0))
+    @example(([1.0, -2.0, 0.5], [-1.0, 2.0, 0.4], [1.0] * 4, 0.0))  # d = 3, wide
+    def test_interval_moments_match_quadrature(self, row):
+        vs, part = pair_state(*row)
+        mean, std = _exact_lambda_moments(vs, part, *ONE)
+        ref_mean, ref_std = PairMoments(*row).interval_moments(length=0.6)
+        assert mean[0] == pytest.approx(ref_mean, rel=1e-8, abs=0.0)
+        assert std[0] == pytest.approx(ref_std, rel=1e-8, abs=0.0)
+
+    @settings(max_examples=40, deadline=None)
+    @given(pair_rows(), st.floats(0, 1), st.floats(0, 1))
+    def test_pointwise_moments_match_high_precision(self, row, s, t):
+        mp = pytest.importorskip("mpmath")
+        pm = PairMoments(*row)
+        for a, b in ((s, s), (s, t)):
+            cov, scale = pm.cov(a, b)
+            assert abs(cov - pm.naive_cov(mp, a, b)) <= 1e-10 * abs(cov) + 1e-14 * scale
+        # the rate table's closed form at s
+        vs, _ = pair_state(*row)
+        got = _exact_rate_std(vs, *ONE, np.asarray([s]))[0]
+        assert got == pytest.approx(math.sqrt(pm.naive_cov(mp, s, s)), rel=1e-9, abs=0.0)
+
+    def test_rate_table_std_is_the_closed_form(self, ten_node_events):
+        fm = static_model([(float(i), 0.1 * i) for i in range(10)], sigma=0.2, K=4)
+        fm.state.log_sigma[:, 2] = np.log(0.4)
+        table = rate_vs_uncertainty_table(ten_node_events, fm.state, EUCLIDEAN, fm.part)
+        _, s = fm.part.local_coord(table.t)
+        ref = _exact_rate_std(fm.state, table.i, table.j, table.k - 1, s)
+        assert np.array_equal(table.rate_std, ref)
+        # the swapped negatives are drawn from the seed first, as with draws
+        rng = np.random.default_rng(0)
+        m = ten_node_events.m
+        neg = _swapped_destinations(ten_node_events.src, ten_node_events.dst, 10, rng)
+        assert np.array_equal(table.j[m:], neg)
+
+    def test_within_three_se_of_draws(self):
+        # generic pairs, a crossing pair and a wide posterior
+        rng = np.random.default_rng(11)
+        mu = rng.standard_normal((6, 4, 2))
+        mu[5, :, :] = mu[4, :, :] + np.linspace(-1.5, 1.5, 4)[:, None] * [1.0, 0.0]
+        log_sigma = np.log(rng.uniform(0.05, 0.4, size=(6, 4)))
+        log_sigma[3] = np.log(0.8)
+        vs = VariationalState(mu=mu, log_sigma=log_sigma, beta=0.4)
+        part = IntervalPartition.uniform(3)
+        ii, jj, kk0 = np.asarray([0, 1, 2, 4, 3]), np.asarray([1, 2, 0, 5, 0]), np.asarray([0, 1, 2, 1, 2])
+        mean, std = _exact_lambda_moments(vs, part, ii, jj, kk0)
+        B = 2000
+
+        def values_at(z):  # Lambda and its squared deviation from the exact mean
+            lam = _lambda_batch(z, vs.beta, EUCLIDEAN, part, ii, jj, kk0)
+            return np.concatenate([lam, (lam - mean) ** 2])
+
+        m_draw, s_draw = _posterior_draws(vs, np.random.default_rng(5), B, 2 * ii.size, values_at)
+        r = ii.size
+        assert np.all(np.abs(m_draw[:r] - mean) < 3 * s_draw[:r] / np.sqrt(B))
+        assert np.all(np.abs(m_draw[r:] - std**2) < 3 * s_draw[r:] / np.sqrt(B))
+
+    def test_many_rows_match_rows_one_at_a_time(self, monkeypatch):
+        # more rows than one chunk, with steep crossings that need more panels
+        rng = np.random.default_rng(3)
+        n, K = 40, 3
+        mu = rng.standard_normal((n, K + 1, 2))
+        mu[:8, 1] = mu[8:16, 1] - 6.0
+        mu[:8, 2] = mu[8:16, 2] + 6.0
+        log_sigma = np.log(10.0 ** rng.uniform(-9, 0, size=(n, K + 1)))
+        vs = VariationalState(mu=mu, log_sigma=log_sigma, beta=0.1)
+        part = IntervalPartition.uniform(K)
+        ii, jj = (a.repeat(K) for a in np.triu_indices(n, 1))
+        kk0 = np.tile(np.arange(K), ii.size // K)
+        sizes = []
+        real = evaluation._interval_variance
+        monkeypatch.setattr(
+            evaluation, "_interval_variance",
+            lambda S, *a: sizes.append(a[3].w.size) or real(S, *a),
+        )
+        mean, std = _exact_lambda_moments(vs, part, ii, jj, kk0)
+        assert ii.size > evaluation.MOMENT_ROWS and len(set(sizes)) > 1
+        pick = np.flatnonzero((ii < 8) & (jj >= 8) & (jj < 16))[:5].tolist() + [0, 700, 2000]
+        for r in pick:
+            m1, s1 = _exact_lambda_moments(vs, part, ii[r : r + 1], jj[r : r + 1], kk0[r : r + 1])
+            assert m1[0] == pytest.approx(mean[r], rel=1e-14)
+            assert s1[0] == pytest.approx(std[r], rel=1e-13)
+        no_std = _exact_lambda_moments(vs, part, ii, jj, kk0, want_std=False)
+        assert np.array_equal(no_std[0], mean) and no_std[1] is None
+
+    def test_unsettled_rows_warn(self):
+        # a crossing far steeper than MAX_PANELS resolve, its bump between the
+        # nodes of the one- and two-panel rules: both means underflow to 0 and
+        # agree, which must not count as settled
+        s0, dm = 0.16135, 2000.0
+        vs, part = pair_state([-s0 * dm], [(1 - s0) * dm], [1e-6] * 4, 0.0)
+        with pytest.warns(RuntimeWarning, match="did not settle"):
+            mean, _ = _exact_lambda_moments(vs, part, *ONE)
+        assert mean[0] > 0.0
+
+    def test_dot_model_keeps_the_draws(self, ten_node_events):
+        fm = static_model([(0.1 * i, 0.3 - 0.05 * i) for i in range(10)], sigma=0.3, K=4)
+        vs, part = fm.state, fm.part
+        ii, jj = np.asarray([0, 3, 7]), np.asarray([1, 5, 2])
+        kk0 = np.asarray([0, 2, 3])
+        got = _posterior_lambda_moments(vs, DOT, part, ii, jj, kk0, 30, 4)
+        ref = _posterior_draws(
+            vs, np.random.default_rng(4), 30, 3,
+            lambda z: _lambda_batch(z, vs.beta, DOT, part, ii, jj, kk0, 10),
+        )
+        assert all(np.array_equal(a, b) for a, b in zip(got, ref))
+        # the rate table: negatives from the seed, then B configuration draws
+        table = rate_vs_uncertainty_table(ten_node_events, vs, DOT, part, B=7, seed=2)
+        rng = np.random.default_rng(2)
+        ev = ten_node_events
+        neg = _swapped_destinations(ev.src, ev.dst, ev.n, rng)
+        k1, s = part.local_coord(ev.time)
+        i2, j2 = np.concatenate([ev.src, ev.src]), np.concatenate([ev.dst, neg])
+        k2, s2 = np.concatenate([k1, k1]) - 1, np.concatenate([s, s])
+
+        def rates_at(z):
+            zi_a, zi_b = z[i2, k2], z[i2, k2 + 1]
+            zj_a, zj_b = z[j2, k2], z[j2, k2 + 1]
+            pi = (1 - s2)[:, None] * zi_a + s2[:, None] * zi_b
+            pj = (1 - s2)[:, None] * zj_a + s2[:, None] * zj_b
+            return np.exp(vs.beta + np.einsum("md,md->m", pi, pj))
+
+        _, ref_std = _posterior_draws(vs, rng, 7, 2 * ev.m, rates_at)
+        assert np.array_equal(table.rate_std, ref_std)
 
 
 class TestUncertaintyRegression:

@@ -63,8 +63,6 @@ _FIT_DEFAULTS = {
     "test_frac": 0.0,
     "val_frac": 0.0,
     "split_seed": 0,
-    "threads": 1,
-    "strict_deterministic": False,
 }
 
 _EVAL_DEFAULTS = {
@@ -109,12 +107,6 @@ def _echo_config(resolved: dict, outdir: Path) -> None:
             payload[key] = str(value)
     with open(outdir / "config.json", "w", encoding="utf-8") as handle:
         json.dump(payload, handle, indent=2, sort_keys=True)
-
-
-def _effective_threads(resolved: dict) -> int:
-    if resolved.get("strict_deterministic"):
-        return 1
-    return max(1, int(resolved.get("threads", 1)))
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
@@ -172,7 +164,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
         seed=int(resolved["seed"]),
         beta_init=None if resolved["beta_init"] is None else float(resolved["beta_init"]),
     )
-    fm = fit(ev, hp, split=split, threads=_effective_threads(resolved))
+    fm = fit(ev, hp, split=split)
     save_model(fm, outdir / "model.json")
     write_loss_csv(fm, outdir / "loss.csv")
     write_embeddings_csv(fm, outdir / "embeddings.csv")
@@ -411,11 +403,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit.add_argument("--test-frac", dest="test_frac", type=float)
     p_fit.add_argument("--val-frac", dest="val_frac", type=float)
     p_fit.add_argument("--split-seed", dest="split_seed", type=int)
-    p_fit.add_argument("--threads", type=int)
-    p_fit.add_argument(
-        "--strict-deterministic", dest="strict_deterministic",
-        action=argparse.BooleanOptionalAction,
-    )
     p_fit.set_defaults(func=cmd_fit)
 
     p_eval = sub.add_parser("eval", help="reconstruction benchmark + uncertainty tables")

@@ -14,7 +14,6 @@ positivity holds by construction.
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -22,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from .events import EdgeSplit, EventList, IntervalPartition
+from .events import EdgeSplit, EventList, IntervalPartition, write_csv_columns
 from .model import (
     EUCLIDEAN,
     LatentConfiguration,
@@ -151,12 +150,12 @@ def reparam_sample(
     return LatentConfiguration(z=z, part=part)
 
 
-def _elbo_value_grad(vs, ev, part, pc, rm_kind, terms, eps, riemann_r, want_grad, threads=1):
+def _elbo_value_grad(vs, ev, part, pc, rm_kind, terms, eps, riemann_r, want_grad):
     sigma = vs.sigma
     z = vs.mu + sigma[:, :, None] * eps
     nll, dz, dbeta = nll_value_grad(
         z, vs.beta, rm_kind, part, terms,
-        riemann_r=riemann_r, want_grad=want_grad, threads=threads,
+        riemann_r=riemann_r, want_grad=want_grad,
     )
     kl = kl_to_prior(vs, pc)
     loss = nll + kl
@@ -278,7 +277,6 @@ def fit(
     ev: EventList,
     hp: Hyperparams,
     split: Optional[EdgeSplit] = None,
-    threads: int = 1,
 ) -> FittedModel:
     """Run the variational fit; deterministic under hp.seed.
 
@@ -330,7 +328,7 @@ def fit(
             eps = rng_eps.standard_normal(state.mu.shape)
             out = _elbo_value_grad(
                 state, ev, part, pc, hp.rate_model, terms, eps,
-                hp.riemann_r, want_grad=True, threads=threads,
+                hp.riemann_r, want_grad=True,
             )
             loss += out[0]
             nll += out[1]
@@ -420,25 +418,20 @@ def load_model(path: str | Path) -> FittedModel:
 
 
 def write_loss_csv(fm: FittedModel, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["epoch", "loss"])
-        for epoch, loss in enumerate(fm.loss_trace.tolist(), start=1):
-            writer.writerow([epoch, repr(loss)])
+    """One row per epoch: epoch (1-based), loss."""
+    epochs = np.arange(1, fm.loss_trace.size + 1)
+    write_csv_columns(path, ["epoch", "loss"], [epochs, fm.loss_trace])
 
 
 def write_embeddings_csv(fm: FittedModel, path: str | Path) -> None:
     """Per (node, cut-point) means and scales: node,k,eta,mu_0..mu_{d-1},sigma."""
-    d = fm.state.d
-    sigma = fm.state.sigma
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(
-            ["node", "k", "eta"] + [f"mu_{a}" for a in range(d)] + ["sigma"]
-        )
-        for i in range(fm.state.n):
-            for k in range(fm.part.K + 1):
-                row = [i, k, repr(float(fm.part.cut_points[k]))]
-                row += [repr(float(x)) for x in fm.state.mu[i, k]]
-                row.append(repr(float(sigma[i, k])))
-                writer.writerow(row)
+    n, kp1, d = fm.state.mu.shape
+    header = ["node", "k", "eta"] + [f"mu_{a}" for a in range(d)] + ["sigma"]
+    columns = [
+        np.repeat(np.arange(n), kp1),
+        np.tile(np.arange(kp1), n),
+        np.tile(fm.part.cut_points, n),
+        *(fm.state.mu[:, :, a].ravel() for a in range(d)),
+        fm.state.sigma.ravel(),
+    ]
+    write_csv_columns(path, header, columns)

@@ -15,11 +15,17 @@ mass sigma*sqrt(2pi)*[Phi((1-mu)/sigma) - Phi(-mu/sigma)] scaled by
 |I_k|*exp(beta - a). Gradients reuse the same machinery through truncated
 Gaussian moment integrals, so both value and gradient are exact up to the
 accuracy of erfc. The dot-product model integrates by a left Riemann sum.
+
+The event term needs no per-event rows. Within I_k a position is linear in
+s, so for either kind the log rate of a pair is a quadratic form in s with
+coefficients (1-s)^2, s(1-s) and s^2 on the endpoint products. The events
+of one (pair, interval) therefore enter the NLL and its gradient only
+through the weighted sums W = sum w, S1 = sum w s and S2 = sum w s^2, and
+``realize_plan`` folds them into one row per (pair, interval) group.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -306,7 +312,13 @@ class SamplingPlan:
 
 @dataclass(eq=False)
 class _Terms:
-    """Realized likelihood terms: weighted survival pairs and events."""
+    """Realized likelihood terms: weighted survival pairs and event groups.
+
+    Each event row is one (pair, interval) group, in ascending order of the
+    code ``(ev_i * n + ev_j) * K + ev_k0``, holding the weighted moments of
+    its events' local coordinates s: ev_w0 = sum w, ev_w1 = sum w s and
+    ev_w2 = sum w s^2.
+    """
 
     pair_i: np.ndarray
     pair_j: np.ndarray
@@ -314,8 +326,9 @@ class _Terms:
     ev_i: np.ndarray
     ev_j: np.ndarray
     ev_k0: np.ndarray  # 0-based interval index
-    ev_s: np.ndarray   # local coordinate within the interval
-    ev_w: np.ndarray
+    ev_w0: np.ndarray
+    ev_w1: np.ndarray
+    ev_w2: np.ndarray
 
 
 def _all_pair_arrays(n: int, directed: bool) -> tuple[np.ndarray, np.ndarray]:
@@ -367,15 +380,6 @@ def realize_plan(ev: EventList, part: IntervalPartition, plan: SamplingPlan) -> 
             return scale * in_batch[pi].astype(np.float64)
         return scale * 0.5 * (in_batch[pi].astype(np.float64) + in_batch[pj].astype(np.float64))
 
-    pos_codes = np.unique(_pair_codes(ev.src, ev.dst, n)) if ev.m else np.empty(0, np.int64)
-    if ev.directed and pos_codes.size:
-        # negative pools are dyad-level, so the exact survival terms must
-        # cover both orientations of any dyad that interacts at all
-        rev = (pos_codes % n) * n + pos_codes // n
-        pos_codes = np.unique(np.concatenate([pos_codes, rev]))
-    if excl_codes.size:
-        pos_codes = pos_codes[~np.isin(pos_codes, excl_codes)]
-
     if plan.negatives_per_node is None:
         ui, uj = _all_pair_arrays(n, ev.directed)
         if excl_codes.size:
@@ -385,6 +389,14 @@ def realize_plan(ev: EventList, part: IntervalPartition, plan: SamplingPlan) -> 
         nz = w > 0
         pair_i, pair_j, pair_w = ui[nz], uj[nz], w[nz]
     else:
+        pos_codes = np.unique(_pair_codes(ev.src, ev.dst, n)) if ev.m else np.empty(0, np.int64)
+        if ev.directed and pos_codes.size:
+            # negative pools are dyad-level, so the exact survival terms must
+            # cover both orientations of any dyad that interacts at all
+            rev = (pos_codes % n) * n + pos_codes // n
+            pos_codes = np.unique(np.concatenate([pos_codes, rev]))
+        if excl_codes.size:
+            pos_codes = pos_codes[~np.isin(pos_codes, excl_codes)]
         pos_i = pos_codes // n
         pos_j = pos_codes % n
         w_pos = pair_weights(pos_i, pos_j)
@@ -430,15 +442,22 @@ def realize_plan(ev: EventList, part: IntervalPartition, plan: SamplingPlan) -> 
         if excl_codes.size:
             ew = np.where(np.isin(ev_code, excl_codes), 0.0, ew)
         keep = ew > 0
-        ev_i, ev_j = ev.src[keep], ev.dst[keep]
-        ev_k0 = (np.atleast_1d(k1)[keep] - 1).astype(np.int64)
-        ev_s = np.atleast_1d(s)[keep]
-        ev_w = ew[keep]
+        K = part.K
+        k0 = np.atleast_1d(k1)[keep].astype(np.int64) - 1
+        s = np.atleast_1d(s)[keep]
+        w = ew[keep]
+        groups, group_of = np.unique(ev_code[keep] * K + k0, return_inverse=True)
+        ws = w * s
+        ev_w0 = np.bincount(group_of, weights=w, minlength=groups.size)
+        ev_w1 = np.bincount(group_of, weights=ws, minlength=groups.size)
+        ev_w2 = np.bincount(group_of, weights=ws * s, minlength=groups.size)
+        pair, ev_k0 = np.divmod(groups, K)
+        ev_i, ev_j = np.divmod(pair, n)
     else:
         ev_i = ev_j = ev_k0 = np.empty(0, dtype=np.int64)
-        ev_s = ev_w = np.empty(0, dtype=np.float64)
+        ev_w0 = ev_w1 = ev_w2 = np.empty(0, dtype=np.float64)
 
-    return _Terms(pair_i, pair_j, pair_w, ev_i, ev_j, ev_k0, ev_s, ev_w)
+    return _Terms(pair_i, pair_j, pair_w, ev_i, ev_j, ev_k0, ev_w0, ev_w1, ev_w2)
 
 
 def _endpoints(z: np.ndarray, ii: np.ndarray, kk0: np.ndarray):
@@ -464,9 +483,9 @@ def _scatter_add(dz: np.ndarray, flat_cut: np.ndarray, contrib: np.ndarray) -> N
         rows[:, c] += np.bincount(flat_cut, weights=contrib[:, c], minlength=n * kp1)
 
 
-def _survival_chunk(z, beta, kind, lengths, riemann_r, terms, sl, want_grad):
-    """Value, dz, dbeta of the weighted survival terms in slice sl."""
-    n, kp1, d = z.shape
+def _survival_chunk(z, beta, kind, lengths, riemann_r, terms, sl, dz):
+    """Value of the weighted survival terms in slice sl; adds their gradient to dz unless None."""
+    kp1 = z.shape[1]
     K = kp1 - 1
     pi = terms.pair_i[sl]
     pj = terms.pair_j[sl]
@@ -475,6 +494,7 @@ def _survival_chunk(z, beta, kind, lengths, riemann_r, terms, sl, want_grad):
     zj = z.take(pj, axis=0)
     zi_a, zi_b = zi[:, :-1], zi[:, 1:]
     zj_a, zj_b = zj[:, :-1], zj[:, 1:]
+    want_grad = dz is not None
     if kind == EUCLIDEAN:
         lam, ga, gb = _closed_rate_batch(
             zi_a - zj_a, zi_b - zj_b, beta, lengths[None, :], want_grad
@@ -484,15 +504,12 @@ def _survival_chunk(z, beta, kind, lengths, riemann_r, terms, sl, want_grad):
         lam, grads = _riemann_rate_batch(
             zi_a, zi_b, zj_a, zj_b, beta, lengths[None, :], riemann_r, kind, want_grad
         )
-    wlam = w[:, None] * lam
-    value = float(wlam.sum())
-    dbeta = value  # d Lambda / d beta = Lambda
+    value = float((w[:, None] * lam).sum())
     if not want_grad:
-        return value, None, dbeta
+        return value
 
     ga_i, gb_i, ga_j, gb_j = grads
     wcol = w[:, None, None]
-    dz = np.zeros(z.shape)
     cuts_a = np.arange(K, dtype=np.int64)[None, :]
     flat_ia = pi[:, None] * kp1 + cuts_a
     flat_ib = flat_ia + 1
@@ -502,7 +519,48 @@ def _survival_chunk(z, beta, kind, lengths, riemann_r, terms, sl, want_grad):
     _scatter_add(dz, flat_ib, wcol * gb_i)
     _scatter_add(dz, flat_ja, wcol * ga_j)
     _scatter_add(dz, flat_jb, wcol * gb_j)
-    return value, dz, dbeta
+    return value
+
+
+def _event_term(z, beta, kind, terms, dz):
+    """(value, dbeta) of -sum_m w_m log lambda(t_m) from the event groups' moments.
+
+    Adds the gradient into dz unless None. A, B and C are a group's weighted
+    sums of (1-s)^2, s(1-s) and s^2.
+    """
+    kk = terms.ev_k0
+    zi_a, zi_b = _endpoints(z, terms.ev_i, kk)
+    zj_a, zj_b = _endpoints(z, terms.ev_j, kk)
+    W, S1, S2 = terms.ev_w0, terms.ev_w1, terms.ev_w2
+    A = (W - 2.0 * S1 + S2)[:, None]
+    B = (S1 - S2)[:, None]
+    C = S2[:, None]
+    dbeta = -float(W.sum())
+    if kind == EUCLIDEAN:
+        # sum_m w_m ||(1-s_m) da + s_m db||^2 = <g_a, da> + <g_b, db>
+        da = zi_a - zj_a
+        db = zi_b - zj_b
+        g_a = A * da + B * db
+        g_b = B * da + C * db
+        value = float(np.vdot(g_a, da) + np.vdot(g_b, db)) + beta * dbeta
+        grads = (2.0 * g_a, 2.0 * g_b, -2.0 * g_a, -2.0 * g_b)
+    else:
+        # sum_m w_m <(1-s_m) z_ia + s_m z_ib, (1-s_m) z_ja + s_m z_jb>
+        # = <g_ia, z_ia> + <g_ib, z_ib>
+        g_ia = A * zj_a + B * zj_b
+        g_ib = B * zj_a + C * zj_b
+        value = -float(np.vdot(g_ia, zi_a) + np.vdot(g_ib, zi_b)) + beta * dbeta
+        grads = (-g_ia, -g_ib, -(A * zi_a + B * zi_b), -(B * zi_a + C * zi_b))
+    if dz is not None:
+        kp1 = z.shape[1]
+        flat_ia = terms.ev_i * kp1 + kk
+        flat_ja = terms.ev_j * kp1 + kk
+        ga_i, gb_i, ga_j, gb_j = grads
+        _scatter_add(dz, flat_ia, ga_i)
+        _scatter_add(dz, flat_ia + 1, gb_i)
+        _scatter_add(dz, flat_ja, ga_j)
+        _scatter_add(dz, flat_ja + 1, gb_j)
+    return value, dbeta
 
 
 def nll_value_grad(
@@ -513,74 +571,35 @@ def nll_value_grad(
     terms: _Terms,
     riemann_r: int = 10,
     want_grad: bool = False,
-    threads: int = 1,
 ):
     """Negative log-likelihood of the realized terms, optionally with gradient.
 
-    Returns (value, dz, dbeta); dz is None unless ``want_grad``. With
-    threads > 1 the survival batch is split into chunks evaluated on a
-    thread pool; partials are summed in fixed chunk order, so a given thread
-    count is reproducible, but the chunked sums match the single-threaded
-    path only to rounding, not bit for bit.
+    Returns (value, dz, dbeta); dz is None unless ``want_grad``. The survival
+    pairs run in chunks of at most 65536 rows (4096 for the Riemann sum), so
+    memory stays bounded. The event term takes one row per (pair, interval)
+    group: with the group's moments W, S1, S2 (see ``_Terms``), A = W - 2 S1
+    + S2, B = S1 - S2, C = S2 and the endpoint differences da = z_ia - z_ja,
+    db = z_ib - z_jb, a euclidean group contributes
+
+        -[beta W - (A ||da||^2 + 2 B <da, db> + C ||db||^2)]
+
+    with gradients 2 (A da + B db) and 2 (B da + C db) in da and db, and a
+    dot group -[beta W + A <z_ia, z_ja> + B (<z_ia, z_jb> + <z_ib, z_ja>)
+    + C <z_ib, z_jb>]. This equals the per-event sum -sum_m w_m log
+    lambda(t_m) up to rounding.
     """
-    n, kp1, d = z.shape
-    lengths = part.lengths
     P = terms.pair_i.shape[0]
     max_chunk = 65536 if kind == EUCLIDEAN else 4096
-    n_chunks = max(1, min(threads, P)) if threads > 1 else 1
-    n_chunks = max(n_chunks, -(-P // max_chunk)) if P else 1
-    bounds = np.linspace(0, P, n_chunks + 1).astype(int)
-    slices = [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
-
-    def run(sl):
-        return _survival_chunk(z, beta, kind, lengths, riemann_r, terms, sl, want_grad)
-
-    if threads > 1 and len(slices) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run, slices))
-    else:
-        results = [run(sl) for sl in slices]
-
-    value = 0.0
-    dbeta = 0.0
+    bounds = np.linspace(0, P, -(-P // max_chunk) + 1).astype(int)
     dz = np.zeros(z.shape) if want_grad else None
-    for val, dz_part, dbeta_part in results:
-        value += val
-        dbeta += dbeta_part
-        if want_grad and dz_part is not None:
-            dz += dz_part
-
-    # event terms: -sum_m w_m log lambda(t_m)
+    value = 0.0
+    for a, b in zip(bounds[:-1], bounds[1:]):
+        value += _survival_chunk(z, beta, kind, part.lengths, riemann_r, terms, slice(a, b), dz)
+    dbeta = value  # d Lambda / d beta = Lambda
     if terms.ev_i.size:
-        kk = terms.ev_k0
-        s = terms.ev_s[:, None]
-        om = 1.0 - s
-        zi_a, zi_b = _endpoints(z, terms.ev_i, kk)
-        zj_a, zj_b = _endpoints(z, terms.ev_j, kk)
-        pi_pos = om * zi_a + s * zi_b
-        pj_pos = om * zj_a + s * zj_b
-        w = terms.ev_w
-        if kind == EUCLIDEAN:
-            diff = pi_pos - pj_pos
-            loglam = beta - np.einsum("md,md->m", diff, diff)
-        else:
-            loglam = beta + np.einsum("md,md->m", pi_pos, pj_pos)
-        value += float(-(w * loglam).sum())
-        dbeta += float(-w.sum())
-        if want_grad:
-            if kind == EUCLIDEAN:
-                gpi = 2.0 * w[:, None] * diff
-                gpj = -gpi
-            else:
-                gpi = -w[:, None] * pj_pos
-                gpj = -w[:, None] * pi_pos
-            flat_a_i = terms.ev_i * kp1 + kk
-            flat_a_j = terms.ev_j * kp1 + kk
-            _scatter_add(dz, flat_a_i, om * gpi)
-            _scatter_add(dz, flat_a_i + 1, s * gpi)
-            _scatter_add(dz, flat_a_j, om * gpj)
-            _scatter_add(dz, flat_a_j + 1, s * gpj)
-
+        ev_value, ev_dbeta = _event_term(z, beta, kind, terms, dz)
+        value += ev_value
+        dbeta += ev_dbeta
     return value, dz, dbeta
 
 
@@ -591,13 +610,10 @@ def total_nll(
     part: IntervalPartition,
     plan: Optional[SamplingPlan] = None,
     riemann_r: int = 10,
-    threads: int = 1,
 ) -> float:
     """Poisson-process negative log-likelihood under a sampling plan."""
     if plan is None:
         plan = SamplingPlan.full()
     terms = realize_plan(ev, part, plan)
-    value, _, _ = nll_value_grad(
-        cfg.z, rm.beta, rm.kind, part, terms, riemann_r=riemann_r, threads=threads
-    )
+    value, _, _ = nll_value_grad(cfg.z, rm.beta, rm.kind, part, terms, riemann_r=riemann_r)
     return value

@@ -99,7 +99,7 @@ class TestFit:
     def test_rerun_identical_model(self, tmp_path, sim_dir):
         a, b = tmp_path / "a", tmp_path / "b"
         args = ["fit", "--events", sim_dir / "events.csv", "--K", 4,
-                "--epochs", 10, "--seed", 2, "--strict-deterministic"]
+                "--epochs", 10, "--seed", 2]
         assert run(args + ["--out", a]) == 0
         assert run(args + ["--out", b]) == 0
         assert (a / "model.json").read_bytes() == (b / "model.json").read_bytes()
@@ -109,7 +109,7 @@ class TestFit:
         first = tmp_path / "first"
         assert run(
             ["fit", "--events", sim_dir / "events.csv", "--out", first,
-             "--K", 4, "--epochs", 8, "--seed", 6, "--strict-deterministic"]
+             "--K", 4, "--epochs", 8, "--seed", 6]
         ) == 0
         second = tmp_path / "second"
         assert run(
@@ -118,6 +118,32 @@ class TestFit:
         ) == 0
         for name in ("model.json", "loss.csv", "embeddings.csv", "nodes.csv"):
             assert (first / name).read_bytes() == (second / name).read_bytes()
+
+    def test_config_with_deleted_thread_keys_reproduces_outputs(self, tmp_path, sim_dir):
+        """A config.json from a version that had --threads still re-runs identically."""
+        first = tmp_path / "first"
+        assert run(
+            ["fit", "--events", sim_dir / "events.csv", "--out", first,
+             "--K", 4, "--epochs", 8, "--seed", 6]
+        ) == 0
+        old = json.loads((first / "config.json").read_text())
+        old.update(threads=2, strict_deterministic=True)
+        cfg = tmp_path / "old_config.json"
+        cfg.write_text(json.dumps(old))
+        second = tmp_path / "second"
+        assert run(
+            ["fit", "--events", sim_dir / "events.csv", "--out", second, "--config", cfg]
+        ) == 0
+        assert "threads" not in json.loads((second / "config.json").read_text())
+        for name in ("model.json", "loss.csv", "embeddings.csv", "nodes.csv"):
+            assert (first / name).read_bytes() == (second / name).read_bytes()
+
+    @pytest.mark.parametrize("flag", [["--threads", "2"], ["--strict-deterministic"]])
+    def test_deleted_thread_flags_usage_error(self, sim_dir, tmp_path, flag):
+        with pytest.raises(SystemExit) as exc:
+            main(["fit", "--events", str(sim_dir / "events.csv"),
+                  "--out", str(tmp_path / "x"), *flag])
+        assert exc.value.code == 2
 
     def test_config_file_with_flag_override(self, tmp_path, sim_dir):
         cfg = tmp_path / "run.json"

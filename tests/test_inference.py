@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 
 import numpy as np
@@ -331,11 +333,6 @@ class TestFit:
         fm = fit(ev, Hyperparams(K=3, epochs=10, seed=0))
         assert np.all(np.isfinite(fm.loss_trace))
 
-    def test_threads_match_single_threaded(self, sbm_sample):
-        a = fit(sbm_sample.events, Hyperparams(epochs=5, seed=2), threads=1)
-        b = fit(sbm_sample.events, Hyperparams(epochs=5, seed=2), threads=4)
-        assert np.allclose(a.loss_trace, b.loss_trace, rtol=1e-9)
-
     def test_beta_init_default_is_empirical(self, sbm_sample):
         ev = sbm_sample.events
         fm = fit(ev, Hyperparams(epochs=1, seed=0))
@@ -407,6 +404,36 @@ class TestModelIo:
         emb_lines = emb_path.read_text().strip().splitlines()
         assert emb_lines[0] == "node,k,eta,mu_0,mu_1,sigma"
         assert len(emb_lines) == 1 + ten_node_events.n * 4
+
+    def test_loss_and_embeddings_bytes_match_csv_writer(self, tmp_path, ten_node_events):
+        fm = fit(ten_node_events, Hyperparams(K=3, d=3, epochs=6, seed=0))
+        awkward = [5e-324, 1e300, -0.0, -1e-300, 0.1]
+        fm.loss_trace[: len(awkward)] = awkward
+        fm.state.mu[0, :, 0] = awkward[:4]
+        fm.state.mu[1, 2] = awkward[2:]
+        fm.state.log_sigma[2, 1] = -744.0  # sigma rounds to a subnormal
+
+        def csv_writer_bytes(header, rows):
+            buf = io.StringIO(newline="")
+            writer = csv.writer(buf)
+            writer.writerow(header)
+            writer.writerows(rows)
+            return buf.getvalue().encode("utf-8")
+
+        loss_rows = [[e, repr(x)] for e, x in enumerate(fm.loss_trace.tolist(), start=1)]
+        emb_rows = [
+            [i, k, repr(float(fm.part.cut_points[k]))]
+            + [repr(float(x)) for x in fm.state.mu[i, k]]
+            + [repr(float(fm.state.sigma[i, k]))]
+            for i in range(fm.state.n)
+            for k in range(fm.part.K + 1)
+        ]
+        write_loss_csv(fm, tmp_path / "loss.csv")
+        write_embeddings_csv(fm, tmp_path / "embeddings.csv")
+        assert (tmp_path / "loss.csv").read_bytes() == csv_writer_bytes(["epoch", "loss"],
+                                                                         loss_rows)
+        header = ["node", "k", "eta", "mu_0", "mu_1", "mu_2", "sigma"]
+        assert (tmp_path / "embeddings.csv").read_bytes() == csv_writer_bytes(header, emb_rows)
 
     def test_save_load_save_is_byte_identical(self, tmp_path, ten_node_events):
         fm = fit(ten_node_events, Hyperparams(K=3, epochs=3, seed=0))

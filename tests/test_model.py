@@ -1,10 +1,13 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 from scipy.special import erfc
 
-from tgne.events import EventList, IntervalPartition, canonical_pair
+from tgne import inference
+from tgne.events import EventList, IntervalPartition, canonical_pair, split_edges
 from tgne.model import (
     DOT,
     EPS_DEGENERATE,
@@ -17,6 +20,7 @@ from tgne.model import (
     cumulative_rate_closed,
     cumulative_rate_riemann,
     log_rate,
+    nll_value_grad,
     normal_cdf,
     pair_interval_nll,
     position_at,
@@ -447,16 +451,6 @@ class TestInvariances:
             approx = cumulative_rate_riemann(cfg, rm, 0, 1, 1, 1_000_000)
             assert np.isclose(closed, approx, rtol=1e-5)
 
-    def test_threads_match_single_thread(self, sbm_sample):
-        rng = np.random.default_rng(21)
-        ev = sbm_sample.events
-        part = IntervalPartition.uniform(5)
-        cfg = random_config(rng, n=ev.n, K=5, scale=0.5)
-        rm = RateModel(EUCLIDEAN, 0.1)
-        one = total_nll(cfg, rm, ev, part, threads=1)
-        four = total_nll(cfg, rm, ev, part, threads=4)
-        assert np.isclose(one, four, rtol=1e-9)
-
 
 # ---------------------------------------------------------------------------
 # The kernels against plain reference forms, bit for bit. The references
@@ -746,3 +740,198 @@ class TestNegativePoolsMatchListForm:
             plan = SamplingPlan(negatives_per_node=2, node_batch=batch, seed=5,
                                 excluded_pairs=excluded)
             assert_plan_matches_reference(ev, plan)
+
+
+# ---------------------------------------------------------------------------
+# The event term against its per-event form. realize_plan folds the events of
+# each (pair, interval) into the moments sum w, sum w s, sum w s^2; the
+# reference keeps one row per event, evaluates -w log lambda(t) from the two
+# positions at t and scatters with np.add.at.
+# ---------------------------------------------------------------------------
+
+
+@dataclasses.dataclass(eq=False)
+class PerEventTerms:
+    survival: object  # realize_plan's terms without their event groups
+    ev_i: np.ndarray
+    ev_j: np.ndarray
+    ev_k0: np.ndarray
+    ev_s: np.ndarray
+    ev_w: np.ndarray
+
+
+def ref_event_weights(ev, plan):
+    """Per-event weights: n/|batch| scaling, 0 for an excluded pair."""
+    n = ev.n
+    w = np.ones(ev.m)
+    if plan.node_batch is not None:
+        in_batch = np.isin(np.arange(n), plan.node_batch).astype(np.float64)
+        scale = n / len(plan.node_batch)
+        if ev.directed:
+            w = scale * in_batch[ev.src]
+        else:
+            w = scale * 0.5 * (in_batch[ev.src] + in_batch[ev.dst])
+    excluded = {canonical_pair(a, b, ev.directed) for a, b in plan.excluded_pairs}
+    for m, pair in enumerate(zip(ev.src.tolist(), ev.dst.tolist())):
+        if pair in excluded:
+            w[m] = 0.0
+    return w
+
+
+def ref_realize_plan(ev, part, plan):
+    terms = realize_plan(ev, part, plan)
+    none_i, none_f = np.empty(0, dtype=np.int64), np.empty(0)
+    survival = dataclasses.replace(
+        terms, ev_i=none_i, ev_j=none_i, ev_k0=none_i, ev_w0=none_f, ev_w1=none_f, ev_w2=none_f
+    )
+    w = ref_event_weights(ev, plan)
+    keep = w > 0
+    k, s = part.local_coord(ev.time)
+    return PerEventTerms(survival, ev.src[keep], ev.dst[keep], np.atleast_1d(k)[keep] - 1,
+                         np.atleast_1d(s)[keep], w[keep])
+
+
+def ref_event_term(z, beta, kind, terms):
+    """Per-event -w log lambda (m,), its gradient (n, K+1, d) and dbeta."""
+    i, j, k0, w = terms.ev_i, terms.ev_j, terms.ev_k0, terms.ev_w
+    s = terms.ev_s[:, None]
+    pi = (1.0 - s) * z[i, k0] + s * z[i, k0 + 1]
+    pj = (1.0 - s) * z[j, k0] + s * z[j, k0 + 1]
+    if kind == EUCLIDEAN:
+        diff = pi - pj
+        loglam = beta - (diff * diff).sum(axis=1)
+        gpi = 2.0 * w[:, None] * diff
+        gpj = -gpi
+    else:
+        loglam = beta + (pi * pj).sum(axis=1)
+        gpi = -w[:, None] * pj
+        gpj = -w[:, None] * pi
+    dz = np.zeros(z.shape)
+    np.add.at(dz, (i, k0), (1.0 - s) * gpi)
+    np.add.at(dz, (i, k0 + 1), s * gpi)
+    np.add.at(dz, (j, k0), (1.0 - s) * gpj)
+    np.add.at(dz, (j, k0 + 1), s * gpj)
+    return -w * loglam, dz, -float(w.sum())
+
+
+def ref_nll_value_grad(z, beta, kind, part, terms, riemann_r=10, want_grad=False):
+    """nll_value_grad on PerEventTerms: the package's survival term, the event term per event."""
+    value, dz, dbeta = nll_value_grad(z, beta, kind, part, terms.survival,
+                                      riemann_r=riemann_r, want_grad=want_grad)
+    ev_values, ev_dz, ev_dbeta = ref_event_term(z, beta, kind, terms)
+    value += float(ev_values.sum())
+    dbeta += ev_dbeta
+    if want_grad:
+        dz += ev_dz
+    return value, dz, dbeta
+
+
+def grouped_events(seed, n, m, K, directed, n_pairs):
+    """m events on n_pairs pairs, so (pair, interval) groups hold several
+    events; about a third of the times sit on cut-points, including 0 and 1
+    (local coordinate s = 0, and s = 1 at t = 1)."""
+    rng = np.random.default_rng(seed)
+    a = rng.integers(0, n, size=n_pairs)
+    b = (a + rng.integers(1, n, size=n_pairs)) % n
+    pick = rng.integers(0, n_pairs, size=m)
+    src, dst = a[pick], b[pick]
+    if not directed:
+        src, dst = np.minimum(src, dst), np.maximum(src, dst)
+    cuts = np.arange(K + 1) / K
+    t = np.where(rng.random(m) < 0.35, cuts[rng.integers(0, K + 1, size=m)], rng.random(m))
+    t[:2] = 0.0, 1.0
+    order = np.argsort(t, kind="stable")
+    return EventList(src=src[order], dst=dst[order], time=t[order], n=n, directed=directed)
+
+
+def grouped_plan(ev, seed, n_excl, use_batch):
+    rng = np.random.default_rng(seed + 1)
+    pairs = sorted(ev.unique_pairs())
+    excluded = set()
+    for r in rng.integers(0, len(pairs), size=n_excl):
+        a, b = pairs[r]
+        excluded.add((b, a) if rng.random() < 0.5 else (a, b))  # either orientation, as given
+    batch = None
+    if use_batch:
+        size = int(rng.integers(1, ev.n + 1))
+        batch = tuple(sorted(rng.choice(ev.n, size=size, replace=False).tolist()))
+    return SamplingPlan(node_batch=batch, excluded_pairs=frozenset(excluded))
+
+
+class TestEventGroups:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        n=st.integers(2, 7),
+        m=st.integers(2, 60),
+        K=st.integers(1, 4),
+        d=st.integers(1, 3),
+        directed=st.booleans(),
+        kind=st.sampled_from([EUCLIDEAN, DOT]),
+        n_pairs=st.integers(1, 4),
+        n_excl=st.integers(0, 2),
+        use_batch=st.booleans(),
+    )
+    def test_matches_per_event_sum(self, seed, n, m, K, d, directed, kind, n_pairs, n_excl,
+                                   use_batch):
+        ev = grouped_events(seed, n, m, K, directed, n_pairs)
+        plan = grouped_plan(ev, seed, n_excl, use_batch)
+        part = IntervalPartition.uniform(K)
+        rng = np.random.default_rng(seed + 2)
+        z = rng.standard_normal((n, K + 1, d))
+        beta = float(rng.uniform(-2.0, 2.0))
+
+        got_value, got_dz, got_dbeta = nll_value_grad(
+            z, beta, kind, part, realize_plan(ev, part, plan), riemann_r=3, want_grad=True
+        )
+        ref = ref_realize_plan(ev, part, plan)
+        want_value, want_dz, want_dbeta = ref_nll_value_grad(
+            z, beta, kind, part, ref, riemann_r=3, want_grad=True
+        )
+        # relative to the summed magnitudes, since event terms of either sign can cancel
+        survival, _, _ = nll_value_grad(z, beta, kind, part, ref.survival, riemann_r=3)
+        scale = abs(survival) + np.abs(ref_event_term(z, beta, kind, ref)[0]).sum()
+        assert abs(got_value - want_value) <= 1e-12 * scale
+        assert abs(got_dbeta - want_dbeta) <= 1e-12 * abs(want_dbeta)
+        np.testing.assert_allclose(got_dz, want_dz, rtol=1e-12,
+                                   atol=1e-12 * np.abs(want_dz).max())
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        n=st.integers(2, 9),
+        m=st.integers(2, 60),
+        K=st.integers(1, 5),
+        directed=st.booleans(),
+        n_pairs=st.integers(1, 6),
+        n_excl=st.integers(0, 3),
+        use_batch=st.booleans(),
+    )
+    def test_groups_are_sorted_unique_and_keep_the_event_weight(
+        self, seed, n, m, K, directed, n_pairs, n_excl, use_batch
+    ):
+        ev = grouped_events(seed, n, m, K, directed, n_pairs)
+        plan = grouped_plan(ev, seed, n_excl, use_batch)
+        part = IntervalPartition.uniform(K)
+        terms = realize_plan(ev, part, plan)
+        ref = ref_realize_plan(ev, part, plan)
+        codes = (terms.ev_i * n + terms.ev_j) * K + terms.ev_k0
+        assert np.all(np.diff(codes) > 0)
+        assert np.all((terms.ev_k0 >= 0) & (terms.ev_k0 < K))
+        assert codes.size == len(set(zip(ref.ev_i.tolist(), ref.ev_j.tolist(),
+                                          ref.ev_k0.tolist())))
+        assert terms.ev_w0.sum() == pytest.approx(ref.ev_w.sum(), rel=1e-12, abs=0)
+        assert np.all(terms.ev_w0 > 0)
+        assert np.all((terms.ev_w1 >= terms.ev_w2) & (terms.ev_w1 <= terms.ev_w0))
+
+    @pytest.mark.parametrize("negatives, batch", [(None, None), (5, 20)])
+    def test_fit_matches_per_event_kernel(self, sbm_sample, monkeypatch, negatives, batch):
+        ev = sbm_sample.events
+        hp = inference.Hyperparams(epochs=30, seed=3, negatives_per_node=negatives,
+                                   batch_size=batch)
+        split = split_edges(ev, 0.1, 0.0, seed=0)
+        folded = inference.fit(ev, hp, split=split)
+        monkeypatch.setattr(inference, "realize_plan", ref_realize_plan)
+        monkeypatch.setattr(inference, "nll_value_grad", ref_nll_value_grad)
+        per_event = inference.fit(ev, hp, split=split)
+        np.testing.assert_allclose(folded.loss_trace, per_event.loss_trace, rtol=1e-10, atol=0)

@@ -13,6 +13,7 @@ import csv
 import json
 import math
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -74,7 +75,6 @@ _EVAL_DEFAULTS = {
     "val_frac": 0.0,
     "split_seed": 0,
     "lsdm_iters": 800,
-    "lsdm_lr": 0.05,
 }
 
 _SCORE_DEFAULTS = {"scorer": "tgne", "B": 200, "seed": 0}
@@ -219,13 +219,20 @@ def cmd_eval(args: argparse.Namespace) -> int:
     train_counts = evl.restrict_counts(counts, train_pairs)
     lsdm_models = None
     if "lsdm" in scorers:
-        opts = evl.LsdmOpts(
-            iters=int(resolved["lsdm_iters"]), lr=float(resolved["lsdm_lr"]), seed=seed
-        )
+        opts = evl.LsdmOpts(iters=int(resolved["lsdm_iters"]), seed=seed)
         lsdm_models = {
             k: evl.fit_lsdm(train_counts, train_pairs, k, fm.state.d, opts)
             for k in range(1, part.K + 1)
         }
+        stopped = [k for k, m in lsdm_models.items() if not m.converged]
+        if stopped:
+            worst = max(lsdm_models[k].grad_inf for k in stopped)
+            warnings.warn(
+                f"interval k = {', '.join(map(str, stopped))}: distance-model fit stopped "
+                f"at the --lsdm-iters cap of {opts.iters} (gradient inf-norm up to "
+                f"{worst:.3g}, tolerance {opts.grad_tol:g}); see lsdm_fit in auc.json",
+                RuntimeWarning,
+            )
 
     split_sets = {"train": train_pairs}
     if split is not None:
@@ -261,18 +268,25 @@ def cmd_eval(args: argparse.Namespace) -> int:
         auc_out[name] = per_scorer
         instance_splits.append((name, instances, scores))
 
+    summary = {
+        "dataset": str(args.events),
+        "K": part.K,
+        "auc": auc_out,
+        "shortfall": shortfall_out,
+    }
+    if lsdm_models is not None:
+        summary["lsdm_fit"] = {
+            k: {
+                "converged": m.converged,
+                "iterations": m.iterations,
+                "evaluations": m.evaluations,
+                "grad_inf": m.grad_inf,
+                "nll": float(m.nll_trace[-1]),
+            }
+            for k, m in lsdm_models.items()
+        }
     with open(outdir / "auc.json", "w", encoding="utf-8") as handle:
-        json.dump(
-            {
-                "dataset": str(args.events),
-                "K": part.K,
-                "auc": auc_out,
-                "shortfall": shortfall_out,
-            },
-            handle,
-            indent=2,
-            sort_keys=True,
-        )
+        json.dump(summary, handle, indent=2, sort_keys=True)
     _write_instances_csv(outdir / "instances.csv", instance_splits, scorers)
 
     # node-level uncertainty table, one row per (node, interval)
@@ -421,8 +435,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--test-frac", dest="test_frac", type=float)
     p_eval.add_argument("--val-frac", dest="val_frac", type=float)
     p_eval.add_argument("--split-seed", dest="split_seed", type=int)
-    p_eval.add_argument("--lsdm-iters", dest="lsdm_iters", type=int)
-    p_eval.add_argument("--lsdm-lr", dest="lsdm_lr", type=float)
+    p_eval.add_argument(
+        "--lsdm-iters", dest="lsdm_iters", type=int,
+        help="L-BFGS-B iteration cap of each interval's lsdm fit",
+    )
     p_eval.set_defaults(func=cmd_eval)
 
     p_score = sub.add_parser("score", help="score explicit (i,j,k) triplets with a fitted model")

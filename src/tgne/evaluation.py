@@ -35,6 +35,7 @@ from dataclasses import dataclass, fields, replace
 from typing import Callable, ClassVar, Iterable, Optional, Sequence
 
 import numpy as np
+from scipy.optimize import minimize
 from scipy.special import expit
 from scipy.stats import rankdata
 
@@ -269,7 +270,13 @@ def score_tgne_predictive(
 
 @dataclass
 class LsdmOpts:
-    """Optimizer settings for the per-interval binary latent distance fit."""
+    """Settings for the per-interval binary latent distance fit.
+
+    ``iters`` caps the L-BFGS-B iterations, and the objective evaluations up
+    to the end of the iteration that passes it. The fit has converged when
+    the gradient's inf-norm is below ``grad_tol``. ``lr`` is accepted and
+    ignored: L-BFGS-B chooses its own steps.
+    """
 
     iters: int = 800
     lr: float = 0.05
@@ -282,25 +289,65 @@ class LsdmOpts:
 class LsdmModel:
     z: np.ndarray  # (n, d)
     beta: float
-    nll_trace: np.ndarray
+    nll_trace: np.ndarray  # objective at the start and at each accepted iterate
     converged: bool
+    iterations: int
+    evaluations: int
+    grad_inf: float  # gradient inf-norm at (z, beta)
+
+
+# |u| is floored here: a pair with |u| > 600 changes its softplus term by
+# less than e^-600 (about 3e-261), and e^-|u|, sigma(u) and the gradient
+# terms never reach the slow subnormal range
+_LSDM_MAX_ABS_LOGIT = 600.0
 
 
 def _lsdm_nll_grad(z: np.ndarray, beta: float, ii, jj, y):
-    """Bernoulli NLL of p = logistic(beta - dist^2) and its exact gradient."""
-    diff = z.take(ii, axis=0) - z.take(jj, axis=0)
-    logits = beta - np.einsum("pd,pd->p", diff, diff)
-    p = expit(logits)
-    nll = float(-(y * np.log(p + 1e-300) + (1 - y) * np.log(1 - p + 1e-300)).sum())
-    resid = p - y
-    g_pair = -2.0 * resid[:, None] * diff
-    # bincount adds each node's terms in array order: all ii terms, then all jj
-    nodes = np.concatenate([ii, jj])
-    g_both = np.concatenate([g_pair, -g_pair])
-    g_z = np.empty_like(z)
-    for c in range(z.shape[1]):
-        g_z[:, c] = np.bincount(nodes, weights=g_both[:, c], minlength=z.shape[0])
-    return nll, g_z, float(resid.sum())
+    """Bernoulli NLL of p = logistic(beta - dist^2) and its exact gradient.
+
+    With u = (1 - 2y)(beta - dist^2), each pair's term is softplus(u) =
+    max(u, 0) + log1p(e^-|u|), exact at any logit, and its derivative in the
+    logit is the residual (1 - 2y) sigma(u) = p - y, with sigma(u) formed
+    from e^-|u| so nothing overflows.
+    """
+    n, d = z.shape
+    index = np.concatenate([ii, jj]) + n * np.arange(d)[:, None]
+    nll, grad = _lsdm_objective(np.append(z.T, beta), index, 1.0 - 2.0 * y)
+    return nll, grad[:-1].reshape(d, n).T, float(grad[-1])
+
+
+def _lsdm_objective(x: np.ndarray, index: np.ndarray, sign: np.ndarray):
+    """``_lsdm_nll_grad`` on the packed x = (z coordinate by coordinate, beta).
+
+    ``index[c]`` = c n + [ii, jj] locates each pair's endpoints in x, and
+    ``sign`` = 1 - 2y. Returns the NLL and the gradient in x's layout.
+    """
+    d, two_p = index.shape
+    P = two_p // 2
+    ends = x.take(index)  # (d, 2P): coordinate c of every ii, then every jj
+    diff = ends[:, :P] - ends[:, P:]
+    dist2 = diff[0] * diff[0]
+    for row in diff[1:]:
+        dist2 += row * row
+    u = np.subtract(x[-1], dist2, out=dist2)
+    u *= sign
+    e = np.abs(u)
+    np.minimum(e, _LSDM_MAX_ABS_LOGIT, out=e)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    nll = float(np.maximum(u, 0.0).sum() + np.log1p(e).sum())
+    resid = np.maximum(e, u >= 0.0)  # sigma(u)'s numerator: 1 where u >= 0, else e
+    resid /= 1.0 + e
+    resid *= sign
+    # bincount adds the terms of each coordinate of a node in array order:
+    # all ii terms, then all jj terms
+    weights = np.empty((d, two_p))
+    np.multiply(-2.0 * resid, diff, out=weights[:, :P])
+    np.negative(weights[:, :P], out=weights[:, P:])
+    grad = np.empty(x.size)
+    grad[:-1] = np.bincount(index.ravel(), weights=weights.ravel(), minlength=x.size - 1)
+    grad[-1] = resid.sum()
+    return nll, grad
 
 
 def fit_lsdm(
@@ -313,9 +360,11 @@ def fit_lsdm(
     """Fit a static binary latent distance model to one interval.
 
     Maximizes the Bernoulli likelihood of y_ij = 1{N_ij(I_k) >= 1} over the
-    training pairs, with p = logistic(beta - ||z_i - z_j||^2), by
-    adaptive-moment gradient steps. No temporal coupling: every interval is
-    fit independently. Returns the best iterate; warns on non-convergence.
+    training pairs, with p = logistic(beta - ||z_i - z_j||^2), by L-BFGS-B
+    on the packed vector (z, beta). It stops only when the gradient's
+    inf-norm falls below ``opts.grad_tol`` or at the ``opts.iters`` cap;
+    every accepted iterate lowers the objective. No temporal coupling: every
+    interval is fit independently.
     """
     opts = opts or LsdmOpts()
     ii, jj = _sorted_pairs(train_pairs, counts.directed)
@@ -325,42 +374,31 @@ def fit_lsdm(
 
     rng = np.random.default_rng(opts.seed)
     n = counts.n
-    z = opts.init_scale * rng.standard_normal((n, d))
-    beta = 0.0
+    # x holds z coordinate by coordinate, then beta
+    x0 = np.append(opts.init_scale * rng.standard_normal((n, d)).T, 0.0)
+    index = np.concatenate([ii, jj]) + n * np.arange(d)[:, None]
+    sign = 1.0 - 2.0 * y
+    trace = []
 
-    m_z = np.zeros_like(z)
-    v_z = np.zeros_like(z)
-    m_b = v_b = 0.0
-    b1, b2, eps_adam = 0.9, 0.999, 1e-8
+    def objective(x):
+        nll, grad = _lsdm_objective(x, index, sign)
+        if not trace:  # the first evaluation is at x0; record() adds the iterates
+            trace.append(nll)
+        return nll, grad
 
-    best = (np.inf, z.copy(), beta)
-    trace = np.empty(opts.iters)
-    grad_inf = np.inf
-    for t in range(1, opts.iters + 1):
-        nll, g_z, g_b = _lsdm_nll_grad(z, beta, ii, jj, y)
-        trace[t - 1] = nll
-        if nll < best[0]:
-            best = (nll, z.copy(), beta)
-        grad_inf = max(np.abs(g_z).max(), abs(g_b))
+    def record(intermediate_result):
+        trace.append(float(intermediate_result.fun))
 
-        bc1 = 1.0 - b1**t
-        bc2 = 1.0 - b2**t
-        m_z = b1 * m_z + (1 - b1) * g_z
-        v_z = b2 * v_z + (1 - b2) * g_z * g_z
-        z = z - opts.lr * (m_z / bc1) / (np.sqrt(v_z / bc2) + eps_adam)
-        m_b = b1 * m_b + (1 - b1) * g_b
-        v_b = b2 * v_b + (1 - b2) * g_b * g_b
-        beta = beta - opts.lr * (m_b / bc1) / (np.sqrt(v_b / bc2) + eps_adam)
-
-    converged = grad_inf < opts.grad_tol
-    if not converged:
-        warnings.warn(
-            f"interval {k}: distance-model fit stopped at max iterations "
-            f"(grad inf-norm {grad_inf:.3g}); returning best iterate",
-            RuntimeWarning,
-        )
-    _, z_best, beta_best = best
-    return LsdmModel(z=z_best, beta=beta_best, nll_trace=trace, converged=converged)
+    res = minimize(
+        objective, x0, jac=True, method="L-BFGS-B", callback=record,
+        options={"maxiter": opts.iters, "maxfun": opts.iters, "gtol": opts.grad_tol, "ftol": 0.0},
+    )
+    grad_inf = float(np.abs(res.jac).max())
+    return LsdmModel(
+        z=res.x[:-1].reshape(d, n).T.copy(), beta=float(res.x[-1]), nll_trace=np.asarray(trace),
+        converged=grad_inf < opts.grad_tol, iterations=int(res.nit),
+        evaluations=int(res.nfev), grad_inf=grad_inf,
+    )
 
 
 def lsdm_score(model: LsdmModel, i: int, j: int) -> float:

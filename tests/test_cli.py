@@ -246,6 +246,62 @@ class TestEval:
             assert data.endswith(b"\r\n")
             assert data == csv_writer_bytes(parsed[0], parsed[1:])
 
+    def test_lsdm_fit_summary_and_one_warning(self, tmp_path, sim_dir, fit_dir):
+        args = ["eval", "--events", sim_dir / "events.csv", "--model", fit_dir / "model.json",
+                "--test-frac", 0.1, "--split-seed", 5, "--scorers", "lsdm", "--B", 2]
+        capped = tmp_path / "capped"
+        with pytest.warns(RuntimeWarning) as record:
+            assert run(args + ["--out", capped, "--lsdm-iters", 3]) == 0
+        stopped = [str(w.message) for w in record if "distance-model" in str(w.message)]
+        assert len(stopped) == 1
+        assert stopped[0].startswith("interval k = 1, 2, 3, 4, 5, 6, 7, 8: distance-model fit stopped")
+        fits = json.loads((capped / "auc.json").read_text())["lsdm_fit"]
+        assert list(fits) == [str(k) for k in range(1, 9)]
+        for fit in fits.values():
+            assert set(fit) == {"converged", "iterations", "evaluations", "grad_inf", "nll"}
+            assert fit["converged"] is False and fit["iterations"] <= 3
+            assert fit["grad_inf"] >= 1e-4
+
+    def test_no_lsdm_fit_without_the_scorer(self, tmp_path, sim_dir, fit_dir):
+        out = tmp_path / "nolsdm"
+        assert run(["eval", "--events", sim_dir / "events.csv", "--model",
+                    fit_dir / "model.json", "--out", out, "--scorers", "pa", "--B", 2]) == 0
+        assert "lsdm_fit" not in json.loads((out / "auc.json").read_text())
+
+    def test_deleted_lsdm_lr_usage_error(self, sim_dir, fit_dir, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", "--events", str(sim_dir / "events.csv"), "--model",
+                  str(fit_dir / "model.json"), "--out", str(tmp_path / "x"),
+                  "--lsdm-lr", "0.05"])
+        assert exc.value.code == 2
+
+    def test_config_with_deleted_lsdm_lr_reproduces_outputs(self, tmp_path, sim_dir, fit_dir):
+        """A config.json from a version that had --lsdm-lr still re-runs identically."""
+        first = tmp_path / "first"
+        assert run(
+            ["eval", "--events", sim_dir / "events.csv", "--model", fit_dir / "model.json",
+             "--out", first, "--test-frac", 0.1, "--split-seed", 5, "--B", 4,
+             "--lsdm-iters", 20, "--seed", 3]
+        ) == 0
+        old = json.loads((first / "config.json").read_text())
+        assert "lsdm_lr" not in old
+        old["lsdm_lr"] = 0.5
+        cfg = tmp_path / "old_config.json"
+        cfg.write_text(json.dumps(old))
+        second = tmp_path / "second"
+        assert run(
+            ["eval", "--events", sim_dir / "events.csv", "--model", fit_dir / "model.json",
+             "--out", second, "--config", cfg]
+        ) == 0
+        assert "lsdm_lr" not in json.loads((second / "config.json").read_text())
+        for name in ("instances.csv", "uncertainty_nodes.csv", "uncertainty_edges.csv",
+                     "rate_vs_uncertainty.csv"):
+            assert (first / name).read_bytes() == (second / name).read_bytes()
+        first_auc = json.loads((first / "auc.json").read_text())
+        second_auc = json.loads((second / "auc.json").read_text())
+        assert first_auc["auc"] == second_auc["auc"]
+        assert first_auc["lsdm_fit"] == second_auc["lsdm_fit"]
+
     def test_two_nodes_exit_one_with_reason(self, tmp_path, capsys):
         events = tmp_path / "events.csv"
         events.write_text("source,dest,timestamp\na,b,1\na,b,2\nb,a,3\na,b,5\n")

@@ -390,14 +390,93 @@ class TestLsdm:
         y = rng.integers(0, 2, P).astype(float)
         beta = float(rng.standard_normal())
         _nll, g_z, _g_b = _lsdm_nll_grad(z, beta, ii, jj, y)
-        # reference: the per-pair gradient scattered by two np.add.at passes
+        # reference: the per-pair gradient scattered by two np.add.at passes,
+        # with the kernel's residual (1 - 2y) sigma(u) written out
         diff = z[ii] - z[jj]
-        resid = expit(beta - np.einsum("pd,pd->p", diff, diff)) - y
+        sign = 1.0 - 2.0 * y
+        u = sign * (beta - sum(diff[:, c] * diff[:, c] for c in range(d)))
+        e = np.exp(-np.minimum(np.abs(u), 600.0))
+        resid = sign * (np.maximum(e, u >= 0.0) / (1.0 + e))
         g_pair = -2.0 * resid[:, None] * diff
         ref = np.zeros_like(z)
         np.add.at(ref, ii, g_pair)
         np.add.at(ref, jj, -g_pair)
         assert np.array_equal(g_z, ref)
+
+    @pytest.mark.parametrize("label", [0, 1])
+    @pytest.mark.parametrize("logit", [-800.0, -40.0, 40.0, 800.0])
+    def test_value_exact_at_large_logits(self, label, logit):
+        """Each term is softplus((1 - 2y) logit): no cap, and it agrees with the gradient."""
+        z = np.zeros((2, 1))
+        ii, jj, y = np.array([0]), np.array([1]), np.array([float(label)])
+        nll, _g_z, g_b = _lsdm_nll_grad(z, logit, ii, jj, y)
+        sign = 1.0 - 2.0 * label
+        # a term below e^-600 is floored there (about 3e-261)
+        assert nll == pytest.approx(np.logaddexp(0.0, sign * logit), rel=1e-15, abs=1e-260)
+        # the residual p - y, written so that it keeps its digits when p rounds to 1
+        assert g_b == pytest.approx(sign * expit(sign * logit), rel=1e-15, abs=1e-260)
+
+    @pytest.mark.parametrize("logit", [-720.0, -740.0])
+    def test_residual_never_subnormal(self, logit):
+        """|u| is floored at 600, so no residual falls in the slow subnormal range."""
+        z = np.zeros((2, 1))
+        _nll, _g_z, g_b = _lsdm_nll_grad(z, logit, np.array([0]), np.array([1]), np.array([0.0]))
+        assert np.finfo(float).tiny <= g_b < 1e-260
+
+    def test_value_matches_logaddexp_over_wide_logits(self):
+        rng = np.random.default_rng(5)
+        n, P = 12, 60
+        z = 6.0 * rng.standard_normal((n, 3))
+        ii = rng.integers(0, n, P)
+        jj = (ii + 1 + rng.integers(0, n - 1, P)) % n
+        y = rng.integers(0, 2, P).astype(float)
+        beta = 60.0
+        nll, _g_z, g_b = _lsdm_nll_grad(z, beta, ii, jj, y)
+        diff = z[ii] - z[jj]
+        logits = beta - (diff * diff).sum(axis=1)
+        assert logits.min() < -100 and logits.max() > 20
+        assert nll == pytest.approx(np.logaddexp(0.0, (1 - 2 * y) * logits).sum(), rel=1e-13)
+        assert g_b == pytest.approx((expit(logits) - y).sum(), rel=1e-12)
+
+    @pytest.fixture(scope="class")
+    def sbm_lsdm_fits(self, sbm_sample):
+        """Every interval of the SBM graph, fit at the CLI's default settings."""
+        from tgne.cli import _EVAL_DEFAULTS
+
+        ev = sbm_sample.events
+        part = IntervalPartition.uniform(15)
+        split = split_edges(ev, 0.1, 0.0, seed=0)
+        train_counts = restrict_counts(interval_counts(ev, part), split.train)
+        opts = LsdmOpts(iters=_EVAL_DEFAULTS["lsdm_iters"], seed=_EVAL_DEFAULTS["seed"])
+        models = {k: fit_lsdm(train_counts, split.train, k, 2, opts) for k in range(1, 16)}
+        return train_counts, split.train, models
+
+    def test_every_sbm_interval_converges_at_cli_defaults(self, sbm_lsdm_fits):
+        train_counts, train_pairs, models = sbm_lsdm_fits
+        ii, jj = evaluation._sorted_pairs(train_pairs, False)
+        for k, model in models.items():
+            assert model.converged, (k, model.grad_inf, model.iterations)
+            assert model.iterations < 800 and model.evaluations >= model.iterations
+            # the reported figures are those of the returned (z, beta)
+            y = (train_counts.counts_of(ii, jj, k) >= 1).astype(float)
+            nll, g_z, g_b = _lsdm_nll_grad(model.z, model.beta, ii, jj, y)
+            assert model.nll_trace[-1] == nll
+            assert model.grad_inf == max(np.abs(g_z).max(), abs(g_b)) < 1e-4
+
+    def test_nll_trace_non_increasing(self, sbm_lsdm_fits):
+        for model in sbm_lsdm_fits[2].values():
+            assert len(model.nll_trace) == model.iterations + 1
+            assert np.all(np.diff(model.nll_trace) <= 0.0)
+            assert model.nll_trace[-1] < model.nll_trace[0]
+
+    def test_iteration_cap_reports_unconverged(self, sbm_sample):
+        ev = sbm_sample.events
+        split = split_edges(ev, 0.1, 0.0, seed=0)
+        counts = restrict_counts(interval_counts(ev, IntervalPartition.uniform(15)), split.train)
+        model = fit_lsdm(counts, split.train, 4, d=2, opts=LsdmOpts(iters=5, seed=0))
+        assert model.iterations <= 5
+        assert not model.converged and model.grad_inf >= 1e-4
+        assert len(model.nll_trace) == model.iterations + 1
 
     def test_overfits_training_interval(self, sbm_sample):
         ev = sbm_sample.events
@@ -915,7 +994,8 @@ class TestScoreInstances:
         rng = np.random.default_rng(3)
         models = {
             k: LsdmModel(z=rng.standard_normal((12, 2)), beta=float(rng.standard_normal()),
-                         nll_trace=np.empty(0), converged=False)
+                         nll_trace=np.empty(0), converged=False, iterations=0,
+                         evaluations=0, grad_inf=math.inf)
             for k in range(1, 4)
         }
         return counts, instances, models

@@ -380,8 +380,8 @@ def save_model(fm: FittedModel, path: str | Path) -> None:
         "time_range": list(fm.time_range) if fm.time_range else None,
         "directed": fm.directed,
     }
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(doc, handle)
+    # json.dumps encodes in C; json.dump streams through the Python encoder
+    Path(path).write_text(json.dumps(doc), encoding="utf-8")
 
 
 def load_model(path: str | Path) -> FittedModel:

@@ -26,10 +26,12 @@ through the weighted sums W = sum w, S1 = sum w s and S2 = sum w s^2, and
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
+from scipy.sparse import csc_matrix
 from scipy.special import erfc
 
 from .events import EventList, IntervalPartition
@@ -40,6 +42,10 @@ INV_SQRT2 = 1.0 / np.sqrt(2.0)
 # below this ||delta_a - delta_b|| the quadratic term of gamma is < 1e-18 and
 # the closed form would divide by ~0; switch to the exact linear-exponent path
 EPS_DEGENERATE = 1e-9
+
+# pairs per block of the survival kernel: with K = 15 a block's temporaries
+# are ~120 kB each, so they stay in L2
+SURVIVAL_BLOCK = 1024
 
 EUCLIDEAN = "euclidean"
 DOT = "dot"
@@ -144,100 +150,117 @@ def log_rate(cfg: LatentConfiguration, rm: RateModel, i: int, j: int, t: float) 
     return float(rm.beta + pi @ pj)
 
 
+def _closed_coeffs(c0, dav, w2, dadb, lengths, beta, want_grad=False):
+    """Closed-form euclidean Lambda per row and its gradient coefficients.
+
+    A row is one (pair, interval) with endpoint differences da and db, given
+    by its scalars c0 = ||da||^2, dav = <da, da - db>, w2 = ||da - db||^2 and
+    dadb = <da, db> (read on degenerate rows only). ``lengths`` carries
+    |I_k|, times any weight. Returns Lambda and, when ``want_grad``, the
+    coefficients (p, q, r) of its gradients
+    dLambda/d da = p da + q db and dLambda/d db = q da + r db, from the
+    truncated Gaussian moments
+
+        A_m = |I| * exp(beta - a) * integral_0^1 s^m exp(-(s-mu)^2/(2 sigma^2)) ds
+
+    as p = -2 (A0 - 2 A1 + A2), q = -2 (A1 - A2) and r = -2 A2.
+    """
+    degen = w2 < EPS_DEGENERATE**2
+    w2_safe = np.where(degen, 1.0, w2)
+
+    # quadratic exponent gamma(s) = a + (s - mu)^2 / (2 sigma^2)
+    sig = 1.0 / np.sqrt(2.0 * w2_safe)
+    mu = dav / w2_safe
+    a = np.maximum(c0 - dav * mu, 0.0)  # Cauchy-Schwarz; clamp fp noise
+    u0 = -mu / sig
+    u1 = (1.0 - mu) / sig
+    C = SQRT_2PI * _normal_cdf_diff(u0, u1)
+    pref = lengths * np.exp(beta - a)
+    lam = np.asarray(pref * sig * C)
+    p = q = r = None
+    if want_grad:
+        g0 = np.exp(-0.5 * u0 * u0)
+        g1 = np.exp(-0.5 * u1 * u1)
+        s1 = g0 - g1
+        s2 = u0 * g0 - u1 * g1 + C
+        a1 = pref * sig * (mu * C + sig * s1)  # A0 is lam
+        a2 = pref * sig * (mu * mu * C + 2.0 * mu * sig * s1 + sig * sig * s2)
+        p = np.asarray(-2.0 * (lam - 2.0 * a1 + a2))
+        q = np.asarray(-2.0 * (a1 - a2))
+        r = np.asarray(-2.0 * a2)
+
+    if degen.any():
+        # linear exponent gamma(s) ~= c0 + c1 s when da ~= db, on those rows only
+        c0_d = c0[degen]
+        e0, e1 = _exp_linear_integrals(2.0 * (dadb[degen] - c0_d))
+        pref_d = np.broadcast_to(lengths, degen.shape)[degen] * np.exp(beta - c0_d)
+        lam[degen] = pref_d * e0
+        if want_grad:
+            a1_d = pref_d * e1
+            p[degen] = -2.0 * (lam[degen] - 2.0 * a1_d)
+            q[degen] = -2.0 * a1_d
+            r[degen] = 0.0
+    return lam, p, q, r
+
+
 def _closed_rate_batch(da, db, beta, lengths, want_grad=False):
     """Cumulative euclidean rate for batched interval endpoints.
 
     ``da``/``db`` are the pair position differences at the interval start and
     end, shape (..., d); ``lengths`` broadcast over the leading shape. Returns
     Lambda (...) and, when ``want_grad``, the exact gradients with respect to
-    da and db, via the truncated Gaussian moments
-
-        A_m = |I| * exp(beta - a) * integral_0^1 s^m exp(-(s-mu)^2/(2 sigma^2)) ds
-
-        dLambda/d da = -2 [ da (A0 - 2 A1 + A2) + db (A1 - A2) ]
-        dLambda/d db = -2 [ da (A1 - A2)        + db A2        ]
+    da and db (see ``_closed_coeffs``).
     """
     da = np.asarray(da, dtype=np.float64)
     db = np.asarray(db, dtype=np.float64)
     v = da - db
-    w2 = np.einsum("...d,...d->...", v, v)
-    norm_da2 = np.einsum("...d,...d->...", da, da)
-    degen = w2 < EPS_DEGENERATE**2
-    w2_safe = np.where(degen, 1.0, w2)
-
-    # quadratic exponent gamma(s) = a + (s - mu)^2 / (2 sigma^2)
-    sig = 1.0 / np.sqrt(2.0 * w2_safe)
-    dav = np.einsum("...d,...d->...", da, v)
-    mu = dav / w2_safe
-    a = norm_da2 - dav * mu
-    a = np.maximum(a, 0.0)  # Cauchy-Schwarz; clamp fp noise
-    u0 = -mu / sig
-    u1 = (1.0 - mu) / sig
-    C = SQRT_2PI * _normal_cdf_diff(u0, u1)
-    pref = lengths * np.exp(beta - a)
-    lam = np.asarray(pref * sig * C)
-
-    if want_grad:
-        g0 = np.exp(-0.5 * u0 * u0)
-        g1 = np.exp(-0.5 * u1 * u1)
-        s1 = g0 - g1
-        s2 = u0 * g0 - u1 * g1 + C
-        a1 = pref * sig * (mu * C + sig * s1)  # a0 is lam
-        a2 = pref * sig * (mu * mu * C + 2.0 * mu * sig * s1 + sig * sig * s2)
-        ga = -2.0 * (da * (lam - 2.0 * a1 + a2)[..., None] + db * (a1 - a2)[..., None])
-        gb = -2.0 * (da * (a1 - a2)[..., None] + db * a2[..., None])
-
-    if degen.any():
-        # linear exponent gamma(s) ~= c0 + c1 s when da ~= db, on those rows only
-        da_d, db_d = da[degen], db[degen]
-        c0 = norm_da2[degen]
-        c1 = 2.0 * (np.einsum("...d,...d->...", da_d, db_d) - c0)
-        e0, e1 = _exp_linear_integrals(c1)
-        pref_d = np.broadcast_to(lengths, degen.shape)[degen] * np.exp(beta - c0)
-        lam[degen] = pref_d * e0
-        if want_grad:
-            a1_d = pref_d * e1
-            a0_d = lam[degen]
-            ga[degen] = -2.0 * (da_d * (a0_d - 2.0 * a1_d)[..., None] + db_d * a1_d[..., None])
-            gb[degen] = -2.0 * da_d * a1_d[..., None]
-
+    lam, p, q, r = _closed_coeffs(
+        np.einsum("...d,...d->...", da, da),
+        np.einsum("...d,...d->...", da, v),
+        np.einsum("...d,...d->...", v, v),
+        np.einsum("...d,...d->...", da, db),
+        lengths, beta, want_grad,
+    )
     if not want_grad:
         return lam, None, None
-    return lam, ga, gb
+    p, q, r = p[..., None], q[..., None], r[..., None]
+    return lam, p * da + q * db, q * da + r * db
 
 
-def _riemann_rate_batch(zi_a, zi_b, zj_a, zj_b, beta, lengths, R, kind, want_grad=False):
-    """Left Riemann cumulative rate |I| * mean_r lambda(s_r), s_r = (r-1)/R.
+def _riemann_coeffs(caa, cab, cbb, sign, beta, lengths, R, want_grad=False):
+    """Left Riemann |I| * mean_r exp(beta + sign * Q(s_r)), s_r = (r-1)/R.
 
-    Works for both rate kinds; gradients are the exact derivatives of the
-    Riemann approximation with respect to the four endpoint positions.
+    Q(s) = (1-s)^2 caa + 2 s(1-s) cab + s^2 cbb is the rate's quadratic form
+    on the interval: caa = ||da||^2, cab = <da, db>, cbb = ||db||^2 with
+    sign -1 for the euclidean kind; caa = <z_ia, z_ja>, cab = (<z_ia, z_jb>
+    + <z_ib, z_ja>) / 2, cbb = <z_ib, z_jb> with sign +1 for dot. Returns
+    Lambda and, when ``want_grad``, p, q, r = dLambda/dcaa, dLambda/d(2 cab),
+    dLambda/dcbb, the exact derivatives of the Riemann sum.
     """
     s = np.arange(R, dtype=np.float64) / R
     om = 1.0 - s
-    pi = zi_a[..., None, :] * om[:, None] + zi_b[..., None, :] * s[:, None]
-    pj = zj_a[..., None, :] * om[:, None] + zj_b[..., None, :] * s[:, None]
-    if kind == EUCLIDEAN:
-        diff = pi - pj
-        loglam = beta - np.einsum("...rd,...rd->...r", diff, diff)
-    else:
-        loglam = beta + np.einsum("...rd,...rd->...r", pi, pj)
-    lam_r = np.exp(loglam)
+    quad = caa[..., None] * (om * om) + cab[..., None] * (2.0 * om * s) + cbb[..., None] * (s * s)
+    lam_r = np.exp(beta + sign * quad)
+    lengths = np.asarray(lengths)
     lam = lengths * lam_r.mean(axis=-1)
     if not want_grad:
-        return lam, None
+        return lam, None, None, None
+    wfac = sign * lengths / R
+    return lam, wfac * (lam_r @ (om * om)), wfac * (lam_r @ (om * s)), wfac * (lam_r @ (s * s))
 
-    wfac = (np.asarray(lengths)[..., None] / R) * lam_r  # (..., R)
+
+def _riemann_rate_batch(zi_a, zi_b, zj_a, zj_b, beta, lengths, R, kind):
+    """Left Riemann cumulative rate of either kind for batched endpoints (..., d)."""
+    def dot(x, y):
+        return np.einsum("...d,...d->...", x, y)
+
     if kind == EUCLIDEAN:
-        gpi = -2.0 * wfac[..., None] * diff
-        gpj = -gpi
+        da, db = zi_a - zj_a, zi_b - zj_b
+        coeffs = dot(da, da), dot(da, db), dot(db, db), -1.0
     else:
-        gpi = wfac[..., None] * pj
-        gpj = wfac[..., None] * pi
-    ga_i = np.einsum("...rd,r->...d", gpi, om)
-    gb_i = np.einsum("...rd,r->...d", gpi, s)
-    ga_j = np.einsum("...rd,r->...d", gpj, om)
-    gb_j = np.einsum("...rd,r->...d", gpj, s)
-    return lam, (ga_i, gb_i, ga_j, gb_j)
+        coeffs = dot(zi_a, zj_a), 0.5 * (dot(zi_a, zj_b) + dot(zi_b, zj_a)), dot(zi_b, zj_b), 1.0
+    lam, _, _, _ = _riemann_coeffs(*coeffs, beta, lengths, R)
+    return lam
 
 
 def cumulative_rate_closed(
@@ -260,7 +283,7 @@ def cumulative_rate_riemann(
     if R < 1:
         raise ValueError("R must be >= 1")
     a, b = cfg.part.bounds(k)
-    lam, _ = _riemann_rate_batch(
+    lam = _riemann_rate_batch(
         cfg.z[i, k - 1], cfg.z[i, k], cfg.z[j, k - 1], cfg.z[j, k],
         rm.beta, b - a, R, rm.kind,
     )
@@ -317,7 +340,9 @@ class _Terms:
     Each event row is one (pair, interval) group, in ascending order of the
     code ``(ev_i * n + ev_j) * K + ev_k0``, holding the weighted moments of
     its events' local coordinates s: ev_w0 = sum w, ev_w1 = sum w s and
-    ev_w2 = sum w s^2.
+    ev_w2 = sum w s^2. ``pair_incidence`` is the signed (n, P) CSC matrix
+    with +1 at (pair_i[p], p) and -1 at (pair_j[p], p): one product with it
+    scatters per-pair gradients onto the nodes.
     """
 
     pair_i: np.ndarray
@@ -329,6 +354,7 @@ class _Terms:
     ev_w0: np.ndarray
     ev_w1: np.ndarray
     ev_w2: np.ndarray
+    pair_incidence: csc_matrix
 
 
 def _all_pair_arrays(n: int, directed: bool) -> tuple[np.ndarray, np.ndarray]:
@@ -344,10 +370,29 @@ def _pair_codes(i: np.ndarray, j: np.ndarray, n: int) -> np.ndarray:
     return i.astype(np.int64) * n + j.astype(np.int64)
 
 
+def _pairs_to_array(pairs) -> np.ndarray:
+    """An iterable of (a, b) pairs as an (m, 2) int64 array, in iteration order."""
+    return np.fromiter(itertools.chain.from_iterable(pairs), np.int64).reshape(-1, 2)
+
+
 def _pair_array(pairs, n: int) -> np.ndarray:
     """Pairs as an (m, 2) int64 array, without those naming a node outside 0..n-1."""
-    arr = np.asarray(list(pairs), dtype=np.int64).reshape(-1, 2)
+    arr = _pairs_to_array(pairs)
     return arr[((arr >= 0) & (arr < n)).all(axis=1)]
+
+
+def _pair_incidence(pair_i: np.ndarray, pair_j: np.ndarray, n: int) -> csc_matrix:
+    """Signed (n, P) incidence: +1 at (pair_i[p], p), -1 at (pair_j[p], p).
+
+    Column p holds exactly its two entries, so the CSC arrays are written
+    out directly, without a sort.
+    """
+    P = pair_i.size
+    return csc_matrix(
+        (np.tile([1.0, -1.0], P), np.column_stack([pair_i, pair_j]).ravel(),
+         np.arange(0, 2 * P + 1, 2)),
+        shape=(n, P),
+    )
 
 
 def realize_plan(ev: EventList, part: IntervalPartition, plan: SamplingPlan) -> _Terms:
@@ -457,7 +502,8 @@ def realize_plan(ev: EventList, part: IntervalPartition, plan: SamplingPlan) -> 
         ev_i = ev_j = ev_k0 = np.empty(0, dtype=np.int64)
         ev_w0 = ev_w1 = ev_w2 = np.empty(0, dtype=np.float64)
 
-    return _Terms(pair_i, pair_j, pair_w, ev_i, ev_j, ev_k0, ev_w0, ev_w1, ev_w2)
+    return _Terms(pair_i, pair_j, pair_w, ev_i, ev_j, ev_k0, ev_w0, ev_w1, ev_w2,
+                  _pair_incidence(pair_i, pair_j, n))
 
 
 def _endpoints(z: np.ndarray, ii: np.ndarray, kk0: np.ndarray):
@@ -483,43 +529,80 @@ def _scatter_add(dz: np.ndarray, flat_cut: np.ndarray, contrib: np.ndarray) -> N
         rows[:, c] += np.bincount(flat_cut, weights=contrib[:, c], minlength=n * kp1)
 
 
-def _survival_chunk(z, beta, kind, lengths, riemann_r, terms, sl, dz):
-    """Value of the weighted survival terms in slice sl; adds their gradient to dz unless None."""
-    kp1 = z.shape[1]
-    K = kp1 - 1
-    pi = terms.pair_i[sl]
-    pj = terms.pair_j[sl]
-    w = terms.pair_w[sl]
-    zi = z.take(pi, axis=0)
-    zj = z.take(pj, axis=0)
-    zi_a, zi_b = zi[:, :-1], zi[:, 1:]
-    zj_a, zj_b = zj[:, :-1], zj[:, 1:]
-    want_grad = dz is not None
-    if kind == EUCLIDEAN:
-        lam, ga, gb = _closed_rate_batch(
-            zi_a - zj_a, zi_b - zj_b, beta, lengths[None, :], want_grad
-        )
-        grads = None if not want_grad else (ga, gb, -ga, -gb)
-    else:
-        lam, grads = _riemann_rate_batch(
-            zi_a, zi_b, zj_a, zj_b, beta, lengths[None, :], riemann_r, kind, want_grad
-        )
-    value = float((w[:, None] * lam).sum())
-    if not want_grad:
-        return value
+def _cut_gradient(G, sl, c, p, q, r, xa, xb):
+    """Per-cut gradient of coordinate c: interval k's a-end and interval k-1's b-end."""
+    Gc = G[sl, c]
+    Gc[:, :-1] = p * xa + q * xb
+    Gc[:, -1] = 0.0
+    Gc[:, 1:] += q * xa + r * xb
 
-    ga_i, gb_i, ga_j, gb_j = grads
-    wcol = w[:, None, None]
-    cuts_a = np.arange(K, dtype=np.int64)[None, :]
-    flat_ia = pi[:, None] * kp1 + cuts_a
-    flat_ib = flat_ia + 1
-    flat_ja = pj[:, None] * kp1 + cuts_a
-    flat_jb = flat_ja + 1
-    _scatter_add(dz, flat_ia, wcol * ga_i)
-    _scatter_add(dz, flat_ib, wcol * gb_i)
-    _scatter_add(dz, flat_ja, wcol * ga_j)
-    _scatter_add(dz, flat_jb, wcol * gb_j)
-    return value
+
+def _survival(z, beta, kind, lengths, riemann_r, terms, want_grad):
+    """Value of the weighted survival terms and, when ``want_grad``, their dz.
+
+    The pairs run in blocks of SURVIVAL_BLOCK, each latent coordinate
+    gathered as a contiguous (pairs, K+1) array, so every temporary stays
+    small. A block's rows reduce to per-row scalars, whose coefficients
+    (p, q, r) give the gradient at both ends of each interval. Interval k's
+    b-end and interval k+1's a-end are the same cut-point, so both sum into
+    one per-cut gradient G, laid out (P, d, K+1), and one product with the
+    plan's pair incidence scatters G onto the nodes. A dot pair's two ends
+    get different gradients, G_i and G_j, each scattered through its end of
+    the incidence.
+    """
+    n, kp1, d = z.shape
+    P = terms.pair_i.size
+    zc = z.transpose(2, 0, 1).copy()  # (d, n, K+1): one contiguous array per coordinate
+    euclid = kind == EUCLIDEAN
+    if want_grad:
+        G_i = np.empty((P, d, kp1))
+        G_j = None if euclid else np.empty((P, d, kp1))
+    value = 0.0
+    for a in range(0, P, SURVIVAL_BLOCK):
+        sl = slice(a, a + SURVIVAL_BLOCK)
+        pi = terms.pair_i[sl]
+        pj = terms.pair_j[sl]
+        wlen = terms.pair_w[sl, None] * lengths
+        if euclid:
+            D = [x.take(pi, axis=0) - x.take(pj, axis=0) for x in zc]
+            c0 = dav = w2 = 0.0
+            for x in D:
+                xa, xb = x[:, :-1], x[:, 1:]
+                v = xa - xb
+                c0 = c0 + xa * xa
+                dav = dav + xa * v
+                w2 = w2 + v * v
+            lam, p, q, r = _closed_coeffs(c0, dav, w2, c0 - dav, wlen, beta, want_grad)
+            if want_grad:
+                for c, x in enumerate(D):
+                    _cut_gradient(G_i, sl, c, p, q, r, x[:, :-1], x[:, 1:])
+        else:
+            Zi = [x.take(pi, axis=0) for x in zc]
+            Zj = [x.take(pj, axis=0) for x in zc]
+            caa = cbb = cab = 0.0
+            for xi, xj in zip(Zi, Zj):
+                prod = xi * xj
+                caa = caa + prod[:, :-1]
+                cbb = cbb + prod[:, 1:]
+                cab = cab + (xi[:, :-1] * xj[:, 1:] + xi[:, 1:] * xj[:, :-1])
+            lam, p, q, r = _riemann_coeffs(caa, 0.5 * cab, cbb, 1.0, beta, wlen, riemann_r,
+                                           want_grad)
+            if want_grad:
+                for c, (xi, xj) in enumerate(zip(Zi, Zj)):
+                    _cut_gradient(G_i, sl, c, p, q, r, xj[:, :-1], xj[:, 1:])
+                    _cut_gradient(G_j, sl, c, p, q, r, xi[:, :-1], xi[:, 1:])
+        value += float(lam.sum())
+    if not want_grad:
+        return value, None
+    inc = terms.pair_incidence
+    if euclid:
+        dz = inc @ G_i.reshape(P, d * kp1)
+    else:
+        i_end, j_end = inc.copy(), inc.copy()
+        i_end.data = np.maximum(inc.data, 0.0)
+        j_end.data = np.maximum(-inc.data, 0.0)
+        dz = i_end @ G_i.reshape(P, d * kp1) + j_end @ G_j.reshape(P, d * kp1)
+    return value, np.ascontiguousarray(dz.reshape(n, d, kp1).transpose(0, 2, 1))
 
 
 def _event_term(z, beta, kind, terms, dz):
@@ -575,8 +658,9 @@ def nll_value_grad(
     """Negative log-likelihood of the realized terms, optionally with gradient.
 
     Returns (value, dz, dbeta); dz is None unless ``want_grad``. The survival
-    pairs run in chunks of at most 65536 rows (4096 for the Riemann sum), so
-    memory stays bounded. The event term takes one row per (pair, interval)
+    pairs run in blocks of SURVIVAL_BLOCK (1024) pairs for both rate kinds,
+    so beyond the per-cut gradient (P x (K+1) x d floats) memory stays bounded
+    by the block, not by P K. The event term takes one row per (pair, interval)
     group: with the group's moments W, S1, S2 (see ``_Terms``), A = W - 2 S1
     + S2, B = S1 - S2, C = S2 and the endpoint differences da = z_ia - z_ja,
     db = z_ib - z_jb, a euclidean group contributes
@@ -588,13 +672,7 @@ def nll_value_grad(
     + C <z_ib, z_jb>]. This equals the per-event sum -sum_m w_m log
     lambda(t_m) up to rounding.
     """
-    P = terms.pair_i.shape[0]
-    max_chunk = 65536 if kind == EUCLIDEAN else 4096
-    bounds = np.linspace(0, P, -(-P // max_chunk) + 1).astype(int)
-    dz = np.zeros(z.shape) if want_grad else None
-    value = 0.0
-    for a, b in zip(bounds[:-1], bounds[1:]):
-        value += _survival_chunk(z, beta, kind, part.lengths, riemann_r, terms, slice(a, b), dz)
+    value, dz = _survival(z, beta, kind, part.lengths, riemann_r, terms, want_grad)
     dbeta = value  # d Lambda / d beta = Lambda
     if terms.ev_i.size:
         ev_value, ev_dbeta = _event_term(z, beta, kind, terms, dz)

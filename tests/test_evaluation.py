@@ -863,6 +863,17 @@ class TestExactMoments:
         no_std = _exact_lambda_moments(vs, part, ii, jj, kk0, want_std=False)
         assert np.array_equal(no_std[0], mean) and no_std[1] is None
 
+    def test_steep_crossing_warns_and_keeps_its_mean(self):
+        # |m_b - m_a| = 60 is past the ~45 that MAX_PANELS resolve: the row
+        # warns, and its finest mean still matches adaptive quadrature
+        s0, dm = 0.37, 60.0
+        row = ([-s0 * dm, 0.2], [(1 - s0) * dm, 0.2], [1e-3, 2e-3, 1e-3, 1e-3], 0.5)
+        vs, part = pair_state(*row)
+        with pytest.warns(RuntimeWarning, match="did not settle"):
+            mean, _ = _exact_lambda_moments(vs, part, *ONE)
+        ref_mean, _ = PairMoments(*row).interval_moments(length=0.6)
+        assert mean[0] == pytest.approx(ref_mean, rel=1e-9, abs=0.0)
+
     def test_unsettled_rows_warn(self):
         # a crossing far steeper than MAX_PANELS resolve, its bump between the
         # nodes of the one- and two-panel rules: both means underflow to 0 and

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 from scipy.special import erfc
 
-from tgne import inference
+from tgne import evaluation, inference
 from tgne.events import EventList, IntervalPartition, canonical_pair, split_edges
 from tgne.model import (
     DOT,
@@ -14,6 +15,7 @@ from tgne.model import (
     EUCLIDEAN,
     INV_SQRT2,
     SQRT_2PI,
+    SURVIVAL_BLOCK,
     LatentConfiguration,
     RateModel,
     SamplingPlan,
@@ -26,9 +28,14 @@ from tgne.model import (
     position_at,
     realize_plan,
     total_nll,
+    _Terms,
     _closed_rate_batch,
+    _event_term,
     _exp_linear_integrals,
     _normal_cdf_diff,
+    _pair_array,
+    _pair_incidence,
+    _pairs_to_array,
     _scatter_add,
 )
 
@@ -935,3 +942,220 @@ class TestEventGroups:
         monkeypatch.setattr(inference, "nll_value_grad", ref_nll_value_grad)
         per_event = inference.fit(ev, hp, split=split)
         np.testing.assert_allclose(folded.loss_trace, per_event.loss_trace, rtol=1e-10, atol=0)
+
+
+# ---------------------------------------------------------------------------
+# The blocked survival kernel against a plain per-row form: every (pair,
+# interval) row through ref_closed_rate_batch (or the Riemann sum written out
+# over (..., R, d)), weighted, and scattered onto both endpoints with
+# np.add.at.
+# ---------------------------------------------------------------------------
+
+
+def ref_riemann_rows(zi_a, zi_b, zj_a, zj_b, beta, lengths, R, kind, want_grad=False):
+    """Per-row left Riemann Lambda and its gradients in the four endpoints."""
+    s = np.arange(R, dtype=np.float64) / R
+    om = 1.0 - s
+    pi = zi_a[..., None, :] * om[:, None] + zi_b[..., None, :] * s[:, None]
+    pj = zj_a[..., None, :] * om[:, None] + zj_b[..., None, :] * s[:, None]
+    if kind == EUCLIDEAN:
+        diff = pi - pj
+        loglam = beta - np.einsum("...rd,...rd->...r", diff, diff)
+    else:
+        loglam = beta + np.einsum("...rd,...rd->...r", pi, pj)
+    lam_r = np.exp(loglam)
+    lam = lengths * lam_r.mean(axis=-1)
+    if not want_grad:
+        return lam, None
+    wfac = (np.asarray(lengths)[..., None] / R) * lam_r
+    if kind == EUCLIDEAN:
+        gpi = -2.0 * wfac[..., None] * diff
+        gpj = -gpi
+    else:
+        gpi = wfac[..., None] * pj
+        gpj = wfac[..., None] * pi
+    return lam, tuple(np.einsum("...rd,r->...d", g, f) for g, f in
+                      ((gpi, om), (gpi, s), (gpj, om), (gpj, s)))
+
+
+def ref_survival(z, beta, kind, lengths, terms, riemann_r=10, want_grad=False):
+    """Weighted survival value and dz, row by row."""
+    pi, pj, w = terms.pair_i, terms.pair_j, terms.pair_w
+    zi, zj = z[pi], z[pj]
+    if kind == EUCLIDEAN:
+        with np.errstate(over="ignore", invalid="ignore"):  # both branches on every row
+            lam, ga, gb = ref_closed_rate_batch(zi[:, :-1] - zj[:, :-1], zi[:, 1:] - zj[:, 1:],
+                                                beta, lengths[None, :], want_grad)
+        grads = (ga, gb, None if ga is None else -ga, None if gb is None else -gb)
+    else:
+        lam, grads = ref_riemann_rows(zi[:, :-1], zi[:, 1:], zj[:, :-1], zj[:, 1:], beta,
+                                      lengths[None, :], riemann_r, kind, want_grad)
+    value = float((w[:, None] * lam).sum())
+    if not want_grad:
+        return value, None
+    dz = np.zeros(z.shape)
+    cuts = np.arange(lengths.size)[None, :]
+    for g, nodes, end in zip(grads, (pi, pi, pj, pj), (0, 1, 0, 1)):
+        np.add.at(dz, (nodes[:, None], cuts + end), w[:, None, None] * g)
+    return value, dz
+
+
+def ref_nll_value_grad_rows(z, beta, kind, part, terms, riemann_r=10, want_grad=False):
+    """nll_value_grad with the survival term row by row and the package's event term."""
+    value, dz = ref_survival(z, beta, kind, part.lengths, terms, riemann_r, want_grad)
+    dbeta = value
+    if terms.ev_i.size:
+        ev_value, ev_dbeta = _event_term(z, beta, kind, terms, dz)
+        value += ev_value
+        dbeta += ev_dbeta
+    return value, dz, dbeta
+
+
+def difference_chain(rng, kinds, d):
+    """K + 1 cut-point differences whose K rows are of the given ROW_KINDS.
+
+    A far-tail row also sets its own start, so the row before it becomes a
+    plain one.
+    """
+    x = [rng.standard_normal(d)]
+    for kind in kinds:
+        if kind == "plain":
+            x.append(rng.standard_normal(d))
+        elif kind == "exact_degenerate":
+            x.append(x[-1])
+        elif kind == "near_degenerate":
+            step = rng.standard_normal(d)
+            x.append(x[-1] + 1e-10 * step / np.linalg.norm(step))
+        else:
+            da, db = mixed_rows(rng, [kind], d)
+            x[-1] = da[0]
+            x.append(db[0])
+    return np.stack(x)
+
+
+def survival_case(seed, P, K, d, kinds, directed):
+    """(z, terms) with P survival pairs of random weights and no events.
+
+    The first (P + 1) // 2 pairs are (2q, 2q + 1) with a static node 2q + 1,
+    so their rows follow difference chains of the drawn kinds exactly. When
+    directed, the next pairs reverse those; the rest join random nodes.
+    """
+    rng = np.random.default_rng(seed)
+    n = P + 2
+    half = (P + 1) // 2
+    own_i = 2 * np.arange(half, dtype=np.int64)
+    own_j = own_i + 1
+    rest = P - half
+    a = rng.integers(0, n, size=rest)
+    b = (a + rng.integers(1, n, size=rest)) % n
+    if directed:
+        r = min(rest, half)
+        a[:r], b[:r] = own_j[:r], own_i[:r]
+    else:
+        a, b = np.minimum(a, b), np.maximum(a, b)
+    pair_i = np.concatenate([own_i, a]).astype(np.int64)
+    pair_j = np.concatenate([own_j, b]).astype(np.int64)
+    z = rng.standard_normal((n, K + 1, d))
+    for i, j in zip(own_i, own_j):
+        z[j] = z[j, 0]
+        z[i] = z[j, 0] + difference_chain(rng, [kinds[r] for r in
+                                                rng.integers(len(kinds), size=K)], d)
+    none_i, none_f = np.empty(0, dtype=np.int64), np.empty(0)
+    terms = _Terms(pair_i, pair_j, rng.uniform(0.1, 3.0, size=P), none_i, none_i, none_i,
+                   none_f, none_f, none_f, _pair_incidence(pair_i, pair_j, n))
+    return z, terms
+
+
+BLOCK_EDGES = (0, 1, SURVIVAL_BLOCK - 1, SURVIVAL_BLOCK, SURVIVAL_BLOCK + 1,
+               2 * SURVIVAL_BLOCK + 3)
+
+
+class TestBlockedSurvival:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        P=st.sampled_from(BLOCK_EDGES),
+        K=st.integers(1, 4),
+        d=st.integers(1, 3),
+        kind=st.sampled_from([EUCLIDEAN, DOT]),
+        directed=st.booleans(),
+        kinds=st.lists(st.sampled_from(ROW_KINDS), min_size=1, max_size=4),
+        beta=st.floats(-2.0, 2.0),
+    )
+    def test_matches_rows(self, seed, P, K, d, kind, directed, kinds, beta):
+        z, terms = survival_case(seed, P, K, d, kinds, directed)
+        part = IntervalPartition(np.r_[0.0, np.sort(np.random.default_rng(seed).uniform(
+            0.05, 0.95, size=K - 1)), 1.0])
+        value, dz, dbeta = nll_value_grad(z, beta, kind, part, terms, riemann_r=3,
+                                          want_grad=True)
+        want, want_dz = ref_survival(z, beta, kind, part.lengths, terms, 3, want_grad=True)
+        assert value == pytest.approx(want, rel=1e-12, abs=0.0)
+        assert dbeta == pytest.approx(want, rel=1e-12, abs=0.0)
+        np.testing.assert_allclose(dz, want_dz, rtol=1e-12,
+                                   atol=1e-12 * np.abs(want_dz).max(initial=0.0))
+        alone, no_dz, _ = nll_value_grad(z, beta, kind, part, terms, riemann_r=3)
+        assert alone == value and no_dz is None
+
+    def test_cases_reach_every_branch(self):
+        z, terms = survival_case(0, 64, 4, 3, list(ROW_KINDS), directed=False)
+        half = 32
+        zi, zj = z[terms.pair_i[:half]], z[terms.pair_j[:half]]
+        da, db = zi[:, :-1] - zj[:, :-1], zi[:, 1:] - zj[:, 1:]
+        v = da - db
+        w2 = np.einsum("pkd,pkd->pk", v, v)
+        assert (w2 == 0).any() and ((w2 > 0) & (w2 < EPS_DEGENERATE**2)).any()
+        plain = w2 >= EPS_DEGENERATE**2
+        u0 = -np.einsum("pkd,pkd->pk", da, v)[plain] / w2[plain] * np.sqrt(2.0 * w2[plain])
+        assert (u0 > 6.0).any()
+
+    @pytest.mark.parametrize("kind", [EUCLIDEAN, DOT])
+    def test_memory_bounded_by_the_block(self, kind):
+        # 20,100 pairs x 15 intervals: the whole plan as one chunk of
+        # temporaries took 83 MB (euclidean) and 60 MB (dot)
+        n = 201
+        ev = EventList(src=np.array([0, 1]), dst=np.array([1, 2]), time=np.array([0.2, 0.7]),
+                       n=n, directed=False)
+        part = IntervalPartition.uniform(15)
+        terms = realize_plan(ev, part, SamplingPlan())
+        assert terms.pair_i.size >= 20_000
+        z = 0.5 * np.random.default_rng(0).standard_normal((n, 16, 2))
+        tracemalloc.start()
+        try:
+            nll_value_grad(z, 0.0, kind, part, terms, want_grad=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 24e6
+
+    @pytest.mark.parametrize("negatives, batch", [(None, None), (5, 20)])
+    def test_fit_matches_row_kernel(self, sbm_sample, monkeypatch, negatives, batch):
+        ev = sbm_sample.events
+        hp = inference.Hyperparams(epochs=30, seed=3, negatives_per_node=negatives,
+                                   batch_size=batch)
+        split = split_edges(ev, 0.1, 0.0, seed=0)
+        blocked = inference.fit(ev, hp, split=split)
+        monkeypatch.setattr(inference, "nll_value_grad", ref_nll_value_grad_rows)
+        rows = inference.fit(ev, hp, split=split)
+        np.testing.assert_allclose(blocked.loss_trace, rows.loss_trace, rtol=1e-10, atol=0)
+
+
+def list_pairs(pairs):
+    return np.asarray(list(pairs), dtype=np.int64).reshape(-1, 2)
+
+
+class TestPairArrays:
+    @pytest.mark.parametrize("m", [0, 1, 37])
+    @pytest.mark.parametrize("form", [set, frozenset, list, lambda p: (x for x in p)])
+    def test_match_the_list_form(self, m, form):
+        rng = np.random.default_rng(m)
+        pairs = [tuple(int(v) for v in rng.integers(-2, 12, size=2)) for _ in range(m)]
+        want = list_pairs(form(pairs))
+        assert_bits_equal(_pairs_to_array(form(pairs)), want)
+        inside = want[((want >= 0) & (want < 10)).all(axis=1)]
+        assert_bits_equal(_pair_array(form(pairs), 10), inside)
+        for directed in (False, True):
+            arr = want if directed else np.sort(want, axis=1)
+            order = np.lexsort((arr[:, 1], arr[:, 0]))
+            got_i, got_j = evaluation._sorted_pairs(form(pairs), directed)
+            assert_bits_equal(got_i, arr[order, 0])
+            assert_bits_equal(got_j, arr[order, 1])

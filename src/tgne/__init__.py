@@ -15,7 +15,6 @@ from .events import (
     normalize_times,
     parse_events,
     restrict_counts,
-    sample_negative_pairs,
     split_edges,
 )
 from .model import (
@@ -60,6 +59,7 @@ from .evaluation import (
     build_instances,
     edge_uncertainty,
     fit_lsdm,
+    fit_lsdm_intervals,
     lsdm_score,
     neighbor_distance,
     node_uncertainty,

@@ -220,10 +220,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     lsdm_models = None
     if "lsdm" in scorers:
         opts = evl.LsdmOpts(iters=int(resolved["lsdm_iters"]), seed=seed)
-        lsdm_models = {
-            k: evl.fit_lsdm(train_counts, train_pairs, k, fm.state.d, opts)
-            for k in range(1, part.K + 1)
-        }
+        lsdm_models = evl.fit_lsdm_intervals(train_counts, train_pairs, fm.state.d, opts)
         stopped = [k for k, m in lsdm_models.items() if not m.converged]
         if stopped:
             worst = max(lsdm_models[k].grad_inf for k in stopped)

@@ -44,7 +44,6 @@ from .events import (
     EventList,
     IntervalPartition,
     Pair,
-    canonical_pair,
     restrict_counts,  # part of this module's API; it works on the code storage
 )
 from .inference import FittedModel, VariationalState
@@ -144,6 +143,7 @@ def build_instances(
     pair_i, pair_j = _sorted_pairs(pairs, counts.directed)
     n = counts.n
     universe = n * (n - 1) if counts.directed else n * (n - 1) // 2
+    pair_code, k0 = np.divmod(counts.codes, counts.K)  # pair codes i * n + j
 
     rng = np.random.default_rng(seed)
     blocks: list[tuple[np.ndarray, np.ndarray, int, int]] = []  # (i, j, k, label)
@@ -152,8 +152,8 @@ def build_instances(
         hit = counts.counts_of(pair_i, pair_j, k) >= 1
         blocks.append((pair_i[hit], pair_j[hit], k, 1))
         n_pos = int(hit.sum())
-        active = counts.pairs_active_in(k)
-        n_inactive = universe - len(active)
+        active = pair_code[k0 == k - 1]  # ascending, as the codes are
+        n_inactive = universe - active.size
         take = min(n_pos, n_inactive)
         if take < n_pos:
             shortfall[k] = n_pos - take
@@ -166,18 +166,8 @@ def build_instances(
             blocks.append((all_i[free][picks], all_j[free][picks], k, 0))
             continue
         # sparse interval: rejection-sample uniform inactive pairs
-        chosen: set[Pair] = set()
-        while len(chosen) < take:
-            i = int(rng.integers(n))
-            j = int(rng.integers(n))
-            if i == j:
-                continue
-            p = canonical_pair(i, j, counts.directed)
-            if p in active or p in chosen:
-                continue
-            chosen.add(p)
-        neg = np.asarray(sorted(chosen), dtype=np.int64).reshape(-1, 2)
-        blocks.append((neg[:, 0], neg[:, 1], k, 0))
+        neg_i, neg_j = np.divmod(_rejection_sample(rng, n, counts.directed, active, take), n)
+        blocks.append((neg_i, neg_j, k, 0))
 
     bi, bj, bk, blabel = zip(*blocks)
     sizes = [b.size for b in bi]
@@ -186,6 +176,53 @@ def build_instances(
         score=np.full(sum(sizes), np.nan), label=np.repeat(blabel, sizes),
     )
     return table, shortfall
+
+
+def _in_sorted(values: np.ndarray, ascending: np.ndarray) -> np.ndarray:
+    """Membership of each value in an ascending array."""
+    if ascending.size == 0:
+        return np.zeros(values.shape, dtype=bool)
+    pos = np.minimum(np.searchsorted(ascending, values), ascending.size - 1)
+    return ascending[pos] == values
+
+
+def _rejection_sample(
+    rng: np.random.Generator, n: int, directed: bool, active: np.ndarray, take: int
+) -> np.ndarray:
+    """Ascending codes i * n + j of ``take`` distinct pairs not in ``active``.
+
+    The picks, and the state ``rng`` is left in, are those of the loop that
+    draws i = rng.integers(n), then j = rng.integers(n), and rejects self
+    pairs, active pairs and pairs already picked until it has ``take``. The
+    draws come in batches; the batch that completes the picks is drawn again,
+    from its start state, only as far as the loop would have drawn. That
+    relies on ``rng.integers(n, size=m)`` drawing what m scalar calls draw.
+    ``take`` must not exceed the number of inactive pairs.
+    """
+    orders = 1 if directed else 2  # draws (i, j) that give one stored pair
+    free = (n * (n - 1)) // orders - active.size
+    chosen = np.empty(0, dtype=np.int64)
+    while chosen.size < take:
+        need = take - chosen.size
+        # enough candidates for the picks still needed at the expected rate
+        batch = min(need * n * n // (orders * (free - chosen.size)) + need // 8 + 16, 1 << 20)
+        start = rng.bit_generator.state
+        draws = rng.integers(n, size=2 * batch)
+        i, j = draws[0::2], draws[1::2]
+        if not directed:
+            i, j = np.minimum(i, j), np.maximum(i, j)
+        code = i * n + j
+        ok = np.flatnonzero((i != j) & ~_in_sorted(code, active) & ~_in_sorted(code, chosen))
+        _, first = np.unique(code[ok], return_index=True)
+        ok = np.sort(ok[first])
+        if ok.size >= need:
+            ok = ok[:need]
+            used = 2 * (int(ok[-1]) + 1)
+            if used < draws.size:
+                rng.bit_generator.state = start
+                rng.integers(n, size=used)
+        chosen = np.union1d(chosen, code[ok])
+    return chosen
 
 
 def auc_from_scores(scores: np.ndarray, labels: np.ndarray) -> float:
@@ -367,8 +404,26 @@ def fit_lsdm(
     every accepted iterate lowers the objective. No temporal coupling: every
     interval is fit independently.
     """
-    opts = opts or LsdmOpts()
     ii, jj = _sorted_pairs(train_pairs, counts.directed)
+    return _fit_lsdm_sorted(counts, ii, jj, k, d, opts)
+
+
+def fit_lsdm_intervals(
+    counts: CountTensor,
+    train_pairs: Iterable[Pair],
+    d: int,
+    opts: Optional[LsdmOpts] = None,
+) -> dict[int, LsdmModel]:
+    """``fit_lsdm`` for each interval k = 1..K, with the pairs sorted once."""
+    ii, jj = _sorted_pairs(train_pairs, counts.directed)
+    return {k: _fit_lsdm_sorted(counts, ii, jj, k, d, opts) for k in range(1, counts.K + 1)}
+
+
+def _fit_lsdm_sorted(
+    counts: CountTensor, ii: np.ndarray, jj: np.ndarray, k: int, d: int, opts: Optional[LsdmOpts]
+) -> LsdmModel:
+    """``fit_lsdm`` on the training pairs as ``_sorted_pairs`` gives them."""
+    opts = opts or LsdmOpts()
     if ii.size == 0:
         raise ValueError("need at least one training pair")
     y = (counts.counts_of(ii, jj, k) >= 1).astype(np.float64)

@@ -94,12 +94,6 @@ class EventList:
     def unique_pairs(self) -> set[Pair]:
         return set(zip(self.src.tolist(), self.dst.tolist()))
 
-    def partners(self, i: int) -> set[int]:
-        """Nodes that interact with i at least once (either orientation)."""
-        out = set(self.dst[self.src == i].tolist())
-        out |= set(self.src[self.dst == i].tolist())
-        return out
-
     def pair_times(self, i: int, j: int) -> np.ndarray:
         """Event times of the pair (i, j), in stored orientation."""
         if self._pair_index is None:
@@ -310,14 +304,27 @@ def csv_field(text: str) -> str:
     return text
 
 
-def _rendered(column) -> list:
-    if isinstance(column, np.ndarray):
-        if column.dtype.kind == "f":
-            return list(map(repr, column.tolist()))
-        if column.dtype.kind in "biu":
-            return list(map(str, column.tolist()))
-        return column.tolist()
-    return column
+def _renderer(column):
+    """A function from a slice of ``column`` to the list of its fields as text.
+
+    An integer column whose values span no more distinct integers than it has
+    rows renders each value of that span once and looks the slices up in it.
+    """
+    if not isinstance(column, np.ndarray):
+        return lambda chunk: chunk
+    kind = column.dtype.kind
+    if kind == "f":
+        return lambda chunk: list(map(repr, chunk.tolist()))
+    if kind in "iu" and column.size:
+        lo, hi = column.min(), column.max()
+        span = int(hi) - int(lo)
+        # chunk - lo lies in 0..span, which must not wrap in the column's dtype
+        if span < column.size and span <= np.iinfo(column.dtype).max:
+            table = np.array(list(map(str, range(int(lo), int(hi) + 1))), dtype=object)
+            return lambda chunk: table.take(chunk - lo).tolist()
+    if kind in "biu":
+        return lambda chunk: list(map(str, chunk.tolist()))
+    return lambda chunk: chunk.tolist()
 
 
 def write_csv_columns(path: str | Path, header: Sequence[str], columns: Sequence) -> None:
@@ -328,12 +335,21 @@ def write_csv_columns(path: str | Path, header: Sequence[str], columns: Sequence
     ints; any other column holds fields already rendered as text (see
     ``csv_field``). Fields are joined by "," and rows end in "\\r\\n". Rows are
     rendered ``CSV_CHUNK_ROWS`` at a time, so only one chunk of strings is alive.
+
+    An integer (not bool) array whose range hi - lo + 1 is no larger than its
+    length has ``str`` of each of lo..hi rendered once, as an object array,
+    and each chunk becomes ``table.take(chunk - lo)``: about a tenth of the
+    time of ``str`` per value on a 214k-row column. Float text has no such
+    shortcut: ``repr``, ``%.17g`` and ``astype(str)`` all cost about 1 us per
+    value.
     """
     rows = len(columns[0]) if columns else 0
+    renderers = [_renderer(col) for col in columns]
     with open(path, "w", encoding="utf-8", newline="") as handle:
         handle.write(",".join(map(csv_field, header)) + "\r\n")
         for start in range(0, rows, CSV_CHUNK_ROWS):
-            fields = [_rendered(col[start : start + CSV_CHUNK_ROWS]) for col in columns]
+            stop = start + CSV_CHUNK_ROWS
+            fields = [render(col[start:stop]) for render, col in zip(renderers, columns)]
             handle.write("\r\n".join(map(",".join, zip(*fields))) + "\r\n")
 
 
@@ -609,35 +625,3 @@ def split_edges(
     train = frozenset(shuffled[n_test + n_val :])
     return EdgeSplit(train=train, val=val, test=test, seed=seed)
 
-
-def sample_negative_pairs(
-    ev: EventList,
-    i: int,
-    count: int,
-    excluded: Iterable[Pair] = (),
-    seed: int = 0,
-) -> tuple[set[Pair], int]:
-    """Sample up to `count` never-interacting partners for node i.
-
-    Returns (pairs, pool_size) where pairs are (i, j) with no event between
-    i and j and (i, j) not excluded, and pool_size is the exact number of
-    such candidates (used to reweight subsampled survival terms). An empty
-    pool yields (set(), 0).
-    """
-    if count < 1:
-        raise ValueError("count must be >= 1")
-    blocked = set(ev.partners(i))
-    blocked.add(i)
-    for a, b in excluded:
-        if a == i:
-            blocked.add(b)
-        elif b == i:
-            blocked.add(a)
-    candidates = [j for j in range(ev.n) if j not in blocked]
-    pool_size = len(candidates)
-    if pool_size == 0:
-        return set(), 0
-    rng = np.random.default_rng(seed)
-    take = min(count, pool_size)
-    chosen = rng.choice(pool_size, size=take, replace=False)
-    return {(i, candidates[c]) for c in chosen.tolist()}, pool_size

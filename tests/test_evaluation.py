@@ -19,12 +19,14 @@ from tgne.evaluation import (
     _lsdm_nll_grad,
     _posterior_draws,
     _posterior_lambda_moments,
+    _rejection_sample,
     _swapped_destinations,
     auc,
     auc_from_scores,
     build_instances,
     edge_uncertainty,
     fit_lsdm,
+    fit_lsdm_intervals,
     lsdm_score,
     neighbor_distance,
     node_table,
@@ -161,7 +163,6 @@ def _build_instances_loop(counts, pairs, part, seed):
         take = min(len(positives), n_inactive)
         if take < len(positives):
             shortfall[k] = len(positives) - take
-        chosen = set()
         if take and n_inactive <= 4 * take:
             inactive = [
                 (i, j)
@@ -172,15 +173,65 @@ def _build_instances_loop(counts, pairs, part, seed):
             picks = rng.choice(len(inactive), size=take, replace=False)
             chosen = {inactive[c] for c in picks.tolist()}
         else:
-            while len(chosen) < take:
-                i, j = int(rng.integers(n)), int(rng.integers(n))
-                if i == j:
-                    continue
-                p = canonical_pair(i, j, counts.directed)
-                if p not in active and p not in chosen:
-                    chosen.add(p)
+            chosen = _rejection_loop(rng, n, counts.directed, active, take)
         rows += [(i, j, k, 0) for i, j in sorted(chosen)]
     return rows, shortfall
+
+
+def _rejection_loop(rng, n, directed, active, take):
+    """The scalar loop that ``_rejection_sample`` reproduces draw for draw."""
+    chosen = set()
+    while len(chosen) < take:
+        i = int(rng.integers(n))
+        j = int(rng.integers(n))
+        if i == j:
+            continue
+        p = canonical_pair(i, j, directed)
+        if p in active or p in chosen:
+            continue
+        chosen.add(p)
+    return sorted(chosen)
+
+
+def _check_rejection_sample(rng_seed, n, directed, intervals):
+    """``intervals``: (active pairs, take) drawn in sequence from one generator each."""
+    loop_rng, batch_rng = np.random.default_rng(rng_seed), np.random.default_rng(rng_seed)
+    for active, take in intervals:
+        expected = _rejection_loop(loop_rng, n, directed, active, take)
+        codes = np.sort(np.asarray([a * n + b for a, b in active], dtype=np.int64))
+        got = _rejection_sample(batch_rng, n, directed, codes, take)
+        assert got.tolist() == [a * n + b for a, b in expected]
+        assert batch_rng.bit_generator.state == loop_rng.bit_generator.state
+
+
+class TestRejectionSample:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1), n=st.integers(3, 12), directed=st.booleans(),
+        fractions=st.lists(st.tuples(st.floats(0, 1), st.floats(0, 1)), min_size=1, max_size=4),
+    )
+    def test_matches_scalar_loop(self, seed, n, directed, fractions):
+        # small n: self pairs, active pairs and repeats are frequent rejections
+        universe = [(a, b) for a in range(n) for b in range(n) if a != b and (directed or a < b)]
+        pick = np.random.default_rng(seed + 1)
+        intervals = []
+        for active_frac, take_frac in fractions:
+            mask = pick.random(len(universe)) < active_frac
+            active = {p for p, hit in zip(universe, mask.tolist()) if hit}
+            take = int(take_frac * (len(universe) - len(active)))
+            intervals.append((active, take))
+        _check_rejection_sample(seed, n, directed, intervals)
+
+    @pytest.mark.parametrize("n", [750, 2**31 + 5])
+    @pytest.mark.parametrize("directed", [False, True])
+    def test_large_n(self, n, directed):
+        pick = np.random.default_rng(n)
+        active = set()
+        while len(active) < 40:
+            a, b = pick.integers(n, size=2).tolist()
+            if a != b:
+                active.add(canonical_pair(a, b, directed))
+        _check_rejection_sample(3, n, directed, [(active, 200), (set(), 1), (active, 0)])
 
 
 class TestInstanceTable:
@@ -462,6 +513,21 @@ class TestLsdm:
             nll, g_z, g_b = _lsdm_nll_grad(model.z, model.beta, ii, jj, y)
             assert model.nll_trace[-1] == nll
             assert model.grad_inf == max(np.abs(g_z).max(), abs(g_b)) < 1e-4
+
+    def test_sort_once_matches_fit_per_interval(self, sbm_lsdm_fits):
+        from tgne.cli import _EVAL_DEFAULTS
+
+        train_counts, train_pairs, models = sbm_lsdm_fits
+        opts = LsdmOpts(iters=_EVAL_DEFAULTS["lsdm_iters"], seed=_EVAL_DEFAULTS["seed"])
+        once = fit_lsdm_intervals(train_counts, train_pairs, 2, opts)
+        assert once.keys() == models.keys()
+        for k, model in models.items():
+            got = once[k]
+            assert np.array_equal(got.z, model.z) and got.beta == model.beta
+            assert np.array_equal(got.nll_trace, model.nll_trace)
+            assert (got.converged, got.iterations, got.evaluations, got.grad_inf) == (
+                model.converged, model.iterations, model.evaluations, model.grad_inf
+            )
 
     def test_nll_trace_non_increasing(self, sbm_lsdm_fits):
         for model in sbm_lsdm_fits[2].values():

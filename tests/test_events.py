@@ -18,7 +18,6 @@ from tgne.events import (
     interval_counts,
     normalize_times,
     parse_events,
-    sample_negative_pairs,
     split_edges,
     write_csv_columns,
     write_events_csv,
@@ -265,62 +264,6 @@ class TestSplitEdges:
         assert not (split.val & split.test)
 
 
-class TestSampleNegativePairs:
-    def test_fully_connected_node_has_no_pool(self):
-        ev = EventList(
-            src=np.array([0, 0, 0]),
-            dst=np.array([1, 2, 3]),
-            time=np.array([0.1, 0.2, 0.3]),
-            n=4,
-        )
-        pairs, pool = sample_negative_pairs(ev, 0, count=5, seed=0)
-        assert pairs == set() and pool == 0
-
-    def test_pool_smaller_than_count(self):
-        ev = EventList(
-            src=np.array([0]), dst=np.array([1]), time=np.array([0.5]), n=5
-        )
-        pairs, pool = sample_negative_pairs(ev, 0, count=10, seed=0)
-        assert pairs == {(0, 2), (0, 3), (0, 4)}
-        assert pool == 3
-
-    def test_excluded_pairs_respected(self, ten_node_events):
-        excluded = {(0, 3), (4, 0)}
-        pairs, _pool = sample_negative_pairs(
-            ten_node_events, 0, count=50, excluded=excluded, seed=1
-        )
-        partners = ten_node_events.partners(0)
-        for i, j in pairs:
-            assert i == 0 and j != 0
-            assert j not in partners
-            assert j not in (3, 4)
-
-    def test_never_returns_event_pairs(self, ten_node_events):
-        for seed in range(20):
-            pairs, _ = sample_negative_pairs(ten_node_events, 2, count=4, seed=seed)
-            history = ten_node_events.unique_pairs()
-            for i, j in pairs:
-                assert (min(i, j), max(i, j)) not in history
-
-    def test_reweighting_unbiased(self, ten_node_events):
-        """(pool/S) * sum over a sample estimates the full-pool sum."""
-        ev = ten_node_events
-        rng = np.random.default_rng(0)
-        f = rng.random(ev.n)  # arbitrary per-partner values
-        i = 0
-        full_pairs, pool = sample_negative_pairs(ev, i, count=ev.n, seed=0)
-        assert pool == len(full_pairs)
-        exact = sum(f[j] for _, j in full_pairs)
-        draws = 10_000
-        take = 3
-        estimates = np.empty(draws)
-        for s in range(draws):
-            pairs, pool_s = sample_negative_pairs(ev, i, count=take, seed=s)
-            estimates[s] = (pool_s / len(pairs)) * sum(f[j] for _, j in pairs)
-        se = estimates.std(ddof=1) / np.sqrt(draws)
-        assert abs(estimates.mean() - exact) < 3 * se
-
-
 def _count_tensor_cases():
     """(undirected, directed) count tensors with repeated pair-interval keys."""
     part = IntervalPartition.uniform(3)
@@ -552,6 +495,26 @@ class TestCsvColumns:
         write_csv_columns(tmp_path / "t.csv", ["i", "x"], [ints, floats])
         ref = zip(ints.tolist(), floats.tolist())
         assert (tmp_path / "t.csv").read_bytes() == _csv_writer_bytes(["i", "x"], ref)
+
+    @pytest.mark.parametrize("size", [0, 1, CSV_CHUNK_ROWS, CSV_CHUNK_ROWS + 1])
+    def test_int_lookup_matches_csv_writer(self, tmp_path, size):
+        rng = np.random.default_rng(size)
+        # int8 values over -100..100 span more than int8 holds: no lookup
+        wide_int8 = np.resize(np.array([-100, 100, 0], dtype=np.int8), size)
+        columns = [
+            rng.integers(-7, 3, size),  # negative lo
+            rng.integers(0, 256, size).astype(np.uint8),
+            rng.integers(-40, 40, size).astype(np.int32),
+            np.full(size, 2**62, dtype=np.int64),
+            rng.random(size) < 0.5,
+            rng.integers(-(2**40), 2**40, size),  # range exceeds length
+            wide_int8,
+            rng.standard_normal(size),
+        ]
+        header = [f"c{c}" for c in range(len(columns))]
+        write_csv_columns(tmp_path / "t.csv", header, columns)
+        ref = zip(*(col.tolist() for col in columns))
+        assert (tmp_path / "t.csv").read_bytes() == _csv_writer_bytes(header, ref)
 
     def test_events_file_matches_csv_writer(self, tmp_path):
         labels = ["a,b", 'q"x', "plain", " sp", "line\nbreak", "cr\r", ""]

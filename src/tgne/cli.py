@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import sys
 import warnings
 from pathlib import Path
@@ -21,6 +20,7 @@ import numpy as np
 from . import evaluation as evl
 from .events import (
     EventList,
+    float_text,
     interval_counts,
     parse_events,
     split_edges,
@@ -293,7 +293,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         outdir / "uncertainty_nodes.csv", ["node", "k", "u", "neighbor_dist", "degree"],
         [
             np.repeat(np.arange(n), K), np.tile(np.arange(1, K + 1), n), u.ravel(),
-            ["" if math.isnan(x) else repr(x) for x in nd.ravel().tolist()], deg.ravel(),
+            ["" if x == "nan" else x for x in float_text(nd.ravel())], deg.ravel(),
         ],
     )
 
@@ -314,7 +314,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     rates = evl.rate_vs_uncertainty_table(
         ev, fm.state, fm.hyper.rate_model, part, B=B, seed=seed
     )
-    times = list(map(repr, ev.time.tolist()))  # the negatives repeat the events' times
+    times = float_text(ev.time)  # the negatives repeat the events' times
     write_csv_columns(
         outdir / "rate_vs_uncertainty.csv",
         ["i", "j", "t", "k", "is_negative", "rate", "rate_std", "N"],

@@ -144,12 +144,17 @@ def build_instances(
     n = counts.n
     universe = n * (n - 1) if counts.directed else n * (n - 1) // 2
     pair_code, k0 = np.divmod(counts.codes, counts.K)  # pair codes i * n + j
+    # active_in[k - 1, p]: the split's p-th pair has an event in interval k
+    split_code = pair_i * n + pair_j  # ascending, as the pairs are sorted
+    in_split = _in_sorted(pair_code, split_code)
+    active_in = np.zeros((counts.K, split_code.size), dtype=bool)
+    active_in[k0[in_split], np.searchsorted(split_code, pair_code[in_split])] = True
 
     rng = np.random.default_rng(seed)
     blocks: list[tuple[np.ndarray, np.ndarray, int, int]] = []  # (i, j, k, label)
     shortfall: dict[int, int] = {}
     for k in range(1, part.K + 1):
-        hit = counts.counts_of(pair_i, pair_j, k) >= 1
+        hit = active_in[k - 1]
         blocks.append((pair_i[hit], pair_j[hit], k, 1))
         n_pos = int(hit.sum())
         active = pair_code[k0 == k - 1]  # ascending, as the codes are
@@ -161,7 +166,8 @@ def build_instances(
             # dense interval: enumerate the inactive pairs in (i, j) order and
             # sample directly; sorted picks give the chosen pairs in order
             all_i, all_j = _all_pair_arrays(n, counts.directed)
-            free = counts.counts_of(all_i, all_j, k) == 0
+            free = np.ones(universe, dtype=bool)
+            free[np.searchsorted(all_i * n + all_j, active)] = False
             picks = np.sort(rng.choice(n_inactive, size=take, replace=False))
             blocks.append((all_i[free][picks], all_j[free][picks], k, 0))
             continue

@@ -1,0 +1,37 @@
+"""Every third-party module the package imports is a declared dependency."""
+
+import ast
+import re
+import sys
+from pathlib import Path
+
+import pytest
+
+tomllib = pytest.importorskip("tomllib")  # in the standard library from Python 3.11
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _imported_modules(path: Path) -> set[str]:
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.split(".")[0])
+    return names
+
+
+def test_third_party_imports_are_declared():
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))["project"]
+    # a requirement's distribution name, normalized; each of ours imports as that name
+    declared = {
+        re.match(r"[A-Za-z0-9_.-]+", req).group().lower().replace("-", "_")
+        for req in project["dependencies"]
+    }
+    imported = set()
+    for path in sorted((ROOT / "src" / "tgne").glob("*.py")):
+        imported |= _imported_modules(path)
+    third_party = imported - set(sys.stdlib_module_names) - {"__future__", "tgne"}
+    assert third_party, "found no third-party import: the scan is broken"
+    assert third_party <= declared, f"undeclared: {sorted(third_party - declared)}"

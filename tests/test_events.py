@@ -15,6 +15,7 @@ from tgne.events import (
     _fast_columns,
     _loop_columns,
     csv_field,
+    float_text,
     interval_counts,
     normalize_times,
     parse_events,
@@ -529,6 +530,60 @@ class TestCsvColumns:
         ]
         expected = _csv_writer_bytes(["source", "dest", "timestamp"], ref)
         assert (tmp_path / "events.csv").read_bytes() == expected
+
+
+def _repr_text(x: np.ndarray) -> list[str]:
+    return list(map(repr, x.tolist()))
+
+
+class TestFloatText:
+    def test_random_bit_patterns(self):
+        # every exponent: subnormals, both signs, nan and inf payloads
+        bits = np.random.default_rng(0).integers(0, 2**64, size=200_000, dtype=np.uint64)
+        x = bits.view(np.float64)
+        assert float_text(x) == _repr_text(x)
+
+    def test_fixed_notation_range(self):
+        # the values orjson renders itself: 1e-4 <= |x| < 1e16
+        rng = np.random.default_rng(1)
+        mag = 10.0 ** rng.uniform(-5, 17, 200_000)
+        x = np.concatenate([
+            mag * rng.choice([-1.0, 1.0], mag.size), np.round(mag), rng.random(50_000),
+            rng.standard_normal(50_000) * 1e-3,
+        ])
+        assert float_text(x) == _repr_text(x)
+
+    @pytest.mark.parametrize("edge", [1e-4, 1e16])
+    def test_notation_edges(self, edge):
+        below, above = edge, edge
+        values = [edge]
+        for _ in range(4):
+            below, above = np.nextafter(below, 0.0), np.nextafter(above, np.inf)
+            values += [below, above]
+        x = np.array(values + [-v for v in values])
+        assert float_text(x) == _repr_text(x)
+
+    def test_special_values(self):
+        x = np.array([0.0, -0.0, 5e-324, -5e-324, np.finfo(np.float64).max,
+                      -np.finfo(np.float64).max, np.nan, np.inf, -np.inf])
+        assert float_text(x) == _repr_text(x)
+
+    def test_empty(self):
+        assert float_text(np.empty(0)) == []
+
+    def test_strided_slice(self):
+        x = np.random.default_rng(2).standard_normal(101)[::3]
+        assert not x.flags.c_contiguous
+        assert float_text(x) == _repr_text(x)
+
+    def test_float32_written_as_its_double(self):
+        x = np.array([0.1, 1e-5, 3.4e38, np.nan, 2.5], dtype=np.float32)
+        assert float_text(x) == _repr_text(x.astype(np.float64))
+        assert float_text(x)[0] == "0.10000000149011612"
+
+    def test_big_endian(self):
+        x = np.random.default_rng(3).standard_normal(64).astype(">f8")
+        assert float_text(x) == _repr_text(x)
 
 
 class TestCodeStorage:

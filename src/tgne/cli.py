@@ -373,6 +373,17 @@ def cmd_score(args: argparse.Namespace) -> int:
     return 0
 
 
+def _positive_int(text: str) -> int:
+    """An argparse type: an integer >= 1 (argparse names the flag on failure)."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tgne",
@@ -402,8 +413,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit.add_argument("--lr-beta", dest="lr_beta", type=float)
     p_fit.add_argument("--riemann-r", dest="riemann_r", type=int)
     p_fit.add_argument("--rate-model", dest="rate_model", choices=["euclidean", "dot"])
-    p_fit.add_argument("--negatives", type=int, help="negative samples per node per epoch")
-    p_fit.add_argument("--batch", type=int, help="node batch size per epoch")
+    p_fit.add_argument(
+        "--negatives", type=_positive_int, help="negative samples per node per epoch (>= 1)"
+    )
+    p_fit.add_argument("--batch", type=_positive_int, help="node batch size per epoch (>= 1)")
     p_fit.add_argument("--mc-samples", dest="mc_samples", type=int)
     p_fit.add_argument("--seed", type=int)
     p_fit.add_argument(

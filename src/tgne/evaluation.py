@@ -45,6 +45,7 @@ from .events import (
     IntervalPartition,
     Pair,
     restrict_counts,  # part of this module's API; it works on the code storage
+    unique_codes,
 )
 from .inference import FittedModel, VariationalState
 from .model import (
@@ -227,7 +228,7 @@ def _rejection_sample(
             if used < draws.size:
                 rng.bit_generator.state = start
                 rng.integers(n, size=used)
-        chosen = np.union1d(chosen, code[ok])
+        chosen = unique_codes(np.concatenate([chosen, code[ok]]))
     return chosen
 
 

@@ -40,6 +40,22 @@ def canonical_pair(i: int, j: int, directed: bool) -> Pair:
     return (j, i)
 
 
+def distinct_sorted(ascending: np.ndarray) -> np.ndarray:
+    """The distinct values of an ascending 1-d array, by a neighbour mask."""
+    keep = np.ones(ascending.size, dtype=bool)
+    np.not_equal(ascending[1:], ascending[:-1], out=keep[1:])
+    return ascending[keep]
+
+
+def unique_codes(codes: np.ndarray) -> np.ndarray:
+    """``np.unique(codes)`` of a 1-d integer array, by sort and neighbour mask.
+
+    numpy 2's values-only ``np.unique`` hashes its input, which costs several
+    times a sort on int64 pair codes; the result is the same array.
+    """
+    return distinct_sorted(np.sort(codes))
+
+
 @dataclass(eq=False)
 class EventList:
     """Normalized interaction history over nodes 0..n-1.
@@ -531,8 +547,8 @@ class CountTensor:
 
     def active_pair_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """(i, j) arrays of the pairs active in some interval, ascending (i, j)."""
-        pair = np.unique(self.codes // self.K)
-        return np.divmod(pair, self.n)
+        # codes ascend, so their pair codes do too
+        return np.divmod(distinct_sorted(self.codes // self.K), self.n)
 
     def pairs_active_in(self, k: int) -> set[Pair]:
         keys, _codes, _values = self._index()
@@ -634,7 +650,7 @@ def split_edges(
     if test_frac < 0 or val_frac < 0 or test_frac + val_frac >= 1:
         raise ValueError("need 0 <= test_frac + val_frac < 1")
     # ascending pair codes are the pairs in sorted (i, j) order
-    pi, pj = np.divmod(np.unique(ev.src * ev.n + ev.dst), ev.n)
+    pi, pj = np.divmod(unique_codes(ev.src * ev.n + ev.dst), ev.n)
     if pi.size < 3:
         raise ValueError(f"need at least 3 unique pairs to split, got {pi.size}")
     rng = np.random.default_rng(seed)

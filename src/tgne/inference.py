@@ -21,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from .events import EdgeSplit, EventList, IntervalPartition, write_csv_columns
+from .events import EdgeSplit, EventList, IntervalPartition, unique_codes, write_csv_columns
 from .model import (
     EUCLIDEAN,
     LatentConfiguration,
@@ -113,6 +113,10 @@ class Hyperparams:
             raise ValueError("epochs must be >= 0")
         if self.mc_samples < 1:
             raise ValueError("mc_samples must be >= 1")
+        if self.negatives_per_node is not None and self.negatives_per_node < 1:
+            raise ValueError(f"negatives_per_node must be >= 1, got {self.negatives_per_node}")
+        if self.batch_size is not None and self.batch_size < 1:
+            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
 
 
 @dataclass(eq=False)
@@ -267,7 +271,7 @@ def empirical_beta(ev: EventList, excluded_pairs=frozenset()) -> float:
         ex = _pair_array(excluded_pairs, n)
         codes = codes[~np.isin(codes, _pair_codes(ex[:, 0], ex[:, 1], n))]
     m = int(codes.size)
-    pairs = int(np.unique(codes).size)
+    pairs = int(unique_codes(codes).size)
     if m == 0 or pairs == 0:
         return 0.0
     return float(np.log(m / pairs))

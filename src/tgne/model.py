@@ -34,7 +34,7 @@ import numpy as np
 from scipy.sparse import csc_matrix
 from scipy.special import erfc
 
-from .events import EventList, IntervalPartition
+from .events import EventList, IntervalPartition, unique_codes
 
 SQRT_2PI = np.sqrt(2.0 * np.pi)
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
@@ -46,6 +46,10 @@ EPS_DEGENERATE = 1e-9
 # pairs per block of the survival kernel: with K = 15 a block's temporaries
 # are ~120 kB each, so they stay in L2
 SURVIVAL_BLOCK = 1024
+
+# cells of each boolean (node rows x n) table of the negative sampler: 2 MB
+# per table whatever n is
+SEEN_CELLS = 1 << 21
 
 EUCLIDEAN = "euclidean"
 DOT = "dot"
@@ -395,28 +399,114 @@ def _pair_incidence(pair_i: np.ndarray, pair_j: np.ndarray, n: int) -> csc_matri
     )
 
 
+def _draw_partners(
+    rng: np.random.Generator, nodes: np.ndarray, pool: np.ndarray, take: np.ndarray,
+    blocked: np.ndarray, starts: np.ndarray, n: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """For each row r, a uniform sample without replacement of ``take[r]`` of
+    node ``nodes[r]``'s ``pool[r]`` free partners, as (row, partner) pairs
+    ascending by row, then partner.
+
+    Node i's blocked partners are its ascending codes i * n + partner in
+    ``blocked[starts[i]:starts[i + 1]]``; the rest are free, and its rank r
+    is its r-th free partner. Floyd's algorithm draws the ranks for all rows
+    at once: a row that draws d ranks takes d steps, and at step s it draws
+    t uniform on 0..h, h = pool - d + s, in one ``rng.integers`` call for all
+    rows still drawing, and keeps h instead of t when t is already picked,
+    which leaves a uniform d-subset. A boolean table of rows by ranks holds
+    the picks, so a repeat is one lookup. A row draws d = min(take,
+    pool - take): when take > pool / 2 it draws the partners it leaves out,
+    and take == pool takes the whole pool with no draw. Rows go through the
+    tables in chunks of at most ``SEEN_CELLS`` cells.
+    """
+    complement = 2 * take > pool
+    draws = np.where(complement, pool - take, take)
+    # rank r of node i is r plus node i's blocked partners below it: its
+    # blocked codes with at most r free partners before them
+    free_before = blocked - np.arange(blocked.size) + np.repeat(starts[:-1], np.diff(starts))
+    chunk = max(1, SEEN_CELLS // max(n, 1))
+    rows = [np.empty(0, dtype=np.int64)]
+    partners = [np.empty(0, dtype=np.int64)]
+    for lo in range(0, nodes.size, chunk):
+        sl = slice(lo, lo + chunk)
+        node, d = nodes[sl], draws[sl]
+        seen = np.zeros(d.size * n, dtype=bool)  # row-major (rows x ranks)
+        cell = np.arange(d.size) * n  # the index of each row's rank 0
+        h = pool[sl] - d  # each row's bound at its first step
+        picks = [np.empty(0, dtype=np.int64)]
+        stops = np.bincount(d)  # stops[s] > 0: some rows draw no more from step s
+        for s in range(stops.size - 1):
+            if stops[s]:
+                keep = d > s
+                d, cell, h = d[keep], cell[keep], h[keep]
+            t = rng.integers(h + 1)
+            at = cell + np.where(seen[cell + t], h, t)
+            seen[at] = True
+            picks.append(at)
+            h += 1
+        r, rank = np.divmod(np.sort(np.concatenate(picks)), n)
+        i = node[r]
+        j = rank + np.searchsorted(free_before, i * n + rank, side="right") - starts[i]
+        comp = complement[sl]
+        out = comp[r]  # the ranks that complement rows leave out
+
+        # a complement row takes its free partners but the drawn ones
+        c = np.flatnonzero(comp)
+        first, count = starts[node[c]], np.diff(starts)[node[c]]
+        # the positions of these rows' blocked codes, one run per row
+        run = np.repeat(first - np.cumsum(count) + count, count) + np.arange(count.sum())
+        free = np.ones((c.size, n), dtype=bool)
+        free[np.repeat(np.arange(c.size), count), blocked[run] % n] = False
+        free[np.searchsorted(c, r[out]), j[out]] = False
+        rc, jc = np.nonzero(free)
+        row = np.concatenate([r[~out], c[rc]])
+        order = np.argsort(row, kind="stable")  # two ascending runs: one merge
+        rows.append(row[order] + lo)
+        partners.append(np.concatenate([j[~out], jc])[order])
+    return np.concatenate(rows), np.concatenate(partners)
+
+
 def realize_plan(ev: EventList, part: IntervalPartition, plan: SamplingPlan) -> _Terms:
     """Materialize a sampling plan into weighted survival and event terms.
 
-    Deterministic given the plan's seed. In undirected mode a sampled
-    never-interacting pair carries weight pool_i / (2 * S_i): pools are
-    per-node over all partners, so each unordered pair can be drawn from both
-    endpoints, and the halving makes the estimator exact when S_i = pool_i
-    and unbiased otherwise.
+    Deterministic given the plan's seed. Under ``negatives_per_node`` = S,
+    each sampled node i keeps its interacting pairs and draws
+    take_i = min(S, pool_i) partners, uniformly without replacement, from its
+    pool: the nodes it never meets and that no excluded pair joins it to.
+    All nodes draw in one vectorized pass of Floyd's algorithm
+    (``_draw_partners``): max(min(S, pool_i - S)) steps, each a few array
+    operations over the nodes still drawing, with boolean tables of at most
+    ``SEEN_CELLS`` cells. One ``searchsorted`` on the blocked (node, partner)
+    codes turns the drawn ranks into partners.
+
+    In undirected mode a sampled never-interacting pair carries weight
+    pool_i / (2 * take_i): pools are per-node over all partners, so each
+    unordered pair can be drawn from both endpoints, and the halving makes
+    the estimator exact when take_i = pool_i and unbiased otherwise.
+
+    Raises ``ValueError`` for ``negatives_per_node`` < 1 and for an empty
+    ``node_batch`` or one with a repeated or out-of-range node id.
     """
     n = ev.n
     excluded = _pair_array(plan.excluded_pairs, n)
     canon = excluded if ev.directed else np.sort(excluded, axis=1)
-    excl_codes = np.unique(_pair_codes(canon[:, 0], canon[:, 1], n))
+    excl_codes = unique_codes(_pair_codes(canon[:, 0], canon[:, 1], n))
+    if plan.negatives_per_node is not None and plan.negatives_per_node < 1:
+        raise ValueError(f"negatives_per_node must be >= 1, got {plan.negatives_per_node}")
 
     in_batch = None
     scale = 1.0
     if plan.node_batch is not None:
-        if len(plan.node_batch) == 0:
+        batch = np.sort(np.asarray(plan.node_batch, dtype=np.int64))
+        if batch.size == 0:
             raise ValueError("node batch must be non-empty")
+        if batch[0] < 0 or batch[-1] >= n:
+            raise ValueError(f"node batch ids must lie in 0..{n - 1}")
+        if np.any(batch[1:] == batch[:-1]):
+            raise ValueError("node batch ids must be distinct")
         in_batch = np.zeros(n, dtype=bool)
-        in_batch[list(plan.node_batch)] = True
-        scale = n / len(plan.node_batch)
+        in_batch[batch] = True
+        scale = n / batch.size
 
     def pair_weights(pi: np.ndarray, pj: np.ndarray) -> np.ndarray:
         if in_batch is None:
@@ -434,51 +524,38 @@ def realize_plan(ev: EventList, part: IntervalPartition, plan: SamplingPlan) -> 
         nz = w > 0
         pair_i, pair_j, pair_w = ui[nz], uj[nz], w[nz]
     else:
-        pos_codes = np.unique(_pair_codes(ev.src, ev.dst, n)) if ev.m else np.empty(0, np.int64)
+        pos_codes = unique_codes(_pair_codes(ev.src, ev.dst, n))
         if ev.directed and pos_codes.size:
             # negative pools are dyad-level, so the exact survival terms must
             # cover both orientations of any dyad that interacts at all
             rev = (pos_codes % n) * n + pos_codes // n
-            pos_codes = np.unique(np.concatenate([pos_codes, rev]))
+            pos_codes = unique_codes(np.concatenate([pos_codes, rev]))
         if excl_codes.size:
             pos_codes = pos_codes[~np.isin(pos_codes, excl_codes)]
         pos_i = pos_codes // n
         pos_j = pos_codes % n
         w_pos = pair_weights(pos_i, pos_j)
         nz = w_pos > 0
-        parts_i = [pos_i[nz]]
-        parts_j = [pos_j[nz]]
-        parts_w = [w_pos[nz]]
 
         # blocked (node, partner) codes: event partners and excluded pairs in
         # both orientations, and the node itself; node i owns [i*n, (i+1)*n)
         src = np.concatenate([ev.src, excluded[:, 0]]).astype(np.int64)
         dst = np.concatenate([ev.dst, excluded[:, 1]]).astype(np.int64)
-        blocked = np.unique(np.concatenate(
+        blocked = unique_codes(np.concatenate(
             [src * n + dst, dst * n + src, np.arange(n, dtype=np.int64) * (n + 1)]
         ))
         starts = np.searchsorted(blocked, np.arange(n + 1, dtype=np.int64) * n)
-        free = np.ones(n, dtype=bool)
-
-        rng = np.random.default_rng(plan.seed)
-        nodes = sorted(plan.node_batch) if plan.node_batch is not None else range(n)
+        nodes = np.arange(n, dtype=np.int64) if in_batch is None else batch
+        pool = n - (starts[nodes + 1] - starts[nodes])
+        nodes, pool = nodes[pool > 0], pool[pool > 0]
+        take = np.minimum(plan.negatives_per_node, pool)
+        row, partner = _draw_partners(
+            np.random.default_rng(plan.seed), nodes, pool, take, blocked, starts, n
+        )
         half = 1.0 if ev.directed else 0.5
-        for i in nodes:
-            cols = blocked[starts[i]:starts[i + 1]] - i * n
-            free[cols] = False
-            pool = np.flatnonzero(free)
-            free[cols] = True
-            if not pool.size:
-                continue
-            take = min(plan.negatives_per_node, pool.size)
-            idx = rng.choice(pool.size, size=take, replace=False)
-            w_neg = scale * half * pool.size / take
-            parts_i.append(np.full(take, i, dtype=np.int64))
-            parts_j.append(pool[idx])
-            parts_w.append(np.full(take, w_neg))
-        pair_i = np.concatenate(parts_i)
-        pair_j = np.concatenate(parts_j)
-        pair_w = np.concatenate(parts_w)
+        pair_i = np.concatenate([pos_i[nz], nodes[row]])
+        pair_j = np.concatenate([pos_j[nz], partner])
+        pair_w = np.concatenate([w_pos[nz], (scale * half * pool / take)[row]])
 
     if ev.m:
         k1, s = part.local_coord(ev.time)

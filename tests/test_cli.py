@@ -163,6 +163,25 @@ class TestFit:
         assert run(["fit", "--events", tmp_path / "nope.csv", "--out", tmp_path / "o"]) == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--negatives", "0"), ("--negatives", "-3"), ("--batch", "-2"), ("--batch", "0"),
+    ])
+    def test_sampling_flags_below_one_usage_error(self, sim_dir, tmp_path, capsys, flag, value):
+        with pytest.raises(SystemExit) as exc:
+            main(["fit", "--events", str(sim_dir / "events.csv"),
+                  "--out", str(tmp_path / "x"), flag, value])
+        assert exc.value.code == 2
+        assert f"argument {flag}: must be >= 1, got {value}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, name", [("negatives", "negatives_per_node"),
+                                           ("batch", "batch_size")])
+    def test_sampling_config_below_one_exits_one(self, sim_dir, tmp_path, capsys, key, name):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({key: 0}))
+        assert run(["fit", "--events", sim_dir / "events.csv", "--out", tmp_path / "x",
+                    "--config", cfg]) == 1
+        assert f"error: {name} must be >= 1, got 0" in capsys.readouterr().err
+
 
 class TestEval:
     def test_full_run_outputs(self, tmp_path, sim_dir, fit_dir):

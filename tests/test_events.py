@@ -15,11 +15,13 @@ from tgne.events import (
     _fast_columns,
     _loop_columns,
     csv_field,
+    distinct_sorted,
     float_text,
     interval_counts,
     normalize_times,
     parse_events,
     split_edges,
+    unique_codes,
     write_csv_columns,
     write_events_csv,
 )
@@ -584,6 +586,24 @@ class TestFloatText:
     def test_big_endian(self):
         x = np.random.default_rng(3).standard_normal(64).astype(">f8")
         assert float_text(x) == _repr_text(x)
+
+
+class TestUniqueCodes:
+    @pytest.mark.parametrize("codes", [
+        [], [7], [3, 3, 3, 3], [-5, 2, -5, -1, 0, 2, -(2**62)], [2**62, -1, 2**62],
+    ])
+    def test_equals_np_unique(self, codes):
+        codes = np.asarray(codes, dtype=np.int64)
+        want = np.unique(codes)
+        for got in (unique_codes(codes), distinct_sorted(np.sort(codes))):
+            assert got.dtype == want.dtype and got.tolist() == want.tolist()
+
+    def test_random_codes(self):
+        rng = np.random.default_rng(0)
+        for size, high in ((1, 3), (50, 10), (10_000, 500), (10_000, 2**40)):
+            codes = rng.integers(-high, high, size)
+            assert np.array_equal(unique_codes(codes), np.unique(codes))
+        assert unique_codes(codes).dtype == np.int64
 
 
 class TestCodeStorage:

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 from scipy.special import erfc
 
-from tgne import evaluation, inference
+from tgne import evaluation, inference, model
 from tgne.events import EventList, IntervalPartition, canonical_pair, split_edges
 from tgne.model import (
     DOT,
@@ -639,8 +639,10 @@ class TestKernelsMatchBothBranchForms:
         assert_bits_equal(dz, want)
 
 
-def ref_negative_pairs(ev, plan):
-    """pair_i, pair_j, pair_w of a negatives plan from per-node list pools."""
+def ref_negative_plan(ev, plan):
+    """A negatives plan in list form: the exact pairs as (pair_i, pair_j,
+    pair_w), and (node, pool, take, weight) for each sampled node that has a
+    non-empty pool, ascending by node."""
     n = ev.n
     excl_codes = np.asarray(
         sorted(
@@ -672,7 +674,6 @@ def ref_negative_pairs(ev, plan):
     pos_i, pos_j = pos_codes // n, pos_codes % n
     w_pos = pair_weights(pos_i, pos_j)
     nz = w_pos > 0
-    parts_i, parts_j, parts_w = [pos_i[nz]], [pos_j[nz]], [w_pos[nz]]
 
     partners = [set() for _ in range(n)]
     for a, b in zip(ev.src.tolist(), ev.dst.tolist()):
@@ -682,26 +683,38 @@ def ref_negative_pairs(ev, plan):
     for a, b in plan.excluded_pairs:
         excluded_of.setdefault(a, set()).add(b)
         excluded_of.setdefault(b, set()).add(a)
-    rng = np.random.default_rng(plan.seed)
     nodes = sorted(plan.node_batch) if plan.node_batch is not None else range(n)
     half = 1.0 if ev.directed else 0.5
+    pools = []
     for i in nodes:
         blocked = partners[i] | excluded_of.get(i, set())
         pool = [j for j in range(n) if j != i and j not in blocked]
-        if not pool:
-            continue
-        take = min(plan.negatives_per_node, len(pool))
-        idx = rng.choice(len(pool), size=take, replace=False)
-        parts_i.append(np.full(take, i, dtype=np.int64))
-        parts_j.append(np.asarray(pool, dtype=np.int64)[idx])
-        parts_w.append(np.full(take, scale * half * len(pool) / take))
-    return np.concatenate(parts_i), np.concatenate(parts_j), np.concatenate(parts_w)
+        if pool:
+            take = min(plan.negatives_per_node, len(pool))
+            pools.append((i, pool, take, scale * half * len(pool) / take))
+    return (pos_i[nz], pos_j[nz], w_pos[nz]), pools
 
 
 def assert_plan_matches_reference(ev, plan):
+    """The plan's pairs against the list form. The draws themselves depend on
+    the generator's stream, so each node's picks are checked as a set: the
+    right number, distinct, inside its pool, and the whole pool when S covers
+    it."""
     terms = realize_plan(ev, IntervalPartition.uniform(3), plan)
-    for got, want in zip((terms.pair_i, terms.pair_j, terms.pair_w), ref_negative_pairs(ev, plan)):
-        assert_bits_equal(got, want)
+    exact, pools = ref_negative_plan(ev, plan)
+    P = exact[0].size
+    for got, want in zip((terms.pair_i, terms.pair_j, terms.pair_w), exact):
+        assert_bits_equal(got[:P], want)
+    takes = [take for _, _, take, _ in pools]
+    assert_bits_equal(terms.pair_i[P:], np.repeat(np.array([i for i, *_ in pools], np.int64), takes))
+    assert_bits_equal(terms.pair_w[P:], np.repeat(np.array([w for *_, w in pools], np.float64), takes))
+    neg_i, neg_j = terms.pair_i[P:], terms.pair_j[P:]
+    for i, pool, take, _ in pools:
+        picks = neg_j[neg_i == i].tolist()
+        assert len(set(picks)) == len(picks) == take
+        assert set(picks) <= set(pool)
+        if plan.negatives_per_node >= len(pool):
+            assert set(picks) == set(pool)
 
 
 class TestNegativePoolsMatchListForm:
@@ -748,6 +761,86 @@ class TestNegativePoolsMatchListForm:
             plan = SamplingPlan(negatives_per_node=2, node_batch=batch, seed=5,
                                 excluded_pairs=excluded)
             assert_plan_matches_reference(ev, plan)
+
+
+def sampler_events(directed):
+    """n = 10 events whose pools at S = 3 need every kind of row: node 0's
+    pool is {7, 8, 9} (the whole pool), node 1 leaves out 2 of its 5 and
+    node 2 one of its 4 (complements), and nodes 3.. draw 3 of 6 or more."""
+    src = np.array([0, 0, 0, 0, 0, 0, 1, 1, 1, 2, 2, 2], dtype=np.int64)
+    dst = np.array([1, 2, 3, 4, 5, 6, 2, 3, 4, 3, 4, 5], dtype=np.int64)
+    return EventList(src=src, dst=dst, time=np.linspace(0.0, 1.0, src.size), n=10,
+                     directed=directed)
+
+
+class TestNegativeSampler:
+    @pytest.mark.parametrize("directed, batch", [
+        (False, None), (True, None), (False, (0, 1, 2, 3, 7, 8)),
+    ])
+    def test_inclusion_frequencies(self, directed, batch):
+        """Each pool member is picked in take / |pool| of the plans, within
+        binomial bounds over 5,000 seeds; a whole pool in every plan."""
+        ev = sampler_events(directed)
+        plan = SamplingPlan(negatives_per_node=3, node_batch=batch,
+                            excluded_pairs=frozenset({(8, 9)}))
+        exact, pools = ref_negative_plan(ev, plan)
+        kinds = {"whole" if take == len(pool) else "complement" if 2 * take > len(pool)
+                 else "draw" for _, pool, take, _ in pools}
+        assert kinds == {"whole", "complement", "draw"}
+        P, n, plans = exact[0].size, ev.n, 5_000
+        counts = np.zeros(n * n, dtype=np.int64)
+        part = IntervalPartition.uniform(2)
+        for seed in range(plans):
+            terms = realize_plan(ev, part, dataclasses.replace(plan, seed=seed))
+            counts += np.bincount(terms.pair_i[P:] * n + terms.pair_j[P:], minlength=n * n)
+        counts = counts.reshape(n, n)
+        for i, pool, take, _ in pools:
+            p = take / len(pool)
+            bound = 5.0 * np.sqrt(plans * p * (1.0 - p))
+            assert np.all(np.abs(counts[i, pool] - plans * p) <= bound), (i, counts[i, pool])
+        assert counts.sum() == plans * sum(take for _, _, take, _ in pools)
+
+    def test_seen_table_is_chunked(self, monkeypatch):
+        """At n = 4,000 one (nodes x n) table would take 16 MB; the sampler
+        stays far below that, and the bound does catch an unchunked table."""
+        n = 4_000
+        rng = np.random.default_rng(0)
+        src, dst = rng.integers(0, n, 3_000), rng.integers(0, n, 3_000)
+        keep = src != dst
+        src, dst = np.minimum(src[keep], dst[keep]), np.maximum(src[keep], dst[keep])
+        ev = EventList(src=src, dst=dst, time=np.sort(rng.random(src.size)), n=n)
+        part = IntervalPartition.uniform(15)
+
+        def peak():
+            tracemalloc.start()
+            try:
+                terms = realize_plan(ev, part, SamplingPlan(negatives_per_node=20, seed=1))
+                return tracemalloc.get_traced_memory()[1], terms
+            finally:
+                tracemalloc.stop()
+
+        chunked, terms = peak()
+        assert terms.pair_i.size > 20 * n
+        assert chunked < 12e6
+        monkeypatch.setattr(model, "SEEN_CELLS", n * n)
+        assert peak()[0] > 12e6
+
+    @pytest.mark.parametrize("batch, match", [
+        ((1, 1, 3), "distinct"), ((1, 9), "0..5"), ((-1, 3), "0..5"), ((), "non-empty"),
+    ])
+    def test_bad_node_batch(self, batch, match):
+        ev = random_events(n=6, m=10, seed=1)
+        for negatives in (None, 2):
+            plan = SamplingPlan(negatives_per_node=negatives, node_batch=batch)
+            with pytest.raises(ValueError, match=match):
+                realize_plan(ev, IntervalPartition.uniform(2), plan)
+
+    @pytest.mark.parametrize("negatives", [0, -3])
+    def test_negatives_below_one(self, negatives):
+        ev = random_events(n=6, m=10, seed=1)
+        with pytest.raises(ValueError, match="negatives_per_node"):
+            realize_plan(ev, IntervalPartition.uniform(2),
+                         SamplingPlan(negatives_per_node=negatives))
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,6 @@ from .model import (
     RateModel,
     SamplingPlan,
     cumulative_rate_closed,
-    cumulative_rate_riemann,
     log_rate,
     normal_cdf,
     pair_interval_nll,

@@ -53,7 +53,6 @@ _FIT_DEFAULTS = {
     "epochs": 500,
     "lr_phi": 0.01,
     "lr_beta": 1e-5,
-    "riemann_r": 10,
     "rate_model": "euclidean",
     "negatives": None,
     "batch": None,
@@ -77,7 +76,7 @@ _EVAL_DEFAULTS = {
     "lsdm_iters": 800,
 }
 
-_SCORE_DEFAULTS = {"scorer": "tgne", "B": 200, "seed": 0}
+_SCORE_DEFAULTS = {"scorer": "tgne"}
 
 
 def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
@@ -156,7 +155,6 @@ def cmd_fit(args: argparse.Namespace) -> int:
         epochs=int(resolved["epochs"]),
         lr_phi=float(resolved["lr_phi"]),
         lr_beta=float(resolved["lr_beta"]),
-        riemann_r=int(resolved["riemann_r"]),
         rate_model=str(resolved["rate_model"]),
         negatives_per_node=None if resolved["negatives"] is None else int(resolved["negatives"]),
         batch_size=None if resolved["batch"] is None else int(resolved["batch"]),
@@ -188,17 +186,12 @@ def _write_instances_csv(path, splits, scorers):
     write_csv_columns(path, header, columns)
 
 
-def _draw_count(resolved: dict) -> int:
-    """``--B``, which must be >= 2 (a std over fewer draws is undefined)."""
-    B = int(resolved["B"])
-    if B < 2:
-        raise ValueError(f"--B must be >= 2, got {B}")
-    return B
-
-
 def cmd_eval(args: argparse.Namespace) -> int:
     resolved = _resolve(args, _EVAL_DEFAULTS)
-    B = _draw_count(resolved)
+    scorers = [s.strip() for s in str(resolved["scorers"]).split(",") if s.strip()]
+    unknown = [s for s in scorers if s not in evl.SCORER_NAMES]
+    if unknown:
+        raise ValueError(f"unknown scorer {unknown[0]!r}; choose from {evl.SCORER_NAMES}")
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     fm = load_model(args.model)
@@ -211,7 +204,6 @@ def cmd_eval(args: argparse.Namespace) -> int:
     part = fm.part
     split = _make_split(ev, resolved)
     counts = interval_counts(ev, part)
-    scorers = [s.strip() for s in str(resolved["scorers"]).split(",") if s.strip()]
     seed = int(resolved["seed"])
     rng = np.random.SeedSequence(seed)
 
@@ -258,7 +250,6 @@ def cmd_eval(args: argparse.Namespace) -> int:
                 train_counts=train_counts,
                 lsdm_models=lsdm_models,
                 seed=int(child.integers(2**63)),
-                B=B,
             )
             scores[scorer] = scored.score
             per_scorer[scorer] = evl.auc(scored)
@@ -302,18 +293,15 @@ def cmd_eval(args: argparse.Namespace) -> int:
     if pi.size:
         ii, jj = pi.repeat(K), pj.repeat(K)
         kk0 = np.tile(np.arange(K), pi.size)
-        mean, std = evl._posterior_lambda_moments(
-            fm.state, fm.hyper.rate_model, part, ii, jj, kk0, B, seed,
-            fm.hyper.riemann_r,
+        mean, std = evl._exact_lambda_moments(
+            fm.state, part, ii, jj, kk0, kind=fm.hyper.rate_model
         )
         write_csv_columns(
             outdir / "uncertainty_edges.csv", ["i", "j", "k", "N", "lambda_mean", "lambda_std"],
             [ii, jj, kk0 + 1, counts.counts_of(ii, jj, kk0 + 1), mean, std],
         )
 
-    rates = evl.rate_vs_uncertainty_table(
-        ev, fm.state, fm.hyper.rate_model, part, B=B, seed=seed
-    )
+    rates = evl.rate_vs_uncertainty_table(ev, fm.state, fm.hyper.rate_model, part, seed=seed)
     times = float_text(ev.time)  # the negatives repeat the events' times
     write_csv_columns(
         outdir / "rate_vs_uncertainty.csv",
@@ -335,7 +323,6 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 def cmd_score(args: argparse.Namespace) -> int:
     resolved = _resolve(args, _SCORE_DEFAULTS)
-    B = _draw_count(resolved)
     fm = load_model(args.model)
     scorer = str(resolved["scorer"])
     if scorer not in ("tgne", "tgne_predictive"):
@@ -363,9 +350,8 @@ def cmd_score(args: argparse.Namespace) -> int:
     if scorer == "tgne":
         scores = evl.score_tgne_many(fm, ii, jj, kk)
     else:
-        scores, _ = evl._posterior_lambda_moments(
-            fm.state, fm.hyper.rate_model, fm.part, ii, jj, kk - 1,
-            B, int(resolved["seed"]), fm.hyper.riemann_r, want_std=False,
+        scores, _ = evl._exact_lambda_moments(
+            fm.state, fm.part, ii, jj, kk - 1, want_std=False, kind=fm.hyper.rate_model
         )
     out_path = Path(args.out)
     write_csv_columns(out_path, ["i", "j", "k", "score"], [ii, jj, kk, scores])
@@ -404,20 +390,22 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit.add_argument("--events", required=True, help="events.csv (source,dest,timestamp)")
     p_fit.add_argument("--out", required=True)
     p_fit.add_argument("--config", help="JSON file with default flag values")
-    p_fit.add_argument("--d", type=int)
-    p_fit.add_argument("--K", type=int)
+    p_fit.add_argument("--d", type=_positive_int, help="latent dimension (>= 1)")
+    p_fit.add_argument("--K", type=_positive_int, help="number of intervals (>= 1)")
     p_fit.add_argument("--tau", type=float)
     p_fit.add_argument("--tau0", type=float)
-    p_fit.add_argument("--epochs", type=int)
+    p_fit.add_argument("--epochs", type=_positive_int, help="training epochs (>= 1)")
     p_fit.add_argument("--lr-phi", dest="lr_phi", type=float)
     p_fit.add_argument("--lr-beta", dest="lr_beta", type=float)
-    p_fit.add_argument("--riemann-r", dest="riemann_r", type=int)
     p_fit.add_argument("--rate-model", dest="rate_model", choices=["euclidean", "dot"])
     p_fit.add_argument(
         "--negatives", type=_positive_int, help="negative samples per node per epoch (>= 1)"
     )
     p_fit.add_argument("--batch", type=_positive_int, help="node batch size per epoch (>= 1)")
-    p_fit.add_argument("--mc-samples", dest="mc_samples", type=int)
+    p_fit.add_argument(
+        "--mc-samples", dest="mc_samples", type=_positive_int,
+        help="reparameterized draws per epoch (>= 1)",
+    )
     p_fit.add_argument("--seed", type=int)
     p_fit.add_argument(
         "--beta-init", dest="beta_init", type=float,
@@ -437,8 +425,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--scorers", help="comma-separated: tgne,tgne_predictive,lsdm,pa,random")
     p_eval.add_argument(
         "--B", type=int,
-        help="posterior draws for the dot model's predictive moments (>= 2; "
-        "the euclidean model's are exact)",
+        help="ignored: the posterior-predictive moments are exact for both rate models",
     )
     p_eval.add_argument("--seed", type=int)
     p_eval.add_argument("--directed", action=argparse.BooleanOptionalAction)
@@ -446,8 +433,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--val-frac", dest="val_frac", type=float)
     p_eval.add_argument("--split-seed", dest="split_seed", type=int)
     p_eval.add_argument(
-        "--lsdm-iters", dest="lsdm_iters", type=int,
-        help="L-BFGS-B iteration cap of each interval's lsdm fit",
+        "--lsdm-iters", dest="lsdm_iters", type=_positive_int,
+        help="L-BFGS-B iteration cap of each interval's lsdm fit (>= 1)",
     )
     p_eval.set_defaults(func=cmd_eval)
 
@@ -457,10 +444,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_score.add_argument("--out", required=True, help="output CSV path")
     p_score.add_argument("--config", help="JSON file with default flag values")
     p_score.add_argument("--scorer", choices=["tgne", "tgne_predictive"])
-    p_score.add_argument(
-        "--B", type=int, help="posterior draws for the dot model's tgne_predictive (>= 2)"
-    )
-    p_score.add_argument("--seed", type=int)
     p_score.set_defaults(func=cmd_score)
 
     return parser

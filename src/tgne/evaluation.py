@@ -10,7 +10,7 @@ Uncertainty analytics summarize the fitted posterior: per-node scales u(i,k),
 the posterior-predictive mean and spread of rates and cumulative rates, and
 the spread's regression against interaction counts.
 
-For the euclidean model these moments are exact. Under the mean-field
+These moments are exact for both rate kinds. Under the mean-field
 posterior, Delta(s) = z_i(s) - z_j(s) at local coordinate s of an interval is
 N(m(s), v(s) I_d), with m(s) = (1-s) m_a + s m_b and
 v(s) = (1-s)^2 v_a + s^2 v_b (m_a, m_b the mean differences and v_a, v_b the
@@ -24,15 +24,21 @@ is taken as E_s E_t expm1(g) with g written without cancellation (beta drops
 out of g), never as E[x^2] - E[x]^2. The rate table uses the pointwise form;
 the interval moments E[Lambda] and Var[Lambda] are 8-point Gauss-Legendre
 sums on 2^p equal panels, with p raised per row until the row's mean settles.
-The dot model's moments are finite only while 4 v_i v_j < 1, so it keeps the
-B-draw Monte Carlo estimate of ``_posterior_draws``.
+
+The dot model's rate e^(beta + <z_i(s), z_j(s)>) has, per coordinate,
+E[e^(xy)] = (1 - uw)^(-1/2) exp((ab + (w a^2 + u b^2) / 2) / (1 - uw)) for
+independent x ~ N(a, u) and y ~ N(b, w), and E[lambda(s) lambda(t)] is the
+same Gaussian integral over the positions at both times (``_dot_log_cov``).
+The same rule and panels take its interval moments. They are finite only
+while 4 v_i v_j < 1 for the two nodes' largest variances on the interval;
+every other row is written as inf.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, fields, replace
-from typing import Callable, ClassVar, Iterable, Optional, Sequence
+from typing import ClassVar, Iterable, Optional, Sequence
 
 import numpy as np
 from scipy.optimize import minimize
@@ -49,12 +55,12 @@ from .events import (
 )
 from .inference import FittedModel, VariationalState
 from .model import (
+    DOT,
     EUCLIDEAN,
     _all_pair_arrays,
-    _closed_rate_batch,
     _endpoints,
     _pairs_to_array,
-    _riemann_rate_batch,
+    _rate_batch,
 )
 
 
@@ -253,16 +259,11 @@ def auc(instances: InstanceTable | Sequence[ScoredInstance]) -> float:
     return auc_from_scores(scores, labels)
 
 
-def _lambda_batch(z, beta, kind, part, ii, jj, kk0, riemann_r=10):
+def _lambda_batch(z, beta, kind, part, ii, jj, kk0):
     """Cumulative rates for triplet arrays (0-based interval index)."""
-    lengths = part.lengths[kk0]
     zi_a, zi_b = _endpoints(z, ii, kk0)
     zj_a, zj_b = _endpoints(z, jj, kk0)
-    if kind == EUCLIDEAN:
-        lam, _, _ = _closed_rate_batch(zi_a - zj_a, zi_b - zj_b, beta, lengths)
-    else:
-        lam = _riemann_rate_batch(zi_a, zi_b, zj_a, zj_b, beta, lengths, riemann_r, kind)
-    return lam
+    return _rate_batch(zi_a, zi_b, zj_a, zj_b, beta, part.lengths[kk0], kind)
 
 
 def check_triplets(fm: FittedModel, ii, jj, kk, lines=None) -> None:
@@ -293,22 +294,16 @@ def score_tgne_many(fm: FittedModel, ii, jj, kk) -> np.ndarray:
     check_triplets(fm, ii, jj, kk)
     return _lambda_batch(
         fm.state.mu, fm.state.beta, fm.hyper.rate_model, fm.part,
-        np.asarray(ii), np.asarray(jj), np.asarray(kk) - 1, fm.hyper.riemann_r,
+        np.asarray(ii), np.asarray(jj), np.asarray(kk) - 1,
     )
 
 
-def score_tgne_predictive(
-    fm: FittedModel, i: int, j: int, k: int, B: int = 200, seed: int = 0
-) -> float:
-    """Posterior-predictive mean of Lambda_ij(I_k).
-
-    Exact for the euclidean model (``B`` and ``seed`` are then unused); the
-    dot model averages B configuration draws from ``seed``.
-    """
+def score_tgne_predictive(fm: FittedModel, i: int, j: int, k: int) -> float:
+    """Posterior-predictive mean of Lambda_ij(I_k) (see ``_exact_lambda_moments``)."""
     check_triplets(fm, [i], [j], [k])
-    mean, _ = _posterior_lambda_moments(
-        fm.state, fm.hyper.rate_model, fm.part, np.asarray([i]), np.asarray([j]),
-        np.asarray([k - 1]), B, seed, fm.hyper.riemann_r, want_std=False,
+    mean, _ = _exact_lambda_moments(
+        fm.state, fm.part, np.asarray([i]), np.asarray([j]), np.asarray([k - 1]),
+        want_std=False, kind=fm.hyper.rate_model,
     )
     return float(mean[0])
 
@@ -534,35 +529,6 @@ def node_table(
     return u, nd.reshape(counts.n, K), counts.degrees
 
 
-def _posterior_draws(
-    vs: VariationalState,
-    rng: np.random.Generator,
-    B: int,
-    size: int,
-    values_at: Callable[[np.ndarray], np.ndarray],
-) -> tuple[np.ndarray, np.ndarray]:
-    """Mean and population std of ``values_at(z)`` over B configuration draws.
-
-    Each draw is z = mu + sigma * eps with eps from ``rng``; ``values_at``
-    maps a configuration to ``size`` values. The dot model's moments come
-    from here; for the euclidean model it is the test oracle of the exact
-    moments.
-    """
-    if B < 2:
-        raise ValueError("B must be >= 2")
-    sigma3 = vs.sigma[:, :, None]
-    total = np.zeros(size)
-    total_sq = np.zeros(size)
-    for _ in range(B):
-        z = vs.mu + sigma3 * rng.standard_normal(vs.mu.shape)
-        values = values_at(z)
-        total += values
-        total_sq += values * values
-    mean = total / B
-    var = np.maximum(total_sq / B - mean * mean, 0.0)
-    return mean, np.sqrt(var)
-
-
 def _mean_differences(vs: VariationalState, ii, jj, kk0) -> tuple[np.ndarray, np.ndarray]:
     """m_a, m_b: mu_i - mu_j at the start and end of interval kk0, each (rows, d)."""
     mi_a, mi_b = _endpoints(vs.mu, ii, kk0)
@@ -705,6 +671,119 @@ def _min_panels(S: np.ndarray) -> np.ndarray:
     return dm / (8.0 * np.sqrt(1.0 + 2.0 * v_min))
 
 
+def _dot_scalars(
+    vs: VariationalState, ii: np.ndarray, jj: np.ndarray, kk0: np.ndarray
+) -> np.ndarray:
+    """(4 d + 4, rows): mu_i, mu_j at the start and end of interval kk0, each
+    coordinate by coordinate, then sigma_i^2, sigma_j^2 likewise."""
+    mi_a, mi_b = _endpoints(vs.mu, ii, kk0)
+    mj_a, mj_b = _endpoints(vs.mu, jj, kk0)
+    var = vs.sigma.ravel() ** 2
+    ri, rj = ii * vs.sigma.shape[1] + kk0, jj * vs.sigma.shape[1] + kk0
+    return np.concatenate([mi_a.T, mi_b.T, mj_a.T, mj_b.T,
+                           np.stack([var[ri], var[ri + 1], var[rj], var[rj + 1]])])
+
+
+def _dot_at(S: np.ndarray, s):
+    """Means (..., rows, d) and variances (..., rows) of z_i(s) and z_j(s).
+
+    ``S`` holds ``_dot_scalars`` columns; ``s`` broadcasts against the rows.
+    """
+    d = (S.shape[0] - 4) // 4
+    mean = S[: 4 * d].reshape(4, d, -1).transpose(0, 2, 1)  # (4, rows, d)
+    var = S[4 * d :]
+    om = 1.0 - s
+    mi = om[..., None] * mean[0] + s[..., None] * mean[1]
+    mj = om[..., None] * mean[2] + s[..., None] * mean[3]
+    return mi, mj, om * om * var[0] + s * s * var[1], om * om * var[2] + s * s * var[3]
+
+
+def _dot_finite(S: np.ndarray) -> np.ndarray:
+    """Rows whose every moment is finite: 4 max(v_i) max(v_j) < 1 over the interval.
+
+    E[lambda(s) lambda(t)] is finite while the spectral radius of the two
+    nodes' (s, t) covariances' product is below 1, which the bound ensures.
+    """
+    var = S[-4:]
+    return 4.0 * np.maximum(var[0], var[1]) * np.maximum(var[2], var[3]) < 1.0
+
+
+def _dot_mean(S: np.ndarray, s, beta: float) -> np.ndarray:
+    """E[lambda(s)] of the dot model, ``s`` broadcasting against the rows.
+
+    Per coordinate, for independent x ~ N(a, u) and y ~ N(b, w),
+    E[e^(xy)] = (1 - uw)^(-1/2) exp((ab + (w a^2 + u b^2) / 2) / (1 - uw)).
+    """
+    mi, mj, u, w = _dot_at(S, s)
+    p = 1.0 - u * w
+    quad = np.vecdot(mi, mj) + 0.5 * (w * np.vecdot(mi, mi) + u * np.vecdot(mj, mj))
+    return np.exp(beta - 0.5 * mi.shape[-1] * np.log(p) + quad / p)
+
+
+def _dot_log_cov(S: np.ndarray, s, t) -> np.ndarray:
+    """g = log E[lambda(s) lambda(t)] - log E[lambda(s)] - log E[lambda(t)], dot model.
+
+    Per coordinate, W = (x_s, x_t, y_s, y_t), z_i and z_j at s and t, is
+    N(m, Sigma), and lambda(s) lambda(t) = e^(2 beta + W^T J W / 2) with J
+    pairing x with y, so E[lambda(s) lambda(t)] = e^(2 beta) det(I - Sigma
+    J)^(-1/2) exp(m^T (J - Sigma)^(-1) m / 2). Sigma0, which drops the
+    covariances c_i, c_j of each node's two times, gives E[lambda(s)]
+    E[lambda(t)]. The difference is taken without cancellation:
+    det(I - Sigma J) / det(I - Sigma0 J) = 1 - delta with delta below, and
+    (J - Sigma)^(-1) - (J - Sigma0)^(-1) = (J - Sigma)^(-1) (Sigma - Sigma0)
+    (J - Sigma0)^(-1), whose last factor is two 2x2 blocks, one per time.
+    """
+    mi_s, mj_s, u_s, w_s = _dot_at(S, s)
+    mi_t, mj_t, u_t, w_t = _dot_at(S, t)
+    var = S[-4:]
+    c_i = (1.0 - s) * (1.0 - t) * var[0] + s * t * var[1]
+    c_j = (1.0 - s) * (1.0 - t) * var[2] + s * t * var[3]
+    p_s, p_t = 1.0 - u_s * w_s, 1.0 - u_t * w_t
+    cc = c_i * c_j
+    delta = (cc * (2.0 - cc) + w_s * w_t * c_i * c_i + u_s * u_t * c_j * c_j) / (p_s * p_t)
+    shape = np.broadcast(u_s, u_t, c_i, c_j).shape
+    js = np.zeros(shape + (4, 4))  # J - Sigma, in the order x_s, x_t, y_s, y_t
+    js[..., [0, 1, 2, 3], [0, 1, 2, 3]] = -np.stack(np.broadcast_arrays(u_s, u_t, w_s, w_t), -1)
+    js[..., [0, 1], [1, 0]] = -c_i[..., None]
+    js[..., [2, 3], [3, 2]] = -c_j[..., None]
+    js[..., [0, 2, 1, 3], [2, 0, 3, 1]] = 1.0
+    xi = np.linalg.solve(js, np.stack(np.broadcast_arrays(mi_s, mi_t, mj_s, mj_t), -2))
+    x0_s = (w_s[..., None] * mi_s + mj_s) / p_s[..., None]
+    x0_t = (w_t[..., None] * mi_t + mj_t) / p_t[..., None]
+    y0_s = (mi_s + u_s[..., None] * mj_s) / p_s[..., None]
+    y0_t = (mi_t + u_t[..., None] * mj_t) / p_t[..., None]
+    quad = (c_i * (np.vecdot(xi[..., 0, :], x0_t) + np.vecdot(xi[..., 1, :], x0_s))
+            + c_j * (np.vecdot(xi[..., 2, :], y0_t) + np.vecdot(xi[..., 3, :], y0_s)))
+    return 0.5 * quad - 0.5 * mi_s.shape[-1] * np.log1p(-delta)
+
+
+def _dot_mean_terms(S: np.ndarray, rule: "_Rule", beta: float, d: int):
+    """(E[lambda],) at the rule's nodes, (nodes, rows): ``_mean_terms`` for dot."""
+    return (_dot_mean(S, rule.s[:, None], beta),)
+
+
+def _dot_interval_variance(S: np.ndarray, E: np.ndarray, rule: "_Rule", d: int) -> np.ndarray:
+    """``_interval_variance`` for dot: Cov(lambda(s), lambda(t)) = E_s E_t expm1(g)."""
+    qi, ri, _, _, w2 = rule.grid()
+    s, t = rule.s[qi, None], rule.s[ri, None]
+    out = np.empty(S.shape[1])
+    step = max(1, MOMENT_ROWS * 36 // qi.size)
+    for lo in range(0, S.shape[1], step):
+        sl = slice(lo, lo + step)
+        out[sl] = w2 @ (np.expm1(_dot_log_cov(S[:, sl], s, t)) * E[qi, sl] * E[ri, sl])
+    return out
+
+
+def _dot_min_panels(S: np.ndarray) -> np.ndarray:
+    """``_min_panels`` for dot: E[lambda(s)] is at most a bump of width
+    1 / sqrt(-c2) in s, c2 = <mu_ib - mu_ia, mu_jb - mu_ja> its mean log
+    rate's curvature."""
+    d = (S.shape[0] - 4) // 4
+    mean = S[: 4 * d].reshape(4, d, -1)
+    c2 = np.einsum("dr,dr->r", mean[1] - mean[0], mean[3] - mean[2])
+    return np.sqrt(np.maximum(-c2, 0.0)) / 8.0
+
+
 def _exact_lambda_moments(
     vs: VariationalState,
     part: IntervalPartition,
@@ -712,8 +791,10 @@ def _exact_lambda_moments(
     jj: np.ndarray,
     kk0: np.ndarray,
     want_std: bool = True,
+    kind: str = EUCLIDEAN,
 ) -> tuple[np.ndarray, Optional[np.ndarray]]:
-    """Exact posterior mean and std of Lambda under the euclidean model.
+    """Exact posterior mean and std of Lambda for triplet arrays; std is None
+    unless ``want_std``.
 
     E[Lambda] = |I| * integral E[lambda(s)] ds and Var[Lambda] = |I|^2 *
     double integral of Cov(lambda(s), lambda(t)), both by the 8-point rule on
@@ -728,11 +809,24 @@ def _exact_lambda_moments(
     of width ~1/|m_b - m_a| in s, still carries ~1e-12 relative error at 32
     panels, so they stop at MAX_PANELS and warn. The 64-panel mean of such
     a row stays within ~1e-13 of adaptive quadrature at |m_b - m_a| = 60.
+
+    The dot model takes its pointwise moments from ``_dot_mean`` and
+    ``_dot_log_cov``. They are finite only while 4 max(v_i) max(v_j) < 1
+    (``_dot_finite``); every other row gets inf for both moments.
     """
     d, beta = vs.mu.shape[2], vs.beta
-    S_all = _pair_scalars(vs, ii, jj, kk0)
-    mean = np.empty(S_all.shape[1])
-    var = np.empty(S_all.shape[1]) if want_std else None
+    if kind == EUCLIDEAN:
+        min_panels, mean_terms, interval_variance = _min_panels, _mean_terms, _interval_variance
+        S_all = _pair_scalars(vs, ii, jj, kk0)
+        at = np.arange(S_all.shape[1])
+    else:
+        min_panels, mean_terms = _dot_min_panels, _dot_mean_terms
+        interval_variance = _dot_interval_variance
+        S_all = _dot_scalars(vs, ii, jj, kk0)
+        at = np.flatnonzero(_dot_finite(S_all))  # the other rows stay inf
+        S_all = S_all[:, at]
+    mean = np.full(ii.shape[0], np.inf)
+    var = np.full(ii.shape[0], np.inf) if want_std else None
     rules: dict[int, _Rule] = {}
 
     def rule(panels: int) -> _Rule:
@@ -742,13 +836,13 @@ def _exact_lambda_moments(
 
     for lo in range(0, S_all.shape[1], MOMENT_ROWS):
         S = S_all[:, lo : lo + MOMENT_ROWS]
-        rows = np.arange(lo, lo + S.shape[1])
-        need = _min_panels(S)
+        rows = at[lo : lo + S.shape[1]]
+        need = min_panels(S)
         panels = 1
-        terms = _mean_terms(S, rule(1), beta, d)
+        terms = mean_terms(S, rule(1), beta, d)
         coarse = rule(1).w @ terms[0]
         while rows.size:
-            fine_terms = _mean_terms(S, rule(2 * panels), beta, d)
+            fine_terms = mean_terms(S, rule(2 * panels), beta, d)
             fine = rule(2 * panels).w @ fine_terms[0]
             done = (np.abs(fine - coarse) <= MOMENT_RTOL * np.abs(fine)) & (panels >= need)
             var_terms, var_rule = terms, rule(panels)
@@ -762,9 +856,9 @@ def _exact_lambda_moments(
                 var_terms, var_rule = fine_terms, rule(2 * panels)
             mean[rows[done]] = fine[done]
             if want_std and done.all():  # the usual case: no column copies
-                var[rows] = _interval_variance(S, *var_terms, var_rule, d)
+                var[rows] = interval_variance(S, *var_terms, var_rule, d)
             elif want_std and done.any():
-                var[rows[done]] = _interval_variance(
+                var[rows[done]] = interval_variance(
                     S[:, done], *(t[:, done] for t in var_terms), var_rule, d
                 )
             keep = ~done
@@ -777,32 +871,6 @@ def _exact_lambda_moments(
     return mean * lengths, np.sqrt(np.maximum(var, 0.0)) * lengths
 
 
-def _posterior_lambda_moments(
-    vs: VariationalState,
-    rm_kind: str,
-    part: IntervalPartition,
-    ii: np.ndarray,
-    jj: np.ndarray,
-    kk0: np.ndarray,
-    B: int,
-    seed: int,
-    riemann_r: int = 10,
-    want_std: bool = True,
-) -> tuple[np.ndarray, Optional[np.ndarray]]:
-    """Posterior-predictive mean and std of Lambda for triplet arrays.
-
-    Exact for the euclidean model (``B``, ``seed`` and ``riemann_r`` unused;
-    std is None unless ``want_std``). The dot model takes the mean and
-    population std over B configuration draws shared by all rows.
-    """
-    if rm_kind == EUCLIDEAN:
-        return _exact_lambda_moments(vs, part, ii, jj, kk0, want_std)
-    return _posterior_draws(
-        vs, np.random.default_rng(seed), B, ii.shape[0],
-        lambda z: _lambda_batch(z, vs.beta, rm_kind, part, ii, jj, kk0, riemann_r),
-    )
-
-
 def edge_uncertainty(
     vs: VariationalState,
     rm_kind: str,
@@ -810,18 +878,10 @@ def edge_uncertainty(
     i: int,
     j: int,
     k: int,
-    B: int,
-    seed: int = 0,
 ) -> tuple[float, float]:
-    """Posterior-predictive mean and std of Lambda_ij(I_k).
-
-    Exact for the euclidean model; the dot model's are over B draws from
-    ``seed``, std with divisor B. ``B`` must be >= 2 either way.
-    """
-    if B < 2:
-        raise ValueError("B must be >= 2")
-    mean, std = _posterior_lambda_moments(
-        vs, rm_kind, part, np.asarray([i]), np.asarray([j]), np.asarray([k - 1]), B, seed
+    """Posterior-predictive mean and std of Lambda_ij(I_k) (see ``_exact_lambda_moments``)."""
+    mean, std = _exact_lambda_moments(
+        vs, part, np.asarray([i]), np.asarray([j]), np.asarray([k - 1]), kind=rm_kind
     )
     return float(mean[0]), float(std[0])
 
@@ -858,8 +918,8 @@ def uncertainty_regression(
 ) -> float:
     """OLS slope of posterior Std(Lambda_ij(I_k)) against N_ij(I_k).
 
-    The std is exact for the euclidean model; the dot model's is over B
-    draws from ``seed``. The population is every (pair, interval) with the
+    The std is exact for both rate kinds; ``B`` and ``seed`` are accepted
+    and ignored. The population is every (pair, interval) with the
     pair taken from the given counts (pass a train-restricted tensor to stay
     on training data), including the pair's zero-count intervals. By default
     the regression runs on per-unique-N averages of the std;
@@ -871,7 +931,7 @@ def uncertainty_regression(
     K = part.K
     ii, jj = pi.repeat(K), pj.repeat(K)
     kk0 = np.tile(np.arange(K), pi.size)
-    _, stds = _posterior_lambda_moments(vs, rm_kind, part, ii, jj, kk0, B, seed)
+    _, stds = _exact_lambda_moments(vs, part, ii, jj, kk0, kind=rm_kind)
     n_events = counts.counts_of(ii, jj, kk0 + 1).astype(np.float64)
     return regression_slope_from_points(n_events, stds, per_unique_n=per_unique_n)
 
@@ -944,6 +1004,35 @@ def _exact_rate_std(vs: VariationalState, ii, jj, kk0, s) -> np.ndarray:
     return mean * np.sqrt(np.expm1(g))
 
 
+def _rate_at(z, beta, kind, ii, jj, kk0, s) -> np.ndarray:
+    """lambda at local coordinate s of interval kk0 for each row, at configuration z."""
+    om = (1.0 - s)[:, None]
+    sc = s[:, None]
+    zi_a, zi_b = _endpoints(z, ii, kk0)
+    zj_a, zj_b = _endpoints(z, jj, kk0)
+    pi = om * zi_a + sc * zi_b
+    pj = om * zj_a + sc * zj_b
+    if kind == EUCLIDEAN:
+        diff = pi - pj
+        return np.exp(beta - np.einsum("md,md->m", diff, diff))
+    return np.exp(beta + np.einsum("md,md->m", pi, pj))
+
+
+def _dot_rate_std(vs: VariationalState, ii, jj, kk0, s) -> np.ndarray:
+    """Posterior std of lambda at local coordinate s, dot model, per row.
+
+    Var = E[lambda]^2 expm1(g(s, s)) (``_dot_log_cov``), finite while
+    4 v_i(s) v_j(s) < 1; every other row gets inf.
+    """
+    S = _dot_scalars(vs, ii, jj, kk0)
+    _, _, u, w = _dot_at(S, s)
+    ok = 4.0 * u * w < 1.0
+    std = np.full(s.shape, np.inf)
+    S, s = S[:, ok], s[ok]
+    std[ok] = _dot_mean(S, s, vs.beta) * np.sqrt(np.expm1(_dot_log_cov(S, s, s)))
+    return std
+
+
 def rate_vs_uncertainty_table(
     ev: EventList,
     vs: VariationalState,
@@ -958,11 +1047,10 @@ def rate_vs_uncertainty_table(
     negative with the destination swapped to a uniform random node j' with
     j' != i and (i, j') != (i, j), which needs n >= 3. The events come first,
     in event order, then their negatives in the same order. ``rate`` is
-    lambda at the posterior-mean configuration; ``rate_std`` is the
-    posterior std of lambda, exact for the euclidean model and the population
-    std over B draws for the dot model; ``n_events`` tags the record's pair
-    count in the containing interval. ``seed`` draws the negatives first, and
-    then the dot model's configurations.
+    lambda at the posterior-mean configuration; ``rate_std`` is the exact
+    posterior std of lambda; ``n_events`` tags the record's pair count in the
+    containing interval. ``seed`` draws the negatives; ``B`` is accepted and
+    ignored.
     """
     if ev.m == 0:
         ints, floats = np.empty(0, dtype=np.int64), np.empty(0)
@@ -984,23 +1072,9 @@ def rate_vs_uncertainty_table(
     ss = np.concatenate([s, s])
     is_neg = np.concatenate([np.zeros(ev.m, bool), np.ones(ev.m, bool)])
 
-    def rates_at(z):
-        om = (1.0 - ss)[:, None]
-        sc = ss[:, None]
-        zi_a, zi_b = _endpoints(z, ii, kk0)
-        zj_a, zj_b = _endpoints(z, jj, kk0)
-        pi = om * zi_a + sc * zi_b
-        pj = om * zj_a + sc * zj_b
-        if rm_kind == EUCLIDEAN:
-            diff = pi - pj
-            return np.exp(vs.beta - np.einsum("md,md->m", diff, diff))
-        return np.exp(vs.beta + np.einsum("md,md->m", pi, pj))
-
-    rate_mean_cfg = rates_at(vs.mu)
-    if rm_kind == EUCLIDEAN:
-        std = _exact_rate_std(vs, ii, jj, kk0, ss)
-    else:
-        _, std = _posterior_draws(vs, rng, B, ii.shape[0], rates_at)
+    rate_mean_cfg = _rate_at(vs.mu, vs.beta, rm_kind, ii, jj, kk0, ss)
+    rate_std = _exact_rate_std if rm_kind == EUCLIDEAN else _dot_rate_std
+    std = rate_std(vs, ii, jj, kk0, ss)
     n_events = counts.counts_of(ii, jj, kk0 + 1)
     return RateTable(
         i=ii, j=jj, t=tt, k=kk0 + 1, is_negative=is_neg, rate=rate_mean_cfg,
@@ -1024,7 +1098,8 @@ def score_instances(
 
     ``tgne`` and ``tgne_predictive`` need ``fm``, ``lsdm`` needs
     ``lsdm_models`` (one model per interval) and ``pa`` needs
-    ``train_counts``.
+    ``train_counts``. ``seed`` drives ``random``; ``B`` is accepted and
+    ignored.
     """
     if scorer not in SCORER_NAMES:
         raise ValueError(f"unknown scorer {scorer!r}; choose from {SCORER_NAMES}")
@@ -1038,9 +1113,8 @@ def score_instances(
     if scorer == "tgne":
         scores = score_tgne_many(fm, ii, jj, kk)
     elif scorer == "tgne_predictive":
-        scores, _ = _posterior_lambda_moments(
-            fm.state, fm.hyper.rate_model, fm.part, ii, jj, kk - 1, B, seed,
-            fm.hyper.riemann_r, want_std=False,
+        scores, _ = _exact_lambda_moments(
+            fm.state, fm.part, ii, jj, kk - 1, want_std=False, kind=fm.hyper.rate_model
         )
     elif scorer == "lsdm":
         # the gathered form of lsdm_score; np.vecdot matches its diff @ diff

@@ -92,6 +92,8 @@ class Hyperparams:
     epochs: int = 500
     lr_phi: float = 0.01
     lr_beta: float = 1e-5
+    # ignored: both rate kinds are integrated exactly; kept so that model
+    # files that store it still load
     riemann_r: int = 10
     rate_model: str = EUCLIDEAN
     negatives_per_node: Optional[int] = None
@@ -154,13 +156,10 @@ def reparam_sample(
     return LatentConfiguration(z=z, part=part)
 
 
-def _elbo_value_grad(vs, ev, part, pc, rm_kind, terms, eps, riemann_r, want_grad):
+def _elbo_value_grad(vs, ev, part, pc, rm_kind, terms, eps, want_grad):
     sigma = vs.sigma
     z = vs.mu + sigma[:, :, None] * eps
-    nll, dz, dbeta = nll_value_grad(
-        z, vs.beta, rm_kind, part, terms,
-        riemann_r=riemann_r, want_grad=want_grad,
-    )
+    nll, dz, dbeta = nll_value_grad(z, vs.beta, rm_kind, part, terms, want_grad=want_grad)
     kl = kl_to_prior(vs, pc)
     loss = nll + kl
     if not want_grad:
@@ -181,12 +180,11 @@ def elbo_loss(
     rm_kind: str,
     plan: SamplingPlan,
     eps: np.ndarray,
-    riemann_r: int = 10,
 ) -> float:
     """Single-sample negative ELBO: reconstruction NLL at z(eps) plus KL."""
     terms = realize_plan(ev, part, plan)
     loss, _, _, _, _, _ = _elbo_value_grad(
-        vs, ev, part, pc, rm_kind, terms, np.asarray(eps), riemann_r, want_grad=False
+        vs, ev, part, pc, rm_kind, terms, np.asarray(eps), want_grad=False
     )
     return loss
 
@@ -199,12 +197,11 @@ def loss_gradient(
     rm_kind: str,
     plan: SamplingPlan,
     eps: np.ndarray,
-    riemann_r: int = 10,
 ) -> tuple[np.ndarray, np.ndarray, float]:
     """Exact gradient of elbo_loss at the given eps: (d_mu, d_log_sigma, d_beta)."""
     terms = realize_plan(ev, part, plan)
     _, _, _, d_mu, d_log_sigma, d_beta = _elbo_value_grad(
-        vs, ev, part, pc, rm_kind, terms, np.asarray(eps), riemann_r, want_grad=True
+        vs, ev, part, pc, rm_kind, terms, np.asarray(eps), want_grad=True
     )
     return d_mu, d_log_sigma, d_beta
 
@@ -330,10 +327,7 @@ def fit(
         d_beta = 0.0
         for _ in range(hp.mc_samples):
             eps = rng_eps.standard_normal(state.mu.shape)
-            out = _elbo_value_grad(
-                state, ev, part, pc, hp.rate_model, terms, eps,
-                hp.riemann_r, want_grad=True,
-            )
+            out = _elbo_value_grad(state, ev, part, pc, hp.rate_model, terms, eps, want_grad=True)
             loss += out[0]
             nll += out[1]
             kl += out[2]

@@ -14,7 +14,11 @@ form: on I_k the squared distance is a quadratic gamma(s) = a + (s-mu)^2 /
 mass sigma*sqrt(2pi)*[Phi((1-mu)/sigma) - Phi(-mu/sigma)] scaled by
 |I_k|*exp(beta - a). Gradients reuse the same machinery through truncated
 Gaussian moment integrals, so both value and gradient are exact up to the
-accuracy of erfc. The dot-product model integrates by a left Riemann sum.
+accuracy of erfc. The dot-product exponent is a quadratic c0 + c1 s + c2 s^2
+as well, of either curvature: its integral is a normal CDF difference (or
+an erfcx difference) when c2 < 0, a difference of Dawson functions when
+c2 > 0, and a series in c2 when |c2| is small, with the gradient's moments
+by parts (``_dot_coeffs``).
 
 The event term needs no per-event rows. Within I_k a position is linear in
 s, so for either kind the log rate of a pair is a quadratic form in s with
@@ -32,7 +36,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 from scipy.sparse import csc_matrix
-from scipy.special import erfc
+from scipy.special import dawsn, erfc, erfcx
 
 from .events import EventList, IntervalPartition, unique_codes
 
@@ -42,6 +46,14 @@ INV_SQRT2 = 1.0 / np.sqrt(2.0)
 # below this ||delta_a - delta_b|| the quadratic term of gamma is < 1e-18 and
 # the closed form would divide by ~0; switch to the exact linear-exponent path
 EPS_DEGENERATE = 1e-9
+
+# a dot row whose exponent has curvature |a| = |caa - 2 cab + cbb| below this
+# sums a series in a (at most 16 terms); above it the moments by parts lose
+# up to (|b| / 2|a|)^2 ulps, b the exponent's slope (see ``_dot_coeffs``)
+DOT_SERIES_A = 0.5
+
+# the dot series stop where their terms fall below this, relative to the first
+SERIES_TOL = 1e-17
 
 # pairs per block of the survival kernel: with K = 15 a block's temporaries
 # are ~120 kB each, so they stay in L2
@@ -231,67 +243,161 @@ def _closed_rate_batch(da, db, beta, lengths, want_grad=False):
     return lam, p * da + q * db, q * da + r * db
 
 
-def _riemann_coeffs(caa, cab, cbb, sign, beta, lengths, R, want_grad=False):
-    """Left Riemann |I| * mean_r exp(beta + sign * Q(s_r)), s_r = (r-1)/R.
+def _exp_power_integrals(b, kmax):
+    """F_k(b) = integral_0^1 s^k exp(b s) ds for k = 0..kmax, stacked on a new first axis.
 
-    Q(s) = (1-s)^2 caa + 2 s(1-s) cab + s^2 cbb is the rate's quadratic form
-    on the interval: caa = ||da||^2, cab = <da, db>, cbb = ||db||^2 with
-    sign -1 for the euclidean kind; caa = <z_ia, z_ja>, cab = (<z_ia, z_jb>
-    + <z_ib, z_ja>) / 2, cbb = <z_ib, z_jb> with sign +1 for dot. Returns
-    Lambda and, when ``want_grad``, p, q, r = dLambda/dcaa, dLambda/d(2 cab),
-    dLambda/dcbb, the exact derivatives of the Riemann sum.
+    From F_k = (e^b - k F_(k-1)) / b. Where |b| > kmax + 1 the recursion runs
+    forward from F_0 = expm1(b) / b, each step shrinking the error it carries;
+    elsewhere it runs backward, F_(k-1) = (e^b - b F_k) / k, from F_k = 0 at
+    the k past which the start's error has shrunk below SERIES_TOL.
     """
-    s = np.arange(R, dtype=np.float64) / R
-    om = 1.0 - s
-    quad = caa[..., None] * (om * om) + cab[..., None] * (2.0 * om * s) + cbb[..., None] * (s * s)
-    lam_r = np.exp(beta + sign * quad)
-    lengths = np.asarray(lengths)
-    lam = lengths * lam_r.mean(axis=-1)
+    b = np.asarray(b, dtype=np.float64)
+    out = np.empty((kmax + 1,) + b.shape)
+    far = np.abs(b) > kmax + 1
+    bn = np.where(far, 0.0, b)  # the far rows are written by the forward pass
+    ebn = np.exp(bn)
+    f = np.zeros(b.shape)
+    start, shrink, bmax = kmax + 1, 1.0, float(np.abs(bn).max(initial=0.0))
+    while shrink > SERIES_TOL:
+        start += 1
+        shrink *= bmax / start
+    for k in range(start, 0, -1):
+        f = (ebn - bn * f) / k
+        if k <= kmax + 1:
+            out[k - 1] = f
+    if far.any():
+        bf = b[far]
+        ebf = np.exp(bf)
+        f = np.expm1(bf) / bf
+        out[0, far] = f
+        for k in range(1, kmax + 1):
+            f = (ebf - k * f) / bf
+            out[k, far] = f
+    return out
+
+
+def _dot_series_moments(a, b, count):
+    """[M_0, .., M_(count-1)] with M_m = sum_n a^n / n! F_(m+2n)(b), over the n
+    with max |a|^n / n! above SERIES_TOL."""
+    terms, term, amax = 0, 1.0, float(np.abs(a).max(initial=0.0))
+    while term > SERIES_TOL:
+        terms += 1
+        term *= amax / terms
+    F = _exp_power_integrals(b, 2 * terms)
+    moments = [np.zeros(a.shape) for _ in range(count)]
+    coef = np.ones(a.shape)
+    for n in range(terms):
+        for m, total in enumerate(moments):
+            total += coef * F[m + 2 * n]
+        coef = coef * a / (n + 1)
+    return moments
+
+
+def _dot_gauss_moments(a, b, d1, count):
+    """(shift, [M_0, .., M_(count-1)]): the moments of exp(b s + a s^2 - shift)
+    on [0, 1] for |a| >= DOT_SERIES_A, where d1 = a + b <= 0 is the exponent
+    at s = 1 and shift is the exponent's peak when it lies inside, else 0."""
+    mu = -b / (2.0 * a)  # the exponent's vertex: at most 1/2 when a < 0, at least 1/2 when a > 0
+    sig = 1.0 / np.sqrt(2.0 * np.abs(a))
+    u0 = -mu / sig
+    u1 = (1.0 - mu) / sig
+    bump = (a < 0.0) & (u0 <= 0.0)
+    shift = np.where(bump, 0.5 * u0 * u0, 0.0)
+    g0 = np.exp(-shift)
+    g1 = np.exp(d1 - shift)
+    m0 = np.where(
+        a > 0.0,
+        (g1 * dawsn(u1 * INV_SQRT2) - g0 * dawsn(u0 * INV_SQRT2)) * (sig * np.sqrt(2.0)),
+        np.where(
+            bump,
+            SQRT_2PI * sig * _normal_cdf_diff(u0, u1),
+            np.sqrt(0.5 * np.pi) * sig * (erfcx(np.maximum(u0, 0.0) * INV_SQRT2)
+                                         - g1 * erfcx(np.maximum(u1, 0.0) * INV_SQRT2)),
+        ),
+    )
+    moments = [m0]
+    if count > 1:
+        m1 = (g1 - g0 - b * m0) / (2.0 * a)
+        moments += [m1, (g1 - m0 - b * m1) / (2.0 * a)]
+    return shift, moments
+
+
+def _dot_coeffs(caa, cab, cbb, beta, lengths, want_grad=False):
+    """Exact dot-product Lambda per row and its gradient coefficients.
+
+    A row is one (pair, interval) with caa = <z_ia, z_ja>, cab = (<z_ia, z_jb>
+    + <z_ib, z_ja>) / 2 and cbb = <z_ib, z_jb>, so the log rate is beta +
+    Q(s), Q(s) = (1-s)^2 caa + 2 s(1-s) cab + s^2 cbb. ``lengths`` carries
+    |I_k|, times any weight. Returns Lambda and, when ``want_grad``, the
+    coefficients (p, q, r) = dLambda/dcaa, dLambda/d(2 cab), dLambda/dcbb,
+    which are A0 - 2 A1 + A2, A1 - A2 and A2 for the moments
+
+        A_m = |I| * exp(beta) * integral_0^1 s^m exp(Q(s)) ds.
+
+    The moments M_m = integral_0^1 s'^m exp(Q - e0 - shift) ds' are taken
+    from the end where Q is larger (s' = 1 - s when cbb > caa), where Q = e0
+    + b s' + a s'^2 with a = caa - 2 cab + cbb, so b <= -a; shift lifts e0
+    to Q's peak when that lies inside, so nothing overflows unless Lambda
+    does. By the curvature a:
+
+    * |a| < DOT_SERIES_A: a series in a (``_dot_series_moments``);
+    * a < 0: a Gaussian bump; M_0 is a normal CDF difference, or when its
+      peak lies before the interval, an erfcx difference;
+    * a > 0: M_0 = [e^(Q(1) - e0) D(y1) - D(y0)] / sqrt(a) with Dawson's D.
+
+    In the last two (``_dot_gauss_moments``) M_1 and M_2 follow by parts,
+    from b M_0 + 2a M_1 = g(1) - g(0) and b M_1 + 2a M_2 = g(1) - M_0, g the
+    scaled integrand.
+    """
+    shape = np.broadcast(caa, cab, cbb, lengths).shape
+    caa, cab, cbb, lengths = (
+        np.broadcast_to(np.asarray(x, dtype=np.float64), shape).ravel()
+        for x in (caa, cab, cbb, lengths)
+    )
+    count = 3 if want_grad else 1
+    flip = cbb > caa
+    e0 = np.maximum(caa, cbb)
+    b = 2.0 * (cab - e0)
+    a = caa - 2.0 * cab + cbb
+    series = np.abs(a) < DOT_SERIES_A
+    M = np.empty((count, a.size))
+    M[:, series] = _dot_series_moments(a[series], b[series], count)
+    shift = np.zeros(a.size)
+    rest = ~series
+    shift[rest], M[:, rest] = _dot_gauss_moments(
+        a[rest], b[rest], np.minimum(caa, cbb)[rest] - e0[rest], count
+    )
+    pref = lengths * np.exp(beta + e0 + shift)
+    lam = (pref * M[0]).reshape(shape)
     if not want_grad:
         return lam, None, None, None
-    wfac = sign * lengths / R
-    return lam, wfac * (lam_r @ (om * om)), wfac * (lam_r @ (om * s)), wfac * (lam_r @ (s * s))
+    p = pref * (M[0] - 2.0 * M[1] + M[2])
+    r = pref * M[2]
+    return (lam, np.where(flip, r, p).reshape(shape), (pref * (M[1] - M[2])).reshape(shape),
+            np.where(flip, p, r).reshape(shape))
 
 
-def _riemann_rate_batch(zi_a, zi_b, zj_a, zj_b, beta, lengths, R, kind):
-    """Left Riemann cumulative rate of either kind for batched endpoints (..., d)."""
+def _rate_batch(zi_a, zi_b, zj_a, zj_b, beta, lengths, kind):
+    """Exact cumulative rate of either kind for batched endpoints (..., d)."""
+    if kind == EUCLIDEAN:
+        lam, _, _ = _closed_rate_batch(zi_a - zj_a, zi_b - zj_b, beta, lengths)
+        return lam
+
     def dot(x, y):
         return np.einsum("...d,...d->...", x, y)
 
-    if kind == EUCLIDEAN:
-        da, db = zi_a - zj_a, zi_b - zj_b
-        coeffs = dot(da, da), dot(da, db), dot(db, db), -1.0
-    else:
-        coeffs = dot(zi_a, zj_a), 0.5 * (dot(zi_a, zj_b) + dot(zi_b, zj_a)), dot(zi_b, zj_b), 1.0
-    lam, _, _, _ = _riemann_coeffs(*coeffs, beta, lengths, R)
+    lam, _, _, _ = _dot_coeffs(dot(zi_a, zj_a), 0.5 * (dot(zi_a, zj_b) + dot(zi_b, zj_a)),
+                               dot(zi_b, zj_b), beta, lengths)
     return lam
 
 
 def cumulative_rate_closed(
     cfg: LatentConfiguration, rm: RateModel, i: int, j: int, k: int
 ) -> float:
-    """Closed-form Lambda_ij(I_k) for the euclidean model (k 1-based)."""
-    if rm.kind != EUCLIDEAN:
-        raise ValueError("closed-form cumulative rate requires the euclidean model")
+    """Closed-form Lambda_ij(I_k) of either rate model (k 1-based)."""
     a, b = cfg.part.bounds(k)
-    da = cfg.z[i, k - 1] - cfg.z[j, k - 1]
-    db = cfg.z[i, k] - cfg.z[j, k]
-    lam, _, _ = _closed_rate_batch(da, db, rm.beta, b - a)
-    return float(lam)
-
-
-def cumulative_rate_riemann(
-    cfg: LatentConfiguration, rm: RateModel, i: int, j: int, k: int, R: int
-) -> float:
-    """Left-Riemann Lambda_ij(I_k) with R equal sub-steps (k 1-based)."""
-    if R < 1:
-        raise ValueError("R must be >= 1")
-    a, b = cfg.part.bounds(k)
-    lam = _riemann_rate_batch(
-        cfg.z[i, k - 1], cfg.z[i, k], cfg.z[j, k - 1], cfg.z[j, k],
-        rm.beta, b - a, R, rm.kind,
-    )
-    return float(lam)
+    z = cfg.z
+    return float(_rate_batch(z[i, k - 1], z[i, k], z[j, k - 1], z[j, k], rm.beta, b - a, rm.kind))
 
 
 def pair_interval_nll(
@@ -301,17 +407,13 @@ def pair_interval_nll(
     j: int,
     k: int,
     times: Sequence[float],
-    riemann_r: int = 10,
 ) -> float:
     """Lambda_ij(I_k) - sum_t log lambda_ij(t) for the pair's events in I_k."""
     a, b = cfg.part.bounds(k)
     times = np.asarray(times, dtype=np.float64)
     if times.size and (times.min() < a or times.max() > b):
         raise ValueError(f"event times must lie in interval {k} = [{a}, {b}]")
-    if rm.kind == EUCLIDEAN:
-        lam = cumulative_rate_closed(cfg, rm, i, j, k)
-    else:
-        lam = cumulative_rate_riemann(cfg, rm, i, j, k, riemann_r)
+    lam = cumulative_rate_closed(cfg, rm, i, j, k)
     return lam - sum(log_rate(cfg, rm, i, j, float(t)) for t in times)
 
 
@@ -614,7 +716,7 @@ def _cut_gradient(G, sl, c, p, q, r, xa, xb):
     Gc[:, 1:] += q * xa + r * xb
 
 
-def _survival(z, beta, kind, lengths, riemann_r, terms, want_grad):
+def _survival(z, beta, kind, lengths, terms, want_grad):
     """Value of the weighted survival terms and, when ``want_grad``, their dz.
 
     The pairs run in blocks of SURVIVAL_BLOCK, each latent coordinate
@@ -662,8 +764,7 @@ def _survival(z, beta, kind, lengths, riemann_r, terms, want_grad):
                 caa = caa + prod[:, :-1]
                 cbb = cbb + prod[:, 1:]
                 cab = cab + (xi[:, :-1] * xj[:, 1:] + xi[:, 1:] * xj[:, :-1])
-            lam, p, q, r = _riemann_coeffs(caa, 0.5 * cab, cbb, 1.0, beta, wlen, riemann_r,
-                                           want_grad)
+            lam, p, q, r = _dot_coeffs(caa, 0.5 * cab, cbb, beta, wlen, want_grad)
             if want_grad:
                 for c, (xi, xj) in enumerate(zip(Zi, Zj)):
                     _cut_gradient(G_i, sl, c, p, q, r, xj[:, :-1], xj[:, 1:])
@@ -734,7 +835,10 @@ def nll_value_grad(
 ):
     """Negative log-likelihood of the realized terms, optionally with gradient.
 
-    Returns (value, dz, dbeta); dz is None unless ``want_grad``. The survival
+    Returns (value, dz, dbeta); dz is None unless ``want_grad``. Both rate
+    kinds integrate their survival terms exactly; ``riemann_r`` is accepted
+    and ignored, as older callers still pass it.
+    The survival
     pairs run in blocks of SURVIVAL_BLOCK (1024) pairs for both rate kinds,
     so beyond the per-cut gradient (P x (K+1) x d floats) memory stays bounded
     by the block, not by P K. The event term takes one row per (pair, interval)
@@ -749,7 +853,7 @@ def nll_value_grad(
     + C <z_ib, z_jb>]. This equals the per-event sum -sum_m w_m log
     lambda(t_m) up to rounding.
     """
-    value, dz = _survival(z, beta, kind, part.lengths, riemann_r, terms, want_grad)
+    value, dz = _survival(z, beta, kind, part.lengths, terms, want_grad)
     dbeta = value  # d Lambda / d beta = Lambda
     if terms.ev_i.size:
         ev_value, ev_dbeta = _event_term(z, beta, kind, terms, dz)
@@ -764,11 +868,10 @@ def total_nll(
     ev: EventList,
     part: IntervalPartition,
     plan: Optional[SamplingPlan] = None,
-    riemann_r: int = 10,
 ) -> float:
     """Poisson-process negative log-likelihood under a sampling plan."""
     if plan is None:
         plan = SamplingPlan.full()
     terms = realize_plan(ev, part, plan)
-    value, _, _ = nll_value_grad(cfg.z, rm.beta, rm.kind, part, terms, riemann_r=riemann_r)
+    value, _, _ = nll_value_grad(cfg.z, rm.beta, rm.kind, part, terms)
     return value

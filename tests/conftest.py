@@ -28,3 +28,31 @@ def random_events(n: int, m: int, seed: int, directed: bool = False) -> EventLis
         src, dst = np.minimum(src, dst), np.maximum(src, dst)
     t = np.sort(rng.random(src.size))
     return EventList(src=src, dst=dst, time=t, n=n, directed=directed)
+
+
+def cumulative_rate_riemann(cfg, rm, i, j, k, R):
+    """Oracle: left-Riemann Lambda_ij(I_k) with R equal sub-steps (k 1-based)."""
+    a, b = cfg.part.bounds(k)
+    s = np.arange(R) / R
+    zi = (1.0 - s)[:, None] * cfg.z[i, k - 1] + s[:, None] * cfg.z[i, k]
+    zj = (1.0 - s)[:, None] * cfg.z[j, k - 1] + s[:, None] * cfg.z[j, k]
+    if rm.kind == "euclidean":
+        log_rate = rm.beta - ((zi - zj) ** 2).sum(axis=1)
+    else:
+        log_rate = rm.beta + (zi * zj).sum(axis=1)
+    return float((b - a) * np.exp(log_rate).mean())
+
+
+def posterior_draws(vs, rng, B, size, values_at):
+    """Oracle: mean and population std of ``values_at(z)`` over B draws
+    z = mu + sigma * eps of the mean-field posterior, eps from ``rng``;
+    ``values_at`` maps a configuration to ``size`` values."""
+    sigma3 = vs.sigma[:, :, None]
+    total = np.zeros(size)
+    total_sq = np.zeros(size)
+    for _ in range(B):
+        values = values_at(vs.mu + sigma3 * rng.standard_normal(vs.mu.shape))
+        total += values
+        total_sq += values * values
+    mean = total / B
+    return mean, np.sqrt(np.maximum(total_sq / B - mean * mean, 0.0))

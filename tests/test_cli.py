@@ -173,6 +173,23 @@ class TestFit:
         assert exc.value.code == 2
         assert f"argument {flag}: must be >= 1, got {value}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--epochs", "0"), ("--K", "0"), ("--d", "-1"), ("--mc-samples", "0"),
+    ])
+    def test_count_flags_below_one_usage_error(self, sim_dir, tmp_path, capsys, flag, value):
+        with pytest.raises(SystemExit) as exc:
+            main(["fit", "--events", str(sim_dir / "events.csv"),
+                  "--out", str(tmp_path / "x"), flag, value])
+        assert exc.value.code == 2
+        assert f"argument {flag}: must be >= 1, got {value}" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    def test_deleted_riemann_flag_usage_error(self, sim_dir, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["fit", "--events", str(sim_dir / "events.csv"),
+                  "--out", str(tmp_path / "x"), "--riemann-r", "10"])
+        assert exc.value.code == 2
+
     @pytest.mark.parametrize("key, name", [("negatives", "negatives_per_node"),
                                            ("batch", "batch_size")])
     def test_sampling_config_below_one_exits_one(self, sim_dir, tmp_path, capsys, key, name):
@@ -346,14 +363,35 @@ class TestEval:
                   "--out", str(tmp_path / "x")])
         assert exc.value.code == 2
 
-    @pytest.mark.parametrize("B", [0, 1])
-    def test_too_few_draws_exit_one(self, sim_dir, fit_dir, tmp_path, capsys, B):
-        out = tmp_path / "eval_b"
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_lsdm_iters_below_one_usage_error(self, sim_dir, fit_dir, tmp_path, capsys, value):
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", "--events", str(sim_dir / "events.csv"), "--model",
+                  str(fit_dir / "model.json"), "--out", str(tmp_path / "x"),
+                  "--lsdm-iters", value])
+        assert exc.value.code == 2
+        assert f"argument --lsdm-iters: must be >= 1, got {value}" in capsys.readouterr().err
+
+    def test_unknown_scorer_exits_one_before_any_work(self, sim_dir, fit_dir, tmp_path, capsys):
+        out = tmp_path / "eval"
         code = run(["eval", "--events", sim_dir / "events.csv", "--model",
-                    fit_dir / "model.json", "--out", out, "--B", B])
+                    fit_dir / "model.json", "--out", out, "--scorers", "lsdm,bogus"])
         assert code == 1
-        assert f"--B must be >= 2, got {B}" in capsys.readouterr().err
+        assert "unknown scorer 'bogus'" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_dot_model_run_is_finite(self, sim_dir, tmp_path):
+        fit_out, out = tmp_path / "fit", tmp_path / "eval"
+        assert run(["fit", "--events", sim_dir / "events.csv", "--out", fit_out, "--K", 4,
+                    "--epochs", 20, "--seed", 1, "--rate-model", "dot"]) == 0
+        assert run(["eval", "--events", sim_dir / "events.csv", "--model",
+                    fit_out / "model.json", "--out", out, "--scorers", "tgne,tgne_predictive",
+                    "--test-frac", 0.1]) == 0
+        for name, column in (("uncertainty_edges.csv", "lambda_std"),
+                             ("rate_vs_uncertainty.csv", "rate_std")):
+            with open(out / name) as fh:
+                values = [float(row[column]) for row in csv.DictReader(fh)]
+            assert values and all(v >= 0.0 and v < float("inf") for v in values)
 
     def test_missing_model_file_exits_one(self, sim_dir, tmp_path):
         code = run(
@@ -408,16 +446,12 @@ class TestScore:
             rows[0], [[int(a), int(b), int(c), float(x)] for a, b, c, x in rows[1:]]
         )
 
-    @pytest.mark.parametrize("B", [0, 1])
-    def test_too_few_draws_exit_one(self, tmp_path, fit_dir, capsys, B):
-        triplets = tmp_path / "triplets.csv"
-        triplets.write_text("i,j,k\n0,1,1\n")
-        out = tmp_path / "scores.csv"
-        code = run(["score", "--model", fit_dir / "model.json", "--triplets", triplets,
-                    "--out", out, "--scorer", "tgne_predictive", "--B", B])
-        assert code == 1
-        assert f"--B must be >= 2, got {B}" in capsys.readouterr().err
-        assert not out.exists()
+    @pytest.mark.parametrize("flag", ["--B", "--seed"])
+    def test_deleted_draw_flags_usage_error(self, tmp_path, fit_dir, flag):
+        with pytest.raises(SystemExit) as exc:
+            main(["score", "--model", str(fit_dir / "model.json"), "--triplets",
+                  str(tmp_path / "t.csv"), "--out", str(tmp_path / "s.csv"), flag, "3"])
+        assert exc.value.code == 2
 
     def test_unknown_subcommand_usage_error(self):
         with pytest.raises(SystemExit) as exc:

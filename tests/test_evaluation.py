@@ -17,8 +17,6 @@ from tgne.evaluation import (
     _exact_rate_std,
     _lambda_batch,
     _lsdm_nll_grad,
-    _posterior_draws,
-    _posterior_lambda_moments,
     _rejection_sample,
     _swapped_destinations,
     auc,
@@ -44,7 +42,7 @@ from tgne.evaluation import (
 from tgne.inference import FittedModel, Hyperparams, VariationalState, fit
 from tgne.model import DOT, EUCLIDEAN
 
-from conftest import random_events
+from conftest import cumulative_rate_riemann, posterior_draws, random_events
 
 
 @pytest.fixture(scope="module")
@@ -379,22 +377,19 @@ class TestScoreTgne:
     def test_predictive_variant_close_to_plugin_at_small_sigma(self):
         fm = static_model([(0.0, 0.0), (1.0, 0.0)], sigma=1e-6, K=5)
         plug = score_tgne(fm, 0, 1, 1)
-        pred = score_tgne_predictive(fm, 0, 1, 1, B=50, seed=0)
+        pred = score_tgne_predictive(fm, 0, 1, 1)
         assert np.isclose(plug, pred, rtol=1e-6)
 
     def test_dot_model_scoring_matches_riemann(self):
-        from tgne.model import (
-            DOT,
-            LatentConfiguration,
-            RateModel,
-            cumulative_rate_riemann,
-        )
+        from tgne.model import LatentConfiguration, RateModel
 
         fm = static_model([(0.5, 0.2), (0.3, -0.4)], K=4)
+        fm.state.mu[1, 3] = (-1.2, 0.9)  # interval 3 moves, so its rate varies
         fm.hyper.rate_model = DOT
         cfg = LatentConfiguration(fm.state.mu, fm.part)
-        ref = cumulative_rate_riemann(cfg, RateModel(DOT, 0.0), 0, 1, 2, fm.hyper.riemann_r)
-        assert np.isclose(score_tgne(fm, 0, 1, 2), ref, rtol=1e-12)
+        for k in (2, 3):
+            ref = cumulative_rate_riemann(cfg, RateModel(DOT, 0.0), 0, 1, k, 1_000_000)
+            assert np.isclose(score_tgne(fm, 0, 1, k), ref, rtol=1e-6)
 
 
 class TestLsdm:
@@ -695,20 +690,16 @@ class TestNeighborDistance:
 class TestEdgeUncertainty:
     def test_degenerate_posterior_matches_plugin(self):
         fm = static_model([(0.0, 0.0), (0.8, 0.0)], sigma=1e-9, K=5)
-        mean, std = edge_uncertainty(fm.state, EUCLIDEAN, fm.part, 0, 1, 2, B=100, seed=0)
+        mean, std = edge_uncertainty(fm.state, EUCLIDEAN, fm.part, 0, 1, 2)
         assert std < 1e-7
         assert np.isclose(mean, score_tgne(fm, 0, 1, 2), rtol=1e-6)
 
     def test_deterministic_under_seed(self):
         fm = static_model([(0.0, 0.0), (0.8, 0.0)], sigma=0.3, K=4)
-        a = edge_uncertainty(fm.state, EUCLIDEAN, fm.part, 0, 1, 1, B=500, seed=3)
-        b = edge_uncertainty(fm.state, EUCLIDEAN, fm.part, 0, 1, 1, B=500, seed=3)
-        assert a == b
-
-    def test_b_must_be_at_least_two(self):
-        fm = static_model([(0.0, 0.0), (0.8, 0.0)], K=2)
-        with pytest.raises(ValueError):
-            edge_uncertainty(fm.state, EUCLIDEAN, fm.part, 0, 1, 1, B=1)
+        for kind in (EUCLIDEAN, DOT):
+            a = edge_uncertainty(fm.state, kind, fm.part, 0, 1, 1)
+            b = edge_uncertainty(fm.state, kind, fm.part, 0, 1, 1)
+            assert a == b
 
 
 class PairMoments:
@@ -896,7 +887,7 @@ class TestExactMoments:
             lam = _lambda_batch(z, vs.beta, EUCLIDEAN, part, ii, jj, kk0)
             return np.concatenate([lam, (lam - mean) ** 2])
 
-        m_draw, s_draw = _posterior_draws(vs, np.random.default_rng(5), B, 2 * ii.size, values_at)
+        m_draw, s_draw = posterior_draws(vs, np.random.default_rng(5), B, 2 * ii.size, values_at)
         r = ii.size
         assert np.all(np.abs(m_draw[:r] - mean) < 3 * s_draw[:r] / np.sqrt(B))
         assert np.all(np.abs(m_draw[r:] - std**2) < 3 * s_draw[r:] / np.sqrt(B))
@@ -950,35 +941,83 @@ class TestExactMoments:
             mean, _ = _exact_lambda_moments(vs, part, *ONE)
         assert mean[0] > 0.0
 
-    def test_dot_model_keeps_the_draws(self, ten_node_events):
-        fm = static_model([(0.1 * i, 0.3 - 0.05 * i) for i in range(10)], sigma=0.3, K=4)
-        vs, part = fm.state, fm.part
-        ii, jj = np.asarray([0, 3, 7]), np.asarray([1, 5, 2])
-        kk0 = np.asarray([0, 2, 3])
-        got = _posterior_lambda_moments(vs, DOT, part, ii, jj, kk0, 30, 4)
-        ref = _posterior_draws(
-            vs, np.random.default_rng(4), 30, 3,
-            lambda z: _lambda_batch(z, vs.beta, DOT, part, ii, jj, kk0, 10),
-        )
-        assert all(np.array_equal(a, b) for a, b in zip(got, ref))
-        # the rate table: negatives from the seed, then B configuration draws
-        table = rate_vs_uncertainty_table(ten_node_events, vs, DOT, part, B=7, seed=2)
-        rng = np.random.default_rng(2)
+
+def dot_state(seed, n=6, K=3, sigma=(0.05, 0.3)):
+    """A posterior for the dot model whose every row is finite."""
+    rng = np.random.default_rng(seed)
+    mu = 0.8 * rng.standard_normal((n, K + 1, 2))
+    log_sigma = np.log(rng.uniform(*sigma, size=(n, K + 1)))
+    return VariationalState(mu=mu, log_sigma=log_sigma, beta=0.3), IntervalPartition.uniform(K)
+
+
+class TestDotMoments:
+    def test_within_four_se_of_draws(self, ten_node_events):
+        vs, part = dot_state(12, n=10, K=4)
+        ii, jj = np.asarray([0, 1, 2, 4, 3, 7]), np.asarray([1, 2, 0, 5, 9, 8])
+        kk0 = np.asarray([0, 1, 2, 1, 3, 2])
+        mean, std = _exact_lambda_moments(vs, part, ii, jj, kk0, kind=DOT)
+        # the rate table's std at each event, with its exact mean from the same forms
         ev = ten_node_events
-        neg = _swapped_destinations(ev.src, ev.dst, ev.n, rng)
-        k1, s = part.local_coord(ev.time)
-        i2, j2 = np.concatenate([ev.src, ev.src]), np.concatenate([ev.dst, neg])
-        k2, s2 = np.concatenate([k1, k1]) - 1, np.concatenate([s, s])
+        table = rate_vs_uncertainty_table(ev, vs, DOT, part, seed=2)
+        k1, s = part.local_coord(table.t)
+        S = evaluation._dot_scalars(vs, table.i, table.j, k1 - 1)
+        rate_mean = evaluation._dot_mean(S, s, vs.beta)
+        r, m = ii.size, len(table)
 
-        def rates_at(z):
-            zi_a, zi_b = z[i2, k2], z[i2, k2 + 1]
-            zj_a, zj_b = z[j2, k2], z[j2, k2 + 1]
-            pi = (1 - s2)[:, None] * zi_a + s2[:, None] * zi_b
-            pj = (1 - s2)[:, None] * zj_a + s2[:, None] * zj_b
-            return np.exp(vs.beta + np.einsum("md,md->m", pi, pj))
+        def values_at(z):
+            lam = _lambda_batch(z, vs.beta, DOT, part, ii, jj, kk0)
+            pi = (1 - s)[:, None] * z[table.i, k1 - 1] + s[:, None] * z[table.i, k1]
+            pj = (1 - s)[:, None] * z[table.j, k1 - 1] + s[:, None] * z[table.j, k1]
+            rate = np.exp(vs.beta + np.einsum("md,md->m", pi, pj))
+            return np.concatenate([lam, (lam - mean) ** 2, rate, (rate - rate_mean) ** 2])
 
-        _, ref_std = _posterior_draws(vs, rng, 7, 2 * ev.m, rates_at)
-        assert np.array_equal(table.rate_std, ref_std)
+        B = 20_000
+        got = np.concatenate([mean, std**2, rate_mean, table.rate_std**2])
+        m_draw, s_draw = posterior_draws(vs, np.random.default_rng(5), B, 2 * (r + m), values_at)
+        assert np.all(np.abs(m_draw - got) < 4 * s_draw / np.sqrt(B))
+
+    @pytest.mark.parametrize("s, t", [(0.2, 0.7), (0.45, 0.45), (0.0, 1.0)])
+    def test_log_cov_matches_gauss_hermite(self, s, t):
+        # d = 1: E[lambda(s) lambda(t)] over the four endpoint positions by a
+        # 30-point Gauss-Hermite rule each, against E_s E_t exp(g)
+        vs, part = dot_state(3, n=2, K=1, sigma=(0.2, 0.45))
+        vs.mu = vs.mu[:, :, :1].copy()
+        S = evaluation._dot_scalars(vs, np.asarray([0]), np.asarray([1]), np.asarray([0]))
+        x, w = np.polynomial.hermite_e.hermegauss(30)
+        w = w / w.sum()
+        sig = vs.sigma
+        za, zb, ya, yb = np.meshgrid(*(vs.mu[i, k, 0] + sig[i, k] * x for i, k in
+                                       ((0, 0), (0, 1), (1, 0), (1, 1))), indexing="ij")
+        weight = np.einsum("a,b,c,e->abce", w, w, w, w)
+
+        def lam(u):
+            return np.exp(vs.beta + ((1 - u) * za + u * zb) * ((1 - u) * ya + u * yb))
+
+        want = (weight * lam(s) * lam(t)).sum()
+        e_s, e_t = (evaluation._dot_mean(S, np.asarray([u]), vs.beta)[0] for u in (s, t))
+        g = evaluation._dot_log_cov(S, np.asarray([s]), np.asarray([t]))[0]
+        assert e_s * e_t * np.exp(g) == pytest.approx(want, rel=1e-10)
+        assert e_s == pytest.approx((weight * lam(s)).sum(), rel=1e-12)
+
+    def test_rows_past_the_bound_are_inf(self, ten_node_events):
+        # a hub with sigma = 6: v_hub(s) >= 18 and every v_j(s) >= 0.02, so
+        # each of its rows has 4 v_hub v_j > 1; the others stay below
+        vs, part = dot_state(4, n=10, K=4, sigma=(0.2, 0.3))
+        hub = int(ten_node_events.src[0])
+        other = (hub + 1) % 10
+        vs.log_sigma[hub] = np.log(6.0)
+        ii, jj = np.asarray([hub, other, other]), np.asarray([other, hub, (hub + 2) % 10])
+        kk0 = np.asarray([1, 2, 1])
+        mean, std = _exact_lambda_moments(vs, part, ii, jj, kk0, kind=DOT)
+        assert np.all(np.isinf(mean[:2])) and np.all(np.isinf(std[:2]))
+        assert np.isfinite(mean[2]) and np.isfinite(std[2])
+        alone, _ = _exact_lambda_moments(vs, part, ii, jj, kk0, want_std=False, kind=DOT)
+        assert np.array_equal(alone, mean)
+        table = rate_vs_uncertainty_table(ten_node_events, vs, DOT, part, seed=0)
+        past = (table.i == hub) | (table.j == hub)
+        assert past.any() and not past.all()
+        assert np.all(np.isinf(table.rate_std[past]))
+        assert np.all(np.isfinite(table.rate_std[~past]))
 
 
 class TestUncertaintyRegression:

@@ -205,7 +205,7 @@ class TestLossGradient:
         ev, part, pc, vs, eps = tiny_problem(seed=21)
         plan = SamplingPlan.full()
         d_mu, d_ls, d_beta = loss_gradient(
-            vs, ev, part, pc, DOT, plan, eps, riemann_r=6
+            vs, ev, part, pc, DOT, plan, eps
         )
         h = 1e-5
         rng = np.random.default_rng(3)
@@ -216,8 +216,8 @@ class TestLossGradient:
             mu_p = vs.mu.copy(); mu_p[i, k, a] += h
             mu_m = vs.mu.copy(); mu_m[i, k, a] -= h
             fd = (
-                elbo_loss(VariationalState(mu_p, vs.log_sigma, vs.beta), ev, part, pc, DOT, plan, eps, riemann_r=6)
-                - elbo_loss(VariationalState(mu_m, vs.log_sigma, vs.beta), ev, part, pc, DOT, plan, eps, riemann_r=6)
+                elbo_loss(VariationalState(mu_p, vs.log_sigma, vs.beta), ev, part, pc, DOT, plan, eps)
+                - elbo_loss(VariationalState(mu_m, vs.log_sigma, vs.beta), ev, part, pc, DOT, plan, eps)
             ) / (2 * h)
             assert abs(d_mu[i, k, a] - fd) <= 1e-4 * max(abs(fd), 1e-6)
 
@@ -318,7 +318,7 @@ class TestFit:
         assert np.all(np.isfinite(fm.loss_trace))
 
     def test_dot_model_fit_runs(self, ten_node_events):
-        hp = Hyperparams(K=3, epochs=10, seed=0, rate_model="dot", riemann_r=6)
+        hp = Hyperparams(K=3, epochs=10, seed=0, rate_model="dot")
         fm = fit(ten_node_events, hp)
         assert np.all(np.isfinite(fm.loss_trace))
         assert fm.loss_trace[-1] < fm.loss_trace[0]

@@ -20,7 +20,6 @@ from tgne.model import (
     RateModel,
     SamplingPlan,
     cumulative_rate_closed,
-    cumulative_rate_riemann,
     log_rate,
     nll_value_grad,
     normal_cdf,
@@ -30,6 +29,7 @@ from tgne.model import (
     total_nll,
     _Terms,
     _closed_rate_batch,
+    _dot_coeffs,
     _event_term,
     _exp_linear_integrals,
     _normal_cdf_diff,
@@ -39,7 +39,7 @@ from tgne.model import (
     _scatter_add,
 )
 
-from conftest import random_events
+from conftest import cumulative_rate_riemann, random_events
 
 
 def random_config(rng, n=3, K=3, d=2, scale=1.0, part=None):
@@ -186,14 +186,102 @@ class TestCumulativeRateClosed:
         got = cumulative_rate_closed(cfg2, rm, 0, 1, 1)
         assert np.isclose(got, quad_rate(cfg2, rm, 0, 1, 1), rtol=1e-9)
 
-    def test_nonnegative_and_requires_euclidean(self):
+    def test_nonnegative(self):
         rng = np.random.default_rng(6)
         for _ in range(50):
             cfg = random_config(rng, n=2, K=2)
             rm = RateModel(EUCLIDEAN, float(rng.uniform(-3, 3)))
             assert cumulative_rate_closed(cfg, rm, 0, 1, 1) >= 0.0
-        with pytest.raises(ValueError):
-            cumulative_rate_closed(cfg, RateModel(DOT, 0.0), 0, 1, 1)
+
+
+def dot_rows(rng, m):
+    """m rows (caa, cab, cbb) of every kind the dot closed form takes apart.
+
+    Curvature c2 = caa - 2 cab + cbb of both signs from 1e-10 to 100, a sixth
+    with |c2| < 1e-6, and a sixth concave with the peak outside [0, 1], over
+    800 above the interval's start, where exp of the peak overflows."""
+    caa, cbb = rng.normal(0.0, 3.0, size=(2, m))
+    sign = rng.choice([-1.0, 1.0], size=m)
+    c2 = sign * 10.0 ** rng.uniform(-10.0, 2.0, size=m)
+    c2[1::6] = sign[1::6] * 10.0 ** rng.uniform(-10.0, -6.0, size=c2[1::6].size)
+    far = slice(2, None, 6)
+    c2[far] = -rng.uniform(0.6, 2.0, size=c2[far].size)
+    vertex = (rng.choice([-1.0, 1.0], size=c2[far].size)
+              * np.sqrt(rng.uniform(800.0, 1200.0, size=c2[far].size) / -c2[far]))
+    cbb[far] = caa[far] - 2.0 * c2[far] * vertex + c2[far]  # Q(1) = c0 + c1 + c2
+    return caa, 0.5 * (caa + cbb - c2), cbb
+
+
+class TestDotClosedForm:
+    def test_matches_quadrature(self):
+        caa, cab, cbb = dot_rows(np.random.default_rng(31), 1200)
+        beta, length = 0.2, 0.3
+        lam, p, q, r = _dot_coeffs(caa, cab, cbb, beta, length, want_grad=True)
+        assert np.all(np.isfinite([lam, p, q, r]))
+        for row in range(caa.size):
+            c0, c1 = caa[row], 2.0 * (cab[row] - caa[row])
+            c2 = caa[row] - 2.0 * cab[row] + cbb[row]
+            vertex = -c1 / (2 * c2) if c2 < 0 else 0.0
+            inside = 0.0 < vertex < 1.0  # the exponent peaks inside the interval
+            shift = c0 - c1 * c1 / (4 * c2) if inside else max(c0, c0 + c1 + c2)
+            points = [vertex] if inside else None
+
+            def moment(f):
+                val, _ = quad(lambda s: f(s) * np.exp(c0 + c1 * s + c2 * s * s - shift),
+                              0.0, 1.0, points=points, epsabs=0.0, epsrel=1e-13, limit=200)
+                return length * np.exp(beta + shift) * val
+
+            assert lam[row] == pytest.approx(moment(lambda s: 1.0), rel=1e-6, abs=0.0)
+            want = [moment(lambda s: (1 - s) ** 2), moment(lambda s: s * (1 - s)),
+                    moment(lambda s: s * s)]
+            assert [p[row], q[row], r[row]] == pytest.approx(want, rel=1e-8, abs=0.0)
+
+    def test_rows_reach_every_form(self):
+        caa, cab, cbb = dot_rows(np.random.default_rng(31), 1200)
+        a = caa - 2.0 * cab + cbb
+        c1 = 2.0 * (cab - caa)
+        assert (np.abs(a) < 1e-6).sum() >= 100
+        assert (a > model.DOT_SERIES_A).any() and (a < -model.DOT_SERIES_A).any()
+        assert ((np.abs(a) < model.DOT_SERIES_A) & (np.abs(a) > 1e-6)).any()
+        # concave rows whose peak lies outside the interval, where exp(peak) overflows
+        vertex, peak = -c1 / (2.0 * a), caa - c1 * c1 / (4.0 * a)
+        far = (a < -model.DOT_SERIES_A) & ((vertex < 0) | (vertex > 1)) & (peak > 710)
+        assert far.sum() >= 100
+
+    def test_cumulative_rate_matches_quadrature(self):
+        rng = np.random.default_rng(32)
+        for _ in range(100):
+            cfg = random_config(rng, n=2, K=3, scale=1.5)
+            rm = RateModel(DOT, float(rng.uniform(-2, 2)))
+            k = int(rng.integers(1, 4))
+            got = cumulative_rate_closed(cfg, rm, 0, 1, k)
+            assert got == pytest.approx(quad_rate(cfg, rm, 0, 1, k), rel=1e-9, abs=0.0)
+
+    def test_gradient_matches_finite_differences(self):
+        # rows of all three forms: z of scale 1 puts a = <dz_i, dz_j> on both
+        # sides of the series band
+        rng = np.random.default_rng(33)
+        n, K, d = 6, 3, 2
+        part = IntervalPartition.uniform(K)
+        ev = EventList(src=np.array([0, 1, 2]), dst=np.array([3, 4, 5]),
+                       time=np.array([0.2, 0.5, 0.9]), n=n, directed=False)
+        terms = realize_plan(ev, part, SamplingPlan())
+        z = rng.standard_normal((n, K + 1, d))
+        zi, zj = z[terms.pair_i], z[terms.pair_j]
+        a = np.einsum("pkd,pkd->pk", np.diff(zi, axis=1), np.diff(zj, axis=1))
+        assert (a > 0.5).any() and (a < -0.5).any() and (np.abs(a) < 0.5).any()
+        _, dz, dbeta = nll_value_grad(z, 0.3, DOT, part, terms, want_grad=True)
+        h = 1e-6
+        for idx in np.ndindex(z.shape):
+            zp, zm = z.copy(), z.copy()
+            zp[idx] += h
+            zm[idx] -= h
+            fd = (nll_value_grad(zp, 0.3, DOT, part, terms)[0]
+                  - nll_value_grad(zm, 0.3, DOT, part, terms)[0]) / (2 * h)
+            assert abs(dz[idx] - fd) <= 1e-4 * max(abs(fd), 1e-6)
+        fd_beta = (nll_value_grad(z, 0.3 + h, DOT, part, terms)[0]
+                   - nll_value_grad(z, 0.3 - h, DOT, part, terms)[0]) / (2 * h)
+        assert abs(dbeta - fd_beta) <= 1e-4 * abs(fd_beta)
 
 
 class TestCumulativeRateRiemann:
@@ -217,15 +305,13 @@ class TestCumulativeRateRiemann:
             assert abs(approx - closed) <= 1e-4 * abs(closed)
 
     def test_dot_product_self_convergence(self):
+        # the left sum's error halves with each doubling of R, towards the closed form
         rng = np.random.default_rng(8)
         cfg = random_config(rng, n=2, K=3)
         rm = RateModel(DOT, 0.4)
-        ref = cumulative_rate_riemann(cfg, rm, 0, 1, 2, 2**20)
-        errs = [
-            abs(cumulative_rate_riemann(cfg, rm, 0, 1, 2, 2**p) - ref)
-            for p in range(4, 15)
-        ]
-        assert all(e2 < e1 for e1, e2 in zip(errs, errs[1:]))
+        ref = cumulative_rate_closed(cfg, rm, 0, 1, 2)
+        errs = [abs(cumulative_rate_riemann(cfg, rm, 0, 1, 2, 2**p) - ref) for p in range(4, 15)]
+        assert all(0.4 < e2 / e1 < 0.6 for e1, e2 in zip(errs, errs[1:]))
 
 
 class TestPairIntervalNll:
@@ -915,10 +1001,9 @@ def ref_event_term(z, beta, kind, terms):
     return -w * loglam, dz, -float(w.sum())
 
 
-def ref_nll_value_grad(z, beta, kind, part, terms, riemann_r=10, want_grad=False):
+def ref_nll_value_grad(z, beta, kind, part, terms, want_grad=False):
     """nll_value_grad on PerEventTerms: the package's survival term, the event term per event."""
-    value, dz, dbeta = nll_value_grad(z, beta, kind, part, terms.survival,
-                                      riemann_r=riemann_r, want_grad=want_grad)
+    value, dz, dbeta = nll_value_grad(z, beta, kind, part, terms.survival, want_grad=want_grad)
     ev_values, ev_dz, ev_dbeta = ref_event_term(z, beta, kind, terms)
     value += float(ev_values.sum())
     dbeta += ev_dbeta
@@ -983,14 +1068,14 @@ class TestEventGroups:
         beta = float(rng.uniform(-2.0, 2.0))
 
         got_value, got_dz, got_dbeta = nll_value_grad(
-            z, beta, kind, part, realize_plan(ev, part, plan), riemann_r=3, want_grad=True
+            z, beta, kind, part, realize_plan(ev, part, plan), want_grad=True
         )
         ref = ref_realize_plan(ev, part, plan)
         want_value, want_dz, want_dbeta = ref_nll_value_grad(
-            z, beta, kind, part, ref, riemann_r=3, want_grad=True
+            z, beta, kind, part, ref, want_grad=True
         )
         # relative to the summed magnitudes, since event terms of either sign can cancel
-        survival, _, _ = nll_value_grad(z, beta, kind, part, ref.survival, riemann_r=3)
+        survival, _, _ = nll_value_grad(z, beta, kind, part, ref.survival)
         scale = abs(survival) + np.abs(ref_event_term(z, beta, kind, ref)[0]).sum()
         assert abs(got_value - want_value) <= 1e-12 * scale
         assert abs(got_dbeta - want_dbeta) <= 1e-12 * abs(want_dbeta)
@@ -1040,39 +1125,31 @@ class TestEventGroups:
 
 # ---------------------------------------------------------------------------
 # The blocked survival kernel against a plain per-row form: every (pair,
-# interval) row through ref_closed_rate_batch (or the Riemann sum written out
-# over (..., R, d)), weighted, and scattered onto both endpoints with
-# np.add.at.
+# interval) row through ref_closed_rate_batch (or, for dot, _dot_coeffs on
+# the whole (pairs, K) array), weighted, and scattered onto both endpoints
+# with np.add.at.
 # ---------------------------------------------------------------------------
 
 
-def ref_riemann_rows(zi_a, zi_b, zj_a, zj_b, beta, lengths, R, kind, want_grad=False):
-    """Per-row left Riemann Lambda and its gradients in the four endpoints."""
-    s = np.arange(R, dtype=np.float64) / R
-    om = 1.0 - s
-    pi = zi_a[..., None, :] * om[:, None] + zi_b[..., None, :] * s[:, None]
-    pj = zj_a[..., None, :] * om[:, None] + zj_b[..., None, :] * s[:, None]
-    if kind == EUCLIDEAN:
-        diff = pi - pj
-        loglam = beta - np.einsum("...rd,...rd->...r", diff, diff)
-    else:
-        loglam = beta + np.einsum("...rd,...rd->...r", pi, pj)
-    lam_r = np.exp(loglam)
-    lam = lengths * lam_r.mean(axis=-1)
+def ref_dot_rows(zi_a, zi_b, zj_a, zj_b, beta, lengths, want_grad=False):
+    """Per-row dot Lambda through ``_dot_coeffs`` and its gradients in the four endpoints.
+
+    The scalars sum over coordinates in the kernel's order, so the rows see
+    the same inputs bit for bit.
+    """
+    caa = cab = cbb = 0.0
+    for c in range(zi_a.shape[-1]):
+        caa = caa + zi_a[..., c] * zj_a[..., c]
+        cbb = cbb + zi_b[..., c] * zj_b[..., c]
+        cab = cab + (zi_a[..., c] * zj_b[..., c] + zi_b[..., c] * zj_a[..., c])
+    lam, p, q, r = _dot_coeffs(caa, 0.5 * cab, cbb, beta, lengths, want_grad)
     if not want_grad:
         return lam, None
-    wfac = (np.asarray(lengths)[..., None] / R) * lam_r
-    if kind == EUCLIDEAN:
-        gpi = -2.0 * wfac[..., None] * diff
-        gpj = -gpi
-    else:
-        gpi = wfac[..., None] * pj
-        gpj = wfac[..., None] * pi
-    return lam, tuple(np.einsum("...rd,r->...d", g, f) for g, f in
-                      ((gpi, om), (gpi, s), (gpj, om), (gpj, s)))
+    p, q, r = p[..., None], q[..., None], r[..., None]
+    return lam, (p * zj_a + q * zj_b, q * zj_a + r * zj_b, p * zi_a + q * zi_b, q * zi_a + r * zi_b)
 
 
-def ref_survival(z, beta, kind, lengths, terms, riemann_r=10, want_grad=False):
+def ref_survival(z, beta, kind, lengths, terms, want_grad=False):
     """Weighted survival value and dz, row by row."""
     pi, pj, w = terms.pair_i, terms.pair_j, terms.pair_w
     zi, zj = z[pi], z[pj]
@@ -1082,8 +1159,8 @@ def ref_survival(z, beta, kind, lengths, terms, riemann_r=10, want_grad=False):
                                                 beta, lengths[None, :], want_grad)
         grads = (ga, gb, None if ga is None else -ga, None if gb is None else -gb)
     else:
-        lam, grads = ref_riemann_rows(zi[:, :-1], zi[:, 1:], zj[:, :-1], zj[:, 1:], beta,
-                                      lengths[None, :], riemann_r, kind, want_grad)
+        lam, grads = ref_dot_rows(zi[:, :-1], zi[:, 1:], zj[:, :-1], zj[:, 1:], beta,
+                                  lengths[None, :], want_grad)
     value = float((w[:, None] * lam).sum())
     if not want_grad:
         return value, None
@@ -1094,9 +1171,9 @@ def ref_survival(z, beta, kind, lengths, terms, riemann_r=10, want_grad=False):
     return value, dz
 
 
-def ref_nll_value_grad_rows(z, beta, kind, part, terms, riemann_r=10, want_grad=False):
+def ref_nll_value_grad_rows(z, beta, kind, part, terms, want_grad=False):
     """nll_value_grad with the survival term row by row and the package's event term."""
-    value, dz = ref_survival(z, beta, kind, part.lengths, terms, riemann_r, want_grad)
+    value, dz = ref_survival(z, beta, kind, part.lengths, terms, want_grad)
     dbeta = value
     if terms.ev_i.size:
         ev_value, ev_dbeta = _event_term(z, beta, kind, terms, dz)
@@ -1180,14 +1257,13 @@ class TestBlockedSurvival:
         z, terms = survival_case(seed, P, K, d, kinds, directed)
         part = IntervalPartition(np.r_[0.0, np.sort(np.random.default_rng(seed).uniform(
             0.05, 0.95, size=K - 1)), 1.0])
-        value, dz, dbeta = nll_value_grad(z, beta, kind, part, terms, riemann_r=3,
-                                          want_grad=True)
-        want, want_dz = ref_survival(z, beta, kind, part.lengths, terms, 3, want_grad=True)
+        value, dz, dbeta = nll_value_grad(z, beta, kind, part, terms, want_grad=True)
+        want, want_dz = ref_survival(z, beta, kind, part.lengths, terms, want_grad=True)
         assert value == pytest.approx(want, rel=1e-12, abs=0.0)
         assert dbeta == pytest.approx(want, rel=1e-12, abs=0.0)
         np.testing.assert_allclose(dz, want_dz, rtol=1e-12,
                                    atol=1e-12 * np.abs(want_dz).max(initial=0.0))
-        alone, no_dz, _ = nll_value_grad(z, beta, kind, part, terms, riemann_r=3)
+        alone, no_dz, _ = nll_value_grad(z, beta, kind, part, terms)
         assert alone == value and no_dz is None
 
     def test_cases_reach_every_branch(self):

@@ -143,10 +143,8 @@ def _make_split(ev: EventList, resolved: dict):
 
 def cmd_fit(args: argparse.Namespace) -> int:
     resolved = _resolve(args, _FIT_DEFAULTS)
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
-    ev = _load_events(resolved, args.events)
-    split = _make_split(ev, resolved)
+    # Hyperparams checks the counts a --config file gives, as the flags' types
+    # check theirs, before any output is written
     hp = Hyperparams(
         d=int(resolved["d"]),
         K=int(resolved["K"]),
@@ -162,6 +160,10 @@ def cmd_fit(args: argparse.Namespace) -> int:
         seed=int(resolved["seed"]),
         beta_init=None if resolved["beta_init"] is None else float(resolved["beta_init"]),
     )
+    outdir = Path(args.out)
+    outdir.mkdir(parents=True, exist_ok=True)
+    ev = _load_events(resolved, args.events)
+    split = _make_split(ev, resolved)
     fm = fit(ev, hp, split=split)
     save_model(fm, outdir / "model.json")
     write_loss_csv(fm, outdir / "loss.csv")
@@ -192,6 +194,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
     unknown = [s for s in scorers if s not in evl.SCORER_NAMES]
     if unknown:
         raise ValueError(f"unknown scorer {unknown[0]!r}; choose from {evl.SCORER_NAMES}")
+    seed = int(resolved["seed"])
+    opts = evl.LsdmOpts(iters=int(resolved["lsdm_iters"]), seed=seed)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     fm = load_model(args.model)
@@ -204,14 +208,12 @@ def cmd_eval(args: argparse.Namespace) -> int:
     part = fm.part
     split = _make_split(ev, resolved)
     counts = interval_counts(ev, part)
-    seed = int(resolved["seed"])
     rng = np.random.SeedSequence(seed)
 
     train_pairs = split.train if split is not None else frozenset(ev.unique_pairs())
     train_counts = evl.restrict_counts(counts, train_pairs)
     lsdm_models = None
     if "lsdm" in scorers:
-        opts = evl.LsdmOpts(iters=int(resolved["lsdm_iters"]), seed=seed)
         lsdm_models = evl.fit_lsdm_intervals(train_counts, train_pairs, fm.state.d, opts)
         stopped = [k for k, m in lsdm_models.items() if not m.converged]
         if stopped:

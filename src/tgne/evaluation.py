@@ -50,6 +50,7 @@ from .events import (
     EventList,
     IntervalPartition,
     Pair,
+    in_sorted,
     restrict_counts,  # part of this module's API; it works on the code storage
     unique_codes,
 )
@@ -153,7 +154,7 @@ def build_instances(
     pair_code, k0 = np.divmod(counts.codes, counts.K)  # pair codes i * n + j
     # active_in[k - 1, p]: the split's p-th pair has an event in interval k
     split_code = pair_i * n + pair_j  # ascending, as the pairs are sorted
-    in_split = _in_sorted(pair_code, split_code)
+    in_split = in_sorted(pair_code, split_code)
     active_in = np.zeros((counts.K, split_code.size), dtype=bool)
     active_in[k0[in_split], np.searchsorted(split_code, pair_code[in_split])] = True
 
@@ -191,14 +192,6 @@ def build_instances(
     return table, shortfall
 
 
-def _in_sorted(values: np.ndarray, ascending: np.ndarray) -> np.ndarray:
-    """Membership of each value in an ascending array."""
-    if ascending.size == 0:
-        return np.zeros(values.shape, dtype=bool)
-    pos = np.minimum(np.searchsorted(ascending, values), ascending.size - 1)
-    return ascending[pos] == values
-
-
 def _rejection_sample(
     rng: np.random.Generator, n: int, directed: bool, active: np.ndarray, take: int
 ) -> np.ndarray:
@@ -225,7 +218,7 @@ def _rejection_sample(
         if not directed:
             i, j = np.minimum(i, j), np.maximum(i, j)
         code = i * n + j
-        ok = np.flatnonzero((i != j) & ~_in_sorted(code, active) & ~_in_sorted(code, chosen))
+        ok = np.flatnonzero((i != j) & ~in_sorted(code, active) & ~in_sorted(code, chosen))
         _, first = np.unique(code[ok], return_index=True)
         ok = np.sort(ok[first])
         if ok.size >= need:
@@ -312,10 +305,10 @@ def score_tgne_predictive(fm: FittedModel, i: int, j: int, k: int) -> float:
 class LsdmOpts:
     """Settings for the per-interval binary latent distance fit.
 
-    ``iters`` caps the L-BFGS-B iterations, and the objective evaluations up
-    to the end of the iteration that passes it. The fit has converged when
-    the gradient's inf-norm is below ``grad_tol``. ``lr`` is accepted and
-    ignored: L-BFGS-B chooses its own steps.
+    ``iters`` (>= 1) caps the L-BFGS-B iterations, and the objective
+    evaluations up to the end of the iteration that passes it. The fit has
+    converged when the gradient's inf-norm is below ``grad_tol``. ``lr`` is
+    accepted and ignored: L-BFGS-B chooses its own steps.
     """
 
     iters: int = 800
@@ -323,6 +316,10 @@ class LsdmOpts:
     init_scale: float = 0.1
     seed: int = 0
     grad_tol: float = 1e-4
+
+    def __post_init__(self):
+        if self.iters < 1:
+            raise ValueError(f"lsdm iters must be >= 1, got {self.iters}")
 
 
 @dataclass(eq=False)

@@ -56,6 +56,14 @@ def unique_codes(codes: np.ndarray) -> np.ndarray:
     return distinct_sorted(np.sort(codes))
 
 
+def in_sorted(values: np.ndarray, ascending: np.ndarray) -> np.ndarray:
+    """``np.isin(values, ascending)`` for an ascending array, by one ``searchsorted``."""
+    if ascending.size == 0:
+        return np.zeros(values.shape, dtype=bool)
+    pos = np.minimum(np.searchsorted(ascending, values), ascending.size - 1)
+    return ascending[pos] == values
+
+
 @dataclass(eq=False)
 class EventList:
     """Normalized interaction history over nodes 0..n-1.

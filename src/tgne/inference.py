@@ -109,12 +109,9 @@ class Hyperparams:
     def __post_init__(self):
         if self.tau0 is None:
             self.tau0 = self.tau
-        if self.d < 1 or self.K < 1:
-            raise ValueError("d and K must be >= 1")
-        if self.epochs < 0:
-            raise ValueError("epochs must be >= 0")
-        if self.mc_samples < 1:
-            raise ValueError("mc_samples must be >= 1")
+        for name in ("d", "K", "epochs", "mc_samples"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.negatives_per_node is not None and self.negatives_per_node < 1:
             raise ValueError(f"negatives_per_node must be >= 1, got {self.negatives_per_node}")
         if self.batch_size is not None and self.batch_size < 1:

@@ -24,8 +24,10 @@ The event term needs no per-event rows. Within I_k a position is linear in
 s, so for either kind the log rate of a pair is a quadratic form in s with
 coefficients (1-s)^2, s(1-s) and s^2 on the endpoint products. The events
 of one (pair, interval) therefore enter the NLL and its gradient only
-through the weighted sums W = sum w, S1 = sum w s and S2 = sum w s^2, and
-``realize_plan`` folds them into one row per (pair, interval) group.
+through the weighted sums W = sum w, S1 = sum w s and S2 = sum w s^2.
+``realize_plan`` folds them into one row per (pair, interval) group and
+places each group on its pair's survival row, so one blocked kernel
+(``_kernel``) adds both terms and scatters their gradient once.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ import numpy as np
 from scipy.sparse import csc_matrix
 from scipy.special import dawsn, erfc, erfcx
 
-from .events import EventList, IntervalPartition, unique_codes
+from .events import EventList, IntervalPartition, in_sorted, unique_codes
 
 SQRT_2PI = np.sqrt(2.0 * np.pi)
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
@@ -446,9 +448,11 @@ class _Terms:
     Each event row is one (pair, interval) group, in ascending order of the
     code ``(ev_i * n + ev_j) * K + ev_k0``, holding the weighted moments of
     its events' local coordinates s: ev_w0 = sum w, ev_w1 = sum w s and
-    ev_w2 = sum w s^2. ``pair_incidence`` is the signed (n, P) CSC matrix
-    with +1 at (pair_i[p], p) and -1 at (pair_j[p], p): one product with it
-    scatters per-pair gradients onto the nodes.
+    ev_w2 = sum w s^2. ``ev_cell`` places each group on the survival rows:
+    p * K + ev_k0, p the row of its pair in pair_i / pair_j; it ascends
+    with the groups. ``pair_incidence`` is the signed (n, P) CSC matrix
+    with +1 at (pair_i[p], p) and -1 at (pair_j[p], p): one product with
+    it scatters per-pair gradients onto the nodes.
     """
 
     pair_i: np.ndarray
@@ -460,6 +464,7 @@ class _Terms:
     ev_w0: np.ndarray
     ev_w1: np.ndarray
     ev_w2: np.ndarray
+    ev_cell: np.ndarray
     pair_incidence: csc_matrix
 
 
@@ -620,11 +625,12 @@ def realize_plan(ev: EventList, part: IntervalPartition, plan: SamplingPlan) -> 
     if plan.negatives_per_node is None:
         ui, uj = _all_pair_arrays(n, ev.directed)
         if excl_codes.size:
-            keep = ~np.isin(_pair_codes(ui, uj, n), excl_codes)
+            keep = ~in_sorted(_pair_codes(ui, uj, n), excl_codes)
             ui, uj = ui[keep], uj[keep]
         w = pair_weights(ui, uj)
         nz = w > 0
         pair_i, pair_j, pair_w = ui[nz], uj[nz], w[nz]
+        pair_codes = _pair_codes(pair_i, pair_j, n)  # ascending, in triu or meshgrid order
     else:
         pos_codes = unique_codes(_pair_codes(ev.src, ev.dst, n))
         if ev.directed and pos_codes.size:
@@ -633,7 +639,7 @@ def realize_plan(ev: EventList, part: IntervalPartition, plan: SamplingPlan) -> 
             rev = (pos_codes % n) * n + pos_codes // n
             pos_codes = unique_codes(np.concatenate([pos_codes, rev]))
         if excl_codes.size:
-            pos_codes = pos_codes[~np.isin(pos_codes, excl_codes)]
+            pos_codes = pos_codes[~in_sorted(pos_codes, excl_codes)]
         pos_i = pos_codes // n
         pos_j = pos_codes % n
         w_pos = pair_weights(pos_i, pos_j)
@@ -655,33 +661,38 @@ def realize_plan(ev: EventList, part: IntervalPartition, plan: SamplingPlan) -> 
             np.random.default_rng(plan.seed), nodes, pool, take, blocked, starts, n
         )
         half = 1.0 if ev.directed else 0.5
+        pair_codes = pos_codes[nz]  # the leading rows; every event pair is among them
         pair_i = np.concatenate([pos_i[nz], nodes[row]])
         pair_j = np.concatenate([pos_j[nz], partner])
         pair_w = np.concatenate([w_pos[nz], (scale * half * pool / take)[row]])
 
     if ev.m:
         k1, s = part.local_coord(ev.time)
-        ev_code = _pair_codes(ev.src, ev.dst, n)
         ew = pair_weights(ev.src, ev.dst)
-        if excl_codes.size:
-            ew = np.where(np.isin(ev_code, excl_codes), 0.0, ew)
         keep = ew > 0
         K = part.K
         k0 = np.atleast_1d(k1)[keep].astype(np.int64) - 1
         s = np.atleast_1d(s)[keep]
         w = ew[keep]
-        groups, group_of = np.unique(ev_code[keep] * K + k0, return_inverse=True)
+        ev_code = _pair_codes(ev.src, ev.dst, n)[keep]
+        groups, group_of = np.unique(ev_code * K + k0, return_inverse=True)
         ws = w * s
         ev_w0 = np.bincount(group_of, weights=w, minlength=groups.size)
         ev_w1 = np.bincount(group_of, weights=ws, minlength=groups.size)
         ev_w2 = np.bincount(group_of, weights=ws * s, minlength=groups.size)
         pair, ev_k0 = np.divmod(groups, K)
+        if excl_codes.size:
+            # an excluded pair's events make up groups of their own: drop those,
+            # testing the ascending groups rather than every event
+            own = ~in_sorted(pair, excl_codes)
+            pair, ev_k0, ev_w0, ev_w1, ev_w2 = (x[own] for x in (pair, ev_k0, ev_w0, ev_w1, ev_w2))
         ev_i, ev_j = np.divmod(pair, n)
+        ev_cell = np.searchsorted(pair_codes, pair) * K + ev_k0
     else:
-        ev_i = ev_j = ev_k0 = np.empty(0, dtype=np.int64)
+        ev_i = ev_j = ev_k0 = ev_cell = np.empty(0, dtype=np.int64)
         ev_w0 = ev_w1 = ev_w2 = np.empty(0, dtype=np.float64)
 
-    return _Terms(pair_i, pair_j, pair_w, ev_i, ev_j, ev_k0, ev_w0, ev_w1, ev_w2,
+    return _Terms(pair_i, pair_j, pair_w, ev_i, ev_j, ev_k0, ev_w0, ev_w1, ev_w2, ev_cell,
                   _pair_incidence(pair_i, pair_j, n))
 
 
@@ -695,19 +706,6 @@ def _endpoints(z: np.ndarray, ii: np.ndarray, kk0: np.ndarray):
     return flat.take(rows, axis=0), flat.take(rows + 1, axis=0)
 
 
-def _scatter_add(dz: np.ndarray, flat_cut: np.ndarray, contrib: np.ndarray) -> None:
-    """Add contrib (..., d) into the rows of C-contiguous dz at flat (node, cut) indices.
-
-    One bincount per latent dimension; each bin sums its terms in array order.
-    """
-    n, kp1, d = dz.shape
-    rows = dz.reshape(n * kp1, d)
-    flat_cut = flat_cut.ravel()
-    contrib = contrib.reshape(-1, d)
-    for c in range(d):
-        rows[:, c] += np.bincount(flat_cut, weights=contrib[:, c], minlength=n * kp1)
-
-
 def _cut_gradient(G, sl, c, p, q, r, xa, xb):
     """Per-cut gradient of coordinate c: interval k's a-end and interval k-1's b-end."""
     Gc = G[sl, c]
@@ -716,28 +714,39 @@ def _cut_gradient(G, sl, c, p, q, r, xa, xb):
     Gc[:, 1:] += q * xa + r * xb
 
 
-def _survival(z, beta, kind, lengths, terms, want_grad):
-    """Value of the weighted survival terms and, when ``want_grad``, their dz.
+def _kernel(z, beta, kind, lengths, terms, want_grad):
+    """(Lambda, Q, dz): the weighted survival sum Lambda, the events' part Q of
+    -sum_m w_m log lambda(t_m) without its -beta W, and when ``want_grad``
+    the gradient of Lambda + Q in z.
 
     The pairs run in blocks of SURVIVAL_BLOCK, each latent coordinate
     gathered as a contiguous (pairs, K+1) array, so every temporary stays
     small. A block's rows reduce to per-row scalars, whose coefficients
-    (p, q, r) give the gradient at both ends of each interval. Interval k's
-    b-end and interval k+1's a-end are the same cut-point, so both sum into
-    one per-cut gradient G, laid out (P, d, K+1), and one product with the
-    plan's pair incidence scatters G onto the nodes. A dot pair's two ends
-    get different gradients, G_i and G_j, each scattered through its end of
-    the incidence.
+    (p, q, r) give the gradient at both ends of each interval. A block that
+    holds event groups takes their cells (``ev_cell``) from the same
+    scalars for their value and adds their coefficients into (p, q, r)
+    (see ``nll_value_grad``). Interval k's b-end and interval k+1's a-end
+    are the same cut-point, so both sum into one per-cut gradient G, laid
+    out (P, d, K+1), and one product with the plan's pair incidence
+    scatters G onto the nodes. A dot pair's two ends get different
+    gradients, G_i and G_j, each scattered through its end of the
+    incidence.
     """
     n, kp1, d = z.shape
+    K = kp1 - 1
     P = terms.pair_i.size
     zc = z.transpose(2, 0, 1).copy()  # (d, n, K+1): one contiguous array per coordinate
     euclid = kind == EUCLIDEAN
+    W, S1, S2 = terms.ev_w0, terms.ev_w1, terms.ev_w2
+    abc = (W - 2.0 * S1 + S2, S1 - S2, S2)  # weighted sums of (1-s)^2, s(1-s), s^2
+    grad_abc = [(2.0 if euclid else -1.0) * x for x in abc] if want_grad else None
+    # the groups of block b are bounds[b]:bounds[b + 1], as ev_cell ascends
+    bounds = np.searchsorted(terms.ev_cell, np.arange(0, P + SURVIVAL_BLOCK, SURVIVAL_BLOCK) * K)
     if want_grad:
         G_i = np.empty((P, d, kp1))
         G_j = None if euclid else np.empty((P, d, kp1))
-    value = 0.0
-    for a in range(0, P, SURVIVAL_BLOCK):
+    lam_sum = quad = 0.0
+    for b, a in enumerate(range(0, P, SURVIVAL_BLOCK)):
         sl = slice(a, a + SURVIVAL_BLOCK)
         pi = terms.pair_i[sl]
         pj = terms.pair_j[sl]
@@ -752,9 +761,6 @@ def _survival(z, beta, kind, lengths, terms, want_grad):
                 dav = dav + xa * v
                 w2 = w2 + v * v
             lam, p, q, r = _closed_coeffs(c0, dav, w2, c0 - dav, wlen, beta, want_grad)
-            if want_grad:
-                for c, x in enumerate(D):
-                    _cut_gradient(G_i, sl, c, p, q, r, x[:, :-1], x[:, 1:])
         else:
             Zi = [x.take(pi, axis=0) for x in zc]
             Zj = [x.take(pj, axis=0) for x in zc]
@@ -765,13 +771,31 @@ def _survival(z, beta, kind, lengths, terms, want_grad):
                 cbb = cbb + prod[:, 1:]
                 cab = cab + (xi[:, :-1] * xj[:, 1:] + xi[:, 1:] * xj[:, :-1])
             lam, p, q, r = _dot_coeffs(caa, 0.5 * cab, cbb, beta, wlen, want_grad)
+        lam_sum += float(lam.sum())
+        g = slice(bounds[b], bounds[b + 1])
+        if g.stop > g.start:
+            cells = terms.ev_cell[g] - a * K  # flat indices into the block's (rows, K)
+            if euclid:
+                # sum_m w_m ||da - s_m (da - db)||^2
+                quad += float(W[g] @ c0.take(cells) - 2.0 * (S1[g] @ dav.take(cells))
+                              + S2[g] @ w2.take(cells))
+            else:
+                # -sum_m w_m <(1-s_m) z_ia + s_m z_ib, (1-s_m) z_ja + s_m z_jb>
+                quad -= float(abc[0][g] @ caa.take(cells) + abc[1][g] @ cab.take(cells)
+                              + abc[2][g] @ cbb.take(cells))
             if want_grad:
+                for x, y in zip((p, q, r), grad_abc):
+                    np.add.at(x.reshape(-1), cells, y[g])  # fresh C-order x: a view
+        if want_grad:
+            if euclid:
+                for c, x in enumerate(D):
+                    _cut_gradient(G_i, sl, c, p, q, r, x[:, :-1], x[:, 1:])
+            else:
                 for c, (xi, xj) in enumerate(zip(Zi, Zj)):
                     _cut_gradient(G_i, sl, c, p, q, r, xj[:, :-1], xj[:, 1:])
                     _cut_gradient(G_j, sl, c, p, q, r, xi[:, :-1], xi[:, 1:])
-        value += float(lam.sum())
     if not want_grad:
-        return value, None
+        return lam_sum, quad, None
     inc = terms.pair_incidence
     if euclid:
         dz = inc @ G_i.reshape(P, d * kp1)
@@ -780,48 +804,7 @@ def _survival(z, beta, kind, lengths, terms, want_grad):
         i_end.data = np.maximum(inc.data, 0.0)
         j_end.data = np.maximum(-inc.data, 0.0)
         dz = i_end @ G_i.reshape(P, d * kp1) + j_end @ G_j.reshape(P, d * kp1)
-    return value, np.ascontiguousarray(dz.reshape(n, d, kp1).transpose(0, 2, 1))
-
-
-def _event_term(z, beta, kind, terms, dz):
-    """(value, dbeta) of -sum_m w_m log lambda(t_m) from the event groups' moments.
-
-    Adds the gradient into dz unless None. A, B and C are a group's weighted
-    sums of (1-s)^2, s(1-s) and s^2.
-    """
-    kk = terms.ev_k0
-    zi_a, zi_b = _endpoints(z, terms.ev_i, kk)
-    zj_a, zj_b = _endpoints(z, terms.ev_j, kk)
-    W, S1, S2 = terms.ev_w0, terms.ev_w1, terms.ev_w2
-    A = (W - 2.0 * S1 + S2)[:, None]
-    B = (S1 - S2)[:, None]
-    C = S2[:, None]
-    dbeta = -float(W.sum())
-    if kind == EUCLIDEAN:
-        # sum_m w_m ||(1-s_m) da + s_m db||^2 = <g_a, da> + <g_b, db>
-        da = zi_a - zj_a
-        db = zi_b - zj_b
-        g_a = A * da + B * db
-        g_b = B * da + C * db
-        value = float(np.vdot(g_a, da) + np.vdot(g_b, db)) + beta * dbeta
-        grads = (2.0 * g_a, 2.0 * g_b, -2.0 * g_a, -2.0 * g_b)
-    else:
-        # sum_m w_m <(1-s_m) z_ia + s_m z_ib, (1-s_m) z_ja + s_m z_jb>
-        # = <g_ia, z_ia> + <g_ib, z_ib>
-        g_ia = A * zj_a + B * zj_b
-        g_ib = B * zj_a + C * zj_b
-        value = -float(np.vdot(g_ia, zi_a) + np.vdot(g_ib, zi_b)) + beta * dbeta
-        grads = (-g_ia, -g_ib, -(A * zi_a + B * zi_b), -(B * zi_a + C * zi_b))
-    if dz is not None:
-        kp1 = z.shape[1]
-        flat_ia = terms.ev_i * kp1 + kk
-        flat_ja = terms.ev_j * kp1 + kk
-        ga_i, gb_i, ga_j, gb_j = grads
-        _scatter_add(dz, flat_ia, ga_i)
-        _scatter_add(dz, flat_ia + 1, gb_i)
-        _scatter_add(dz, flat_ja, ga_j)
-        _scatter_add(dz, flat_ja + 1, gb_j)
-    return value, dbeta
+    return lam_sum, quad, np.ascontiguousarray(dz.reshape(n, d, kp1).transpose(0, 2, 1))
 
 
 def nll_value_grad(
@@ -837,29 +820,30 @@ def nll_value_grad(
 
     Returns (value, dz, dbeta); dz is None unless ``want_grad``. Both rate
     kinds integrate their survival terms exactly; ``riemann_r`` is accepted
-    and ignored, as older callers still pass it.
-    The survival
-    pairs run in blocks of SURVIVAL_BLOCK (1024) pairs for both rate kinds,
-    so beyond the per-cut gradient (P x (K+1) x d floats) memory stays bounded
-    by the block, not by P K. The event term takes one row per (pair, interval)
-    group: with the group's moments W, S1, S2 (see ``_Terms``), A = W - 2 S1
-    + S2, B = S1 - S2, C = S2 and the endpoint differences da = z_ia - z_ja,
-    db = z_ib - z_jb, a euclidean group contributes
+    and ignored, as older callers still pass it. One blocked kernel
+    (``_kernel``) runs over the survival pairs in blocks of SURVIVAL_BLOCK
+    (1024), so beyond the per-cut gradient (P x (K+1) x d floats) memory
+    stays bounded by the block, not by P K.
+
+    The event term rides in the same blocks: each event group sits on its
+    pair's survival row (``_Terms.ev_cell``). Its moments W, S1, S2 give
+    A = W - 2 S1 + S2, B = S1 - S2 and C = S2. With the row's endpoint
+    differences da = z_ia - z_ja, db = z_ib - z_jb a euclidean group
+    contributes
 
         -[beta W - (A ||da||^2 + 2 B <da, db> + C ||db||^2)]
 
     with gradients 2 (A da + B db) and 2 (B da + C db) in da and db, and a
     dot group -[beta W + A <z_ia, z_ja> + B (<z_ia, z_jb> + <z_ib, z_ja>)
-    + C <z_ib, z_jb>]. This equals the per-event sum -sum_m w_m log
+    + C <z_ib, z_jb>]. So a group adds 2 (A, B, C), or -(A, B, C) for dot,
+    to its row's survival gradient coefficients (p, q, r), and the one
+    pair-incidence product scatters both terms; -beta W and its d/dbeta =
+    -W stay scalars. This equals the per-event sum -sum_m w_m log
     lambda(t_m) up to rounding.
     """
-    value, dz = _survival(z, beta, kind, part.lengths, terms, want_grad)
-    dbeta = value  # d Lambda / d beta = Lambda
-    if terms.ev_i.size:
-        ev_value, ev_dbeta = _event_term(z, beta, kind, terms, dz)
-        value += ev_value
-        dbeta += ev_dbeta
-    return value, dz, dbeta
+    lam, quad, dz = _kernel(z, beta, kind, part.lengths, terms, want_grad)
+    W = float(terms.ev_w0.sum())
+    return lam + (quad - beta * W), dz, lam - W  # d Lambda / d beta = Lambda
 
 
 def total_nll(

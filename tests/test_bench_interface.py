@@ -56,3 +56,12 @@ def test_replica_keywords_bind(fn, positional, keywords):
 
 def test_replica_reads_riemann_r():
     assert isinstance(inference.Hyperparams().riemann_r, int)
+
+
+def test_replica_reads_plan_row_counts():
+    """The replica reads ``model.survival_rows`` and ``model.event_rows`` off
+    realize_plan's result through ``hasattr``: a renamed field would blank
+    them without an error."""
+    ev = events.EventList(src=[0, 1], dst=[1, 2], time=[0.2, 0.7], n=3)
+    terms = model.realize_plan(ev, events.IntervalPartition.uniform(2), model.SamplingPlan())
+    assert terms.pair_i.size == 3 and terms.ev_i.size == 2

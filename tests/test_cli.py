@@ -199,6 +199,19 @@ class TestFit:
                     "--config", cfg]) == 1
         assert f"error: {name} must be >= 1, got 0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, value", [
+        ("epochs", 0), ("K", 0), ("d", -1), ("mc_samples", 0),
+    ])
+    def test_count_config_below_one_exits_one_before_output(self, sim_dir, tmp_path, capsys,
+                                                            key, value):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({key: value}))
+        out = tmp_path / "x"
+        assert run(["fit", "--events", sim_dir / "events.csv", "--out", out,
+                    "--config", cfg]) == 1
+        assert f"error: {key} must be >= 1, got {value}" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestEval:
     def test_full_run_outputs(self, tmp_path, sim_dir, fit_dir):
@@ -371,6 +384,18 @@ class TestEval:
                   "--lsdm-iters", value])
         assert exc.value.code == 2
         assert f"argument --lsdm-iters: must be >= 1, got {value}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_lsdm_iters_config_below_one_exits_one_before_output(
+        self, sim_dir, fit_dir, tmp_path, capsys, value
+    ):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"lsdm_iters": value}))
+        out = tmp_path / "x"
+        assert run(["eval", "--events", sim_dir / "events.csv", "--model",
+                    fit_dir / "model.json", "--out", out, "--config", cfg]) == 1
+        assert f"error: lsdm iters must be >= 1, got {value}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unknown_scorer_exits_one_before_any_work(self, sim_dir, fit_dir, tmp_path, capsys):
         out = tmp_path / "eval"

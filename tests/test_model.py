@@ -30,13 +30,11 @@ from tgne.model import (
     _Terms,
     _closed_rate_batch,
     _dot_coeffs,
-    _event_term,
     _exp_linear_integrals,
     _normal_cdf_diff,
     _pair_array,
     _pair_incidence,
     _pairs_to_array,
-    _scatter_add,
 )
 
 from conftest import cumulative_rate_riemann, random_events
@@ -704,26 +702,6 @@ class TestKernelsMatchBothBranchForms:
         for a, b in zip(u0, u1):
             assert_bits_equal(_normal_cdf_diff(a, b), ref_normal_cdf_diff(a, b))
 
-    @settings(max_examples=40, deadline=None)
-    @given(
-        seed=st.integers(0, 2**32 - 1),
-        n=st.integers(1, 6),
-        K=st.integers(1, 4),
-        d=st.integers(1, 5),
-        shape=st.sampled_from([(0,), (1,), (13,), (40,), (5, 3), (9, 4)]),
-    )
-    def test_scatter_add(self, seed, n, K, d, shape):
-        rng = np.random.default_rng(seed)
-        dz = rng.standard_normal((n, K + 1, d))
-        flat_cut = rng.integers(n * (K + 1), size=shape)
-        contrib = rng.standard_normal(shape + (d,))
-        idx = flat_cut[..., None] * d + np.arange(d)
-        want = dz + np.bincount(
-            idx.ravel(), weights=contrib.ravel(), minlength=n * (K + 1) * d
-        ).reshape(n, K + 1, d)
-        _scatter_add(dz, flat_cut, contrib)
-        assert_bits_equal(dz, want)
-
 
 def ref_negative_plan(ev, plan):
     """A negatives plan in list form: the exact pairs as (pair_i, pair_j,
@@ -969,7 +947,8 @@ def ref_realize_plan(ev, part, plan):
     terms = realize_plan(ev, part, plan)
     none_i, none_f = np.empty(0, dtype=np.int64), np.empty(0)
     survival = dataclasses.replace(
-        terms, ev_i=none_i, ev_j=none_i, ev_k0=none_i, ev_w0=none_f, ev_w1=none_f, ev_w2=none_f
+        terms, ev_i=none_i, ev_j=none_i, ev_k0=none_i, ev_w0=none_f, ev_w1=none_f, ev_w2=none_f,
+        ev_cell=none_i,
     )
     w = ref_event_weights(ev, plan)
     keep = w > 0
@@ -1124,10 +1103,10 @@ class TestEventGroups:
 
 
 # ---------------------------------------------------------------------------
-# The blocked survival kernel against a plain per-row form: every (pair,
-# interval) row through ref_closed_rate_batch (or, for dot, _dot_coeffs on
-# the whole (pairs, K) array), weighted, and scattered onto both endpoints
-# with np.add.at.
+# The blocked kernel against a plain per-row form: every (pair, interval)
+# row through ref_closed_rate_batch (or, for dot, _dot_coeffs on the whole
+# (pairs, K) array), weighted, and scattered onto both endpoints with
+# np.add.at; with events, plus the per-event term of ref_event_term.
 # ---------------------------------------------------------------------------
 
 
@@ -1172,14 +1151,13 @@ def ref_survival(z, beta, kind, lengths, terms, want_grad=False):
 
 
 def ref_nll_value_grad_rows(z, beta, kind, part, terms, want_grad=False):
-    """nll_value_grad with the survival term row by row and the package's event term."""
-    value, dz = ref_survival(z, beta, kind, part.lengths, terms, want_grad)
-    dbeta = value
-    if terms.ev_i.size:
-        ev_value, ev_dbeta = _event_term(z, beta, kind, terms, dz)
-        value += ev_value
-        dbeta += ev_dbeta
-    return value, dz, dbeta
+    """nll_value_grad on PerEventTerms with no package kernel: the survival
+    term row by row, the event term per event."""
+    value, dz = ref_survival(z, beta, kind, part.lengths, terms.survival, want_grad)
+    ev_values, ev_dz, ev_dbeta = ref_event_term(z, beta, kind, terms)
+    if want_grad:
+        dz += ev_dz
+    return value + float(ev_values.sum()), dz, value + ev_dbeta
 
 
 def difference_chain(rng, kinds, d):
@@ -1233,12 +1211,42 @@ def survival_case(seed, P, K, d, kinds, directed):
                                                 rng.integers(len(kinds), size=K)], d)
     none_i, none_f = np.empty(0, dtype=np.int64), np.empty(0)
     terms = _Terms(pair_i, pair_j, rng.uniform(0.1, 3.0, size=P), none_i, none_i, none_i,
-                   none_f, none_f, none_f, _pair_incidence(pair_i, pair_j, n))
+                   none_f, none_f, none_f, none_i, _pair_incidence(pair_i, pair_j, n))
     return z, terms
 
 
 BLOCK_EDGES = (0, 1, SURVIVAL_BLOCK - 1, SURVIVAL_BLOCK, SURVIVAL_BLOCK + 1,
                2 * SURVIVAL_BLOCK + 3)
+
+
+def fold_events(directed):
+    """400 events on 60 random pairs of n = 50 (undirected) or 40 (directed)
+    nodes, plus two on a pair near the end of the full plan's pair order;
+    some times sit on cut-points."""
+    n = 40 if directed else 50
+    rng = np.random.default_rng(11)
+    a = rng.integers(0, n - 4, size=60)
+    b = (a + rng.integers(1, n - 4, size=60)) % (n - 4)
+    pick = rng.integers(0, 60, size=400)
+    src, dst = np.r_[a[pick], n - 3, n - 3], np.r_[b[pick], n - 1, n - 1]
+    if not directed:
+        src, dst = np.minimum(src, dst), np.maximum(src, dst)
+    t = np.r_[rng.random(400), 0.3, 0.45]
+    t[:40] = 0.2
+    order = np.argsort(t, kind="stable")
+    return EventList(src=src[order], dst=dst[order], time=t[order], n=n, directed=directed)
+
+
+# (directed, plan, the block of the last event row) of more than one block:
+# the full plans' last event row is in their last, partial block; the
+# negatives plan's positives end inside its first block
+FOLD_PLANS = {
+    "full": (False, SamplingPlan(excluded_pairs=frozenset({(3, 1), (20, 7)})), 1),
+    "negatives": (False, SamplingPlan(negatives_per_node=30, seed=4,
+                                      excluded_pairs=frozenset({(3, 1)})), 0),
+    "node_batch": (False, SamplingPlan(node_batch=tuple(range(0, 50, 4)) + (47,)), 0),
+    "directed": (True, SamplingPlan(excluded_pairs=frozenset({(1, 3)})), 1),
+}
 
 
 class TestBlockedSurvival:
@@ -1297,6 +1305,40 @@ class TestBlockedSurvival:
             tracemalloc.stop()
         assert peak < 24e6
 
+    @pytest.mark.parametrize("kind", [EUCLIDEAN, DOT])
+    @pytest.mark.parametrize("case", sorted(FOLD_PLANS))
+    def test_folded_events_match_the_references(self, case, kind):
+        """The one kernel against the row-by-row survival term plus the
+        per-event term, on plans of more than one block whose last event row
+        sits inside a block that goes on past it."""
+        directed, plan, last_block = FOLD_PLANS[case]
+        ev = fold_events(directed)
+        K = 4
+        part = IntervalPartition(np.array([0.0, 0.2, 0.45, 0.8, 1.0]))
+        terms = realize_plan(ev, part, plan)
+        rows, k0 = np.divmod(terms.ev_cell, K)
+        assert np.all(np.diff(terms.ev_cell) > 0)
+        assert_bits_equal(terms.pair_i[rows], terms.ev_i)
+        assert_bits_equal(terms.pair_j[rows], terms.ev_j)
+        assert_bits_equal(k0, terms.ev_k0)
+        last = int(rows[-1])
+        assert last // SURVIVAL_BLOCK == last_block
+        assert last + 1 < min(terms.pair_i.size, (last_block + 1) * SURVIVAL_BLOCK)
+
+        rng = np.random.default_rng(7)
+        z = 0.5 * rng.standard_normal((ev.n, K + 1, 2))
+        ref = ref_realize_plan(ev, part, plan)
+        value, dz, dbeta = nll_value_grad(z, -1.0, kind, part, terms, want_grad=True)
+        want, want_dz, want_dbeta = ref_nll_value_grad_rows(z, -1.0, kind, part, ref,
+                                                            want_grad=True)
+        survival, _ = ref_survival(z, -1.0, kind, part.lengths, ref.survival)
+        scale = abs(survival) + np.abs(ref_event_term(z, -1.0, kind, ref)[0]).sum()
+        assert abs(value - want) <= 1e-12 * scale
+        assert abs(dbeta - want_dbeta) <= 1e-12 * scale
+        np.testing.assert_allclose(dz, want_dz, rtol=1e-12, atol=1e-12 * np.abs(want_dz).max())
+        alone, no_dz, _ = nll_value_grad(z, -1.0, kind, part, terms)
+        assert alone == value and no_dz is None
+
     @pytest.mark.parametrize("negatives, batch", [(None, None), (5, 20)])
     def test_fit_matches_row_kernel(self, sbm_sample, monkeypatch, negatives, batch):
         ev = sbm_sample.events
@@ -1304,6 +1346,7 @@ class TestBlockedSurvival:
                                    batch_size=batch)
         split = split_edges(ev, 0.1, 0.0, seed=0)
         blocked = inference.fit(ev, hp, split=split)
+        monkeypatch.setattr(inference, "realize_plan", ref_realize_plan)
         monkeypatch.setattr(inference, "nll_value_grad", ref_nll_value_grad_rows)
         rows = inference.fit(ev, hp, split=split)
         np.testing.assert_allclose(blocked.loss_trace, rows.loss_trace, rtol=1e-10, atol=0)

@@ -12,7 +12,6 @@ from .events import (
     EventParseError,
     IntervalPartition,
     interval_counts,
-    normalize_times,
     parse_events,
     restrict_counts,
     split_edges,
@@ -25,8 +24,6 @@ from .model import (
     SamplingPlan,
     cumulative_rate_closed,
     log_rate,
-    normal_cdf,
-    pair_interval_nll,
     position_at,
     total_nll,
 )
@@ -37,7 +34,6 @@ from .inference import (
     FittedModel,
     Hyperparams,
     VariationalState,
-    adam_step,
     elbo_loss,
     empirical_beta,
     fit,
@@ -45,18 +41,15 @@ from .inference import (
     load_model,
     loss_gradient,
     mean_frame_displacement,
-    reparam_sample,
     save_model,
 )
 from .simulate import SbmSample, SbmSpec, default_sbm_spec, sbm_generate
 from .evaluation import (
     LsdmModel,
     LsdmOpts,
-    ScoredInstance,
     auc,
     auc_from_scores,
     build_instances,
-    edge_uncertainty,
     fit_lsdm,
     fit_lsdm_intervals,
     lsdm_score,
@@ -64,10 +57,7 @@ from .evaluation import (
     node_uncertainty,
     rate_vs_uncertainty_table,
     regression_slope_from_points,
-    score_pa,
-    score_random,
-    score_tgne,
-    score_tgne_predictive,
+    score_instances,
     uncertainty_regression,
 )
 

@@ -13,6 +13,7 @@ import csv
 import json
 import sys
 import warnings
+from itertools import zip_longest
 from pathlib import Path
 
 import numpy as np
@@ -69,7 +70,6 @@ _EVAL_DEFAULTS = {
     "scorers": "tgne,lsdm,pa,random",
     "B": 200,
     "seed": 0,
-    "directed": False,
     "test_frac": 0.1,
     "val_frac": 0.0,
     "split_seed": 0,
@@ -129,10 +129,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_events(resolved: dict, path: str) -> EventList:
-    return parse_events(path, directed=bool(resolved["directed"]))
-
-
 def _make_split(ev: EventList, resolved: dict):
     test_frac = float(resolved["test_frac"])
     val_frac = float(resolved["val_frac"])
@@ -162,7 +158,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
     )
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    ev = _load_events(resolved, args.events)
+    ev = parse_events(args.events, directed=bool(resolved["directed"]))
     split = _make_split(ev, resolved)
     fm = fit(ev, hp, split=split)
     save_model(fm, outdir / "model.json")
@@ -196,15 +192,19 @@ def cmd_eval(args: argparse.Namespace) -> int:
         raise ValueError(f"unknown scorer {unknown[0]!r}; choose from {evl.SCORER_NAMES}")
     seed = int(resolved["seed"])
     opts = evl.LsdmOpts(iters=int(resolved["lsdm_iters"]), seed=seed)
+    fm = load_model(args.model)
+    # the model fixes the orientation and the label -> id map
+    resolved["directed"] = fm.directed
+    ev = parse_events(args.events, directed=fm.directed)
+    if ev.node_labels != fm.node_labels:
+        labels = zip_longest(fm.node_labels, ev.node_labels)  # None past the shorter
+        at, (a, b) = next((i, ab) for i, ab in enumerate(labels) if ab[0] != ab[1])
+        raise ValueError(
+            f"node id {at} is {a!r} in the model but {b!r} in the events ({fm.state.n} and "
+            f"{ev.n} nodes); fit and eval must use the same dataset"
+        )
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    fm = load_model(args.model)
-    ev = _load_events(resolved, args.events)
-    if ev.n != fm.state.n:
-        raise ValueError(
-            f"model has {fm.state.n} nodes but events have {ev.n}; "
-            "fit and eval must use the same dataset"
-        )
     part = fm.part
     split = _make_split(ev, resolved)
     counts = interval_counts(ev, part)
@@ -350,7 +350,9 @@ def cmd_score(args: argparse.Namespace) -> int:
     ii, jj, kk = np.asarray(triplets, dtype=np.int64).T
     evl.check_triplets(fm, ii, jj, kk, lines=lines)
     if scorer == "tgne":
-        scores = evl.score_tgne_many(fm, ii, jj, kk)
+        scores = evl._lambda_batch(
+            fm.state.mu, fm.state.beta, fm.hyper.rate_model, fm.part, ii, jj, kk - 1
+        )
     else:
         scores, _ = evl._exact_lambda_moments(
             fm.state, fm.part, ii, jj, kk - 1, want_std=False, kind=fm.hyper.rate_model
@@ -430,7 +432,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="ignored: the posterior-predictive moments are exact for both rate models",
     )
     p_eval.add_argument("--seed", type=int)
-    p_eval.add_argument("--directed", action=argparse.BooleanOptionalAction)
     p_eval.add_argument("--test-frac", dest="test_frac", type=float)
     p_eval.add_argument("--val-frac", dest="val_frac", type=float)
     p_eval.add_argument("--split-seed", dest="split_seed", type=int)

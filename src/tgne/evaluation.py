@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, fields, replace
-from typing import ClassVar, Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 import numpy as np
 from scipy.optimize import minimize
@@ -51,12 +51,12 @@ from .events import (
     IntervalPartition,
     Pair,
     in_sorted,
+    interval_counts,
     restrict_counts,  # part of this module's API; it works on the code storage
     unique_codes,
 )
 from .inference import FittedModel, VariationalState
 from .model import (
-    DOT,
     EUCLIDEAN,
     _all_pair_arrays,
     _endpoints,
@@ -65,55 +65,20 @@ from .model import (
 )
 
 
-@dataclass
-class ScoredInstance:
-    """One (pair, interval) classification instance; label 1 iff active."""
-
-    i: int
-    j: int
-    k: int
-    score: float = float("nan")
-    label: int = 0
-
-
-class _Rows:
-    """Row access to a dataclass whose fields are equal-length column arrays.
-
-    ``len`` is the row count. Iterating, or indexing with an int, gives rows
-    of ``_row``, a class whose fields are the columns in the same order; a
-    slice gives the table of the sliced columns.
-    """
-
-    _row: ClassVar[type]
-
-    def _columns(self) -> list[np.ndarray]:
-        return [getattr(self, f.name) for f in fields(self)]
+class _Columns:
+    """A dataclass whose fields are equal-length column arrays; ``len`` is
+    the row count."""
 
     def __len__(self) -> int:
-        return len(self._columns()[0])
-
-    def __iter__(self):
-        return map(self._row, *(col.tolist() for col in self._columns()))
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return type(self)(*(col[index] for col in self._columns()))
-        return self._row(*(col[index].item() for col in self._columns()))
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return all(
-            np.array_equal(a, b, equal_nan=True)
-            for a, b in zip(self._columns(), other._columns())
-        )
+        return len(getattr(self, fields(self)[0].name))
 
 
 @dataclass(eq=False)
-class InstanceTable(_Rows):
-    """Classification instances as columns; its rows are ``ScoredInstance``s.
+class InstanceTable(_Columns):
+    """Classification instances (pair, interval, score, label) as columns.
 
-    ``score`` is NaN until ``score_instances`` fills it in.
+    ``label`` is 1 iff the pair is active in the interval; ``score`` is NaN
+    until ``score_instances`` fills it in.
     """
 
     i: np.ndarray
@@ -121,7 +86,6 @@ class InstanceTable(_Rows):
     k: np.ndarray
     score: np.ndarray
     label: np.ndarray
-    _row: ClassVar[type] = ScoredInstance
 
 
 def _sorted_pairs(pairs: Iterable[Pair], directed: bool) -> tuple[np.ndarray, np.ndarray]:
@@ -244,12 +208,8 @@ def auc_from_scores(scores: np.ndarray, labels: np.ndarray) -> float:
     return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
 
-def auc(instances: InstanceTable | Sequence[ScoredInstance]) -> float:
-    if isinstance(instances, InstanceTable):
-        return auc_from_scores(instances.score, instances.label)
-    scores = np.asarray([inst.score for inst in instances])
-    labels = np.asarray([inst.label for inst in instances])
-    return auc_from_scores(scores, labels)
+def auc(instances: InstanceTable) -> float:
+    return auc_from_scores(instances.score, instances.label)
 
 
 def _lambda_batch(z, beta, kind, part, ii, jj, kk0):
@@ -277,28 +237,14 @@ def check_triplets(fm: FittedModel, ii, jj, kk, lines=None) -> None:
         )
 
 
-def score_tgne(fm: FittedModel, i: int, j: int, k: int) -> float:
-    """Expected interactions Lambda_ij(I_k) at the posterior-mean trajectories."""
-    return float(score_tgne_many(fm, [i], [j], [k])[0])
-
-
 def score_tgne_many(fm: FittedModel, ii, jj, kk) -> np.ndarray:
-    """``score_tgne`` for triplet arrays; ValueError on an out-of-range triplet."""
+    """Expected interactions Lambda_ij(I_k) at the posterior-mean trajectories,
+    for triplet arrays; ValueError on an out-of-range triplet."""
     check_triplets(fm, ii, jj, kk)
     return _lambda_batch(
         fm.state.mu, fm.state.beta, fm.hyper.rate_model, fm.part,
         np.asarray(ii), np.asarray(jj), np.asarray(kk) - 1,
     )
-
-
-def score_tgne_predictive(fm: FittedModel, i: int, j: int, k: int) -> float:
-    """Posterior-predictive mean of Lambda_ij(I_k) (see ``_exact_lambda_moments``)."""
-    check_triplets(fm, [i], [j], [k])
-    mean, _ = _exact_lambda_moments(
-        fm.state, fm.part, np.asarray([i]), np.asarray([j]), np.asarray([k - 1]),
-        want_std=False, kind=fm.hyper.rate_model,
-    )
-    return float(mean[0])
 
 
 @dataclass
@@ -459,15 +405,6 @@ def _fit_lsdm_sorted(
 def lsdm_score(model: LsdmModel, i: int, j: int) -> float:
     diff = model.z[i] - model.z[j]
     return float(expit(model.beta - diff @ diff))
-
-
-def score_pa(counts_train: CountTensor, i: int, j: int, k: int) -> float:
-    """Preferential attachment: product of train-degrees in the interval."""
-    return float(counts_train.degree(i, k) * counts_train.degree(j, k))
-
-
-def score_random(rng: np.random.Generator) -> float:
-    return float(rng.random())
 
 
 def node_uncertainty(vs: VariationalState, i: int, k: int) -> float:
@@ -868,21 +805,6 @@ def _exact_lambda_moments(
     return mean * lengths, np.sqrt(np.maximum(var, 0.0)) * lengths
 
 
-def edge_uncertainty(
-    vs: VariationalState,
-    rm_kind: str,
-    part: IntervalPartition,
-    i: int,
-    j: int,
-    k: int,
-) -> tuple[float, float]:
-    """Posterior-predictive mean and std of Lambda_ij(I_k) (see ``_exact_lambda_moments``)."""
-    mean, std = _exact_lambda_moments(
-        vs, part, np.asarray([i]), np.asarray([j]), np.asarray([k - 1]), kind=rm_kind
-    )
-    return float(mean[0]), float(std[0])
-
-
 def regression_slope_from_points(
     n_values: np.ndarray, stds: np.ndarray, per_unique_n: bool = True
 ) -> float:
@@ -933,23 +855,9 @@ def uncertainty_regression(
     return regression_slope_from_points(n_events, stds, per_unique_n=per_unique_n)
 
 
-@dataclass
-class RateRecord:
-    """One row of the rate-vs-uncertainty table."""
-
-    i: int
-    j: int
-    t: float
-    k: int
-    is_negative: bool
-    rate: float
-    rate_std: float
-    n_events: int
-
-
 @dataclass(eq=False)
-class RateTable(_Rows):
-    """The rate-vs-uncertainty table as columns; its rows are ``RateRecord``s."""
+class RateTable(_Columns):
+    """The rate-vs-uncertainty table as columns, one row per event or negative."""
 
     i: np.ndarray
     j: np.ndarray
@@ -959,7 +867,6 @@ class RateTable(_Rows):
     rate: np.ndarray
     rate_std: np.ndarray
     n_events: np.ndarray
-    _row: ClassVar[type] = RateRecord
 
 
 def _swapped_destinations(
@@ -1052,8 +959,6 @@ def rate_vs_uncertainty_table(
     if ev.m == 0:
         ints, floats = np.empty(0, dtype=np.int64), np.empty(0)
         return RateTable(ints, ints, floats, ints, np.empty(0, dtype=bool), floats, floats, ints)
-    from .events import interval_counts  # local import to avoid cycle at module load
-
     counts = interval_counts(ev, part)
     rng = np.random.default_rng(seed)
     k1, s = part.local_coord(ev.time)

@@ -33,13 +33,6 @@ class EventParseError(ValueError):
         super().__init__(message)
 
 
-def canonical_pair(i: int, j: int, directed: bool) -> Pair:
-    """Return the stored orientation of a pair: sorted unless directed."""
-    if directed or i < j:
-        return (i, j)
-    return (j, i)
-
-
 def distinct_sorted(ascending: np.ndarray) -> np.ndarray:
     """The distinct values of an ascending 1-d array, by a neighbour mask."""
     keep = np.ones(ascending.size, dtype=bool)
@@ -81,9 +74,6 @@ class EventList:
     node_labels: Optional[list[str]] = None
     time_range: Optional[tuple[float, float]] = None
     dropped_self_loops: int = 0
-    _pair_index: Optional[dict[Pair, np.ndarray]] = field(
-        default=None, repr=False, compare=False
-    )
 
     def __post_init__(self):
         self.src = np.asarray(self.src, dtype=np.int64)
@@ -118,46 +108,6 @@ class EventList:
 
     def unique_pairs(self) -> set[Pair]:
         return set(zip(self.src.tolist(), self.dst.tolist()))
-
-    def pair_times(self, i: int, j: int) -> np.ndarray:
-        """Event times of the pair (i, j), in stored orientation."""
-        if self._pair_index is None:
-            index: dict[Pair, list[int]] = {}
-            for m, (a, b) in enumerate(zip(self.src.tolist(), self.dst.tolist())):
-                index.setdefault((a, b), []).append(m)
-            self._pair_index = {
-                p: self.time[np.asarray(idx)] for p, idx in index.items()
-            }
-        key = canonical_pair(i, j, self.directed)
-        return self._pair_index.get(key, np.empty(0, dtype=np.float64))
-
-
-def normalize_times(ev: EventList) -> EventList:
-    """Min-max rescale event times onto [0, 1].
-
-    Idempotent: an already-normalized list (spanning [0, 1]) is returned
-    unchanged up to floating point identity. A degenerate span (all times
-    equal) maps every time to 0.0.
-    """
-    if ev.m == 0:
-        return ev
-    t_min = float(ev.time.min())
-    t_max = float(ev.time.max())
-    if t_max > t_min:
-        times = (ev.time - t_min) / (t_max - t_min)
-    else:
-        times = np.zeros_like(ev.time)
-    return EventList(
-        src=ev.src.copy(),
-        dst=ev.dst.copy(),
-        time=times,
-        n=ev.n,
-        directed=ev.directed,
-        node_labels=list(ev.node_labels),
-        time_range=(t_min, t_max),
-        dropped_self_loops=ev.dropped_self_loops,
-    )
-
 
 def parse_events(source: TextIO | str | Path, directed: bool = False) -> EventList:
     """Read a `source,dest,timestamp` CSV (one header row) into an EventList.
@@ -457,10 +407,6 @@ class IntervalPartition:
             raise ValueError(f"interval index must be in 1..{self.K}, got {k}")
         return float(self.cut_points[k - 1]), float(self.cut_points[k])
 
-    def midpoint(self, k: int) -> float:
-        a, b = self.bounds(k)
-        return 0.5 * (a + b)
-
     def interval_of(self, t):
         """1-based interval containing t; t = 1 maps to interval K."""
         t_arr = np.asarray(t, dtype=np.float64)
@@ -489,8 +435,8 @@ class CountTensor:
     The storage is ``codes``, the ascending unique int64 key codes
     ``(i * n + j) * K + k - 1`` of the stored-orientation keys (i, j, k), and
     ``values``, their counts (each >= 1). Both must not change after
-    construction: the ``counts`` dict and the indexes behind ``degrees`` and
-    ``neighbors`` are built from them on first use.
+    construction: the indexes behind ``degrees`` and ``neighbors`` are built
+    from them on first use.
     """
 
     n: int
@@ -499,9 +445,6 @@ class CountTensor:
     codes: np.ndarray
     values: np.ndarray
     _keys: Optional[np.ndarray] = field(default=None, init=False, repr=False)
-    _counts: Optional[dict[tuple[int, int, int], int]] = field(
-        default=None, init=False, repr=False
-    )
     _degrees: Optional[np.ndarray] = field(default=None, init=False, repr=False)
     _adjacency: Optional[tuple[np.ndarray, np.ndarray]] = field(
         default=None, init=False, repr=False
@@ -518,20 +461,9 @@ class CountTensor:
             self._keys = np.stack([i, j, k0 + 1], axis=1)
         return self._keys, self.codes, self.values
 
-    @property
-    def counts(self) -> dict[tuple[int, int, int], int]:
-        """Read-only dict view: stored-orientation key (i, j, k) -> count."""
-        if self._counts is None:
-            keys, _codes, values = self._index()
-            self._counts = dict(zip(map(tuple, keys.tolist()), values.tolist()))
-        return self._counts
-
-    def count(self, i: int, j: int, k: int) -> int:
-        a, b = canonical_pair(i, j, self.directed)
-        return self.counts.get((a, b, k), 0)
-
     def counts_of(self, i, j, k) -> np.ndarray:
-        """Vectorized ``count``: int64 counts for broadcast triplet arrays."""
+        """Int64 counts N_ij(I_k) for broadcast (i, j, k) arrays, k 1-based;
+        0 for a triplet with no events or out of range."""
         i, j, k = np.broadcast_arrays(
             np.asarray(i, dtype=np.int64), np.asarray(j, dtype=np.int64),
             np.asarray(k, dtype=np.int64),
@@ -550,9 +482,6 @@ class CountTensor:
         out[hit] = values[pos[hit]]
         return out
 
-    def total(self) -> int:
-        return int(self.values.sum())
-
     def active_pair_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """(i, j) arrays of the pairs active in some interval, ascending (i, j)."""
         # codes ascend, so their pair codes do too
@@ -562,10 +491,6 @@ class CountTensor:
         keys, _codes, _values = self._index()
         sel = keys[:, 2] == k
         return set(zip(keys[sel, 0].tolist(), keys[sel, 1].tolist()))
-
-    def active_pairs(self) -> set[Pair]:
-        i, j = self.active_pair_arrays()
-        return set(zip(i.tolist(), j.tolist()))
 
     @property
     def degrees(self) -> np.ndarray:
@@ -639,9 +564,6 @@ class EdgeSplit:
     val: frozenset[Pair]
     test: frozenset[Pair]
     seed: int
-
-    def all_pairs(self) -> frozenset[Pair]:
-        return self.train | self.val | self.test
 
     def held_out(self) -> frozenset[Pair]:
         return self.val | self.test

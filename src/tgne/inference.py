@@ -24,8 +24,8 @@ import numpy as np
 from .events import EdgeSplit, EventList, IntervalPartition, unique_codes, write_csv_columns
 from .model import (
     EUCLIDEAN,
-    LatentConfiguration,
     SamplingPlan,
+    _KINDS,
     _pair_array,
     _pair_codes,
     nll_value_grad,
@@ -116,6 +116,8 @@ class Hyperparams:
             raise ValueError(f"negatives_per_node must be >= 1, got {self.negatives_per_node}")
         if self.batch_size is not None and self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
+        if self.rate_model not in _KINDS:
+            raise ValueError(f"rate_model must be one of {_KINDS}, got {self.rate_model!r}")
 
 
 @dataclass(eq=False)
@@ -130,9 +132,6 @@ class FittedModel:
     time_range: Optional[tuple[float, float]] = None
     directed: bool = False
 
-    def mean_configuration(self) -> LatentConfiguration:
-        return LatentConfiguration(z=self.state.mu.copy(), part=self.part)
-
 
 def init_state(n: int, hp: Hyperparams, seed) -> VariationalState:
     """Small random means, sigma = 0.1 everywhere, beta = 0."""
@@ -140,17 +139,6 @@ def init_state(n: int, hp: Hyperparams, seed) -> VariationalState:
     mu = INIT_MU_SCALE * rng.standard_normal((n, hp.K + 1, hp.d))
     log_sigma = np.full((n, hp.K + 1), np.log(INIT_SIGMA))
     return VariationalState(mu=mu, log_sigma=log_sigma, beta=0.0)
-
-
-def reparam_sample(
-    vs: VariationalState, eps: np.ndarray, part: IntervalPartition
-) -> LatentConfiguration:
-    """z = mu + sigma * eps, elementwise over (node, cut-point, dim)."""
-    eps = np.asarray(eps, dtype=np.float64)
-    if eps.shape != vs.mu.shape:
-        raise ValueError("eps must be shaped like mu")
-    z = vs.mu + vs.sigma[:, :, None] * eps
-    return LatentConfiguration(z=z, part=part)
 
 
 def _elbo_value_grad(vs, ev, part, pc, rm_kind, terms, eps, want_grad):
@@ -243,12 +231,6 @@ class Adam:
         vs.beta -= self.lr_beta * (self.m_beta / bc1) / (
             np.sqrt(self.v_beta / bc2) + self.eps
         )
-
-
-def adam_step(vs: VariationalState, opt: Adam, d_mu, d_log_sigma, d_beta) -> tuple[VariationalState, Adam]:
-    """One optimizer step; mutates and returns (vs, opt) for convenience."""
-    opt.step(vs, d_mu, d_log_sigma, d_beta)
-    return vs, opt
 
 
 def empirical_beta(ev: EventList, excluded_pairs=frozenset()) -> float:
@@ -401,6 +383,8 @@ def load_model(path: str | Path) -> FittedModel:
         raise ValueError(f"node_labels has {len(doc['node_labels'])} entries, expected n = {n}")
     state = VariationalState(mu=mu, log_sigma=log_sigma, beta=float(doc["beta"]))
     hp = Hyperparams(**doc["hyperparams"])
+    if (hp.K, hp.d) != (K, d):
+        raise ValueError(f"hyperparams has (K, d) = {(hp.K, hp.d)} but the arrays have {(K, d)}")
     return FittedModel(
         state=state,
         hyper=hp,

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 from scipy.sparse import csc_matrix
@@ -68,11 +68,6 @@ SEEN_CELLS = 1 << 21
 EUCLIDEAN = "euclidean"
 DOT = "dot"
 _KINDS = (EUCLIDEAN, DOT)
-
-
-def normal_cdf(x):
-    """Standard normal CDF via the complementary error function."""
-    return 0.5 * erfc(-np.asarray(x, dtype=np.float64) * INV_SQRT2)
 
 
 def _normal_cdf_diff(u0, u1):
@@ -400,23 +395,6 @@ def cumulative_rate_closed(
     a, b = cfg.part.bounds(k)
     z = cfg.z
     return float(_rate_batch(z[i, k - 1], z[i, k], z[j, k - 1], z[j, k], rm.beta, b - a, rm.kind))
-
-
-def pair_interval_nll(
-    cfg: LatentConfiguration,
-    rm: RateModel,
-    i: int,
-    j: int,
-    k: int,
-    times: Sequence[float],
-) -> float:
-    """Lambda_ij(I_k) - sum_t log lambda_ij(t) for the pair's events in I_k."""
-    a, b = cfg.part.bounds(k)
-    times = np.asarray(times, dtype=np.float64)
-    if times.size and (times.min() < a or times.max() > b):
-        raise ValueError(f"event times must lie in interval {k} = [{a}, {b}]")
-    lam = cumulative_rate_closed(cfg, rm, i, j, k)
-    return lam - sum(log_rate(cfg, rm, i, j, float(t)) for t in times)
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from tgne.events import EventList
+from tgne.model import cumulative_rate_closed, log_rate
 from tgne.simulate import default_sbm_spec, sbm_generate
 
 
@@ -56,3 +57,33 @@ def posterior_draws(vs, rng, B, size, values_at):
         total_sq += values * values
     mean = total / B
     return mean, np.sqrt(np.maximum(total_sq / B - mean * mean, 0.0))
+
+
+def canonical_pair(i: int, j: int, directed: bool) -> tuple[int, int]:
+    """The stored orientation of a pair: sorted unless directed."""
+    if directed or i < j:
+        return (i, j)
+    return (j, i)
+
+
+def pair_times(ev, i: int, j: int) -> np.ndarray:
+    """Oracle: event times of the pair (i, j), in stored orientation."""
+    a, b = canonical_pair(i, j, ev.directed)
+    return ev.time[(ev.src == a) & (ev.dst == b)]
+
+
+def counts_dict(counts) -> dict:
+    """Oracle: a CountTensor as a dict from stored-orientation keys (i, j, k) to counts."""
+    pair, k0 = np.divmod(counts.codes, counts.K)
+    i, j = np.divmod(pair, counts.n)
+    return dict(zip(zip(i.tolist(), j.tolist(), (k0 + 1).tolist()), counts.values.tolist()))
+
+
+def pair_interval_nll(cfg, rm, i, j, k, times):
+    """Oracle: Lambda_ij(I_k) - sum_t log lambda_ij(t) for the pair's events in I_k."""
+    a, b = cfg.part.bounds(k)
+    times = np.asarray(times, dtype=np.float64)
+    if times.size and (times.min() < a or times.max() > b):
+        raise ValueError(f"event times must lie in interval {k} = [{a}, {b}]")
+    lam = cumulative_rate_closed(cfg, rm, i, j, k)
+    return lam - sum(log_rate(cfg, rm, i, j, float(t)) for t in times)

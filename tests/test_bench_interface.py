@@ -1,9 +1,9 @@
 """The benchmark's calls into tgne still bind.
 
 ``tgnebench/`` runs the CLI with each workload's argv, and its replica of fit
-and eval calls the layer functions with keywords. A flag or keyword it passes
-that tgne no longer takes would blank that workload's metrics; these checks
-fail on it first.
+and eval calls the layer functions, with keywords or positionally. A flag,
+keyword or function it reaches that tgne no longer has would blank that
+workload's metrics; these checks fail on it first.
 """
 
 import inspect
@@ -29,8 +29,34 @@ def test_workload_argv_parses(name):
     assert (ev.command, ev.B, ev.lsdm_iters) == ("eval", wl.B, wl.lsdm_iters)
 
 
-# (callable, positional argument count, keywords) of the replica's calls
+# (callable, positional argument count, keywords) of the replica's calls; a
+# method is listed unbound, so its count includes self
 REPLICA_CALLS = [
+    # events and setup
+    (events.parse_events, 1, {}),
+    (events.interval_counts, 2, {}),
+    (events.IntervalPartition.uniform, 1, {}),
+    (inference.empirical_beta, 2, {}),
+    (model.realize_plan, 3, {}),
+    # fit
+    (prior.kl_to_prior, 2, {}),
+    (prior.kl_gradients, 2, {}),
+    (inference.Adam, 4, {}),
+    (inference.Adam.step, 5, {}),
+    # model files
+    (inference.save_model, 2, {}),
+    (inference.write_loss_csv, 2, {}),
+    (inference.write_embeddings_csv, 2, {}),
+    (inference.load_model, 1, {}),
+    # eval
+    (evaluation.restrict_counts, 2, {}),
+    (evaluation.fit_lsdm, 5, {}),
+    (evaluation.auc, 1, {}),
+    (evaluation.node_uncertainty, 3, {}),
+    (evaluation.neighbor_distance, 4, {}),
+    (events.CountTensor.degree, 3, {}),
+    (events.CountTensor.pairs_active_in, 2, {}),
+    # calls with keywords
     (events.split_edges, 3, {"seed": 0}),
     (inference.Hyperparams, 0, {"K": 15, "epochs": 6, "seed": 0, "negatives_per_node": 20}),
     (prior.PriorConfig, 0, {"tau": 1.0, "part": None, "d": 2, "tau0": 1.0}),
@@ -49,7 +75,7 @@ REPLICA_CALLS = [
 
 
 @pytest.mark.parametrize("fn, positional, keywords", REPLICA_CALLS,
-                         ids=[fn.__name__ for fn, _, _ in REPLICA_CALLS])
+                         ids=[fn.__qualname__ for fn, _, _ in REPLICA_CALLS])
 def test_replica_keywords_bind(fn, positional, keywords):
     inspect.signature(fn).bind(*[None] * positional, **keywords)
 

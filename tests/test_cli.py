@@ -212,6 +212,15 @@ class TestFit:
         assert f"error: {key} must be >= 1, got {value}" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_unknown_rate_model_config_exits_one_before_output(self, sim_dir, tmp_path, capsys):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"rate_model": "Euclidean"}))
+        out = tmp_path / "x"
+        assert run(["fit", "--events", sim_dir / "events.csv", "--out", out,
+                    "--config", cfg]) == 1
+        assert "error: rate_model must be one of" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestEval:
     def test_full_run_outputs(self, tmp_path, sim_dir, fit_dir):
@@ -281,10 +290,9 @@ class TestEval:
             parse_events(sim_dir / "events.csv"), fm.state, fm.hyper.rate_model, fm.part,
             B=6, seed=2,
         )
-        rows = [
-            [r.i, r.j, r.t, r.k, int(r.is_negative), r.rate, r.rate_std, r.n_events]
-            for r in table
-        ]
+        columns = [table.i, table.j, table.t, table.k, table.is_negative.astype(int),
+                   table.rate, table.rate_std, table.n_events]
+        rows = list(zip(*(col.tolist() for col in columns)))
         header = ["i", "j", "t", "k", "is_negative", "rate", "rate_std", "N"]
         assert (out / "rate_vs_uncertainty.csv").read_bytes() == csv_writer_bytes(header, rows)
         # every eval table round-trips through csv unchanged: same quoting and line ends
@@ -363,12 +371,45 @@ class TestEval:
         assert code == 1
         assert "needs n >= 3" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("flag", [["--threads", "2"], ["--strict-deterministic"]])
+    @pytest.mark.parametrize("flag", [["--threads", "2"], ["--strict-deterministic"],
+                                      ["--directed"], ["--no-directed"]])
     def test_fit_only_flags_rejected(self, sim_dir, fit_dir, tmp_path, flag):
         with pytest.raises(SystemExit) as exc:
             main(["eval", "--events", str(sim_dir / "events.csv"), "--model",
                   str(fit_dir / "model.json"), "--out", str(tmp_path / "x"), *flag])
         assert exc.value.code == 2
+
+    def test_directed_fit_evaluated_as_directed(self, tmp_path):
+        # every pair interacts in both orientations, so a directed run has
+        # stored pairs (i, j) with i > j and an undirected one has none
+        pairs = [("a", "b"), ("b", "c"), ("c", "d"), ("d", "a"), ("a", "c")] * 2
+        rows = [f"{a},{b},{t}\n{b},{a},{t + 0.5}\n" for t, (a, b) in enumerate(pairs)]
+        events = tmp_path / "events.csv"
+        events.write_text("source,dest,timestamp\n" + "".join(rows))
+        assert run(["fit", "--events", events, "--out", tmp_path / "fit", "--K", 2,
+                    "--epochs", 3, "--directed"]) == 0
+        out = tmp_path / "eval"
+        assert run(["eval", "--events", events, "--model", tmp_path / "fit" / "model.json",
+                    "--out", out, "--test-frac", 0, "--scorers", "tgne"]) == 0
+        assert json.loads((out / "config.json").read_text())["directed"] is True
+        with open(out / "instances.csv") as fh:
+            positives = [row for row in csv.DictReader(fh) if row["label"] == "1"]
+        assert any(int(row["i"]) > int(row["j"]) for row in positives)
+
+    def test_relabelled_events_exit_one(self, sim_dir, fit_dir, tmp_path, capsys):
+        with open(sim_dir / "events.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        first = rows[1][0]  # the label the fit gave id 0
+        events = tmp_path / "events.csv"
+        with open(events, "w", newline="") as fh:
+            csv.writer(fh).writerows([["x" if f == first else f for f in r] for r in rows])
+        out = tmp_path / "eval"
+        assert run(["eval", "--events", events, "--model", fit_dir / "model.json",
+                    "--out", out]) == 1
+        assert f"node id 0 is {first!r} in the model but 'x' in the events" in (
+            capsys.readouterr().err
+        )
+        assert not out.exists()
 
     def test_missing_model_flag_usage_error(self, sim_dir, tmp_path):
         with pytest.raises(SystemExit) as exc:
@@ -424,6 +465,7 @@ class TestEval:
              tmp_path / "missing.json", "--out", tmp_path / "y"]
         )
         assert code == 1
+        assert not (tmp_path / "y").exists()
 
 
 class TestScore:

@@ -6,13 +6,11 @@ from hypothesis import example, given, settings, strategies as st
 from scipy.special import expit
 
 from tgne import evaluation
-from tgne.events import IntervalPartition, canonical_pair, interval_counts, split_edges
+from tgne.events import IntervalPartition, interval_counts, split_edges
 from tgne.evaluation import (
     InstanceTable,
     LsdmModel,
     LsdmOpts,
-    RateRecord,
-    ScoredInstance,
     _exact_lambda_moments,
     _exact_rate_std,
     _lambda_batch,
@@ -22,7 +20,6 @@ from tgne.evaluation import (
     auc,
     auc_from_scores,
     build_instances,
-    edge_uncertainty,
     fit_lsdm,
     fit_lsdm_intervals,
     lsdm_score,
@@ -33,16 +30,19 @@ from tgne.evaluation import (
     regression_slope_from_points,
     restrict_counts,
     score_instances,
-    score_pa,
-    score_random,
-    score_tgne,
     score_tgne_many,
-    score_tgne_predictive,
 )
 from tgne.inference import FittedModel, Hyperparams, VariationalState, fit
 from tgne.model import DOT, EUCLIDEAN
 
-from conftest import cumulative_rate_riemann, posterior_draws, random_events
+from conftest import (
+    canonical_pair,
+    counts_dict,
+    cumulative_rate_riemann,
+    pair_times,
+    posterior_draws,
+    random_events,
+)
 
 
 @pytest.fixture(scope="module")
@@ -78,9 +78,8 @@ class TestBuildInstances:
         instances, shortfall = build_instances(counts, pairs, part, seed=0)
         assert shortfall == {}
         for k in range(1, 5):
-            pos = [x for x in instances if x.k == k and x.label == 1]
-            neg = [x for x in instances if x.k == k and x.label == 0]
-            assert len(pos) == len(neg)
+            in_k = instances.k == k
+            assert (in_k & (instances.label == 1)).sum() == (in_k & (instances.label == 0)).sum()
 
     def test_exhausted_negatives_shortfall(self):
         # two nodes, single pair, active in the only interval: no negatives exist
@@ -88,7 +87,7 @@ class TestBuildInstances:
         part = IntervalPartition.uniform(1)
         counts = interval_counts(ev, part)
         instances, shortfall = build_instances(counts, {(0, 1)}, part, seed=0)
-        assert all(x.label == 1 for x in instances)
+        assert (instances.label == 1).all()
         assert shortfall == {1: 1}
 
     def test_labels_match_event_recomputation(self, sbm_sample):
@@ -97,11 +96,13 @@ class TestBuildInstances:
         counts = interval_counts(ev, part)
         split = split_edges(ev, 0.2, 0.0, seed=1)
         instances, _ = build_instances(counts, split.test, part, seed=2)
-        for inst in instances[:300]:
-            times = ev.pair_times(inst.i, inst.j)
-            a, b = part.bounds(inst.k)
-            active = np.any((times >= a) & ((times < b) | ((inst.k == 15) & (times <= b))))
-            assert inst.label == int(active)
+        rows = zip(*(col[:300].tolist() for col in (instances.i, instances.j, instances.k,
+                                                      instances.label)))
+        for i, j, k, label in rows:
+            times = pair_times(ev, i, j)
+            a, b = part.bounds(k)
+            active = np.any((times >= a) & ((times < b) | ((k == 15) & (times <= b))))
+            assert label == int(active)
 
     def test_negatives_inactive_and_unique_per_interval(self, sbm_sample):
         ev = sbm_sample.events
@@ -109,20 +110,20 @@ class TestBuildInstances:
         counts = interval_counts(ev, part)
         split = split_edges(ev, 0.1, 0.0, seed=3)
         instances, _ = build_instances(counts, split.test, part, seed=4)
-        seen = set()
-        for inst in instances:
-            if inst.label == 0:
-                assert counts.count(inst.i, inst.j, inst.k) == 0
-                assert (inst.i, inst.j, inst.k) not in seen
-                seen.add((inst.i, inst.j, inst.k))
+        neg = instances.label == 0
+        ii, jj, kk = instances.i[neg], instances.j[neg], instances.k[neg]
+        assert (counts.counts_of(ii, jj, kk) == 0).all()
+        assert len(set(zip(ii.tolist(), jj.tolist(), kk.tolist()))) == neg.sum()
 
     def test_deterministic(self, ten_node_events):
         part = IntervalPartition.uniform(3)
         counts = interval_counts(ten_node_events, part)
         pairs = set(ten_node_events.unique_pairs())
-        a = build_instances(counts, pairs, part, seed=9)
-        b = build_instances(counts, pairs, part, seed=9)
-        assert a == b
+        a, short_a = build_instances(counts, pairs, part, seed=9)
+        b, short_b = build_instances(counts, pairs, part, seed=9)
+        for col in ("i", "j", "k", "label"):
+            assert np.array_equal(getattr(a, col), getattr(b, col))
+        assert short_a == short_b
 
     def test_directed_universe_including_dense_intervals(self):
         # dense: 3 nodes, nearly every ordered pair active in the one interval
@@ -132,14 +133,13 @@ class TestBuildInstances:
         instances, _short = build_instances(
             counts, ev.unique_pairs(), part, seed=0
         )
-        for inst in instances:
-            if inst.label == 0:
-                assert counts.count(inst.i, inst.j, 1) == 0
+        neg = instances.label == 0
+        assert (counts.counts_of(instances.i[neg], instances.j[neg], 1) == 0).all()
         # sparse: the rejection path on a larger directed graph
         ev2 = random_events(n=12, m=10, seed=5, directed=True)
         counts2 = interval_counts(ev2, IntervalPartition.uniform(2))
         inst2, _ = build_instances(counts2, ev2.unique_pairs(), IntervalPartition.uniform(2), seed=1)
-        n_pos = sum(x.label for x in inst2)
+        n_pos = inst2.label.sum()
         assert n_pos and len(inst2) == 2 * n_pos
 
 
@@ -148,13 +148,13 @@ def _build_instances_loop(counts, pairs, part, seed):
     n = counts.n
     universe = n * (n - 1) if counts.directed else n * (n - 1) // 2
     active_by_k = {k: set() for k in range(1, part.K + 1)}
-    for a, b, k in counts.counts:
+    for a, b, k in counts_dict(counts):
         active_by_k[k].add((a, b))
     canon = sorted({canonical_pair(a, b, counts.directed) for a, b in pairs})
     rng = np.random.default_rng(seed)
     rows, shortfall = [], {}
     for k in range(1, part.K + 1):
-        positives = [(i, j) for i, j in canon if counts.count(i, j, k) >= 1]
+        positives = [(i, j) for i, j in canon if (i, j) in active_by_k[k]]
         rows += [(i, j, k, 1) for i, j in positives]
         active = active_by_k[k]
         n_inactive = universe - len(active)
@@ -247,29 +247,10 @@ class TestInstanceTable:
         pairs = pairs[: max(1, int(len(pairs) * frac))]
         table, shortfall = build_instances(counts, pairs, part, seed=seed)
         rows, ref_shortfall = _build_instances_loop(counts, pairs, part, seed)
-        assert [(x.i, x.j, x.k, x.label) for x in table] == rows
+        columns = (table.i, table.j, table.k, table.label)
+        assert list(zip(*(col.tolist() for col in columns))) == rows
         assert shortfall == ref_shortfall
         assert table.i.dtype == table.j.dtype == table.k.dtype == np.int64
-
-    def test_row_access(self):
-        table = InstanceTable(
-            i=np.array([0, 2]), j=np.array([1, 3]), k=np.array([1, 2]),
-            score=np.array([np.nan, 0.5]), label=np.array([1, 0]),
-        )
-        assert len(table) == 2
-        first, second = list(table)
-        assert (first.i, first.j, first.k, first.label) == (0, 1, 1, 1)
-        assert np.isnan(first.score) and np.isnan(table[0].score)
-        assert second == table[1] == ScoredInstance(2, 3, 2, 0.5, 0)
-        assert type(table[0].i) is int and type(table[1].score) is float
-        assert table[1:] == InstanceTable(
-            i=np.array([2]), j=np.array([3]), k=np.array([2]), score=np.array([0.5]),
-            label=np.array([0]),
-        )
-        same = InstanceTable(*(col.copy() for col in table._columns()))
-        assert table == same  # NaN scores compare equal
-        same.label[1] = 1
-        assert table != same
 
 
 class TestRestrictCounts:
@@ -281,20 +262,25 @@ class TestRestrictCounts:
         # reversed orientation, never-active and out-of-range pairs too
         given_pairs = [(j, i) for i, j in pairs[:3]] + pairs[3:] + [(0, 7), (0, 8), (-1, 2)]
         keep = {canonical_pair(a, b, directed) for a, b in given_pairs}
-        ref = {key: c for key, c in counts.counts.items() if (key[0], key[1]) in keep}
+        ref = {key: c for key, c in counts_dict(counts).items() if (key[0], key[1]) in keep}
         sub = restrict_counts(counts, given_pairs)
-        assert sub.counts == ref
+        assert counts_dict(sub) == ref
         assert sub.codes.tolist() == sorted(sub.codes.tolist())
+
+
+def scored_table(scores, labels) -> InstanceTable:
+    """Instances of one pair and interval with the given scores and labels."""
+    zeros = np.zeros(len(scores), dtype=np.int64)
+    return InstanceTable(i=zeros, j=zeros + 1, k=zeros + 1, score=np.asarray(scores, float),
+                         label=np.asarray(labels))
 
 
 class TestAuc:
     def test_perfect_separation(self):
-        inst = [ScoredInstance(0, 1, 1, s, l) for s, l in [(0.9, 1), (0.8, 1), (0.2, 0), (0.1, 0)]]
-        assert auc(inst) == 1.0
+        assert auc(scored_table([0.9, 0.8, 0.2, 0.1], [1, 1, 0, 0])) == 1.0
 
     def test_all_ties_half(self):
-        inst = [ScoredInstance(0, 1, 1, 0.5, l) for l in (1, 1, 0, 0)]
-        assert auc(inst) == 0.5
+        assert auc(scored_table([0.5] * 4, [1, 1, 0, 0])) == 0.5
 
     def test_hand_example_three_quarters(self):
         scores = np.array([0.1, 0.4, 0.35, 0.8])
@@ -346,38 +332,39 @@ class TestScoreTgne:
         fm = static_model([(0.0, 0.0), (1.0, 0.0), (2.0, 0.0)], K=4)
         with pytest.raises(ValueError, match=r"triplet 1: .* out of range"):
             score_tgne_many(fm, [0, i], [1, j], [1, k])
-        with pytest.raises(ValueError, match="out of range"):
-            score_tgne(fm, i, j, k)
+        with pytest.raises(ValueError, match="triplet 0: .* out of range"):
+            score_tgne_many(fm, [i], [j], [k])
 
     def test_coincident_static_means(self):
         fm = static_model([(0.0, 0.0), (0.0, 0.0)], beta=0.0, K=15)
-        assert np.isclose(score_tgne(fm, 0, 1, 3), 1 / 15, rtol=1e-12)
+        assert np.isclose(score_tgne_many(fm, [0], [1], [3])[0], 1 / 15, rtol=1e-12)
 
     def test_monotone_decreasing_in_separation(self):
         seps = np.linspace(0, 3, 12)
-        scores = [
-            score_tgne(static_model([(0.0, 0.0), (s, 0.0)], K=5), 0, 1, 2) for s in seps
-        ]
+        fm = static_model([(0.0, 0.0)] + [(s, 0.0) for s in seps], K=5)
+        scores = score_tgne_many(fm, np.zeros(12, int), np.arange(1, 13), np.full(12, 2))
         assert all(a > b for a, b in zip(scores, scores[1:]))
 
     def test_structural_sanity_on_fixture(self, sbm_sample, fitted_sbm):
         # first-segment intervals: intra pairs should outscore inter pairs
         labels = sbm_sample.labels[:, 0]
         rng = np.random.default_rng(0)
-        intra, inter = [], []
         nodes = np.arange(sbm_sample.events.n)
+        triplets = []
         for _ in range(300):
             i, j = rng.choice(nodes, size=2, replace=False)
-            i, j = min(i, j), max(i, j)
-            k = int(rng.integers(1, 6))
-            s = score_tgne(fitted_sbm, int(i), int(j), k)
-            (intra if labels[i] == labels[j] else inter).append(s)
-        assert np.median(intra) > np.median(inter)
+            triplets.append((i, j, rng.integers(1, 6)))
+        ii, jj, kk = np.asarray(triplets).T
+        scores = score_tgne_many(fitted_sbm, ii, jj, kk)
+        intra = labels[ii] == labels[jj]
+        assert np.median(scores[intra]) > np.median(scores[~intra])
 
     def test_predictive_variant_close_to_plugin_at_small_sigma(self):
         fm = static_model([(0.0, 0.0), (1.0, 0.0)], sigma=1e-6, K=5)
-        plug = score_tgne(fm, 0, 1, 1)
-        pred = score_tgne_predictive(fm, 0, 1, 1)
+        table = InstanceTable(i=np.array([0]), j=np.array([1]), k=np.array([1]),
+                              score=np.array([np.nan]), label=np.array([1]))
+        plug = score_instances(table, "tgne", fm=fm).score
+        pred = score_instances(table, "tgne_predictive", fm=fm).score
         assert np.isclose(plug, pred, rtol=1e-6)
 
     def test_dot_model_scoring_matches_riemann(self):
@@ -389,7 +376,7 @@ class TestScoreTgne:
         cfg = LatentConfiguration(fm.state.mu, fm.part)
         for k in (2, 3):
             ref = cumulative_rate_riemann(cfg, RateModel(DOT, 0.0), 0, 1, k, 1_000_000)
-            assert np.isclose(score_tgne(fm, 0, 1, k), ref, rtol=1e-6)
+            assert np.isclose(score_tgne_many(fm, [0], [1], [k])[0], ref, rtol=1e-6)
 
 
 class TestLsdm:
@@ -397,7 +384,7 @@ class TestLsdm:
         ev = random_events(n=2, m=8, seed=1)
         part = IntervalPartition.uniform(2)
         counts = interval_counts(ev, part)
-        k = int(next(iter(counts.counts))[2])
+        k = int(next(iter(counts_dict(counts)))[2])
         model = fit_lsdm(counts, {(0, 1)}, k, d=2, opts=LsdmOpts(iters=400, seed=0))
         assert lsdm_score(model, 0, 1) > 0.99
         third = len(model.nll_trace) // 3
@@ -548,7 +535,8 @@ class TestLsdm:
         model = fit_lsdm(train_counts, split.train, 2, d=2, opts=LsdmOpts(iters=500, seed=0))
         pairs = sorted(split.train)
         scores = np.asarray([lsdm_score(model, i, j) for i, j in pairs])
-        labels = np.asarray([1 if counts.count(i, j, 2) >= 1 else 0 for i, j in pairs])
+        ii, jj = np.asarray(pairs).T
+        labels = (counts.counts_of(ii, jj, 2) >= 1).astype(int)
         assert auc_from_scores(scores, labels) > 0.9
 
 
@@ -558,7 +546,9 @@ class TestScorePaAndRandom:
         counts = interval_counts(ten_node_events, part)
         ql = [p for p in range(ten_node_events.n) if counts.degree(p, 1) == 0]
         if ql:
-            assert score_pa(counts, ql[0], 0, 1) == 0.0
+            table = scored_table([np.nan], [1])
+            table.i[0], table.j[0] = ql[0], 0
+            assert score_instances(table, "pa", train_counts=counts).score[0] == 0.0
 
     def test_degree_product(self):
         ev = random_events(n=4, m=0, seed=0)
@@ -573,7 +563,8 @@ class TestScorePaAndRandom:
             n=4,
         )
         counts = interval_counts(ev, part)
-        assert score_pa(counts, 0, 1, 1) == counts.degree(0, 1) * counts.degree(1, 1)
+        pa = score_instances(scored_table([np.nan], [1]), "pa", train_counts=counts)
+        assert pa.score[0] == counts.degree(0, 1) * counts.degree(1, 1)
 
     def test_pa_never_sees_test_counts(self, sbm_sample):
         ev = sbm_sample.events
@@ -581,18 +572,18 @@ class TestScorePaAndRandom:
         counts = interval_counts(ev, part)
         split = split_edges(ev, 0.3, 0.0, seed=0)
         train_counts = restrict_counts(counts, split.train)
-        assert train_counts.active_pairs() == set(split.train)
-        assert train_counts.total() < counts.total()
+        active = train_counts.active_pair_arrays()
+        assert set(zip(*(x.tolist() for x in active))) == set(split.train)
+        assert train_counts.values.sum() < counts.values.sum()
 
     def test_random_uniform_and_deterministic(self):
-        rng = np.random.default_rng(5)
-        draws = np.asarray([score_random(rng) for _ in range(100_000)])
+        table = scored_table(np.full(100_000, np.nan), np.zeros(100_000, int))
+        draws = score_instances(table, "random", seed=5).score
         from scipy.stats import kstest
 
         assert kstest(draws, "uniform").pvalue > 0.01
-        a = [score_random(np.random.default_rng(1)) for _ in range(5)]
-        b = [score_random(np.random.default_rng(1)) for _ in range(5)]
-        assert a == b
+        again = score_instances(table, "random", seed=5).score
+        assert np.array_equal(draws, again)
 
     def test_random_auc_near_half(self):
         rng = np.random.default_rng(6)
@@ -626,8 +617,9 @@ class TestNodeUncertainty:
 
 def _neighbor_distance_scan(fm, counts, i, k):
     """Reference: scan every node for interval-k neighbors."""
-    neighbors = [j for j in range(counts.n) if j != i and counts.count(i, j, k) >= 1]
-    if not neighbors:
+    others = np.asarray([j for j in range(counts.n) if j != i])
+    neighbors = others[counts.counts_of(i, others, k) >= 1]
+    if not neighbors.size:
         return None
     mid = 0.5 * (fm.state.mu[:, k - 1, :] + fm.state.mu[:, k, :])
     return float(np.linalg.norm(mid[neighbors] - mid[i], axis=1).mean())
@@ -663,7 +655,7 @@ class TestNeighborDistance:
         fm = static_model([(1.0, 1.0), (1.0, 1.0)], K=3)
         ev = random_events(n=2, m=5, seed=3)
         counts = interval_counts(ev, fm.part)
-        k = next(iter(counts.counts))[2]
+        k = next(iter(counts_dict(counts)))[2]
         assert neighbor_distance(fm, counts, 0, k) == 0.0
 
     def test_mean_of_two_neighbors(self):
@@ -690,16 +682,18 @@ class TestNeighborDistance:
 class TestEdgeUncertainty:
     def test_degenerate_posterior_matches_plugin(self):
         fm = static_model([(0.0, 0.0), (0.8, 0.0)], sigma=1e-9, K=5)
-        mean, std = edge_uncertainty(fm.state, EUCLIDEAN, fm.part, 0, 1, 2)
-        assert std < 1e-7
-        assert np.isclose(mean, score_tgne(fm, 0, 1, 2), rtol=1e-6)
+        ii, jj, kk = np.array([0]), np.array([1]), np.array([2])
+        mean, std = _exact_lambda_moments(fm.state, fm.part, ii, jj, kk - 1, kind=EUCLIDEAN)
+        assert std[0] < 1e-7
+        assert np.isclose(mean[0], score_tgne_many(fm, ii, jj, kk)[0], rtol=1e-6)
 
     def test_deterministic_under_seed(self):
         fm = static_model([(0.0, 0.0), (0.8, 0.0)], sigma=0.3, K=4)
+        ii, jj, kk0 = np.array([0]), np.array([1]), np.array([0])
         for kind in (EUCLIDEAN, DOT):
-            a = edge_uncertainty(fm.state, kind, fm.part, 0, 1, 1)
-            b = edge_uncertainty(fm.state, kind, fm.part, 0, 1, 1)
-            assert a == b
+            a = _exact_lambda_moments(fm.state, fm.part, ii, jj, kk0, kind=kind)
+            b = _exact_lambda_moments(fm.state, fm.part, ii, jj, kk0, kind=kind)
+            assert np.array_equal(a, b)
 
 
 class PairMoments:
@@ -1051,12 +1045,12 @@ class TestRateVsUncertaintyTable:
             ten_node_events, fm.state, EUCLIDEAN, fm.part, B=20, seed=0
         )
         assert len(records) == 2 * ten_node_events.m
-        positives = [r for r in records if not r.is_negative]
-        negatives = [r for r in records if r.is_negative]
-        assert len(positives) == len(negatives)
-        for pos, neg in zip(positives, negatives):
-            assert neg.i == pos.i and neg.t == pos.t
-            assert neg.j != pos.j and neg.j != neg.i
+        neg = records.is_negative
+        assert neg.sum() == (~neg).sum()
+        assert np.array_equal(records.i[neg], records.i[~neg])
+        assert np.array_equal(records.t[neg], records.t[~neg])
+        assert (records.j[neg] != records.j[~neg]).all()
+        assert (records.j[neg] != records.i[neg]).all()
 
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
     def test_shifted_draw_matches_candidate_list(self, n):
@@ -1082,22 +1076,19 @@ class TestRateVsUncertaintyTable:
         records = rate_vs_uncertainty_table(
             ten_node_events, fm.state, EUCLIDEAN, fm.part, B=20, seed=0
         )
-        assert all(r.rate_std < 1e-7 for r in records)
+        assert (records.rate_std < 1e-7).all()
 
-    def test_rows_are_records_of_the_columns(self, ten_node_events):
+    def test_events_then_their_negatives(self, ten_node_events):
         fm = static_model([(float(i), 0.0) for i in range(10)], K=4)
         table = rate_vs_uncertainty_table(
             ten_node_events, fm.state, EUCLIDEAN, fm.part, B=5, seed=1
         )
         m = ten_node_events.m
+        assert len(table) == 2 * m
         assert np.array_equal(table.t, np.tile(ten_node_events.time, 2))
         assert table.is_negative.tolist() == [False] * m + [True] * m
-        rows = list(table)
-        assert rows[m + 3] == table[m + 3] == RateRecord(
-            i=int(table.i[m + 3]), j=int(table.j[m + 3]), t=float(table.t[m + 3]),
-            k=int(table.k[m + 3]), is_negative=True, rate=float(table.rate[m + 3]),
-            rate_std=float(table.rate_std[m + 3]), n_events=int(table.n_events[m + 3]),
-        )
+        assert np.array_equal(table.i, np.tile(ten_node_events.src, 2))
+        assert np.array_equal(table.j[:m], ten_node_events.dst)
 
 
 class TestScoreInstances:
@@ -1120,11 +1111,13 @@ class TestScoreInstances:
         counts, instances, models = setup
         lsdm = score_instances(instances, "lsdm", lsdm_models=models)
         pa = score_instances(instances, "pa", train_counts=counts)
-        for inst, a, b in zip(instances, lsdm, pa):
-            assert (a.i, a.j, a.k, a.label) == (inst.i, inst.j, inst.k, inst.label)
-            assert a.score == lsdm_score(models[inst.k], inst.i, inst.j)
-            assert b.score == score_pa(counts, inst.i, inst.j, inst.k)
-        assert all(np.isnan(inst.score) for inst in instances)
+        for col in ("i", "j", "k", "label"):
+            assert np.array_equal(getattr(lsdm, col), getattr(instances, col))
+        rows = zip(*(col.tolist() for col in (instances.i, instances.j, instances.k)))
+        for (i, j, k), a, b in zip(rows, lsdm.score.tolist(), pa.score.tolist()):
+            assert a == lsdm_score(models[k], i, j)
+            assert b == counts.degree(i, k) * counts.degree(j, k)
+        assert np.isnan(instances.score).all()
 
     @pytest.mark.parametrize(
         "scorer, missing",

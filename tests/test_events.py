@@ -18,7 +18,6 @@ from tgne.events import (
     distinct_sorted,
     float_text,
     interval_counts,
-    normalize_times,
     parse_events,
     split_edges,
     unique_codes,
@@ -26,7 +25,7 @@ from tgne.events import (
     write_events_csv,
 )
 
-from conftest import random_events
+from conftest import canonical_pair, counts_dict, random_events
 
 
 def _parse(text: str, **kw) -> EventList:
@@ -77,7 +76,7 @@ class TestParseEvents:
 
     def test_normalization_idempotent(self):
         ev = _parse("source,dest,timestamp\na,b,10\nb,c,20\na,c,35\n")
-        again = normalize_times(ev)
+        again = _event_list(ev.src, ev.dst, ev.time, ev.node_labels, 0, directed=False)
         assert np.array_equal(ev.time, again.time)
 
     def test_write_parse_round_trip(self, tmp_path, sbm_sample):
@@ -177,19 +176,19 @@ class TestIntervalCounts:
         expected = {
             (i, j, s + 1): c for (i, j, s), c in sbm_sample.segment_counts.items()
         }
-        assert counts.counts == expected
+        assert counts_dict(counts) == expected
 
     def test_counts_partition_events(self, sbm_sample):
         part = IntervalPartition.uniform(15)
         counts = interval_counts(sbm_sample.events, part)
-        assert counts.total() == sbm_sample.events.m
+        assert counts.values.sum() == sbm_sample.events.m
 
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 10_000), K=st.integers(1, 9))
     def test_counts_partition_events_property(self, seed, K):
         ev = random_events(n=6, m=25, seed=seed)
         counts = interval_counts(ev, IntervalPartition.uniform(K))
-        assert counts.total() == ev.m
+        assert counts.values.sum() == ev.m
 
 
 class TestNodeDegree:
@@ -219,7 +218,7 @@ class TestNodeDegree:
         counts = interval_counts(sbm_sample.events, part)
         for k in range(1, 7):
             total_deg = sum(counts.degree(i, k) for i in range(counts.n))
-            in_k = sum(c for (_i, _j, kk), c in counts.counts.items() if kk == k)
+            in_k = sum(c for (_i, _j, kk), c in counts_dict(counts).items() if kk == k)
             assert total_deg == 2 * in_k
 
 
@@ -291,15 +290,18 @@ class TestCountIndex:
         ev = random_events(n=n, m=20, seed=seed, directed=directed)
         counts = interval_counts(ev, IntervalPartition.uniform(K))
         # stored keys, their reversed orientation, and arbitrary (often absent) triplets
-        triplets = [key for key in counts.counts]
-        triplets += [(j, i, k) for i, j, k in counts.counts]
+        stored = counts_dict(counts)
+        triplets = list(stored)
+        triplets += [(j, i, k) for i, j, k in stored]
         triplets += [(i % n, j % n, k) for i, j, k in extra]
         if not triplets:
             return
         ii, jj, kk = (np.asarray(col) for col in zip(*triplets))
         got = counts.counts_of(ii, jj, kk)
         assert got.dtype == np.int64
-        assert got.tolist() == [counts.count(i, j, k) for i, j, k in triplets]
+        assert got.tolist() == [
+            stored.get((*canonical_pair(i, j, directed), k), 0) for i, j, k in triplets
+        ]
 
     def test_counts_of_empty_tensor_and_broadcast_interval(self):
         part = IntervalPartition.uniform(2)
@@ -309,15 +311,16 @@ class TestCountIndex:
         assert empty.counts_of(np.array([0, 1]), np.array([1, 2]), 1).tolist() == [0, 0]
         counts = _count_tensor_cases()[0]
         ii, jj = np.array([0, 1, 2]), np.array([3, 4, 5])
+        stored = counts_dict(counts)
         assert counts.counts_of(ii, jj, 2).tolist() == [
-            counts.count(i, j, 2) for i, j in zip(ii.tolist(), jj.tolist())
+            stored.get((i, j, 2), 0) for i, j in zip(ii.tolist(), jj.tolist())
         ]
 
     @pytest.mark.parametrize("case", [0, 1], ids=["undirected", "directed"])
     def test_degrees_match_key_loop(self, case):
         counts = _count_tensor_cases()[case]
         ref = np.zeros((counts.n, counts.K), dtype=np.int64)
-        for (i, j, k), c in counts.counts.items():
+        for (i, j, k), c in counts_dict(counts).items():
             ref[i, k - 1] += c
             ref[j, k - 1] += c
         assert np.array_equal(counts.degrees, ref)
@@ -326,9 +329,13 @@ class TestCountIndex:
     @pytest.mark.parametrize("case", [0, 1], ids=["undirected", "directed"])
     def test_neighbors_match_scan(self, case):
         counts = _count_tensor_cases()[case]
+        stored = counts_dict(counts)
         for i in range(counts.n):
             for k in range(1, counts.K + 1):
-                scan = [j for j in range(counts.n) if j != i and counts.count(i, j, k) >= 1]
+                scan = [
+                    j for j in range(counts.n)
+                    if j != i and (*canonical_pair(i, j, counts.directed), k) in stored
+                ]
                 assert counts.neighbors(i, k).tolist() == scan
 
     def test_neighbors_rejects_out_of_range(self):
@@ -619,10 +626,11 @@ class TestCodeStorage:
         ref: dict = {}
         for a, b, k in zip(ev.src.tolist(), ev.dst.tolist(), part.interval_of(ev.time).tolist()):
             ref[(a, b, k)] = ref.get((a, b, k), 0) + 1
-        assert counts.counts == ref
+        assert counts_dict(counts) == ref
         assert counts.codes.tolist() == sorted(counts.codes.tolist())
-        assert counts.total() == ev.m
-        assert counts.active_pairs() == {(a, b) for a, b, _k in ref}
+        assert counts.values.sum() == ev.m
+        active = counts.active_pair_arrays()
+        assert list(zip(*(x.tolist() for x in active))) == sorted({(a, b) for a, b, _k in ref})
         for k in range(1, K + 1):
             assert counts.pairs_active_in(k) == {(a, b) for a, b, kk in ref if kk == k}
 

@@ -18,13 +18,12 @@ from tgne.inference import (
     load_model,
     loss_gradient,
     mean_frame_displacement,
-    reparam_sample,
     save_model,
     write_embeddings_csv,
     write_loss_csv,
 )
-from tgne.model import EUCLIDEAN, SamplingPlan, total_nll
-from tgne.prior import PriorConfig
+from tgne.model import EUCLIDEAN, LatentConfiguration, RateModel, SamplingPlan, total_nll
+from tgne.prior import PriorConfig, kl_to_prior
 
 from conftest import random_events
 
@@ -50,19 +49,23 @@ class TestInitState:
 
 
 class TestReparamSample:
+    """The draw z = mu + sigma * eps, seen through the loss that fit minimizes."""
+
     def test_zero_eps_gives_mean(self):
-        part = IntervalPartition.uniform(3)
-        st = init_state(4, Hyperparams(K=3), seed=3)
-        cfg = reparam_sample(st, np.zeros_like(st.mu), part)
-        assert np.array_equal(cfg.z, st.mu)
+        ev, part, pc, vs, _eps = tiny_problem(seed=3)
+        loss = elbo_loss(vs, ev, part, pc, EUCLIDEAN, SamplingPlan.full(), np.zeros_like(vs.mu))
+        at_mean = total_nll(
+            LatentConfiguration(vs.mu, part), RateModel(EUCLIDEAN, vs.beta), ev, part
+        )
+        assert loss == at_mean + kl_to_prior(vs, pc)
 
     def test_tiny_sigma_pins_to_mean(self):
-        part = IntervalPartition.uniform(2)
-        st = init_state(2, Hyperparams(K=2), seed=4)
-        st.log_sigma[:] = -40.0
-        eps = np.random.default_rng(5).standard_normal(st.mu.shape)
-        cfg = reparam_sample(st, eps, part)
-        assert np.allclose(cfg.z, st.mu, atol=1e-15)
+        ev, part, pc, vs, eps = tiny_problem(seed=4)
+        vs.log_sigma[:] = -40.0
+        plan = SamplingPlan.full()
+        loss = elbo_loss(vs, ev, part, pc, EUCLIDEAN, plan, eps)
+        at_mean = elbo_loss(vs, ev, part, pc, EUCLIDEAN, plan, np.zeros_like(vs.mu))
+        assert loss == pytest.approx(at_mean, rel=1e-14)
 
     def test_empirical_covariance(self):
         part = IntervalPartition.uniform(1)
@@ -451,8 +454,12 @@ class TestModelIo:
             ("mu", lambda doc: doc.update(d=doc["d"] + 1)),
             ("log_sigma", lambda doc: doc.update(log_sigma=[r[:-1] for r in doc["log_sigma"]])),
             ("node_labels", lambda doc: doc.update(node_labels=doc["node_labels"][:5])),
+            ("rate_model", lambda doc: doc["hyperparams"].update(rate_model="Euclidean")),
+            ("hyperparams", lambda doc: doc["hyperparams"].update(K=doc["K"] + 1)),
+            ("hyperparams", lambda doc: doc["hyperparams"].update(d=doc["d"] + 1)),
         ],
-        ids=["K", "cut_points", "n", "d", "log_sigma", "node_labels"],
+        ids=["K", "cut_points", "n", "d", "log_sigma", "node_labels", "rate_model",
+             "hyperparams_K", "hyperparams_d"],
     )
     def test_inconsistent_file_rejected(self, tmp_path, ten_node_events, field, edit):
         fm = fit(ten_node_events, Hyperparams(K=3, epochs=2, seed=0))

@@ -78,15 +78,30 @@ _EVAL_DEFAULTS = {
 
 _SCORE_DEFAULTS = {"scorer": "tgne"}
 
+# config keys of deleted flags, which older config.json files hold: read and ignored
+_RETIRED_KEYS = {
+    "fit": {"riemann_r", "threads", "strict_deterministic"},
+    "eval": {"directed", "lsdm_lr", "threads", "strict_deterministic"},
+    "score": {"B", "seed"},
+}
+
 
 def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
-    """Merge built-in defaults, config-file values, and explicit flags."""
+    """Merge built-in defaults, config-file values, and explicit flags.
+
+    A config key must be a flag of the command, a key the command echoes into
+    its ``config.json``, or the key of a deleted flag; any other raises.
+    """
     config = {}
     if getattr(args, "config", None):
         with open(args.config, "r", encoding="utf-8") as handle:
             config = json.load(handle)
         if not isinstance(config, dict):
             raise ValueError("--config must contain a JSON object")
+        known = defaults.keys() | vars(args).keys() | _RETIRED_KEYS.get(args.command, set())
+        unknown = sorted(config.keys() - (known - {"func"}))
+        if unknown:
+            raise ValueError(f"unknown --config key {unknown[0]!r} for {args.command}")
     resolved = {}
     for key, default in defaults.items():
         value = getattr(args, key, None)
@@ -190,6 +205,9 @@ def cmd_eval(args: argparse.Namespace) -> int:
     unknown = [s for s in scorers if s not in evl.SCORER_NAMES]
     if unknown:
         raise ValueError(f"unknown scorer {unknown[0]!r}; choose from {evl.SCORER_NAMES}")
+    repeated = [s for at, s in enumerate(scorers) if s in scorers[:at]]
+    if repeated:
+        raise ValueError(f"scorer {repeated[0]!r} is named twice in --scorers")
     seed = int(resolved["seed"])
     opts = evl.LsdmOpts(iters=int(resolved["lsdm_iters"]), seed=seed)
     fm = load_model(args.model)

@@ -9,10 +9,10 @@ inputs and a seed.
 
 from __future__ import annotations
 
+import collections
 import csv
 import io
 import itertools
-import operator
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Optional, Sequence, TextIO
@@ -193,7 +193,7 @@ def _fast_columns(text: str):
     field size limit. It then gives up on anything the loop would reject or
     read differently: a timestamp ``float`` refuses or that is not finite and
     non-negative, an empty label, a label with surrounding whitespace, or no
-    event left. The timestamps go through the same ``float``.
+    event left. The timestamps read as ``float`` reads them (``_timestamps``).
     """
     if '"' in text or "\0" in text:
         return None
@@ -206,42 +206,78 @@ def _fast_columns(text: str):
     if "\n" not in text or not _three_fields_per_line(text):
         return None
     fields = text.replace("\n", ",").split(",")
-    src, dst, t_raw = fields[3::3], fields[4::3], fields[5::3]  # past the header
-    try:
-        times = np.fromiter(map(float, t_raw), dtype=np.float64, count=len(t_raw))
-    except ValueError:
+    times = _timestamps(fields[5::3])  # past the header
+    if times is None or not (np.isfinite(times).all() and (times >= 0).all()):
         return None
-    if not (np.isfinite(times).all() and (times >= 0).all()):
+    del fields[5::3]
+    del fields[:3]  # now src, dst of each row in turn
+    # first-appearance ids, src before dst, as the loop gives them
+    ids = collections.defaultdict(itertools.count().__next__)
+    codes = np.fromiter(map(ids.__getitem__, fields), dtype=np.int64, count=len(fields))
+    if "" in ids or any(label != label.strip() for label in ids):
         return None
-    labels = dict.fromkeys(itertools.chain.from_iterable(zip(src, dst)))
-    if "" in labels or any(label != label.strip() for label in labels):
-        return None
-    loops = np.fromiter(map(operator.eq, src, dst), dtype=bool, count=len(src))
+    labels = list(ids)
+    pairs = codes.reshape(-1, 2)
+    loops = pairs[:, 0] == pairs[:, 1]
     dropped = int(loops.sum())
     if dropped:
-        keep = (~loops).tolist()
-        src = list(itertools.compress(src, keep))
-        dst = list(itertools.compress(dst, keep))
-        times = times[~loops]
-        if not src:
+        keep = ~loops
+        if not keep.any():
             return None
-        labels = dict.fromkeys(itertools.chain.from_iterable(zip(src, dst)))
-    ids = {label: idx for idx, label in enumerate(labels)}
-    return (
-        np.fromiter(map(ids.__getitem__, src), dtype=np.int64, count=len(src)),
-        np.fromiter(map(ids.__getitem__, dst), dtype=np.int64, count=len(dst)),
-        times,
-        list(labels),
-        dropped,
-    )
+        times, pairs = times[keep], pairs[keep]
+        # ids again, in first appearance among the kept rows
+        kept, first = np.unique(pairs.ravel(), return_index=True)
+        kept = kept[np.argsort(first)]
+        relabel = np.empty(len(labels), dtype=np.int64)
+        relabel[kept] = np.arange(kept.size)
+        pairs = relabel[pairs]
+        labels = [labels[c] for c in kept.tolist()]
+    return pairs[:, 0], pairs[:, 1], times, labels, dropped
+
+
+# the characters of a JSON number: fields of only these that orjson reads, none
+# starting with "-", read as ``float`` reads them (JSON reads "-0" as the
+# integer 0, where ``float`` keeps the sign)
+_JSON_NUMBER_BYTES = b"0123456789.eE+-,"
+
+
+def _timestamps(t_raw: list[str]) -> Optional[np.ndarray]:
+    """``float`` of each field as a float64 array, or None if one is not a float.
+
+    Fields that are all JSON numbers are read by one ``orjson.loads``, whose
+    doubles are the correctly rounded ones ``float`` gives; any other
+    spelling (``.5``, ``1.``, ``01``, ``+1``, ``1_0``, `` 3``, non-ASCII
+    digits, or a leading ``-``) makes the whole column go through ``float``.
+    """
+    joined = ",".join(t_raw)
+    if (
+        joined.isascii()
+        and not joined.startswith("-")
+        and ",-" not in joined
+        and not joined.encode("ascii").translate(None, _JSON_NUMBER_BYTES)
+    ):
+        try:
+            values = orjson.loads("[" + joined + "]")
+        except orjson.JSONDecodeError:
+            pass
+        else:
+            if len(values) == len(t_raw):
+                return np.fromiter(values, dtype=np.float64, count=len(values))
+    try:
+        return np.fromiter(map(float, t_raw), dtype=np.float64, count=len(t_raw))
+    except ValueError:
+        return None
 
 
 def _three_fields_per_line(text: str) -> bool:
     """Every "\\n"-separated line has two commas and fits csv's field size limit."""
     data = np.frombuffer(text.encode("utf-8"), dtype=np.uint8)
     ends = np.flatnonzero(data == ord("\n"))
-    line_of_comma = np.searchsorted(ends, np.flatnonzero(data == ord(",")))
-    if not (np.bincount(line_of_comma, minlength=ends.size + 1) == 2).all():
+    commas = np.flatnonzero(data == ord(","))
+    # line l's commas are 2l and 2l + 1, and lie after its start and before its end
+    if commas.size != 2 * (ends.size + 1):
+        return False
+    if not ((commas[2::2] > ends).all() and (commas[1:-1:2] < ends).all()):
         return False
     return bool(np.diff(ends, prepend=-1, append=data.size).max() <= csv.field_size_limit())
 

@@ -221,6 +221,15 @@ class TestFit:
         assert "error: rate_model must be one of" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_unknown_config_key_exits_one_before_output(self, sim_dir, tmp_path, capsys):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"epoch": 3, "K": 2}))
+        out = tmp_path / "x"
+        assert run(["fit", "--events", sim_dir / "events.csv", "--out", out,
+                    "--config", cfg]) == 1
+        assert "error: unknown --config key 'epoch' for fit" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestEval:
     def test_full_run_outputs(self, tmp_path, sim_dir, fit_dir):
@@ -445,6 +454,33 @@ class TestEval:
         assert code == 1
         assert "unknown scorer 'bogus'" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_repeated_scorer_exits_one_before_any_file_is_read(self, tmp_path, capsys):
+        out = tmp_path / "eval"
+        code = run(["eval", "--events", tmp_path / "missing.csv", "--model",
+                    tmp_path / "missing.json", "--out", out, "--scorers", "tgne,tgne,pa"])
+        assert code == 1
+        assert "scorer 'tgne' is named twice" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_unknown_config_key_exits_one_before_output(self, sim_dir, fit_dir, tmp_path,
+                                                        capsys):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"lsdm_iter": 5}))
+        out = tmp_path / "x"
+        assert run(["eval", "--events", sim_dir / "events.csv", "--model",
+                    fit_dir / "model.json", "--out", out, "--config", cfg]) == 1
+        assert "error: unknown --config key 'lsdm_iter' for eval" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_echoed_config_with_directed_reruns(self, sim_dir, fit_dir, tmp_path):
+        first, second = tmp_path / "first", tmp_path / "second"
+        args = ["eval", "--events", sim_dir / "events.csv", "--model", fit_dir / "model.json"]
+        assert run(args + ["--out", first, "--scorers", "pa", "--split-seed", 5]) == 0
+        cfg = first / "config.json"
+        assert json.loads(cfg.read_text())["directed"] is False
+        assert run(args + ["--out", second, "--config", cfg]) == 0
+        assert (first / "instances.csv").read_bytes() == (second / "instances.csv").read_bytes()
 
     def test_dot_model_run_is_finite(self, sim_dir, tmp_path):
         fit_out, out = tmp_path / "fit", tmp_path / "eval"

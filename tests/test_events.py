@@ -3,6 +3,7 @@ import io
 import math
 
 import numpy as np
+import orjson
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -350,7 +351,13 @@ _CLEAN_LABELS = ["a", "b", "c", "10", "2", "01", "1.0", "x y", "\u00e9"]
 _ODD_LABELS = [
     "", " a", "b ", "\u00a0c", "d\x1c", '"a,b"', '"q""x"', '"a', "z\x00", "a\rb",
 ]
-_CLEAN_TIMES = ["1", "2.5", "1e3", ".5", "1_0", "0", "-0.0", "7", " 3", "4 ", "\u0661"]
+_CLEAN_TIMES = [
+    "1", "2.5", "1e3", ".5", "1_0", "0", "-0.0", "7", " 3", "4 ", "\u0661", "1.", "01", "+1",
+    "1E+05", "-0", "0e0",
+    "1.234567890123456789012345",  # 25-digit mantissa
+    "123456789012345678901",  # 21-digit integer
+    "1.00000000000000011102230246251565404236316680908203125",  # halfway: 1 + 2**-53
+]
 _ODD_TIMES = [
     "nan", "inf", "-1", "-2.5e-3", "-inf", "", "x", "1e400", "\x1c2", "1__0", '"5"', "1\r2",
 ]
@@ -365,7 +372,7 @@ def _event_csv(draw):
     that the one-pass reader's checks meet them one at a time; "many"
     mixes odd fields and lines anywhere.
     """
-    kinds = ["none"] * 3 + ["label", "time", "line", "header", "ending", "many"]
+    kinds = ["none"] * 3 + ["label", "time", "line", "header", "ending", "many", "loop"]
     defect = draw(st.sampled_from(kinds))
 
     def pick(clean, odd):
@@ -380,6 +387,9 @@ def _event_csv(draw):
         lines.append(pick([f"{a},{b},{t}"], _ODD_LINES))
     if defect == "header":
         lines[0] = draw(st.sampled_from(_ODD_LINES))
+    elif defect == "loop":  # a self-loop on a label no other row has
+        solo = draw(st.sampled_from(["", " solo", "solo "]))
+        lines.insert(draw(st.integers(1, len(lines))), f"{solo},{solo},1")
     elif defect in ("label", "time", "line") and len(lines) > 1:
         row = draw(st.integers(1, len(lines) - 1))
         fields = lines[row].split(",")
@@ -438,6 +448,24 @@ class TestFastParse:
         assert times.tolist() == [1000.0, 10.0, 3.0, 0.0]
 
     @pytest.mark.parametrize(
+        "times, loads_calls",
+        [
+            (["1e3", "2.5", "0", "1E+05", "3.0e-2"], 1),
+            (["1e3", "2.5", "-0", "1", "3"], 0),  # JSON reads -0 as the integer 0
+            (["1e3", "2.5", "1.", "1", "3"], 1),  # not JSON: float reads the column
+        ],
+    )
+    def test_json_timestamps(self, monkeypatch, times, loads_calls):
+        calls = []
+        loads = orjson.loads
+        monkeypatch.setattr(orjson, "loads", lambda text: calls.append(text) or loads(text))
+        rows = [f"{a},{b},{t}" for a, b, t in zip("abcaa", "bcdcd", times)]
+        text = "\n".join(["source,dest,timestamp"] + rows) + "\n"
+        got = _fast_columns(text)[2]
+        assert len(calls) == loads_calls
+        assert got.tobytes() == np.array([float(t) for t in times]).tobytes()
+
+    @pytest.mark.parametrize(
         "text",
         [
             'source,dest,timestamp\n"a,b",c,1\n',
@@ -449,7 +477,11 @@ class TestFastParse:
             "source,dest,timestamp\na,b,nan\n",
             "source,dest,timestamp\n,b,1\n",
             "source,dest,timestamp\na,b\n",
+            "source,dest,timestamp\n1,2,3,4\n5,6\n",  # two commas a line on average only
+            "source,dest,timestamp\n1,2\n3,4,5,6\n",
             "source,dest,timestamp\na,a,1\n",
+            "source,dest,timestamp\na,b,1\n,,2\n",
+            "source,dest,timestamp\na,b,1\n solo, solo,2\n",
         ],
     )
     def test_unsure_input_goes_to_the_loop(self, text):

@@ -15,19 +15,29 @@ positivity holds by construction.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Optional
 
 import numpy as np
+import orjson
 
-from .events import EdgeSplit, EventList, IntervalPartition, unique_codes, write_csv_columns
+from .events import (
+    EdgeSplit,
+    EventList,
+    IntervalPartition,
+    float_text,
+    unique_codes,
+    write_csv_columns,
+)
 from .model import (
     EUCLIDEAN,
     SamplingPlan,
     _KINDS,
     _pair_array,
     _pair_codes,
+    draw_terms,
+    fixed_terms,
     nll_value_grad,
     realize_plan,
 )
@@ -278,26 +288,25 @@ def fit(
     rng_eps = np.random.default_rng(seq_eps)
     rng_plan = np.random.default_rng(seq_plan)
     rng_batch = np.random.default_rng(seq_batch)
+    plan = SamplingPlan(negatives_per_node=hp.negatives_per_node, excluded_pairs=excluded)
     static_plan = hp.negatives_per_node is None and hp.batch_size is None
-    terms = None
+    terms = fixed = None
     if static_plan:
-        terms = realize_plan(ev, part, SamplingPlan(excluded_pairs=excluded))
+        terms = realize_plan(ev, part, plan)
+    elif hp.batch_size is None:
+        # only the draw depends on the epoch's seed
+        fixed = fixed_terms(ev, part, plan)
 
     opt = Adam(state.mu.shape, state.log_sigma.shape, hp.lr_phi, hp.lr_beta)
     trace = np.empty(hp.epochs)
     for epoch in range(hp.epochs):
         if not static_plan:
-            batch = None
             if hp.batch_size is not None:
+                # the batch sets the weights, so the fixed part changes too
                 size = min(hp.batch_size, n)
                 batch = tuple(sorted(rng_batch.choice(n, size=size, replace=False).tolist()))
-            plan = SamplingPlan(
-                negatives_per_node=hp.negatives_per_node,
-                node_batch=batch,
-                seed=int(rng_plan.integers(2**63)),
-                excluded_pairs=excluded,
-            )
-            terms = realize_plan(ev, part, plan)
+                fixed = fixed_terms(ev, part, replace(plan, node_batch=batch))
+            terms = draw_terms(fixed, int(rng_plan.integers(2**63)))
 
         loss = 0.0
         nll = kl = 0.0
@@ -338,10 +347,33 @@ def mean_frame_displacement(vs: VariationalState) -> float:
     return float(np.linalg.norm(dmu, axis=2).sum() / (n * K))
 
 
+# json.dumps's text for the floats that repr writes otherwise
+_JSON_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_array(x: np.ndarray) -> str:
+    """``json.dumps(x.tolist())`` of a float array whose axes after the first are non-empty.
+
+    json.dumps writes a float as its ``repr``, which ``float_text`` gives
+    several times faster, and nests the values with ", ".
+    """
+    flat = x.ravel()
+    text = float_text(flat)
+    for at in np.flatnonzero(~np.isfinite(flat)).tolist():
+        text[at] = _JSON_NON_FINITE[text[at]]
+    for size in reversed(x.shape[1:]):
+        rows = [iter(text)] * size  # zip takes `size` values at a time
+        text = ["[" + ", ".join(row) + "]" for row in zip(*rows)]
+    return "[" + ", ".join(text) + "]"
+
+
 def save_model(fm: FittedModel, path: str | Path) -> None:
     """Serialize state + hyperparameters as one JSON document.
 
     Arrays are nested lists in row-major node -> cut-point -> dimension order.
+    The file holds the bytes of ``json.dumps`` of the whole document; ``mu``
+    and ``log_sigma`` are rendered by ``_json_array``, every other value by
+    ``json.dumps``.
     """
     doc = {
         "format": MODEL_FORMAT,
@@ -349,39 +381,50 @@ def save_model(fm: FittedModel, path: str | Path) -> None:
         "d": fm.state.d,
         "K": fm.part.K,
         "cut_points": fm.part.cut_points.tolist(),
-        "mu": fm.state.mu.tolist(),
-        "log_sigma": fm.state.log_sigma.tolist(),
+        "mu": _json_array(fm.state.mu),
+        "log_sigma": _json_array(fm.state.log_sigma),
         "beta": fm.state.beta,
         "hyperparams": asdict(fm.hyper),
         "node_labels": fm.node_labels,
         "time_range": list(fm.time_range) if fm.time_range else None,
         "directed": fm.directed,
     }
-    # json.dumps encodes in C; json.dump streams through the Python encoder
-    Path(path).write_text(json.dumps(doc), encoding="utf-8")
+    fields = (
+        f"{json.dumps(key)}: {value if key in ('mu', 'log_sigma') else json.dumps(value)}"
+        for key, value in doc.items()
+    )
+    Path(path).write_text("{" + ", ".join(fields) + "}", encoding="utf-8")
 
 
 def load_model(path: str | Path) -> FittedModel:
-    """Read a save_model file; ValueError naming the field if its shapes disagree."""
-    with open(path, "r", encoding="utf-8") as handle:
-        doc = json.load(handle)
+    """Read a save_model file; ValueError naming the field if its shapes
+    disagree or a value of mu, log_sigma or beta is not finite.
+
+    One ``orjson.loads`` parses it; orjson rounds each float as ``float``
+    does, and refuses NaN, Infinity and numbers that overflow a double.
+    """
+    doc = orjson.loads(Path(path).read_bytes())
     if doc.get("format") != MODEL_FORMAT:
         raise ValueError(f"unrecognized model format {doc.get('format')!r}")
     part = IntervalPartition(np.asarray(doc["cut_points"]))
     n, K, d = doc["n"], doc["K"], doc["d"]
     if K != part.K:
         raise ValueError(f"K is {K} but cut_points has {part.K + 1} entries")
-    mu = np.asarray(doc["mu"])
-    log_sigma = np.asarray(doc["log_sigma"])
+    mu = np.asarray(doc["mu"], dtype=np.float64)
+    log_sigma = np.asarray(doc["log_sigma"], dtype=np.float64)
+    beta = float(doc["beta"])
     if mu.shape != (n, K + 1, d):
         raise ValueError(f"mu has shape {mu.shape}, expected (n, K+1, d) = {(n, K + 1, d)}")
     if log_sigma.shape != (n, K + 1):
         raise ValueError(
             f"log_sigma has shape {log_sigma.shape}, expected (n, K+1) = {(n, K + 1)}"
         )
+    for name, value in (("mu", mu), ("log_sigma", log_sigma), ("beta", beta)):
+        if not np.isfinite(value).all():
+            raise ValueError(f"{name} holds a value that is not finite")
     if len(doc["node_labels"]) != n:
         raise ValueError(f"node_labels has {len(doc['node_labels'])} entries, expected n = {n}")
-    state = VariationalState(mu=mu, log_sigma=log_sigma, beta=float(doc["beta"]))
+    state = VariationalState(mu=mu, log_sigma=log_sigma, beta=beta)
     hp = Hyperparams(**doc["hyperparams"])
     if (hp.K, hp.d) != (K, d):
         raise ValueError(f"hyperparams has (K, d) = {(hp.K, hp.d)} but the arrays have {(K, d)}")

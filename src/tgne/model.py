@@ -169,8 +169,9 @@ def _closed_coeffs(c0, dav, w2, dadb, lengths, beta, want_grad=False):
     A row is one (pair, interval) with endpoint differences da and db, given
     by its scalars c0 = ||da||^2, dav = <da, da - db>, w2 = ||da - db||^2 and
     dadb = <da, db> (read on degenerate rows only). ``lengths`` carries
-    |I_k|, times any weight. Returns Lambda and, when ``want_grad``, the
-    coefficients (p, q, r) of its gradients
+    |I_k|, times any weight, and broadcasts to the rows' shape. Returns
+    Lambda and, when ``want_grad``, the coefficients (p, q, r) of its
+    gradients
     dLambda/d da = p da + q db and dLambda/d db = q da + r db, from the
     truncated Gaussian moments
 
@@ -188,19 +189,46 @@ def _closed_coeffs(c0, dav, w2, dadb, lengths, beta, want_grad=False):
     u0 = -mu / sig
     u1 = (1.0 - mu) / sig
     C = SQRT_2PI * _normal_cdf_diff(u0, u1)
-    pref = lengths * np.exp(beta - a)
-    lam = np.asarray(pref * sig * C)
+    ps = lengths * np.exp(beta - a)
+    ps *= sig  # the factor of every moment
+    lam = np.asarray(ps * C)
     p = q = r = None
     if want_grad:
-        g0 = np.exp(-0.5 * u0 * u0)
-        g1 = np.exp(-0.5 * u1 * u1)
+        # each temporary is written in place, in the order of operations of
+        # the plain expression in the comment, so every bit stays the same;
+        # on 0-d rows the in-place operators rebind instead
+        g0 = -0.5 * u0  # g0 = exp(-0.5 u0 u0), g1 alike
+        g0 *= u0
+        g0 = np.exp(g0)
+        g1 = -0.5 * u1
+        g1 *= u1
+        g1 = np.exp(g1)
         s1 = g0 - g1
-        s2 = u0 * g0 - u1 * g1 + C
-        a1 = pref * sig * (mu * C + sig * s1)  # A0 is lam
-        a2 = pref * sig * (mu * mu * C + 2.0 * mu * sig * s1 + sig * sig * s2)
-        p = np.asarray(-2.0 * (lam - 2.0 * a1 + a2))
-        q = np.asarray(-2.0 * (a1 - a2))
+        s2 = u0 * g0  # s2 = u0 g0 - u1 g1 + C
+        s2 -= u1 * g1
+        s2 += C
+        a1 = mu * C  # A1 = ps (mu C + sig s1); A0 is lam
+        a1 += sig * s1
+        a1 *= ps
+        a2 = mu * mu  # A2 = ps (mu mu C + 2 mu sig s1 + sig sig s2)
+        a2 *= C
+        t = 2.0 * mu
+        t *= sig
+        t *= s1
+        a2 += t
+        t = sig * sig
+        t *= s2
+        a2 += t
+        a2 *= ps
         r = np.asarray(-2.0 * a2)
+        q = a1 - a2  # q = -2 (A1 - A2)
+        q *= -2.0
+        q = np.asarray(q)
+        a1 *= 2.0
+        p = lam - a1  # p = -2 (A0 - 2 A1 + A2)
+        p += a2
+        p *= -2.0
+        p = np.asarray(p)
 
     if degen.any():
         # linear exponent gamma(s) ~= c0 + c1 s when da ~= db, on those rows only
@@ -551,26 +579,45 @@ def _draw_partners(
     return np.concatenate(rows), np.concatenate(partners)
 
 
-def realize_plan(ev: EventList, part: IntervalPartition, plan: SamplingPlan) -> _Terms:
-    """Materialize a sampling plan into weighted survival and event terms.
+@dataclass(eq=False)
+class _FixedTerms:
+    """The part of a realized plan that its seed does not change.
 
-    Deterministic given the plan's seed. Under ``negatives_per_node`` = S,
-    each sampled node i keeps its interacting pairs and draws
-    take_i = min(S, pool_i) partners, uniformly without replacement, from its
-    pool: the nodes it never meets and that no excluded pair joins it to.
-    All nodes draw in one vectorized pass of Floyd's algorithm
-    (``_draw_partners``): max(min(S, pool_i - S)) steps, each a few array
-    operations over the nodes still drawing, with boolean tables of at most
-    ``SEEN_CELLS`` cells. One ``searchsorted`` on the blocked (node, partner)
-    codes turns the drawn ranks into partners.
+    ``pair_i``, ``pair_j`` and ``pair_w`` are the exact survival pairs: every
+    pair of a full plan, or the interacting pairs of a negatives plan, which
+    lead the survival rows, so the event groups and their ``ev_cell`` (see
+    ``_Terms``) are fixed too. Under ``negatives_per_node`` node ``nodes[r]``
+    draws ``take[r]`` of its ``pool[r]`` free partners (``blocked`` and
+    ``starts`` as in ``_draw_partners``), each drawn pair weighing
+    ``neg_w[r]``; ``nodes`` is None for a full plan, which draws nothing.
+    """
 
-    In undirected mode a sampled never-interacting pair carries weight
-    pool_i / (2 * take_i): pools are per-node over all partners, so each
-    unordered pair can be drawn from both endpoints, and the halving makes
-    the estimator exact when take_i = pool_i and unbiased otherwise.
+    n: int
+    pair_i: np.ndarray
+    pair_j: np.ndarray
+    pair_w: np.ndarray
+    ev_i: np.ndarray
+    ev_j: np.ndarray
+    ev_k0: np.ndarray
+    ev_w0: np.ndarray
+    ev_w1: np.ndarray
+    ev_w2: np.ndarray
+    ev_cell: np.ndarray
+    nodes: Optional[np.ndarray] = None
+    pool: Optional[np.ndarray] = None
+    take: Optional[np.ndarray] = None
+    neg_w: Optional[np.ndarray] = None
+    blocked: Optional[np.ndarray] = None
+    starts: Optional[np.ndarray] = None
 
-    Raises ``ValueError`` for ``negatives_per_node`` < 1 and for an empty
-    ``node_batch`` or one with a repeated or out-of-range node id.
+
+def fixed_terms(ev: EventList, part: IntervalPartition, plan: SamplingPlan) -> _FixedTerms:
+    """Everything of ``realize_plan`` but the draw: the plan's seed is not read.
+
+    The excluded codes, the exact pairs and their weights, the blocked codes,
+    each node's pool and take, and the event groups with their cells. A fit
+    whose plan changes only its seed from epoch to epoch builds this once and
+    calls ``draw_terms`` each epoch.
     """
     n = ev.n
     excluded = _pair_array(plan.excluded_pairs, n)
@@ -600,6 +647,7 @@ def realize_plan(ev: EventList, part: IntervalPartition, plan: SamplingPlan) -> 
             return scale * in_batch[pi].astype(np.float64)
         return scale * 0.5 * (in_batch[pi].astype(np.float64) + in_batch[pj].astype(np.float64))
 
+    draw = {}
     if plan.negatives_per_node is None:
         ui, uj = _all_pair_arrays(n, ev.directed)
         if excl_codes.size:
@@ -622,6 +670,8 @@ def realize_plan(ev: EventList, part: IntervalPartition, plan: SamplingPlan) -> 
         pos_j = pos_codes % n
         w_pos = pair_weights(pos_i, pos_j)
         nz = w_pos > 0
+        pair_codes = pos_codes[nz]  # the leading rows; every event pair is among them
+        pair_i, pair_j, pair_w = pos_i[nz], pos_j[nz], w_pos[nz]
 
         # blocked (node, partner) codes: event partners and excluded pairs in
         # both orientations, and the node itself; node i owns [i*n, (i+1)*n)
@@ -635,14 +685,9 @@ def realize_plan(ev: EventList, part: IntervalPartition, plan: SamplingPlan) -> 
         pool = n - (starts[nodes + 1] - starts[nodes])
         nodes, pool = nodes[pool > 0], pool[pool > 0]
         take = np.minimum(plan.negatives_per_node, pool)
-        row, partner = _draw_partners(
-            np.random.default_rng(plan.seed), nodes, pool, take, blocked, starts, n
-        )
         half = 1.0 if ev.directed else 0.5
-        pair_codes = pos_codes[nz]  # the leading rows; every event pair is among them
-        pair_i = np.concatenate([pos_i[nz], nodes[row]])
-        pair_j = np.concatenate([pos_j[nz], partner])
-        pair_w = np.concatenate([w_pos[nz], (scale * half * pool / take)[row]])
+        draw = dict(nodes=nodes, pool=pool, take=take, neg_w=scale * half * pool / take,
+                    blocked=blocked, starts=starts)
 
     if ev.m:
         k1, s = part.local_coord(ev.time)
@@ -670,8 +715,54 @@ def realize_plan(ev: EventList, part: IntervalPartition, plan: SamplingPlan) -> 
         ev_i = ev_j = ev_k0 = ev_cell = np.empty(0, dtype=np.int64)
         ev_w0 = ev_w1 = ev_w2 = np.empty(0, dtype=np.float64)
 
-    return _Terms(pair_i, pair_j, pair_w, ev_i, ev_j, ev_k0, ev_w0, ev_w1, ev_w2, ev_cell,
-                  _pair_incidence(pair_i, pair_j, n))
+    return _FixedTerms(n, pair_i, pair_j, pair_w, ev_i, ev_j, ev_k0, ev_w0, ev_w1, ev_w2,
+                       ev_cell, **draw)
+
+
+def draw_terms(fixed: _FixedTerms, seed: int) -> _Terms:
+    """The realized terms of a plan's fixed part under ``seed``.
+
+    A negatives plan draws each node's partners (``_draw_partners``) and
+    appends them after the exact pairs; every plan then gets its pair
+    incidence. ``fixed`` is read, never written, so it serves any number of
+    draws.
+    """
+    pair_i, pair_j, pair_w = fixed.pair_i, fixed.pair_j, fixed.pair_w
+    if fixed.nodes is not None:
+        row, partner = _draw_partners(
+            np.random.default_rng(seed), fixed.nodes, fixed.pool, fixed.take, fixed.blocked,
+            fixed.starts, fixed.n,
+        )
+        pair_i = np.concatenate([pair_i, fixed.nodes[row]])
+        pair_j = np.concatenate([pair_j, partner])
+        pair_w = np.concatenate([pair_w, fixed.neg_w[row]])
+    return _Terms(pair_i, pair_j, pair_w, fixed.ev_i, fixed.ev_j, fixed.ev_k0, fixed.ev_w0,
+                  fixed.ev_w1, fixed.ev_w2, fixed.ev_cell,
+                  _pair_incidence(pair_i, pair_j, fixed.n))
+
+
+def realize_plan(ev: EventList, part: IntervalPartition, plan: SamplingPlan) -> _Terms:
+    """Materialize a sampling plan into weighted survival and event terms.
+
+    Deterministic given the plan's seed: ``draw_terms(fixed_terms(ev, part,
+    plan), plan.seed)``. Under ``negatives_per_node`` = S, each sampled node i
+    keeps its interacting pairs and draws take_i = min(S, pool_i) partners,
+    uniformly without replacement, from its pool: the nodes it never meets
+    and that no excluded pair joins it to. All nodes draw in one vectorized
+    pass of Floyd's algorithm (``_draw_partners``): max(min(S, pool_i - S))
+    steps, each a few array operations over the nodes still drawing, with
+    boolean tables of at most ``SEEN_CELLS`` cells. One ``searchsorted`` on
+    the blocked (node, partner) codes turns the drawn ranks into partners.
+
+    In undirected mode a sampled never-interacting pair carries weight
+    pool_i / (2 * take_i): pools are per-node over all partners, so each
+    unordered pair can be drawn from both endpoints, and the halving makes
+    the estimator exact when take_i = pool_i and unbiased otherwise.
+
+    Raises ``ValueError`` for ``negatives_per_node`` < 1 and for an empty
+    ``node_batch`` or one with a repeated or out-of-range node id.
+    """
+    return draw_terms(fixed_terms(ev, part, plan), plan.seed)
 
 
 def _endpoints(z: np.ndarray, ii: np.ndarray, kk0: np.ndarray):

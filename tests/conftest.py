@@ -1,6 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from tgne import inference
 from tgne.events import EventList
 from tgne.model import cumulative_rate_closed, log_rate
 from tgne.simulate import default_sbm_spec, sbm_generate
@@ -29,6 +32,16 @@ def random_events(n: int, m: int, seed: int, directed: bool = False) -> EventLis
         src, dst = np.minimum(src, dst), np.maximum(src, dst)
     t = np.sort(rng.random(src.size))
     return EventList(src=src, dst=dst, time=t, n=n, directed=directed)
+
+
+def realize_each_plan(monkeypatch, realize):
+    """Make inference.fit realize every plan, the static one and each epoch's,
+    through ``realize(ev, part, plan)`` instead of building a plan's fixed
+    part once and drawing from it."""
+    monkeypatch.setattr(inference, "realize_plan", realize)
+    monkeypatch.setattr(inference, "fixed_terms", lambda ev, part, plan: (ev, part, plan))
+    monkeypatch.setattr(inference, "draw_terms", lambda fixed, seed: realize(
+        fixed[0], fixed[1], dataclasses.replace(fixed[2], seed=seed)))
 
 
 def cumulative_rate_riemann(cfg, rm, i, j, k, R):

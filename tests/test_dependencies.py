@@ -1,4 +1,5 @@
-"""Every third-party module the package imports is a declared dependency."""
+"""Every third-party module the package imports is a declared dependency, at a
+floor that has every feature the package uses."""
 
 import ast
 import re
@@ -35,3 +36,30 @@ def test_third_party_imports_are_declared():
     third_party = imported - set(sys.stdlib_module_names) - {"__future__", "tgne"}
     assert third_party, "found no third-party import: the scan is broken"
     assert third_party <= declared, f"undeclared: {sorted(third_party - declared)}"
+
+
+# the lowest release of each dependency that has what the package uses
+FLOORS = {
+    "numpy": ((2, 0), "np.vecdot, in evaluation"),
+    # fit_lsdm's callback(intermediate_result) needs scipy 1.11, and scipy's
+    # first wheels built against numpy 2 are 1.13
+    "scipy": ((1, 13), "minimize's callback(intermediate_result) against numpy 2"),
+}
+
+
+def _declared_floors() -> dict[str, tuple[int, ...]]:
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))["project"]
+    floors = {}
+    for req in project["dependencies"]:
+        found = re.fullmatch(r"([A-Za-z0-9_.-]+)\s*>=\s*([0-9.]+)", req.strip())
+        if found:
+            floors[found.group(1).lower()] = tuple(int(x) for x in found.group(2).split("."))
+    return floors
+
+
+@pytest.mark.parametrize("name", sorted(FLOORS))
+def test_declared_floor_has_what_the_package_uses(name):
+    floor, needs = FLOORS[name]
+    declared = _declared_floors().get(name)
+    assert declared is not None, f"{name} has no '>=' floor in pyproject.toml"
+    assert declared >= floor, f"{name}>={declared} is below {floor}, which {needs} needs"

@@ -1,14 +1,20 @@
 import csv
+import dataclasses
 import io
 import json
 
 import numpy as np
+import orjson
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from tgne import inference
 from tgne.events import EventList, IntervalPartition, split_edges
 from tgne.inference import (
+    MODEL_FORMAT,
     Adam,
     FitDivergedError,
+    FittedModel,
     Hyperparams,
     VariationalState,
     elbo_loss,
@@ -22,10 +28,25 @@ from tgne.inference import (
     write_embeddings_csv,
     write_loss_csv,
 )
-from tgne.model import EUCLIDEAN, LatentConfiguration, RateModel, SamplingPlan, total_nll
+from tgne.model import (
+    EUCLIDEAN,
+    LatentConfiguration,
+    RateModel,
+    SamplingPlan,
+    realize_plan,
+    total_nll,
+)
 from tgne.prior import PriorConfig, kl_to_prior
 
 from conftest import random_events
+
+# floats whose repr, orjson's text or both take an unusual form: signed zero,
+# the smallest subnormal, the exponent form below 1e-4 and from 1e16, the
+# largest double
+AWKWARD_FLOATS = (-0.0, 0.0, 5e-324, -5e-324, 1e-5, 9.99e-5, 1e-4, 1e16, -1e16,
+                  9999999999999998.0, 1.7976931348623157e308, -1.7976931348623157e308)
+# labels that json.dumps escapes: accented, CJK, astral (a surrogate pair), controls
+AWKWARD_LABELS = ("Zoë", "東京", "\U0001F600 astral", "tab\tquote\"back\\", "")
 
 
 class TestInitState:
@@ -320,6 +341,41 @@ class TestFit:
         fm = fit(sbm_sample.events, hp)
         assert np.all(np.isfinite(fm.loss_trace))
 
+    @pytest.mark.parametrize("negatives, batch, directed", [
+        (20, None, False), (20, None, True), (5, 20, False), (None, 20, False),
+    ])
+    def test_plan_parts_match_a_realize_plan_per_epoch(self, sbm_sample, monkeypatch,
+                                                       negatives, batch, directed):
+        """fit builds a plan's fixed part once per fit (per epoch under a
+        batch) and draws from it; the trace and state equal, bit for bit, a
+        fit that realizes each epoch's plan from scratch, its seed and batch
+        drawn from the third and fourth children of the fit seed."""
+        ev = sbm_sample.events
+        if directed:
+            ev = EventList(src=ev.dst, dst=ev.src, time=ev.time, n=ev.n, directed=True)
+        hp = Hyperparams(epochs=6, seed=2, negatives_per_node=negatives, batch_size=batch)
+        split = split_edges(ev, 0.1, 0.0, seed=0)
+        parts = fit(ev, hp, split=split)
+
+        _, _, seq_plan, seq_batch = np.random.SeedSequence(hp.seed).spawn(4)
+        rng_plan, rng_batch = np.random.default_rng(seq_plan), np.random.default_rng(seq_batch)
+
+        def epoch_plan(_fixed, _seed):
+            nodes = None
+            if batch is not None:
+                nodes = tuple(sorted(rng_batch.choice(ev.n, size=batch, replace=False).tolist()))
+            plan = SamplingPlan(negatives_per_node=negatives, node_batch=nodes,
+                                seed=int(rng_plan.integers(2**63)),
+                                excluded_pairs=frozenset(split.held_out()))
+            return realize_plan(ev, IntervalPartition.uniform(hp.K), plan)
+
+        monkeypatch.setattr(inference, "fixed_terms", lambda ev, part, plan: None)
+        monkeypatch.setattr(inference, "draw_terms", epoch_plan)
+        each = fit(ev, hp, split=split)
+        assert parts.loss_trace.tobytes() == each.loss_trace.tobytes()
+        assert parts.state.mu.tobytes() == each.state.mu.tobytes()
+        assert parts.state.beta == each.state.beta
+
     def test_dot_model_fit_runs(self, ten_node_events):
         hp = Hyperparams(K=3, epochs=10, seed=0, rate_model="dot")
         fm = fit(ten_node_events, hp)
@@ -445,6 +501,52 @@ class TestModelIo:
         save_model(load_model(first), second)
         assert first.read_bytes() == second.read_bytes()
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 4),
+        K=st.integers(1, 3),
+        d=st.integers(1, 3),
+        values=st.lists(st.one_of(st.sampled_from(AWKWARD_FLOATS), st.floats()), min_size=1),
+        labels=st.lists(st.one_of(st.sampled_from(AWKWARD_LABELS), st.text()), min_size=4,
+                        max_size=4),
+        beta=st.floats(allow_nan=False, allow_infinity=False),
+    )
+    def test_bytes_match_json_dumps(self, tmp_path_factory, n, K, d, values, labels, beta):
+        """save_model writes the bytes json.dumps writes for the document,
+        ASCII only, and a finite one loads back bit for bit, labels and all."""
+        count = n * (K + 1) * (d + 1)
+        flat = np.resize(np.asarray(values, dtype=np.float64), count)
+        mu = flat[: n * (K + 1) * d].reshape(n, K + 1, d)
+        log_sigma = flat[n * (K + 1) * d:].reshape(n, K + 1)
+        fm = FittedModel(
+            state=VariationalState(mu=mu, log_sigma=log_sigma, beta=beta),
+            hyper=Hyperparams(K=K, d=d),
+            part=IntervalPartition.uniform(K),
+            loss_trace=np.empty(0),
+            node_labels=labels[:n],
+            time_range=(0.25, 1e16),
+            directed=n % 2 == 1,
+        )
+        path = tmp_path_factory.mktemp("io") / "model.json"
+        save_model(fm, path)
+        doc = {
+            "format": MODEL_FORMAT, "n": n, "d": d, "K": K,
+            "cut_points": fm.part.cut_points.tolist(), "mu": mu.tolist(),
+            "log_sigma": log_sigma.tolist(), "beta": beta,
+            "hyperparams": dataclasses.asdict(fm.hyper), "node_labels": labels[:n],
+            "time_range": [0.25, 1e16], "directed": n % 2 == 1,
+        }
+        assert path.read_bytes() == json.dumps(doc).encode("ascii")
+        if not np.isfinite(flat).all():
+            with pytest.raises(ValueError):
+                load_model(path)
+            return
+        back = load_model(path)
+        assert back.state.mu.tobytes() == mu.tobytes()
+        assert back.state.log_sigma.tobytes() == log_sigma.tobytes()
+        assert back.state.beta == beta and back.node_labels == labels[:n]
+        assert back.directed == fm.directed and back.time_range == fm.time_range
+
     @pytest.mark.parametrize(
         "field, edit",
         [
@@ -457,17 +559,27 @@ class TestModelIo:
             ("rate_model", lambda doc: doc["hyperparams"].update(rate_model="Euclidean")),
             ("hyperparams", lambda doc: doc["hyperparams"].update(K=doc["K"] + 1)),
             ("hyperparams", lambda doc: doc["hyperparams"].update(d=doc["d"] + 1)),
+            ("mu", lambda doc: doc["mu"][3][1].__setitem__(0, float("nan"))),
+            ("log_sigma", lambda doc: doc["log_sigma"][0].__setitem__(2, float("inf"))),
+            ("beta", lambda doc: doc.update(beta=float("-inf"))),
         ],
         ids=["K", "cut_points", "n", "d", "log_sigma", "node_labels", "rate_model",
-             "hyperparams_K", "hyperparams_d"],
+             "hyperparams_K", "hyperparams_d", "mu_nan", "log_sigma_inf", "beta_inf"],
     )
-    def test_inconsistent_file_rejected(self, tmp_path, ten_node_events, field, edit):
+    def test_inconsistent_file_rejected(self, tmp_path, ten_node_events, monkeypatch, field,
+                                        edit):
         fm = fit(ten_node_events, Hyperparams(K=3, epochs=2, seed=0))
         path = tmp_path / "model.json"
         save_model(fm, path)
         doc = json.loads(path.read_text())
         edit(doc)
         path.write_text(json.dumps(doc))
+        if "NaN" in path.read_text() or "Infinity" in path.read_text():
+            # orjson refuses the literals json.dumps writes for them; through
+            # json.loads, which reads them, load_model still names the field
+            with pytest.raises(orjson.JSONDecodeError):
+                load_model(path)
+            monkeypatch.setattr(orjson, "loads", json.loads)
         with pytest.raises(ValueError, match=field):
             load_model(path)
 

@@ -41,6 +41,7 @@ from conftest import (
     pair_interval_nll,
     pair_times,
     random_events,
+    realize_each_plan,
 )
 
 
@@ -836,6 +837,54 @@ class TestNegativePoolsMatchListForm:
             assert_plan_matches_reference(ev, plan)
 
 
+def assert_terms_bits_equal(got, want):
+    for field in dataclasses.fields(_Terms):
+        x, y = getattr(got, field.name), getattr(want, field.name)
+        if field.name == "pair_incidence":
+            assert x.shape == y.shape
+            for part in ("data", "indices", "indptr"):
+                assert_bits_equal(getattr(x, part), getattr(y, part))
+        else:
+            assert_bits_equal(x, y)
+
+
+class TestPlanParts:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        n=st.integers(2, 12),
+        m=st.integers(0, 40),
+        K=st.integers(1, 4),
+        directed=st.booleans(),
+        S=st.one_of(st.none(), st.integers(1, 12)),
+        n_excl=st.integers(0, 6),
+        use_batch=st.booleans(),
+    )
+    def test_one_fixed_part_serves_every_draw(self, seed, n, m, K, directed, S, n_excl,
+                                               use_batch):
+        """The fit builds the fixed part once and draws from it each epoch:
+        every draw equals realize_plan under the same seed, bit for bit, and
+        leaves the fixed part as it was."""
+        ev = random_events(n=n, m=m, seed=seed, directed=directed)
+        rng = np.random.default_rng(seed + 1)
+        excluded = {tuple(rng.choice(n, size=2, replace=False).tolist()) for _ in range(n_excl)}
+        batch = None
+        if use_batch:
+            batch = tuple(sorted(rng.choice(n, size=int(rng.integers(1, n + 1)),
+                                            replace=False).tolist()))
+        plan = SamplingPlan(negatives_per_node=S, node_batch=batch,
+                            excluded_pairs=frozenset(excluded))
+        part = IntervalPartition.uniform(K)
+        fixed = model.fixed_terms(ev, part, plan)
+        before = {f.name: np.copy(getattr(fixed, f.name)) for f in dataclasses.fields(fixed)
+                  if isinstance(getattr(fixed, f.name), np.ndarray)}
+        for epoch_seed in rng.integers(2**63, size=4).tolist():
+            want = realize_plan(ev, part, dataclasses.replace(plan, seed=epoch_seed))
+            assert_terms_bits_equal(model.draw_terms(fixed, epoch_seed), want)
+        for name, value in before.items():
+            assert_bits_equal(getattr(fixed, name), value)
+
+
 def sampler_events(directed):
     """n = 10 events whose pools at S = 3 need every kind of row: node 0's
     pool is {7, 8, 9} (the whole pool), node 1 leaves out 2 of its 5 and
@@ -1105,7 +1154,7 @@ class TestEventGroups:
                                    batch_size=batch)
         split = split_edges(ev, 0.1, 0.0, seed=0)
         folded = inference.fit(ev, hp, split=split)
-        monkeypatch.setattr(inference, "realize_plan", ref_realize_plan)
+        realize_each_plan(monkeypatch, ref_realize_plan)
         monkeypatch.setattr(inference, "nll_value_grad", ref_nll_value_grad)
         per_event = inference.fit(ev, hp, split=split)
         np.testing.assert_allclose(folded.loss_trace, per_event.loss_trace, rtol=1e-10, atol=0)
@@ -1355,7 +1404,7 @@ class TestBlockedSurvival:
                                    batch_size=batch)
         split = split_edges(ev, 0.1, 0.0, seed=0)
         blocked = inference.fit(ev, hp, split=split)
-        monkeypatch.setattr(inference, "realize_plan", ref_realize_plan)
+        realize_each_plan(monkeypatch, ref_realize_plan)
         monkeypatch.setattr(inference, "nll_value_grad", ref_nll_value_grad_rows)
         rows = inference.fit(ev, hp, split=split)
         np.testing.assert_allclose(blocked.loss_trace, rows.loss_trace, rtol=1e-10, atol=0)

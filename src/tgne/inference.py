@@ -412,6 +412,11 @@ def load_model(path: str | Path) -> FittedModel:
         raise ValueError(f"K is {K} but cut_points has {part.K + 1} entries")
     mu = np.asarray(doc["mu"], dtype=np.float64)
     log_sigma = np.asarray(doc["log_sigma"], dtype=np.float64)
+    # an n = 0 model's arrays are written as [], which keeps no trailing axes
+    if mu.shape == (0,):
+        mu = mu.reshape(0, K + 1, d)
+    if log_sigma.shape == (0,):
+        log_sigma = log_sigma.reshape(0, K + 1)
     beta = float(doc["beta"])
     if mu.shape != (n, K + 1, d):
         raise ValueError(f"mu has shape {mu.shape}, expected (n, K+1, d) = {(n, K + 1, d)}")

@@ -57,8 +57,9 @@ DOT_SERIES_A = 0.5
 # the dot series stop where their terms fall below this, relative to the first
 SERIES_TOL = 1e-17
 
-# pairs per block of the survival kernel: with K = 15 a block's temporaries
-# are ~120 kB each, so they stay in L2
+# pairs per block of the survival kernel: with K = 15 a block's cut-major
+# temporaries are contiguous (K, 1024) arrays of ~120 kB each, so they stay
+# in L2; the block's sums fix the loss bits, so the size is part of the output
 SURVIVAL_BLOCK = 1024
 
 # cells of each boolean (node rows x n) table of the negative sampler: 2 MB
@@ -775,75 +776,78 @@ def _endpoints(z: np.ndarray, ii: np.ndarray, kk0: np.ndarray):
     return flat.take(rows, axis=0), flat.take(rows + 1, axis=0)
 
 
-def _cut_gradient(G, sl, c, p, q, r, xa, xb):
-    """Per-cut gradient of coordinate c: interval k's a-end and interval k-1's b-end."""
-    Gc = G[sl, c]
-    Gc[:, :-1] = p * xa + q * xb
-    Gc[:, -1] = 0.0
-    Gc[:, 1:] += q * xa + r * xb
-
-
 def _kernel(z, beta, kind, lengths, terms, want_grad):
     """(Lambda, Q, dz): the weighted survival sum Lambda, the events' part Q of
     -sum_m w_m log lambda(t_m) without its -beta W, and when ``want_grad``
     the gradient of Lambda + Q in z.
 
-    The pairs run in blocks of SURVIVAL_BLOCK, each latent coordinate
-    gathered as a contiguous (pairs, K+1) array, so every temporary stays
-    small. A block's rows reduce to per-row scalars, whose coefficients
-    (p, q, r) give the gradient at both ends of each interval. A block that
-    holds event groups takes their cells (``ev_cell``) from the same
-    scalars for their value and adds their coefficients into (p, q, r)
-    (see ``nll_value_grad``). Interval k's b-end and interval k+1's a-end
-    are the same cut-point, so both sum into one per-cut gradient G, laid
-    out (P, d, K+1), and one product with the plan's pair incidence
-    scatters G onto the nodes. A dot pair's two ends get different
-    gradients, G_i and G_j, each scattered through its end of the
-    incidence.
+    The pairs run in blocks of SURVIVAL_BLOCK, laid out cut-major: each
+    latent coordinate of a block is one contiguous (K+1, pairs) array, so
+    interval k's ends are its rows k and k+1 and every per-row scalar and
+    coefficient is a contiguous (K, pairs) array. A block's rows reduce to
+    those scalars, whose coefficients (p, q, r) give the gradient at both
+    ends of each interval. A block that holds event groups takes their cells
+    (k0 * pairs + row, from ``ev_cell``) from the same scalars for their
+    value and adds their coefficients into (p, q, r) (see
+    ``nll_value_grad``). Interval k's b-end and interval k+1's a-end are the
+    same cut-point, so both sum into one per-cut gradient, built per block
+    and coordinate in one (K+1, SURVIVAL_BLOCK) buffer and written into G,
+    laid out (P, d, K+1): P (K+1) d floats, the one array that grows with
+    P. One product with the plan's pair incidence scatters G onto the
+    nodes. A dot pair's two ends get different gradients, G_i and G_j, each
+    scattered through its end of the incidence.
+
+    Every float is the one the pair-major layout gave: Lambda sums each
+    block in (pair, interval) order, from a (pairs, K) copy, and the event
+    cells are unique, so adding into them by index adds once per cell.
     """
     n, kp1, d = z.shape
     K = kp1 - 1
     P = terms.pair_i.size
-    zc = z.transpose(2, 0, 1).copy()  # (d, n, K+1): one contiguous array per coordinate
+    zc = z.transpose(2, 1, 0).copy()  # (d, K+1, n): coordinate c at cut k is zc[c, k]
     euclid = kind == EUCLIDEAN
     W, S1, S2 = terms.ev_w0, terms.ev_w1, terms.ev_w2
     abc = (W - 2.0 * S1 + S2, S1 - S2, S2)  # weighted sums of (1-s)^2, s(1-s), s^2
     grad_abc = [(2.0 if euclid else -1.0) * x for x in abc] if want_grad else None
     # the groups of block b are bounds[b]:bounds[b + 1], as ev_cell ascends
     bounds = np.searchsorted(terms.ev_cell, np.arange(0, P + SURVIVAL_BLOCK, SURVIVAL_BLOCK) * K)
+    ev_pair = terms.ev_cell // K
     if want_grad:
         G_i = np.empty((P, d, kp1))
         G_j = None if euclid else np.empty((P, d, kp1))
+        buf = np.empty((kp1, min(P, SURVIVAL_BLOCK)))
     lam_sum = quad = 0.0
     for b, a in enumerate(range(0, P, SURVIVAL_BLOCK)):
         sl = slice(a, a + SURVIVAL_BLOCK)
         pi = terms.pair_i[sl]
         pj = terms.pair_j[sl]
-        wlen = terms.pair_w[sl, None] * lengths
+        B = pi.size
+        wlen = lengths[:, None] * terms.pair_w[sl]
         if euclid:
-            D = [x.take(pi, axis=0) - x.take(pj, axis=0) for x in zc]
+            D = zc.take(pi, axis=2)
+            D -= zc.take(pj, axis=2)
             c0 = dav = w2 = 0.0
             for x in D:
-                xa, xb = x[:, :-1], x[:, 1:]
+                xa, xb = x[:-1], x[1:]
                 v = xa - xb
                 c0 = c0 + xa * xa
                 dav = dav + xa * v
                 w2 = w2 + v * v
             lam, p, q, r = _closed_coeffs(c0, dav, w2, c0 - dav, wlen, beta, want_grad)
         else:
-            Zi = [x.take(pi, axis=0) for x in zc]
-            Zj = [x.take(pj, axis=0) for x in zc]
+            Zi = zc.take(pi, axis=2)
+            Zj = zc.take(pj, axis=2)
             caa = cbb = cab = 0.0
             for xi, xj in zip(Zi, Zj):
                 prod = xi * xj
-                caa = caa + prod[:, :-1]
-                cbb = cbb + prod[:, 1:]
-                cab = cab + (xi[:, :-1] * xj[:, 1:] + xi[:, 1:] * xj[:, :-1])
+                caa = caa + prod[:-1]
+                cbb = cbb + prod[1:]
+                cab = cab + (xi[:-1] * xj[1:] + xi[1:] * xj[:-1])
             lam, p, q, r = _dot_coeffs(caa, 0.5 * cab, cbb, beta, wlen, want_grad)
-        lam_sum += float(lam.sum())
+        lam_sum += float(lam.T.copy().sum())  # in (pair, interval) order
         g = slice(bounds[b], bounds[b + 1])
         if g.stop > g.start:
-            cells = terms.ev_cell[g] - a * K  # flat indices into the block's (rows, K)
+            cells = terms.ev_k0[g] * B + (ev_pair[g] - a)  # flat indices into the block's (K, rows)
             if euclid:
                 # sum_m w_m ||da - s_m (da - db)||^2
                 quad += float(W[g] @ c0.take(cells) - 2.0 * (S1[g] @ dav.take(cells))
@@ -854,15 +858,21 @@ def _kernel(z, beta, kind, lengths, terms, want_grad):
                               + abc[2][g] @ cbb.take(cells))
             if want_grad:
                 for x, y in zip((p, q, r), grad_abc):
-                    np.add.at(x.reshape(-1), cells, y[g])  # fresh C-order x: a view
+                    x.reshape(-1)[cells] += y[g]  # fresh C-order x: a view; cells unique
         if want_grad:
-            if euclid:
-                for c, x in enumerate(D):
-                    _cut_gradient(G_i, sl, c, p, q, r, x[:, :-1], x[:, 1:])
-            else:
-                for c, (xi, xj) in enumerate(zip(Zi, Zj)):
-                    _cut_gradient(G_i, sl, c, p, q, r, xj[:, :-1], xj[:, 1:])
-                    _cut_gradient(G_j, sl, c, p, q, r, xi[:, :-1], xi[:, 1:])
+            # per coordinate, interval k's a-end p xa + q xb and interval
+            # k-1's b-end q xa + r xb sum into the gradient at cut k
+            out = buf[:, :B]
+            for G, X in ((G_i, D),) if euclid else ((G_i, Zj), (G_j, Zi)):
+                for c, x in enumerate(X):
+                    xa, xb = x[:-1], x[1:]
+                    np.multiply(p, xa, out=out[:-1])
+                    out[:-1] += q * xb
+                    out[-1] = 0.0
+                    t = q * xa
+                    t += r * xb
+                    out[1:] += t
+                    G[sl, c] = out.T
     if not want_grad:
         return lam_sum, quad, None
     inc = terms.pair_incidence
@@ -891,8 +901,10 @@ def nll_value_grad(
     kinds integrate their survival terms exactly; ``riemann_r`` is accepted
     and ignored, as older callers still pass it. One blocked kernel
     (``_kernel``) runs over the survival pairs in blocks of SURVIVAL_BLOCK
-    (1024), so beyond the per-cut gradient (P x (K+1) x d floats) memory
-    stays bounded by the block, not by P K.
+    (1024), laid out cut-major: a block's latent coordinate is one
+    contiguous (K+1, 1024) array. Beyond the per-cut gradient, P (K+1) d
+    floats and the one array that grows with P, memory stays bounded by the
+    block, not by P K.
 
     The event term rides in the same blocks: each event group sits on its
     pair's survival row (``_Terms.ev_cell``). Its moments W, S1, S2 give

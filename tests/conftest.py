@@ -5,7 +5,14 @@ import pytest
 
 from tgne import inference
 from tgne.events import EventList
-from tgne.model import cumulative_rate_closed, log_rate
+from tgne.model import (
+    EUCLIDEAN,
+    SURVIVAL_BLOCK,
+    _closed_coeffs,
+    _dot_coeffs,
+    cumulative_rate_closed,
+    log_rate,
+)
 from tgne.simulate import default_sbm_spec, sbm_generate
 
 
@@ -100,3 +107,91 @@ def pair_interval_nll(cfg, rm, i, j, k, times):
         raise ValueError(f"event times must lie in interval {k} = [{a}, {b}]")
     lam = cumulative_rate_closed(cfg, rm, i, j, k)
     return lam - sum(log_rate(cfg, rm, i, j, float(t)) for t in times)
+
+
+def _pair_major_cut_gradient(G, sl, c, p, q, r, xa, xb):
+    """Per-cut gradient of coordinate c: interval k's a-end and interval k-1's b-end."""
+    Gc = G[sl, c]
+    Gc[:, :-1] = p * xa + q * xb
+    Gc[:, -1] = 0.0
+    Gc[:, 1:] += q * xa + r * xb
+
+
+def pair_major_kernel(z, beta, kind, lengths, terms, want_grad):
+    """Oracle: ``model._kernel`` in its pair-major layout, bit for bit.
+
+    Each block gathers a latent coordinate as a (pairs, K+1) array, so an
+    interval's ends are the strided columns x[:, :-1] and x[:, 1:]; events
+    are placed with ``np.add.at`` on the block's (pairs, K) cells. The
+    package's cut-major kernel must reproduce its value, Q and dz exactly.
+    """
+    n, kp1, d = z.shape
+    K = kp1 - 1
+    P = terms.pair_i.size
+    zc = z.transpose(2, 0, 1).copy()  # (d, n, K+1)
+    euclid = kind == EUCLIDEAN
+    W, S1, S2 = terms.ev_w0, terms.ev_w1, terms.ev_w2
+    abc = (W - 2.0 * S1 + S2, S1 - S2, S2)
+    grad_abc = [(2.0 if euclid else -1.0) * x for x in abc] if want_grad else None
+    bounds = np.searchsorted(terms.ev_cell, np.arange(0, P + SURVIVAL_BLOCK, SURVIVAL_BLOCK) * K)
+    if want_grad:
+        G_i = np.empty((P, d, kp1))
+        G_j = None if euclid else np.empty((P, d, kp1))
+    lam_sum = quad = 0.0
+    for b, a in enumerate(range(0, P, SURVIVAL_BLOCK)):
+        sl = slice(a, a + SURVIVAL_BLOCK)
+        pi = terms.pair_i[sl]
+        pj = terms.pair_j[sl]
+        wlen = terms.pair_w[sl, None] * lengths
+        if euclid:
+            D = [x.take(pi, axis=0) - x.take(pj, axis=0) for x in zc]
+            c0 = dav = w2 = 0.0
+            for x in D:
+                xa, xb = x[:, :-1], x[:, 1:]
+                v = xa - xb
+                c0 = c0 + xa * xa
+                dav = dav + xa * v
+                w2 = w2 + v * v
+            lam, p, q, r = _closed_coeffs(c0, dav, w2, c0 - dav, wlen, beta, want_grad)
+        else:
+            Zi = [x.take(pi, axis=0) for x in zc]
+            Zj = [x.take(pj, axis=0) for x in zc]
+            caa = cbb = cab = 0.0
+            for xi, xj in zip(Zi, Zj):
+                prod = xi * xj
+                caa = caa + prod[:, :-1]
+                cbb = cbb + prod[:, 1:]
+                cab = cab + (xi[:, :-1] * xj[:, 1:] + xi[:, 1:] * xj[:, :-1])
+            lam, p, q, r = _dot_coeffs(caa, 0.5 * cab, cbb, beta, wlen, want_grad)
+        lam_sum += float(lam.sum())
+        g = slice(bounds[b], bounds[b + 1])
+        if g.stop > g.start:
+            cells = terms.ev_cell[g] - a * K  # flat indices into the block's (rows, K)
+            if euclid:
+                quad += float(W[g] @ c0.take(cells) - 2.0 * (S1[g] @ dav.take(cells))
+                              + S2[g] @ w2.take(cells))
+            else:
+                quad -= float(abc[0][g] @ caa.take(cells) + abc[1][g] @ cab.take(cells)
+                              + abc[2][g] @ cbb.take(cells))
+            if want_grad:
+                for x, y in zip((p, q, r), grad_abc):
+                    np.add.at(x.reshape(-1), cells, y[g])
+        if want_grad:
+            if euclid:
+                for c, x in enumerate(D):
+                    _pair_major_cut_gradient(G_i, sl, c, p, q, r, x[:, :-1], x[:, 1:])
+            else:
+                for c, (xi, xj) in enumerate(zip(Zi, Zj)):
+                    _pair_major_cut_gradient(G_i, sl, c, p, q, r, xj[:, :-1], xj[:, 1:])
+                    _pair_major_cut_gradient(G_j, sl, c, p, q, r, xi[:, :-1], xi[:, 1:])
+    if not want_grad:
+        return lam_sum, quad, None
+    inc = terms.pair_incidence
+    if euclid:
+        dz = inc @ G_i.reshape(P, d * kp1)
+    else:
+        i_end, j_end = inc.copy(), inc.copy()
+        i_end.data = np.maximum(inc.data, 0.0)
+        j_end.data = np.maximum(-inc.data, 0.0)
+        dz = i_end @ G_i.reshape(P, d * kp1) + j_end @ G_j.reshape(P, d * kp1)
+    return lam_sum, quad, np.ascontiguousarray(dz.reshape(n, d, kp1).transpose(0, 2, 1))

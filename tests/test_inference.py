@@ -6,7 +6,7 @@ import json
 import numpy as np
 import orjson
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from tgne import inference
 from tgne.events import EventList, IntervalPartition, split_edges
@@ -503,7 +503,7 @@ class TestModelIo:
 
     @settings(max_examples=60, deadline=None)
     @given(
-        n=st.integers(1, 4),
+        n=st.integers(0, 4),
         K=st.integers(1, 3),
         d=st.integers(1, 3),
         values=st.lists(st.one_of(st.sampled_from(AWKWARD_FLOATS), st.floats()), min_size=1),
@@ -511,6 +511,7 @@ class TestModelIo:
                         max_size=4),
         beta=st.floats(allow_nan=False, allow_infinity=False),
     )
+    @example(n=0, K=1, d=1, values=[0.0], labels=["a", "b", "c", "d"], beta=0.0)
     def test_bytes_match_json_dumps(self, tmp_path_factory, n, K, d, values, labels, beta):
         """save_model writes the bytes json.dumps writes for the document,
         ASCII only, and a finite one loads back bit for bit, labels and all."""
@@ -542,6 +543,7 @@ class TestModelIo:
                 load_model(path)
             return
         back = load_model(path)
+        assert back.state.mu.shape == mu.shape and back.state.log_sigma.shape == log_sigma.shape
         assert back.state.mu.tobytes() == mu.tobytes()
         assert back.state.log_sigma.tobytes() == log_sigma.tobytes()
         assert back.state.beta == beta and back.node_labels == labels[:n]

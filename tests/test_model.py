@@ -1,5 +1,6 @@
 import dataclasses
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -39,6 +40,7 @@ from conftest import (
     canonical_pair,
     cumulative_rate_riemann,
     pair_interval_nll,
+    pair_major_kernel,
     pair_times,
     random_events,
     realize_each_plan,
@@ -1408,6 +1410,93 @@ class TestBlockedSurvival:
         monkeypatch.setattr(inference, "nll_value_grad", ref_nll_value_grad_rows)
         rows = inference.fit(ev, hp, split=split)
         np.testing.assert_allclose(blocked.loss_trace, rows.loss_trace, rtol=1e-10, atol=0)
+
+
+# ---------------------------------------------------------------------------
+# The cut-major kernel against its pair-major form (conftest.pair_major_kernel),
+# bit for bit: value, dz and dbeta with and without the gradient.
+# ---------------------------------------------------------------------------
+
+
+def with_groups(seed, terms, K):
+    """``terms`` plus event groups on random cells and on the first and last
+    interval of the first and last row of the last block."""
+    P = terms.pair_i.size
+    rng = np.random.default_rng(seed)
+    first = (P - 1) // SURVIVAL_BLOCK * SURVIVAL_BLOCK
+    forced = np.array([first * K, first * K + K - 1, (P - 1) * K, P * K - 1])
+    cells = np.unique(np.r_[rng.choice(P * K, size=min(P * K, 40), replace=False), forced])
+    group = np.repeat(np.arange(cells.size), rng.integers(1, 4, size=cells.size))
+    s = np.where(rng.random(group.size) < 0.3, rng.integers(0, 2, size=group.size),
+                 rng.random(group.size))
+    w = rng.uniform(0.1, 2.0, size=group.size)
+    rows, k0 = np.divmod(cells, K)
+    return dataclasses.replace(
+        terms, ev_i=terms.pair_i[rows], ev_j=terms.pair_j[rows], ev_k0=k0,
+        ev_w0=np.bincount(group, w), ev_w1=np.bincount(group, w * s),
+        ev_w2=np.bincount(group, w * s * s), ev_cell=cells,
+    )
+
+
+def assert_matches_pair_major(z, beta, kind, part, terms):
+    for want_grad in (True, False):
+        got = nll_value_grad(z, beta, kind, part, terms, want_grad=want_grad)
+        with mock.patch.object(model, "_kernel", pair_major_kernel):
+            want = nll_value_grad(z, beta, kind, part, terms, want_grad=want_grad)
+        assert (got[1] is None) == (not want_grad) and (want[1] is None) == (not want_grad)
+        for g, w in zip(got, want):
+            if w is not None:
+                assert_bits_equal(g, w)
+
+
+class TestCutMajorKernel:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        P=st.sampled_from(BLOCK_EDGES),
+        K=st.integers(1, 4),
+        d=st.integers(1, 3),
+        kind=st.sampled_from([EUCLIDEAN, DOT]),
+        directed=st.booleans(),
+        kinds=st.lists(st.sampled_from(ROW_KINDS), min_size=1, max_size=4),
+        beta=st.floats(-2.0, 2.0),
+        groups=st.booleans(),
+    )
+    def test_matches_pair_major(self, seed, P, K, d, kind, directed, kinds, beta, groups):
+        z, terms = survival_case(seed, P, K, d, kinds, directed)
+        if groups and P:
+            terms = with_groups(seed, terms, K)
+        part = IntervalPartition(np.r_[0.0, np.sort(np.random.default_rng(seed).uniform(
+            0.05, 0.95, size=K - 1)), 1.0])
+        assert_matches_pair_major(z, beta, kind, part, terms)
+
+    def test_groups_reach_both_ends_of_the_last_block(self):
+        K = 3
+        for P in (SURVIVAL_BLOCK + 1, 2 * SURVIVAL_BLOCK + 3):
+            _, terms = survival_case(0, P, K, 2, ["plain"], directed=False)
+            rows, k0 = np.divmod(with_groups(0, terms, K).ev_cell, K)
+            last = rows >= P // SURVIVAL_BLOCK * SURVIVAL_BLOCK
+            assert set(k0[last]) >= {0, K - 1} and rows[-1] == P - 1
+
+    @pytest.mark.parametrize("kind", [EUCLIDEAN, DOT])
+    @pytest.mark.parametrize("case", sorted(FOLD_PLANS))
+    def test_folded_events_match_pair_major(self, case, kind):
+        directed, plan, _ = FOLD_PLANS[case]
+        ev = fold_events(directed)
+        part = IntervalPartition(np.array([0.0, 0.2, 0.45, 0.8, 1.0]))
+        z = 0.5 * np.random.default_rng(7).standard_normal((ev.n, part.K + 1, 2))
+        assert_matches_pair_major(z, -1.0, kind, part, realize_plan(ev, part, plan))
+
+    @pytest.mark.parametrize("negatives", [None, 5])
+    def test_fit_matches_pair_major(self, sbm_sample, monkeypatch, negatives):
+        ev = sbm_sample.events
+        hp = inference.Hyperparams(epochs=30, seed=3, negatives_per_node=negatives)
+        split = split_edges(ev, 0.1, 0.0, seed=0)
+        got = inference.fit(ev, hp, split=split)
+        monkeypatch.setattr(model, "_kernel", pair_major_kernel)
+        want = inference.fit(ev, hp, split=split)
+        assert_bits_equal(got.loss_trace, want.loss_trace)
+        assert_bits_equal(got.state.mu, want.state.mu)
 
 
 def list_pairs(pairs):

@@ -12,8 +12,8 @@ from .events import (
     EventParseError,
     IntervalPartition,
     interval_counts,
+    pair_rows,
     parse_events,
-    restrict_counts,
     split_edges,
 )
 from .model import (
@@ -57,6 +57,7 @@ from .evaluation import (
     node_uncertainty,
     rate_vs_uncertainty_table,
     regression_slope_from_points,
+    restrict_counts,
     score_instances,
     uncertainty_regression,
 )

@@ -23,8 +23,10 @@ from .events import (
     EventList,
     float_text,
     interval_counts,
+    pair_rows,
     parse_events,
     split_edges,
+    unique_codes,
     write_csv_columns,
     write_events_csv,
     write_nodes_csv,
@@ -228,7 +230,17 @@ def cmd_eval(args: argparse.Namespace) -> int:
     counts = interval_counts(ev, part)
     rng = np.random.SeedSequence(seed)
 
-    train_pairs = split.train if split is not None else frozenset(ev.unique_pairs())
+    if split is None:
+        part_codes = {"train": unique_codes(ev.src * ev.n + ev.dst)}
+    else:
+        part_codes = {"train": split.train_codes, "val": split.val_codes, "test": split.test_codes}
+    # each part's pairs as (m, 2) rows; validation and test only when non-empty
+    split_sets = {
+        name: pair_rows(codes, ev.n)
+        for name, codes in part_codes.items()
+        if name == "train" or codes.size
+    }
+    train_pairs = split_sets["train"]
     train_counts = evl.restrict_counts(counts, train_pairs)
     lsdm_models = None
     if "lsdm" in scorers:
@@ -242,13 +254,6 @@ def cmd_eval(args: argparse.Namespace) -> int:
                 f"{worst:.3g}, tolerance {opts.grad_tol:g}); see lsdm_fit in auc.json",
                 RuntimeWarning,
             )
-
-    split_sets = {"train": train_pairs}
-    if split is not None:
-        if split.val:
-            split_sets["val"] = split.val
-        if split.test:
-            split_sets["test"] = split.test
 
     auc_out: dict[str, dict[str, float]] = {}
     shortfall_out: dict[str, int] = {}

@@ -52,7 +52,6 @@ from .events import (
     Pair,
     in_sorted,
     interval_counts,
-    restrict_counts,  # part of this module's API; it works on the code storage
     unique_codes,
 )
 from .inference import FittedModel, VariationalState
@@ -60,6 +59,7 @@ from .model import (
     EUCLIDEAN,
     _all_pair_arrays,
     _endpoints,
+    _pair_array,
     _pairs_to_array,
     _rate_batch,
 )
@@ -88,18 +88,42 @@ class InstanceTable(_Columns):
     label: np.ndarray
 
 
-def _sorted_pairs(pairs: Iterable[Pair], directed: bool) -> tuple[np.ndarray, np.ndarray]:
-    """Stored-orientation pairs as (i, j) arrays in ascending (i, j) order."""
+def restrict_counts(counts: CountTensor, pairs: Iterable[Pair] | np.ndarray) -> CountTensor:
+    """Counts filtered down to the given pairs (train-only views).
+
+    Pairs naming a node outside 0..n-1 are dropped: their codes would alias
+    other pairs'.
+    """
+    keep = _pair_array(pairs, counts.n)
+    if not counts.directed:
+        keep = np.sort(keep, axis=1)
+    sel = in_sorted(counts.codes // counts.K, unique_codes(keep[:, 0] * counts.n + keep[:, 1]))
+    return CountTensor(counts.n, counts.K, counts.directed, counts.codes[sel], counts.values[sel])
+
+
+def _sorted_pairs(
+    pairs: Iterable[Pair] | np.ndarray, n: int, directed: bool
+) -> tuple[np.ndarray, np.ndarray]:
+    """Stored-orientation pairs as (i, j) arrays in ascending (i, j) order.
+
+    Raises ValueError at the first pair that names a node outside 0..n-1.
+    """
     arr = _pairs_to_array(pairs)
+    bad = np.flatnonzero(((arr < 0) | (arr >= n)).any(axis=1))
+    if bad.size:
+        a, b = arr[bad[0]].tolist()
+        raise ValueError(f"pair ({a}, {b}) names a node outside 0..{n - 1}")
     if not directed:
         arr = np.sort(arr, axis=1)
-    order = np.lexsort((arr[:, 1], arr[:, 0]))
+    # (i, j) order is code order; a stable sort takes pairs already in it
+    # (a split's code rows) in one pass
+    order = np.argsort(arr[:, 0] * n + arr[:, 1], kind="stable")
     return arr[order, 0], arr[order, 1]
 
 
 def build_instances(
     counts: CountTensor,
-    pairs: Iterable[Pair],
+    pairs: Iterable[Pair] | np.ndarray,
     part: IntervalPartition,
     seed: int = 0,
 ) -> tuple[InstanceTable, dict[int, int]]:
@@ -110,9 +134,11 @@ def build_instances(
     the interval) from the node-pair universe restricted to pairs with no
     event in that interval. Returns the instances (per interval, positives
     then negatives, each in ascending (i, j) order) plus a per-interval
-    shortfall count for intervals whose negatives ran out.
+    shortfall count for intervals whose negatives ran out. ``pairs`` is any
+    iterable of (i, j) pairs or an (m, 2) integer array; a pair naming a
+    node outside 0..n-1 raises ValueError.
     """
-    pair_i, pair_j = _sorted_pairs(pairs, counts.directed)
+    pair_i, pair_j = _sorted_pairs(pairs, counts.n, counts.directed)
     n = counts.n
     universe = n * (n - 1) if counts.directed else n * (n - 1) // 2
     pair_code, k0 = np.divmod(counts.codes, counts.K)  # pair codes i * n + j
@@ -335,7 +361,7 @@ def _lsdm_objective(x: np.ndarray, index: np.ndarray, sign: np.ndarray):
 
 def fit_lsdm(
     counts: CountTensor,
-    train_pairs: Iterable[Pair],
+    train_pairs: Iterable[Pair] | np.ndarray,
     k: int,
     d: int,
     opts: Optional[LsdmOpts] = None,
@@ -347,59 +373,75 @@ def fit_lsdm(
     on the packed vector (z, beta). It stops only when the gradient's
     inf-norm falls below ``opts.grad_tol`` or at the ``opts.iters`` cap;
     every accepted iterate lowers the objective. No temporal coupling: every
-    interval is fit independently.
+    interval is fit independently. ``train_pairs`` is any iterable of (i, j)
+    pairs or an (m, 2) integer array; a pair naming a node outside 0..n-1
+    raises ValueError.
     """
-    ii, jj = _sorted_pairs(train_pairs, counts.directed)
-    return _fit_lsdm_sorted(counts, ii, jj, k, d, opts)
+    return _LsdmFitter(counts, train_pairs, d, opts).fit(k)
 
 
 def fit_lsdm_intervals(
     counts: CountTensor,
-    train_pairs: Iterable[Pair],
+    train_pairs: Iterable[Pair] | np.ndarray,
     d: int,
     opts: Optional[LsdmOpts] = None,
 ) -> dict[int, LsdmModel]:
     """``fit_lsdm`` for each interval k = 1..K, with the pairs sorted once."""
-    ii, jj = _sorted_pairs(train_pairs, counts.directed)
-    return {k: _fit_lsdm_sorted(counts, ii, jj, k, d, opts) for k in range(1, counts.K + 1)}
+    fitter = _LsdmFitter(counts, train_pairs, d, opts)
+    return {k: fitter.fit(k) for k in range(1, counts.K + 1)}
 
 
-def _fit_lsdm_sorted(
-    counts: CountTensor, ii: np.ndarray, jj: np.ndarray, k: int, d: int, opts: Optional[LsdmOpts]
-) -> LsdmModel:
-    """``fit_lsdm`` on the training pairs as ``_sorted_pairs`` gives them."""
-    opts = opts or LsdmOpts()
-    if ii.size == 0:
-        raise ValueError("need at least one training pair")
-    y = (counts.counts_of(ii, jj, k) >= 1).astype(np.float64)
+class _LsdmFitter:
+    """What every interval's LSDM fit shares: the sorted training pairs, the
+    endpoint index into the packed x and the start x0."""
 
-    rng = np.random.default_rng(opts.seed)
-    n = counts.n
-    # x holds z coordinate by coordinate, then beta
-    x0 = np.append(opts.init_scale * rng.standard_normal((n, d)).T, 0.0)
-    index = np.concatenate([ii, jj]) + n * np.arange(d)[:, None]
-    sign = 1.0 - 2.0 * y
-    trace = []
+    def __init__(self, counts: CountTensor, train_pairs, d: int, opts: Optional[LsdmOpts]):
+        self.counts, self.d = counts, d
+        self.opts = opts or LsdmOpts()
+        self.ii, self.jj = _sorted_pairs(train_pairs, counts.n, counts.directed)
+        if self.ii.size == 0:
+            raise ValueError("need at least one training pair")
+        n = counts.n
+        rng = np.random.default_rng(self.opts.seed)
+        # x holds z coordinate by coordinate, then beta
+        self.x0 = np.append(self.opts.init_scale * rng.standard_normal((n, d)).T, 0.0)
+        self.index = np.concatenate([self.ii, self.jj]) + n * np.arange(d)[:, None]
 
-    def objective(x):
-        nll, grad = _lsdm_objective(x, index, sign)
-        if not trace:  # the first evaluation is at x0; record() adds the iterates
-            trace.append(nll)
-        return nll, grad
+    def fit(self, k: int) -> LsdmModel:
+        opts, n, d = self.opts, self.counts.n, self.d
+        y = (self.counts.counts_of(self.ii, self.jj, k) >= 1).astype(np.float64)
+        sign = 1.0 - 2.0 * y
+        trace = []
+        # one evaluation gives the value and the gradient; scipy asks for the
+        # gradient at the x it just asked the value of
+        memo = {"x": None}
 
-    def record(intermediate_result):
-        trace.append(float(intermediate_result.fun))
+        def value(x):
+            nll, memo["grad"] = _lsdm_objective(x, self.index, sign)
+            memo["x"] = x
+            if not trace:  # the first evaluation is at x0; record() adds the iterates
+                trace.append(nll)
+            return nll
 
-    res = minimize(
-        objective, x0, jac=True, method="L-BFGS-B", callback=record,
-        options={"maxiter": opts.iters, "maxfun": opts.iters, "gtol": opts.grad_tol, "ftol": 0.0},
-    )
-    grad_inf = float(np.abs(res.jac).max())
-    return LsdmModel(
-        z=res.x[:-1].reshape(d, n).T.copy(), beta=float(res.x[-1]), nll_trace=np.asarray(trace),
-        converged=grad_inf < opts.grad_tol, iterations=int(res.nit),
-        evaluations=int(res.nfev), grad_inf=grad_inf,
-    )
+        def gradient(x):
+            if not np.array_equal(x, memo["x"]):
+                value(x)
+            return memo["grad"]
+
+        def record(intermediate_result):
+            trace.append(float(intermediate_result.fun))
+
+        res = minimize(
+            value, self.x0, jac=gradient, method="L-BFGS-B", callback=record,
+            options={"maxiter": opts.iters, "maxfun": opts.iters, "gtol": opts.grad_tol,
+                     "ftol": 0.0},
+        )
+        grad_inf = float(np.abs(res.jac).max())
+        return LsdmModel(
+            z=res.x[:-1].reshape(d, n).T.copy(), beta=float(res.x[-1]),
+            nll_trace=np.asarray(trace), converged=grad_inf < opts.grad_tol,
+            iterations=int(res.nit), evaluations=int(res.nfev), grad_inf=grad_inf,
+        )
 
 
 def lsdm_score(model: LsdmModel, i: int, j: int) -> float:

@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import collections
 import csv
+import functools
 import io
 import itertools
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Optional, Sequence, TextIO
+from typing import Optional, Sequence, TextIO
 
 import numpy as np
 import orjson
@@ -582,27 +583,67 @@ def interval_counts(ev: EventList, part: IntervalPartition) -> CountTensor:
     return CountTensor(n=ev.n, K=part.K, directed=ev.directed, codes=codes, values=values)
 
 
-def restrict_counts(counts: CountTensor, pairs: Iterable[Pair]) -> CountTensor:
-    """Counts filtered down to the given pairs (train-only views)."""
-    keep = np.asarray(list(pairs), dtype=np.int64).reshape(-1, 2)
-    keep = keep[((keep >= 0) & (keep < counts.n)).all(axis=1)]  # no aliased codes
-    if not counts.directed:
-        keep = np.sort(keep, axis=1)
-    sel = np.isin(counts.codes // counts.K, keep[:, 0] * counts.n + keep[:, 1])
-    return CountTensor(counts.n, counts.K, counts.directed, counts.codes[sel], counts.values[sel])
+def pair_rows(codes: np.ndarray, n: int) -> np.ndarray:
+    """Pair codes i * n + j as an (m, 2) int64 array of (i, j) rows, in code order."""
+    return np.stack(np.divmod(codes, n), axis=1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EdgeSplit:
-    """Disjoint train/validation/test sets of unique interacting pairs."""
+    """Disjoint train/validation/test sets of unique interacting pairs.
 
-    train: frozenset[Pair]
-    val: frozenset[Pair]
-    test: frozenset[Pair]
+    Each part is stored as the ascending int64 codes i * n + j of its
+    stored-orientation pairs (``train_codes``, ``val_codes``,
+    ``test_codes``); ``pair_rows`` turns them into (m, 2) arrays. ``train``,
+    ``val``, ``test`` and ``held_out()`` are frozenset views of (i, j)
+    tuples, built on first use and kept. The code arrays must not change.
+    """
+
+    n: int
+    train_codes: np.ndarray
+    val_codes: np.ndarray
+    test_codes: np.ndarray
     seed: int
 
+    def _key(self):
+        return (self.n, self.seed, self.train_codes.tobytes(), self.val_codes.tobytes(),
+                self.test_codes.tobytes())
+
+    def __eq__(self, other):
+        if not isinstance(other, EdgeSplit):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def _view(self, codes: np.ndarray) -> frozenset[Pair]:
+        i, j = np.divmod(codes, self.n)
+        return frozenset(zip(i.tolist(), j.tolist()))
+
+    @functools.cached_property
+    def train(self) -> frozenset[Pair]:
+        return self._view(self.train_codes)
+
+    @functools.cached_property
+    def val(self) -> frozenset[Pair]:
+        return self._view(self.val_codes)
+
+    @functools.cached_property
+    def test(self) -> frozenset[Pair]:
+        return self._view(self.test_codes)
+
+    @functools.cached_property
+    def held_out_codes(self) -> np.ndarray:
+        """Ascending codes of the validation and test pairs together."""
+        return np.sort(np.concatenate([self.val_codes, self.test_codes]))
+
     def held_out(self) -> frozenset[Pair]:
-        return self.val | self.test
+        return self._held_out
+
+    @functools.cached_property
+    def _held_out(self) -> frozenset[Pair]:
+        return self._view(self.held_out_codes)
 
 
 def split_edges(
@@ -611,21 +652,23 @@ def split_edges(
     """Shuffle the unique interacting pairs and cut them by fraction.
 
     Set sizes are floors of the requested fractions; the split is a
-    deterministic function of (pair set, fractions, seed).
+    deterministic function of (pair set, fractions, seed). The pairs are
+    shuffled in ascending code order, test first, then validation, then
+    train; each part keeps its codes sorted.
     """
     if test_frac < 0 or val_frac < 0 or test_frac + val_frac >= 1:
         raise ValueError("need 0 <= test_frac + val_frac < 1")
     # ascending pair codes are the pairs in sorted (i, j) order
-    pi, pj = np.divmod(unique_codes(ev.src * ev.n + ev.dst), ev.n)
-    if pi.size < 3:
-        raise ValueError(f"need at least 3 unique pairs to split, got {pi.size}")
-    rng = np.random.default_rng(seed)
-    order = rng.permutation(pi.size)
-    shuffled = list(zip(pi[order].tolist(), pj[order].tolist()))
-    n_test = int(pi.size * test_frac)
-    n_val = int(pi.size * val_frac)
-    test = frozenset(shuffled[:n_test])
-    val = frozenset(shuffled[n_test : n_test + n_val])
-    train = frozenset(shuffled[n_test + n_val :])
-    return EdgeSplit(train=train, val=val, test=test, seed=seed)
-
+    codes = unique_codes(ev.src * ev.n + ev.dst)
+    if codes.size < 3:
+        raise ValueError(f"need at least 3 unique pairs to split, got {codes.size}")
+    shuffled = codes[np.random.default_rng(seed).permutation(codes.size)]
+    n_test = int(codes.size * test_frac)
+    n_val = int(codes.size * val_frac)
+    return EdgeSplit(
+        n=ev.n,
+        train_codes=np.sort(shuffled[n_test + n_val :]),
+        val_codes=np.sort(shuffled[n_test : n_test + n_val]),
+        test_codes=np.sort(shuffled[:n_test]),
+        seed=seed,
+    )

@@ -27,6 +27,7 @@ from .events import (
     EventList,
     IntervalPartition,
     float_text,
+    pair_rows,
     unique_codes,
     write_csv_columns,
 )
@@ -246,15 +247,16 @@ class Adam:
 def empirical_beta(ev: EventList, excluded_pairs=frozenset()) -> float:
     """log of the mean event count per interacting pair over the window.
 
-    Held-out pairs (and their events) are left out of the estimate.
+    Held-out pairs (and their events) are left out of the estimate; they are
+    any iterable of (i, j) pairs or an (m, 2) integer array.
     """
     if ev.m == 0:
         return 0.0
     n = ev.n
     codes = _pair_codes(ev.src, ev.dst, n)
-    if excluded_pairs:
-        # held-out pairs match events in stored orientation only
-        ex = _pair_array(excluded_pairs, n)
+    # held-out pairs match events in stored orientation only
+    ex = _pair_array(excluded_pairs, n)
+    if ex.size:
         codes = codes[~np.isin(codes, _pair_codes(ex[:, 0], ex[:, 1], n))]
     m = int(codes.size)
     pairs = int(unique_codes(codes).size)
@@ -281,10 +283,13 @@ def fit(
     root = np.random.SeedSequence(hp.seed)
     seq_init, seq_eps, seq_plan, seq_batch = root.spawn(4)
     state = init_state(n, hp, seed=seq_init)
-    excluded = frozenset(split.held_out()) if split is not None else frozenset()
-    state.beta = (
-        empirical_beta(ev, excluded) if hp.beta_init is None else float(hp.beta_init)
-    )
+    excluded = split.held_out() if split is not None else frozenset()
+    if hp.beta_init is not None:
+        state.beta = float(hp.beta_init)
+    elif split is not None:
+        state.beta = empirical_beta(ev, pair_rows(split.held_out_codes, n))
+    else:
+        state.beta = empirical_beta(ev)
     rng_eps = np.random.default_rng(seq_eps)
     rng_plan = np.random.default_rng(seq_plan)
     rng_batch = np.random.default_rng(seq_batch)

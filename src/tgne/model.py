@@ -489,7 +489,10 @@ def _pair_codes(i: np.ndarray, j: np.ndarray, n: int) -> np.ndarray:
 
 
 def _pairs_to_array(pairs) -> np.ndarray:
-    """An iterable of (a, b) pairs as an (m, 2) int64 array, in iteration order."""
+    """Pairs as an (m, 2) int64 array: an (m, 2) integer array as it is, and
+    any other iterable of (a, b) pairs in iteration order."""
+    if isinstance(pairs, np.ndarray) and pairs.dtype.kind in "iu" and pairs.shape[1:] == (2,):
+        return pairs.astype(np.int64, copy=False)
     return np.fromiter(itertools.chain.from_iterable(pairs), np.int64).reshape(-1, 2)
 
 

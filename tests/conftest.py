@@ -41,6 +41,23 @@ def random_events(n: int, m: int, seed: int, directed: bool = False) -> EventLis
     return EventList(src=src, dst=dst, time=t, n=n, directed=directed)
 
 
+def tuple_list_split(ev: EventList, test_frac: float, val_frac: float, seed: int):
+    """Oracle: ``split_edges`` as a shuffled list of (i, j) tuples cut into
+    frozensets. Returns (train, val, test, the generator's state after it)."""
+    pi, pj = np.divmod(np.unique(ev.src * ev.n + ev.dst), ev.n)
+    rng = np.random.default_rng(seed)
+    order = rng.permutation(pi.size)
+    shuffled = list(zip(pi[order].tolist(), pj[order].tolist()))
+    n_test = int(pi.size * test_frac)
+    n_val = int(pi.size * val_frac)
+    return (
+        frozenset(shuffled[n_test + n_val :]),
+        frozenset(shuffled[n_test : n_test + n_val]),
+        frozenset(shuffled[:n_test]),
+        rng.bit_generator.state,
+    )
+
+
 def realize_each_plan(monkeypatch, realize):
     """Make inference.fit realize every plan, the static one and each epoch's,
     through ``realize(ev, part, plan)`` instead of building a plan's fixed

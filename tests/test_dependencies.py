@@ -8,7 +8,10 @@ from pathlib import Path
 
 import pytest
 
-tomllib = pytest.importorskip("tomllib")  # in the standard library from Python 3.11
+try:
+    import tomllib  # in the standard library from Python 3.11
+except ModuleNotFoundError:
+    tomllib = pytest.importorskip("tomli")  # the same API, for Python 3.10
 
 ROOT = Path(__file__).resolve().parents[1]
 

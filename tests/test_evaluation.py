@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from scipy.optimize import minimize
 from scipy.special import expit
 
-from tgne import evaluation
+from tgne import evaluation, events
 from tgne.events import IntervalPartition, interval_counts, split_edges
 from tgne.evaluation import (
     InstanceTable,
@@ -32,7 +33,7 @@ from tgne.evaluation import (
     score_instances,
     score_tgne_many,
 )
-from tgne.inference import FittedModel, Hyperparams, VariationalState, fit
+from tgne.inference import FittedModel, Hyperparams, VariationalState, empirical_beta, fit
 from tgne.model import DOT, EUCLIDEAN
 
 from conftest import (
@@ -141,6 +142,15 @@ class TestBuildInstances:
         inst2, _ = build_instances(counts2, ev2.unique_pairs(), IntervalPartition.uniform(2), seed=1)
         n_pos = inst2.label.sum()
         assert n_pos and len(inst2) == 2 * n_pos
+
+    @pytest.mark.parametrize("pairs", [{(4, 67)}, [(0, 1), (-1, 3), (2, 60)]])
+    def test_pair_outside_the_nodes_rejected(self, sbm_sample, pairs):
+        # (4, 67) has the code 4 * 60 + 67 of the active pair (5, 7)
+        part = IntervalPartition.uniform(15)
+        counts = interval_counts(sbm_sample.events, part)
+        first = next(p for p in pairs if not all(0 <= v < 60 for v in p))
+        with pytest.raises(ValueError, match=rf"pair \({first[0]}, {first[1]}\)"):
+            build_instances(counts, pairs, part, seed=0)
 
 
 def _build_instances_loop(counts, pairs, part, seed):
@@ -268,6 +278,68 @@ class TestRestrictCounts:
         assert sub.codes.tolist() == sorted(sub.codes.tolist())
 
 
+class TestPairArguments:
+    """A pair argument may be a frozenset of tuples or the equal (m, 2) array,
+    with bit-equal results."""
+
+    @staticmethod
+    def forms(pairs):
+        pairs = sorted(pairs)
+        return frozenset(pairs), np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+
+    @staticmethod
+    def split_case(directed):
+        ev = random_events(n=12, m=90, seed=8, directed=directed)
+        part = IntervalPartition.uniform(3)
+        return ev, part, interval_counts(ev, part), split_edges(ev, 0.2, 0.1, seed=2)
+
+    @pytest.mark.parametrize("directed", [False, True])
+    def test_restrict_counts(self, directed):
+        ev, _part, counts, split = self.split_case(directed)
+        # reversed, never-active and out-of-range pairs are in the argument too
+        given = set(split.train) | {(b, a) for a, b in split.test} | {(0, 12), (-1, 3), (5, 5)}
+        for pairs in (given, set(split.train), set()):
+            as_set, as_array = self.forms(pairs)
+            a, b = restrict_counts(counts, as_set), restrict_counts(counts, as_array)
+            assert a.codes.tobytes() == b.codes.tobytes()
+            assert a.values.tobytes() == b.values.tobytes()
+
+    @pytest.mark.parametrize("directed", [False, True])
+    def test_build_instances(self, directed):
+        _ev, part, counts, split = self.split_case(directed)
+        for pairs in (split.train, split.test, frozenset()):
+            as_set, as_array = self.forms(pairs)
+            a, short_a = build_instances(counts, as_set, part, seed=3)
+            b, short_b = build_instances(counts, as_array, part, seed=3)
+            for col in ("i", "j", "k", "label"):
+                assert getattr(a, col).tobytes() == getattr(b, col).tobytes()
+            assert short_a == short_b
+
+    @pytest.mark.parametrize("directed", [False, True])
+    def test_fit_lsdm_intervals(self, directed):
+        _ev, _part, counts, split = self.split_case(directed)
+        train_counts = restrict_counts(counts, split.train)
+        opts = LsdmOpts(iters=25, seed=1)
+        as_set, as_array = self.forms(split.train)
+        a = fit_lsdm_intervals(train_counts, as_set, 2, opts)
+        b = fit_lsdm_intervals(train_counts, as_array, 2, opts)
+        for k in a:
+            assert a[k].z.tobytes() == b[k].z.tobytes() and a[k].beta == b[k].beta
+            assert a[k].nll_trace.tobytes() == b[k].nll_trace.tobytes()
+        for empty in self.forms(()):
+            with pytest.raises(ValueError, match="at least one training pair"):
+                fit_lsdm_intervals(train_counts, empty, 2, opts)
+
+    @pytest.mark.parametrize("directed", [False, True])
+    def test_empirical_beta(self, directed):
+        ev, _part, _counts, split = self.split_case(directed)
+        for pairs in (split.held_out(), split.train, frozenset()):
+            as_set, as_array = self.forms(pairs)
+            assert empirical_beta(ev, as_set) == empirical_beta(ev, as_array)
+        held_out = events.pair_rows(split.held_out_codes, ev.n)
+        assert empirical_beta(ev, held_out) == empirical_beta(ev, split.held_out())
+
+
 def scored_table(scores, labels) -> InstanceTable:
     """Instances of one pair and interval with the given scores and labels."""
     zeros = np.zeros(len(scores), dtype=np.int64)
@@ -379,7 +451,58 @@ class TestScoreTgne:
             assert np.isclose(score_tgne_many(fm, [0], [1], [k])[0], ref, rtol=1e-6)
 
 
+def reference_lsdm_fit(counts, ii, jj, k, d, opts):
+    """Oracle: one interval's LSDM fit as a single minimize(jac=True) call on
+    ``_lsdm_objective``; returns scipy's result and the objective trace."""
+    n = counts.n
+    rng = np.random.default_rng(opts.seed)
+    x0 = np.append(opts.init_scale * rng.standard_normal((n, d)).T, 0.0)
+    index = np.concatenate([ii, jj]) + n * np.arange(d)[:, None]
+    sign = 1.0 - 2.0 * (counts.counts_of(ii, jj, k) >= 1)
+    trace = []
+
+    def objective(x):
+        nll, grad = evaluation._lsdm_objective(x, index, sign)
+        if not trace:
+            trace.append(nll)
+        return nll, grad
+
+    res = minimize(
+        objective, x0, jac=True, method="L-BFGS-B",
+        callback=lambda intermediate_result: trace.append(float(intermediate_result.fun)),
+        options={"maxiter": opts.iters, "maxfun": opts.iters, "gtol": opts.grad_tol,
+                 "ftol": 0.0},
+    )
+    return res, trace
+
+
 class TestLsdm:
+    @pytest.mark.parametrize("iters", [5, 800])
+    def test_bits_match_one_minimize_call(self, sbm_sample, iters):
+        ev = sbm_sample.events
+        part = IntervalPartition.uniform(15)
+        split = split_edges(ev, 0.1, 0.0, seed=0)
+        train_counts = restrict_counts(interval_counts(ev, part), split.train)
+        opts = LsdmOpts(iters=iters, seed=0)
+        ii, jj = evaluation._sorted_pairs(split.train, ev.n, False)
+        for k, model in fit_lsdm_intervals(train_counts, split.train, 2, opts).items():
+            res, trace = reference_lsdm_fit(train_counts, ii, jj, k, 2, opts)
+            assert model.z.tobytes() == res.x[:-1].reshape(2, ev.n).T.tobytes()
+            assert model.beta == res.x[-1]
+            assert model.nll_trace.tobytes() == np.asarray(trace).tobytes()
+            assert (model.iterations, model.evaluations) == (res.nit, res.nfev)
+            assert model.grad_inf == np.abs(res.jac).max()
+            assert model.converged == (model.grad_inf < opts.grad_tol)
+
+    @pytest.mark.parametrize("fit", ["one", "all"])
+    def test_pair_outside_the_nodes_rejected(self, sbm_sample, fit):
+        counts = interval_counts(sbm_sample.events, IntervalPartition.uniform(2))
+        with pytest.raises(ValueError, match=r"pair \(0, 60\) names a node outside 0\.\.59"):
+            if fit == "one":
+                fit_lsdm(counts, {(0, 1), (0, 60)}, 1, 2)
+            else:
+                fit_lsdm_intervals(counts, {(0, 1), (0, 60)}, 2)
+
     def test_separable_pair_drives_probability_to_one(self):
         ev = random_events(n=2, m=8, seed=1)
         part = IntervalPartition.uniform(2)
@@ -486,7 +609,7 @@ class TestLsdm:
 
     def test_every_sbm_interval_converges_at_cli_defaults(self, sbm_lsdm_fits):
         train_counts, train_pairs, models = sbm_lsdm_fits
-        ii, jj = evaluation._sorted_pairs(train_pairs, False)
+        ii, jj = evaluation._sorted_pairs(train_pairs, train_counts.n, False)
         for k, model in models.items():
             assert model.converged, (k, model.grad_inf, model.iterations)
             assert model.iterations < 800 and model.evaluations >= model.iterations

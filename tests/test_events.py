@@ -1,11 +1,12 @@
 import csv
 import io
 import math
+from unittest import mock
 
 import numpy as np
 import orjson
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from tgne.events import (
     CSV_CHUNK_ROWS,
@@ -26,7 +27,7 @@ from tgne.events import (
     write_events_csv,
 )
 
-from conftest import canonical_pair, counts_dict, random_events
+from conftest import canonical_pair, counts_dict, random_events, tuple_list_split
 
 
 def _parse(text: str, **kw) -> EventList:
@@ -239,7 +240,8 @@ class TestSplitEdges:
     def test_deterministic(self, sbm_sample):
         a = split_edges(sbm_sample.events, 0.2, 0.1, seed=42)
         b = split_edges(sbm_sample.events, 0.2, 0.1, seed=42)
-        assert a == b
+        assert a == b and hash(a) == hash(b)
+        assert a != split_edges(sbm_sample.events, 0.2, 0.1, seed=43)
 
     def test_too_few_pairs_rejected(self):
         ev = EventList(
@@ -251,6 +253,37 @@ class TestSplitEdges:
     def test_bad_fractions_rejected(self, ten_node_events):
         with pytest.raises(ValueError):
             split_edges(ten_node_events, 0.8, 0.2, seed=0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        events_seed=st.integers(0, 10_000),
+        n=st.integers(3, 12),
+        directed=st.booleans(),
+        test_frac=st.floats(0.0, 0.6),
+        val_frac=st.floats(0.0, 0.39),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_tuple_list_split(self, events_seed, n, directed, test_frac, val_frac, seed):
+        ev = random_events(n=n, m=30, seed=events_seed, directed=directed)
+        assume(len(ev.unique_pairs()) >= 3)
+        generators = []
+        real = np.random.default_rng
+
+        def spy(seed):
+            generators.append(real(seed))
+            return generators[-1]
+
+        with mock.patch.object(np.random, "default_rng", spy):
+            split = split_edges(ev, test_frac, val_frac, seed=seed)
+        train, val, test, state = tuple_list_split(ev, test_frac, val_frac, seed)
+        assert (split.train, split.val, split.test) == (train, val, test)
+        assert split.held_out() == val | test
+        assert len(generators) == 1 and generators[0].bit_generator.state == state
+        for codes, part in ((split.train_codes, train), (split.val_codes, val),
+                            (split.test_codes, test), (split.held_out_codes, val | test)):
+            assert codes.dtype == np.int64
+            assert codes.tolist() == sorted(i * n + j for i, j in part)
+        assert split == split_edges(ev, test_frac, val_frac, seed=seed)
 
     @settings(max_examples=25, deadline=None)
     @given(

@@ -1505,7 +1505,7 @@ def list_pairs(pairs):
 
 class TestPairArrays:
     @pytest.mark.parametrize("m", [0, 1, 37])
-    @pytest.mark.parametrize("form", [set, frozenset, list, lambda p: (x for x in p)])
+    @pytest.mark.parametrize("form", [set, frozenset, list, lambda p: (x for x in p), list_pairs])
     def test_match_the_list_form(self, m, form):
         rng = np.random.default_rng(m)
         pairs = [tuple(int(v) for v in rng.integers(-2, 12, size=2)) for _ in range(m)]
@@ -1514,8 +1514,17 @@ class TestPairArrays:
         inside = want[((want >= 0) & (want < 10)).all(axis=1)]
         assert_bits_equal(_pair_array(form(pairs), 10), inside)
         for directed in (False, True):
-            arr = want if directed else np.sort(want, axis=1)
+            arr = inside if directed else np.sort(inside, axis=1)
             order = np.lexsort((arr[:, 1], arr[:, 0]))
-            got_i, got_j = evaluation._sorted_pairs(form(pairs), directed)
+            got_i, got_j = evaluation._sorted_pairs(form(map(tuple, inside.tolist())), 10, directed)
             assert_bits_equal(got_i, arr[order, 0])
             assert_bits_equal(got_j, arr[order, 1])
+            if len(inside) < len(want):  # the first pair outside, in iteration order
+                a, b = want[((want < 0) | (want >= 10)).any(axis=1)][0]
+                with pytest.raises(ValueError, match=rf"pair \({a}, {b}\) names a node outside 0\.\.9"):
+                    evaluation._sorted_pairs(form(pairs), 10, directed)
+
+    def test_an_integer_array_is_returned_as_it_is(self):
+        rows = np.array([[3, 1], [0, 2]])
+        assert _pairs_to_array(rows) is rows
+        assert_bits_equal(_pairs_to_array(rows.astype(np.int32)), rows)

@@ -43,7 +43,6 @@ from typing import Iterable, Optional
 import numpy as np
 from scipy.optimize import minimize
 from scipy.special import expit
-from scipy.stats import rankdata
 
 from .events import (
     CountTensor,
@@ -221,16 +220,50 @@ def _rejection_sample(
     return chosen
 
 
+def _average_ranks(x: np.ndarray) -> np.ndarray:
+    """Ranks 1..n of a 1-D array, tied values sharing their mean rank.
+
+    The same float64 values as ``scipy.stats.rankdata(x)``: every rank is a
+    multiple of 0.5, so each is exact.
+    """
+    order = np.argsort(x, kind="stable")
+    xs = x[order]
+    # each tie group fills sorted positions first..last-1 (0-based), i.e.
+    # ranks first+1..last, whose mean is (first + last + 1) / 2
+    first = np.flatnonzero(np.r_[True, xs[1:] != xs[:-1]])
+    last = np.r_[first[1:], xs.size]
+    ranks = np.empty(xs.size, dtype=np.float64)
+    ranks[order] = np.repeat(0.5 * (first + last + 1), last - first)
+    return ranks
+
+
 def auc_from_scores(scores: np.ndarray, labels: np.ndarray) -> float:
-    """Mann-Whitney AUC with average ranks for ties."""
+    """Mann-Whitney AUC with average ranks for ties.
+
+    ``scores`` and ``labels`` are 1-D of one length; labels are 0 or 1 and
+    scores are not NaN (+-inf rank as the extremes). Raises ValueError
+    otherwise, or when one class is empty.
+    """
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels)
-    n_pos = int((labels == 1).sum())
-    n_neg = int((labels == 0).sum())
+    if scores.ndim != 1 or scores.shape != labels.shape:
+        raise ValueError(
+            f"AUC needs 1-D scores and labels of one length, got shapes "
+            f"{scores.shape} and {labels.shape}"
+        )
+    nan = np.flatnonzero(np.isnan(scores))
+    if nan.size:
+        raise ValueError(f"AUC got a NaN score at position {int(nan[0])}")
+    pos = labels == 1
+    other = np.flatnonzero(~pos & (labels != 0))
+    if other.size:
+        b = int(other[0])
+        raise ValueError(f"AUC labels must be 0 or 1, got {labels[b].item()!r} at position {b}")
+    n_pos = int(pos.sum())
+    n_neg = labels.size - n_pos
     if n_pos == 0 or n_neg == 0:
         raise ValueError("AUC needs at least one positive and one negative")
-    ranks = rankdata(scores)
-    rank_sum = float(ranks[labels == 1].sum())
+    rank_sum = float(_average_ranks(scores)[pos].sum())
     return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
 

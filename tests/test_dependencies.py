@@ -1,8 +1,11 @@
 """Every third-party module the package imports is a declared dependency, at a
-floor that has every feature the package uses."""
+floor that has every feature the package uses, and the package leaves
+scipy.stats unloaded."""
 
 import ast
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -16,13 +19,22 @@ except ModuleNotFoundError:
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def _imported_modules(path: Path) -> set[str]:
+def _imported_names(path: Path) -> set[str]:
+    """Dotted names of a file's absolute imports: ``import a.b`` gives a.b,
+    ``from a import b`` gives a.b."""
     names = set()
     for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
         if isinstance(node, ast.Import):
-            names.update(alias.name.split(".")[0] for alias in node.names)
+            names.update(alias.name for alias in node.names)
         elif isinstance(node, ast.ImportFrom) and node.level == 0:
-            names.add(node.module.split(".")[0])
+            names.update(f"{node.module}.{alias.name}" for alias in node.names)
+    return names
+
+
+def _package_imports() -> set[str]:
+    names = set()
+    for path in sorted((ROOT / "src" / "tgne").glob("*.py")):
+        names |= _imported_names(path)
     return names
 
 
@@ -33,12 +45,40 @@ def test_third_party_imports_are_declared():
         re.match(r"[A-Za-z0-9_.-]+", req).group().lower().replace("-", "_")
         for req in project["dependencies"]
     }
-    imported = set()
-    for path in sorted((ROOT / "src" / "tgne").glob("*.py")):
-        imported |= _imported_modules(path)
+    imported = {name.split(".")[0] for name in _package_imports()}
     third_party = imported - set(sys.stdlib_module_names) - {"__future__", "tgne"}
     assert third_party, "found no third-party import: the scan is broken"
     assert third_party <= declared, f"undeclared: {sorted(third_party - declared)}"
+
+
+def test_package_does_not_import_scipy_stats():
+    # importing scipy.stats costs ~21 MB of resident memory in every process
+    imported = _package_imports()
+    assert "scipy.optimize.minimize" in imported, "the scan is broken"
+    stats = sorted(n for n in imported if n == "scipy.stats" or n.startswith("scipy.stats."))
+    assert not stats, f"src/tgne imports {stats}"
+
+
+FRESH_IMPORT = """
+import sys
+import scipy.optimize, scipy.sparse, scipy.special
+if "scipy.stats" in sys.modules:
+    print("preloaded")
+else:
+    import tgne, tgne.cli
+    print("loaded" if "scipy.stats" in sys.modules else "clean")
+"""
+
+
+def test_fresh_import_leaves_scipy_stats_out():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", FRESH_IMPORT], capture_output=True, text=True, env=env, check=True
+    ).stdout.strip()
+    if out == "preloaded":
+        pytest.skip("this SciPy loads scipy.stats itself from special, sparse or optimize")
+    assert out == "clean", "importing tgne.cli loaded scipy.stats"
 
 
 # the lowest release of each dependency that has what the package uses

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.optimize import minimize
 from scipy.special import expit
+from scipy.stats import rankdata
 
 from tgne import evaluation, events
 from tgne.events import IntervalPartition, interval_counts, split_edges
@@ -16,6 +17,7 @@ from tgne.evaluation import (
     _exact_rate_std,
     _lambda_batch,
     _lsdm_nll_grad,
+    _average_ranks,
     _rejection_sample,
     _swapped_destinations,
     auc,
@@ -380,6 +382,64 @@ class TestAuc:
     def test_single_class_rejected(self):
         with pytest.raises(ValueError):
             auc_from_scores(np.array([0.1, 0.2]), np.array([1, 1]))
+
+    # few distinct values, so most draws hold ties; -0.0 ties with 0.0
+    tie_prone = st.sampled_from([-np.inf, -1.5, -0.0, 0.0, 0.25, 1.0, np.inf])
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        values=st.one_of(
+            st.lists(tie_prone, min_size=1, max_size=60),
+            st.lists(st.floats(allow_nan=False), min_size=1, max_size=60),
+            st.lists(st.integers(-3, 3), min_size=1, max_size=60),
+            st.lists(st.integers(-(2**62), 2**62), min_size=1, max_size=60),
+        )
+    )
+    def test_average_ranks_are_rankdata_bit_for_bit(self, values):
+        x = np.asarray(values)
+        ranks = _average_ranks(x)
+        expected = rankdata(x)
+        assert ranks.dtype == expected.dtype == np.float64
+        assert ranks.tobytes() == expected.tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        data=st.lists(st.tuples(tie_prone, st.integers(0, 1)), min_size=2, max_size=60).filter(
+            lambda rows: len({label for _, label in rows}) == 2
+        )
+    )
+    def test_equals_pair_counting_exactly(self, data):
+        scores = np.array([s for s, _ in data])
+        labels = np.array([label for _, label in data])
+        pos, neg = scores[labels == 1], scores[labels == 0]
+        # a half-integer count over the same denominator: exact on both sides
+        count = sum((p > n) + 0.5 * (p == n) for p in pos for n in neg)
+        assert auc_from_scores(scores, labels) == count / (pos.size * neg.size)
+
+    def test_infinite_scores_rank_as_extremes(self):
+        scores = np.array([np.inf, 0.3, -np.inf, 0.1])
+        assert auc_from_scores(scores, np.array([1, 1, 0, 0])) == 1.0
+        assert auc_from_scores(scores, np.array([0, 1, 1, 0])) == 0.25
+
+    def test_nan_score_rejected(self):
+        with pytest.raises(ValueError, match="NaN score at position 2"):
+            auc_from_scores(np.array([0.1, 0.2, np.nan, 0.4]), np.array([1, 0, 1, 0]))
+
+    def test_label_outside_zero_one_rejected(self):
+        # ranked as a third class, this returned 1.0 where the 0/1 rows give 0.5
+        with pytest.raises(ValueError, match="labels must be 0 or 1, got 2 at position 1"):
+            auc_from_scores(np.array([0.5, 0.1, 0.9, 0.2]), np.array([1, 2, 0, 0]))
+
+    @pytest.mark.parametrize(
+        "scores, labels",
+        [
+            (np.array([0.1, 0.2, 0.3]), np.array([1, 0])),
+            (np.array([[0.1, 0.2], [0.3, 0.4]]), np.array([[1, 0], [0, 1]])),
+        ],
+    )
+    def test_shape_mismatch_rejected(self, scores, labels):
+        with pytest.raises(ValueError, match="1-D scores and labels of one length"):
+            auc_from_scores(scores, labels)
 
     @settings(max_examples=30, deadline=None)
     @given(

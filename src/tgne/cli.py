@@ -58,8 +58,6 @@ _FIT_DEFAULTS = {
     "lr_beta": 1e-5,
     "rate_model": "euclidean",
     "negatives": None,
-    "batch": None,
-    "mc_samples": 1,
     "seed": 0,
     "beta_init": None,
     "directed": False,
@@ -80,11 +78,16 @@ _EVAL_DEFAULTS = {
 
 _SCORE_DEFAULTS = {"scorer": "tgne"}
 
-# config keys of deleted flags, which older config.json files hold: read and ignored
+_ANY = object()
+
+# config keys of deleted flags, which older config.json files hold, each with
+# the one value it may take (_ANY: read and ignored). A key whose flag changed
+# the fit takes only the value that ran the fit that remains.
 _RETIRED_KEYS = {
-    "fit": {"riemann_r", "threads", "strict_deterministic"},
-    "eval": {"directed", "lsdm_lr", "threads", "strict_deterministic"},
-    "score": {"B", "seed"},
+    "fit": {"riemann_r": _ANY, "threads": _ANY, "strict_deterministic": _ANY,
+            "batch": None, "mc_samples": 1},
+    "eval": {"directed": _ANY, "lsdm_lr": _ANY, "threads": _ANY, "strict_deterministic": _ANY},
+    "score": {"B": _ANY, "seed": _ANY},
 }
 
 
@@ -92,7 +95,8 @@ def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
     """Merge built-in defaults, config-file values, and explicit flags.
 
     A config key must be a flag of the command, a key the command echoes into
-    its ``config.json``, or the key of a deleted flag; any other raises.
+    its ``config.json``, or the key of a deleted flag at a value it accepts
+    (``_RETIRED_KEYS``); any other raises.
     """
     config = {}
     if getattr(args, "config", None):
@@ -100,10 +104,18 @@ def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
             config = json.load(handle)
         if not isinstance(config, dict):
             raise ValueError("--config must contain a JSON object")
-        known = defaults.keys() | vars(args).keys() | _RETIRED_KEYS.get(args.command, set())
+        retired = _RETIRED_KEYS.get(args.command, {})
+        known = defaults.keys() | vars(args).keys() | retired.keys()
         unknown = sorted(config.keys() - (known - {"func"}))
         if unknown:
             raise ValueError(f"unknown --config key {unknown[0]!r} for {args.command}")
+        for key, only in retired.items():
+            if key in config and only is not _ANY and config[key] != only:
+                raise ValueError(
+                    f"--config key {key!r} is {json.dumps(config[key])}, but {args.command} "
+                    f"--{key.replace('_', '-')} was deleted; only its old default "
+                    f"{json.dumps(only)} is accepted"
+                )
     resolved = {}
     for key, default in defaults.items():
         value = getattr(args, key, None)
@@ -157,7 +169,7 @@ def _make_split(ev: EventList, resolved: dict):
 def cmd_fit(args: argparse.Namespace) -> int:
     resolved = _resolve(args, _FIT_DEFAULTS)
     # Hyperparams checks the counts a --config file gives, as the flags' types
-    # check theirs, before any output is written
+    # check theirs, and every float value, before any output is written
     hp = Hyperparams(
         d=int(resolved["d"]),
         K=int(resolved["K"]),
@@ -168,8 +180,6 @@ def cmd_fit(args: argparse.Namespace) -> int:
         lr_beta=float(resolved["lr_beta"]),
         rate_model=str(resolved["rate_model"]),
         negatives_per_node=None if resolved["negatives"] is None else int(resolved["negatives"]),
-        batch_size=None if resolved["batch"] is None else int(resolved["batch"]),
-        mc_samples=int(resolved["mc_samples"]),
         seed=int(resolved["seed"]),
         beta_init=None if resolved["beta_init"] is None else float(resolved["beta_init"]),
     )
@@ -204,6 +214,8 @@ def _write_instances_csv(path, splits, scorers):
 def cmd_eval(args: argparse.Namespace) -> int:
     resolved = _resolve(args, _EVAL_DEFAULTS)
     scorers = [s.strip() for s in str(resolved["scorers"]).split(",") if s.strip()]
+    if not scorers:
+        raise ValueError(f"--scorers names no scorer; choose from {evl.SCORER_NAMES}")
     unknown = [s for s in scorers if s not in evl.SCORER_NAMES]
     if unknown:
         raise ValueError(f"unknown scorer {unknown[0]!r}; choose from {evl.SCORER_NAMES}")
@@ -223,6 +235,9 @@ def cmd_eval(args: argparse.Namespace) -> int:
             f"node id {at} is {a!r} in the model but {b!r} in the events ({fm.state.n} and "
             f"{ev.n} nodes); fit and eval must use the same dataset"
         )
+    if ev.n < 3:
+        # the rate table pairs each event with a swapped-destination negative
+        raise ValueError(f"eval needs n >= 3 nodes, got n={ev.n}")
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     part = fm.part
@@ -427,11 +442,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit.add_argument("--rate-model", dest="rate_model", choices=["euclidean", "dot"])
     p_fit.add_argument(
         "--negatives", type=_positive_int, help="negative samples per node per epoch (>= 1)"
-    )
-    p_fit.add_argument("--batch", type=_positive_int, help="node batch size per epoch (>= 1)")
-    p_fit.add_argument(
-        "--mc-samples", dest="mc_samples", type=_positive_int,
-        help="reparameterized draws per epoch (>= 1)",
     )
     p_fit.add_argument("--seed", type=int)
     p_fit.add_argument(

@@ -15,7 +15,7 @@ positivity holds by construction.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Optional
 
@@ -26,16 +26,17 @@ from .events import (
     EdgeSplit,
     EventList,
     IntervalPartition,
+    distinct_sorted,
     float_text,
+    in_sorted,
     pair_rows,
-    unique_codes,
     write_csv_columns,
 )
 from .model import (
     EUCLIDEAN,
     SamplingPlan,
     _KINDS,
-    _pair_array,
+    _excluded_codes,
     _pair_codes,
     draw_terms,
     fixed_terms,
@@ -48,17 +49,19 @@ INIT_MU_SCALE = 0.1
 INIT_SIGMA = 0.1
 
 MODEL_FORMAT = "tgne-model-v1"
+_RETIRED_HYPERPARAMS = ("batch_size", "mc_samples")
 
 
 class FitDivergedError(RuntimeError):
-    """Raised when the training loss stops being finite."""
+    """Raised when the training loss, or the state an Adam step leaves,
+    stops being finite; ``what`` names which."""
 
-    def __init__(self, epoch: int, nll: float, kl: float):
+    def __init__(self, epoch: int, nll: float, kl: float, what: str = "loss"):
         self.epoch = epoch
-        self.nll = nll
-        self.kl = kl
+        self.nll = float(nll)
+        self.kl = float(kl)
         super().__init__(
-            f"non-finite loss at epoch {epoch}: nll={nll!r}, kl={kl!r}"
+            f"non-finite {what} at epoch {epoch}: nll={self.nll!r}, kl={self.kl!r}"
         )
 
 
@@ -108,8 +111,6 @@ class Hyperparams:
     riemann_r: int = 10
     rate_model: str = EUCLIDEAN
     negatives_per_node: Optional[int] = None
-    batch_size: Optional[int] = None
-    mc_samples: int = 1
     seed: int = 0
     # None = empirical log mean event count per active pair. The bias barely
     # moves under its tiny learning rate, so its start value sets the rate
@@ -120,13 +121,20 @@ class Hyperparams:
     def __post_init__(self):
         if self.tau0 is None:
             self.tau0 = self.tau
-        for name in ("d", "K", "epochs", "mc_samples"):
+        for name in ("d", "K", "epochs"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.negatives_per_node is not None and self.negatives_per_node < 1:
             raise ValueError(f"negatives_per_node must be >= 1, got {self.negatives_per_node}")
-        if self.batch_size is not None and self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
+        for name in ("tau", "tau0", "lr_phi", "lr_beta", "beta_init"):
+            value = getattr(self, name)
+            if value is not None and not np.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
+        for name in ("tau", "tau0", "lr_phi"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
+        if self.lr_beta < 0:
+            raise ValueError(f"lr_beta must be >= 0, got {self.lr_beta}")
         if self.rate_model not in _KINDS:
             raise ValueError(f"rate_model must be one of {_KINDS}, got {self.rate_model!r}")
 
@@ -142,6 +150,14 @@ class FittedModel:
     node_labels: list[str]
     time_range: Optional[tuple[float, float]] = None
     directed: bool = False
+
+
+def _finite_state(vs: VariationalState) -> bool:
+    """Whether beta, mu and sigma are finite: the prior's check, and the
+    next epoch's draw needs them too."""
+    with np.errstate(over="ignore"):
+        sigma = vs.sigma
+    return bool(np.isfinite(vs.beta) and np.isfinite(vs.mu).all() and np.isfinite(sigma).all())
 
 
 def init_state(n: int, hp: Hyperparams, seed) -> VariationalState:
@@ -247,22 +263,24 @@ class Adam:
 def empirical_beta(ev: EventList, excluded_pairs=frozenset()) -> float:
     """log of the mean event count per interacting pair over the window.
 
-    Held-out pairs (and their events) are left out of the estimate; they are
-    any iterable of (i, j) pairs or an (m, 2) integer array.
+    Held-out pairs (and their events) are left out of the estimate, as
+    ``fixed_terms`` leaves them out of the likelihood: any iterable of (i, j)
+    pairs or an (m, 2) integer array, in either orientation on an undirected
+    graph.
     """
     if ev.m == 0:
         return 0.0
-    n = ev.n
-    codes = _pair_codes(ev.src, ev.dst, n)
-    # held-out pairs match events in stored orientation only
-    ex = _pair_array(excluded_pairs, n)
-    if ex.size:
-        codes = codes[~np.isin(codes, _pair_codes(ex[:, 0], ex[:, 1], n))]
-    m = int(codes.size)
-    pairs = int(unique_codes(codes).size)
-    if m == 0 or pairs == 0:
+    codes = np.sort(_pair_codes(ev.src, ev.dst, ev.n))
+    pairs = distinct_sorted(codes)
+    held = _excluded_codes(excluded_pairs, ev.n, ev.directed)
+    held = held[in_sorted(held, pairs)]
+    # a held-out pair's events are one run of the sorted codes; finding the
+    # runs, not testing each event, keeps this to the one sort
+    m = codes.size - int((np.searchsorted(codes, held, side="right")
+                          - np.searchsorted(codes, held)).sum())
+    if m == 0:
         return 0.0
-    return float(np.log(m / pairs))
+    return float(np.log(m / (pairs.size - held.size)))
 
 
 def fit(
@@ -280,8 +298,9 @@ def fit(
     n = ev.n
     part = IntervalPartition.uniform(hp.K)
     pc = PriorConfig(tau=hp.tau, part=part, d=hp.d, tau0=hp.tau0)
-    root = np.random.SeedSequence(hp.seed)
-    seq_init, seq_eps, seq_plan, seq_batch = root.spawn(4)
+    # a child's stream depends only on its index, so these three are the
+    # first three of any larger spawn (the benchmark's replica spawns four)
+    seq_init, seq_eps, seq_plan = np.random.SeedSequence(hp.seed).spawn(3)
     state = init_state(n, hp, seed=seq_init)
     excluded = split.held_out() if split is not None else frozenset()
     if hp.beta_init is not None:
@@ -292,46 +311,25 @@ def fit(
         state.beta = empirical_beta(ev)
     rng_eps = np.random.default_rng(seq_eps)
     rng_plan = np.random.default_rng(seq_plan)
-    rng_batch = np.random.default_rng(seq_batch)
     plan = SamplingPlan(negatives_per_node=hp.negatives_per_node, excluded_pairs=excluded)
-    static_plan = hp.negatives_per_node is None and hp.batch_size is None
-    terms = fixed = None
-    if static_plan:
-        terms = realize_plan(ev, part, plan)
-    elif hp.batch_size is None:
-        # only the draw depends on the epoch's seed
-        fixed = fixed_terms(ev, part, plan)
+    # only a negatives plan's draw depends on the epoch
+    fixed = fixed_terms(ev, part, plan)
+    terms = draw_terms(fixed, plan.seed) if hp.negatives_per_node is None else None
 
     opt = Adam(state.mu.shape, state.log_sigma.shape, hp.lr_phi, hp.lr_beta)
     trace = np.empty(hp.epochs)
     for epoch in range(hp.epochs):
-        if not static_plan:
-            if hp.batch_size is not None:
-                # the batch sets the weights, so the fixed part changes too
-                size = min(hp.batch_size, n)
-                batch = tuple(sorted(rng_batch.choice(n, size=size, replace=False).tolist()))
-                fixed = fixed_terms(ev, part, replace(plan, node_batch=batch))
+        if hp.negatives_per_node is not None:
             terms = draw_terms(fixed, int(rng_plan.integers(2**63)))
-
-        loss = 0.0
-        nll = kl = 0.0
-        d_mu = np.zeros_like(state.mu)
-        d_ls = np.zeros_like(state.log_sigma)
-        d_beta = 0.0
-        for _ in range(hp.mc_samples):
-            eps = rng_eps.standard_normal(state.mu.shape)
-            out = _elbo_value_grad(state, ev, part, pc, hp.rate_model, terms, eps, want_grad=True)
-            loss += out[0]
-            nll += out[1]
-            kl += out[2]
-            d_mu += out[3]
-            d_ls += out[4]
-            d_beta += out[5]
-        inv = 1.0 / hp.mc_samples
-        loss *= inv
+        eps = rng_eps.standard_normal(state.mu.shape)
+        loss, nll, kl, d_mu, d_ls, d_beta = _elbo_value_grad(
+            state, ev, part, pc, hp.rate_model, terms, eps, want_grad=True
+        )
         if not np.isfinite(loss):
-            raise FitDivergedError(epoch, nll * inv, kl * inv)
-        opt.step(state, d_mu * inv, d_ls * inv, d_beta * inv)
+            raise FitDivergedError(epoch, nll, kl)
+        opt.step(state, d_mu, d_ls, d_beta)
+        if not _finite_state(state):
+            raise FitDivergedError(epoch, nll, kl, what="state after the Adam step")
         trace[epoch] = loss
 
     return FittedModel(
@@ -435,7 +433,9 @@ def load_model(path: str | Path) -> FittedModel:
     if len(doc["node_labels"]) != n:
         raise ValueError(f"node_labels has {len(doc['node_labels'])} entries, expected n = {n}")
     state = VariationalState(mu=mu, log_sigma=log_sigma, beta=beta)
-    hp = Hyperparams(**doc["hyperparams"])
+    # keys of deleted options, which older files store at their defaults
+    hyper = {k: v for k, v in doc["hyperparams"].items() if k not in _RETIRED_HYPERPARAMS}
+    hp = Hyperparams(**hyper)
     if (hp.K, hp.d) != (K, d):
         raise ValueError(f"hyperparams has (K, d) = {(hp.K, hp.d)} but the arrays have {(K, d)}")
     return FittedModel(

@@ -430,16 +430,13 @@ def cumulative_rate_closed(
 class SamplingPlan:
     """How the likelihood sums over pairs.
 
-    ``None`` everywhere means the full likelihood. ``negatives_per_node``
-    switches the never-interacting survival terms to a reweighted per-node
-    subsample; ``node_batch`` restricts to terms touching the given nodes and
-    rescales by n/|batch|. ``excluded_pairs`` (e.g. held-out validation/test
-    pairs) are dropped from the likelihood entirely and never appear in
-    negative pools.
+    ``None`` means the full likelihood. ``negatives_per_node`` switches the
+    never-interacting survival terms to a reweighted per-node subsample.
+    ``excluded_pairs`` (e.g. held-out validation/test pairs) are dropped from
+    the likelihood entirely and never appear in negative pools.
     """
 
     negatives_per_node: Optional[int] = None
-    node_batch: Optional[tuple[int, ...]] = None
     seed: int = 0
     excluded_pairs: frozenset = frozenset()
 
@@ -500,6 +497,15 @@ def _pair_array(pairs, n: int) -> np.ndarray:
     """Pairs as an (m, 2) int64 array, without those naming a node outside 0..n-1."""
     arr = _pairs_to_array(pairs)
     return arr[((arr >= 0) & (arr < n)).all(axis=1)]
+
+
+def _excluded_codes(pairs, n: int, directed: bool) -> np.ndarray:
+    """The ascending distinct codes of ``pairs`` (as ``_pair_array`` reads them),
+    an undirected pair's in the stored orientation i < j."""
+    ex = _pair_array(pairs, n)
+    if not directed:
+        ex = np.sort(ex, axis=1)
+    return unique_codes(_pair_codes(ex[:, 0], ex[:, 1], n))
 
 
 def _pair_incidence(pair_i: np.ndarray, pair_j: np.ndarray, n: int) -> csc_matrix:
@@ -587,10 +593,10 @@ def _draw_partners(
 class _FixedTerms:
     """The part of a realized plan that its seed does not change.
 
-    ``pair_i``, ``pair_j`` and ``pair_w`` are the exact survival pairs: every
-    pair of a full plan, or the interacting pairs of a negatives plan, which
-    lead the survival rows, so the event groups and their ``ev_cell`` (see
-    ``_Terms``) are fixed too. Under ``negatives_per_node`` node ``nodes[r]``
+    ``pair_i`` and ``pair_j`` are the exact survival pairs, each weighing 1
+    in ``pair_w``: every pair of a full plan, or the interacting pairs of a
+    negatives plan, which lead the survival rows, so the event groups and
+    their ``ev_cell`` (see ``_Terms``) are fixed too. Under ``negatives_per_node`` node ``nodes[r]``
     draws ``take[r]`` of its ``pool[r]`` free partners (``blocked`` and
     ``starts`` as in ``_draw_partners``), each drawn pair weighing
     ``neg_w[r]``; ``nodes`` is None for a full plan, which draws nothing.
@@ -625,42 +631,17 @@ def fixed_terms(ev: EventList, part: IntervalPartition, plan: SamplingPlan) -> _
     """
     n = ev.n
     excluded = _pair_array(plan.excluded_pairs, n)
-    canon = excluded if ev.directed else np.sort(excluded, axis=1)
-    excl_codes = unique_codes(_pair_codes(canon[:, 0], canon[:, 1], n))
+    excl_codes = _excluded_codes(excluded, n, ev.directed)
     if plan.negatives_per_node is not None and plan.negatives_per_node < 1:
         raise ValueError(f"negatives_per_node must be >= 1, got {plan.negatives_per_node}")
 
-    in_batch = None
-    scale = 1.0
-    if plan.node_batch is not None:
-        batch = np.sort(np.asarray(plan.node_batch, dtype=np.int64))
-        if batch.size == 0:
-            raise ValueError("node batch must be non-empty")
-        if batch[0] < 0 or batch[-1] >= n:
-            raise ValueError(f"node batch ids must lie in 0..{n - 1}")
-        if np.any(batch[1:] == batch[:-1]):
-            raise ValueError("node batch ids must be distinct")
-        in_batch = np.zeros(n, dtype=bool)
-        in_batch[batch] = True
-        scale = n / batch.size
-
-    def pair_weights(pi: np.ndarray, pj: np.ndarray) -> np.ndarray:
-        if in_batch is None:
-            return np.ones(pi.shape[0], dtype=np.float64)
-        if ev.directed:
-            return scale * in_batch[pi].astype(np.float64)
-        return scale * 0.5 * (in_batch[pi].astype(np.float64) + in_batch[pj].astype(np.float64))
-
     draw = {}
     if plan.negatives_per_node is None:
-        ui, uj = _all_pair_arrays(n, ev.directed)
-        if excl_codes.size:
-            keep = ~in_sorted(_pair_codes(ui, uj, n), excl_codes)
-            ui, uj = ui[keep], uj[keep]
-        w = pair_weights(ui, uj)
-        nz = w > 0
-        pair_i, pair_j, pair_w = ui[nz], uj[nz], w[nz]
+        pair_i, pair_j = _all_pair_arrays(n, ev.directed)
         pair_codes = _pair_codes(pair_i, pair_j, n)  # ascending, in triu or meshgrid order
+        if excl_codes.size:
+            keep = ~in_sorted(pair_codes, excl_codes)
+            pair_i, pair_j, pair_codes = pair_i[keep], pair_j[keep], pair_codes[keep]
     else:
         pos_codes = unique_codes(_pair_codes(ev.src, ev.dst, n))
         if ev.directed and pos_codes.size:
@@ -670,12 +651,8 @@ def fixed_terms(ev: EventList, part: IntervalPartition, plan: SamplingPlan) -> _
             pos_codes = unique_codes(np.concatenate([pos_codes, rev]))
         if excl_codes.size:
             pos_codes = pos_codes[~in_sorted(pos_codes, excl_codes)]
-        pos_i = pos_codes // n
-        pos_j = pos_codes % n
-        w_pos = pair_weights(pos_i, pos_j)
-        nz = w_pos > 0
-        pair_codes = pos_codes[nz]  # the leading rows; every event pair is among them
-        pair_i, pair_j, pair_w = pos_i[nz], pos_j[nz], w_pos[nz]
+        pair_codes = pos_codes  # the leading rows; every event pair is among them
+        pair_i, pair_j = np.divmod(pos_codes, n)
 
         # blocked (node, partner) codes: event partners and excluded pairs in
         # both orientations, and the node itself; node i owns [i*n, (i+1)*n)
@@ -685,28 +662,25 @@ def fixed_terms(ev: EventList, part: IntervalPartition, plan: SamplingPlan) -> _
             [src * n + dst, dst * n + src, np.arange(n, dtype=np.int64) * (n + 1)]
         ))
         starts = np.searchsorted(blocked, np.arange(n + 1, dtype=np.int64) * n)
-        nodes = np.arange(n, dtype=np.int64) if in_batch is None else batch
-        pool = n - (starts[nodes + 1] - starts[nodes])
-        nodes, pool = nodes[pool > 0], pool[pool > 0]
+        pool = n - np.diff(starts)
+        nodes = np.flatnonzero(pool > 0)
+        pool = pool[nodes]
         take = np.minimum(plan.negatives_per_node, pool)
         half = 1.0 if ev.directed else 0.5
-        draw = dict(nodes=nodes, pool=pool, take=take, neg_w=scale * half * pool / take,
+        draw = dict(nodes=nodes, pool=pool, take=take, neg_w=half * pool / take,
                     blocked=blocked, starts=starts)
 
     if ev.m:
         k1, s = part.local_coord(ev.time)
-        ew = pair_weights(ev.src, ev.dst)
-        keep = ew > 0
         K = part.K
-        k0 = np.atleast_1d(k1)[keep].astype(np.int64) - 1
-        s = np.atleast_1d(s)[keep]
-        w = ew[keep]
-        ev_code = _pair_codes(ev.src, ev.dst, n)[keep]
-        groups, group_of = np.unique(ev_code * K + k0, return_inverse=True)
-        ws = w * s
-        ev_w0 = np.bincount(group_of, weights=w, minlength=groups.size)
-        ev_w1 = np.bincount(group_of, weights=ws, minlength=groups.size)
-        ev_w2 = np.bincount(group_of, weights=ws * s, minlength=groups.size)
+        k0 = np.atleast_1d(k1).astype(np.int64) - 1
+        s = np.atleast_1d(s)
+        groups, group_of = np.unique(_pair_codes(ev.src, ev.dst, n) * K + k0,
+                                     return_inverse=True)
+        # every event weighs 1: ev_w0 counts a group's events
+        ev_w0 = np.bincount(group_of, minlength=groups.size).astype(np.float64)
+        ev_w1 = np.bincount(group_of, weights=s, minlength=groups.size)
+        ev_w2 = np.bincount(group_of, weights=s * s, minlength=groups.size)
         pair, ev_k0 = np.divmod(groups, K)
         if excl_codes.size:
             # an excluded pair's events make up groups of their own: drop those,
@@ -719,6 +693,7 @@ def fixed_terms(ev: EventList, part: IntervalPartition, plan: SamplingPlan) -> _
         ev_i = ev_j = ev_k0 = ev_cell = np.empty(0, dtype=np.int64)
         ev_w0 = ev_w1 = ev_w2 = np.empty(0, dtype=np.float64)
 
+    pair_w = np.ones(pair_i.size)
     return _FixedTerms(n, pair_i, pair_j, pair_w, ev_i, ev_j, ev_k0, ev_w0, ev_w1, ev_w2,
                        ev_cell, **draw)
 
@@ -749,7 +724,7 @@ def realize_plan(ev: EventList, part: IntervalPartition, plan: SamplingPlan) -> 
     """Materialize a sampling plan into weighted survival and event terms.
 
     Deterministic given the plan's seed: ``draw_terms(fixed_terms(ev, part,
-    plan), plan.seed)``. Under ``negatives_per_node`` = S, each sampled node i
+    plan), plan.seed)``. Under ``negatives_per_node`` = S, each node i
     keeps its interacting pairs and draws take_i = min(S, pool_i) partners,
     uniformly without replacement, from its pool: the nodes it never meets
     and that no excluded pair joins it to. All nodes draw in one vectorized
@@ -763,8 +738,7 @@ def realize_plan(ev: EventList, part: IntervalPartition, plan: SamplingPlan) -> 
     unordered pair can be drawn from both endpoints, and the halving makes
     the estimator exact when take_i = pool_i and unbiased otherwise.
 
-    Raises ``ValueError`` for ``negatives_per_node`` < 1 and for an empty
-    ``node_batch`` or one with a repeated or out-of-range node id.
+    Raises ``ValueError`` for ``negatives_per_node`` < 1.
     """
     return draw_terms(fixed_terms(ev, part, plan), plan.seed)
 

@@ -1,10 +1,13 @@
+import argparse
 import csv
 import io
 import json
+import re
+from pathlib import Path
 
 import pytest
 
-from tgne.cli import main
+from tgne.cli import build_parser, main
 from tgne.evaluation import rate_vs_uncertainty_table
 from tgne.events import parse_events
 from tgne.inference import load_model
@@ -145,6 +148,90 @@ class TestFit:
                   "--out", str(tmp_path / "x"), *flag])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("flag", [["--batch", "5"], ["--mc-samples", "2"]])
+    def test_deleted_sampling_flags_usage_error(self, sim_dir, tmp_path, flag):
+        with pytest.raises(SystemExit) as exc:
+            main(["fit", "--events", str(sim_dir / "events.csv"),
+                  "--out", str(tmp_path / "x"), *flag])
+        assert exc.value.code == 2
+        assert not (tmp_path / "x").exists()
+
+    def test_config_with_deleted_sampling_keys_at_defaults_reproduces_outputs(self, tmp_path,
+                                                                             sim_dir):
+        """A config.json that echoes --batch and --mc-samples at their defaults
+        (null, 1) still re-runs identically and no longer echoes them."""
+        first = tmp_path / "first"
+        assert run(
+            ["fit", "--events", sim_dir / "events.csv", "--out", first,
+             "--K", 4, "--epochs", 8, "--seed", 6]
+        ) == 0
+        old = json.loads((first / "config.json").read_text())
+        old.update(batch=None, mc_samples=1)
+        cfg = tmp_path / "old_config.json"
+        cfg.write_text(json.dumps(old))
+        second = tmp_path / "second"
+        assert run(
+            ["fit", "--events", sim_dir / "events.csv", "--out", second, "--config", cfg]
+        ) == 0
+        echoed = json.loads((second / "config.json").read_text())
+        assert "batch" not in echoed and "mc_samples" not in echoed
+        for name in ("model.json", "loss.csv", "embeddings.csv", "nodes.csv"):
+            assert (first / name).read_bytes() == (second / name).read_bytes()
+
+    @pytest.mark.parametrize("key, value, shown", [
+        ("batch", 20, "20"), ("batch", 0, "0"), ("mc_samples", 4, "4"),
+        ("mc_samples", None, "null"),
+    ])
+    def test_deleted_sampling_key_off_default_exits_one_before_output(
+        self, sim_dir, tmp_path, capsys, key, value, shown
+    ):
+        """Ignoring "batch": 20 would run another fit than the file asks for."""
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({key: value}))
+        out = tmp_path / "x"
+        assert run(["fit", "--events", sim_dir / "events.csv", "--out", out,
+                    "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert f"--config key {key!r} is {shown}" in err
+        assert f"fit --{key.replace('_', '-')} was deleted" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("tau", -1.0, "tau must be > 0, got -1.0"),
+        ("tau", 0.0, "tau must be > 0, got 0.0"),
+        ("tau", "nan", "tau must be finite, got nan"),
+        ("tau0", 0.0, "tau0 must be > 0, got 0.0"),
+        ("tau0", "inf", "tau0 must be finite, got inf"),
+        ("lr_phi", -0.01, "lr_phi must be > 0, got -0.01"),
+        ("lr_phi", "nan", "lr_phi must be finite, got nan"),
+        ("lr_beta", -1e-5, "lr_beta must be >= 0, got -1e-05"),
+        ("lr_beta", "inf", "lr_beta must be finite, got inf"),
+        ("beta_init", "nan", "beta_init must be finite, got nan"),
+        ("beta_init", "-inf", "beta_init must be finite, got -inf"),
+    ])
+    @pytest.mark.parametrize("via", ["flag", "config"])
+    def test_bad_float_hyperparams_exit_one_before_output(self, sim_dir, tmp_path, capsys,
+                                                         key, value, message, via):
+        out = tmp_path / "x"
+        args = ["fit", "--events", sim_dir / "events.csv", "--out", out, "--epochs", 3]
+        if via == "flag":
+            # with "=", as argparse would read -1e-05 as a flag
+            args.append(f"--{key.replace('_', '-')}={value}")
+        else:
+            cfg = tmp_path / "run.json"
+            # json writes the non-finite floats as NaN and Infinity, which json.load reads
+            cfg.write_text(json.dumps({key: float(value)}))
+            args += ["--config", cfg]
+        assert run(args) == 1
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_lr_beta_zero_is_accepted(self, sim_dir, tmp_path):
+        out = tmp_path / "x"
+        assert run(["fit", "--events", sim_dir / "events.csv", "--out", out, "--K", 3,
+                    "--epochs", 2, "--lr-beta", 0]) == 0
+        assert (out / "model.json").exists()
+
     def test_config_file_with_flag_override(self, tmp_path, sim_dir):
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps({"epochs": 5, "K": 3, "seed": 9}))
@@ -163,9 +250,7 @@ class TestFit:
         assert run(["fit", "--events", tmp_path / "nope.csv", "--out", tmp_path / "o"]) == 1
         assert "error:" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("flag, value", [
-        ("--negatives", "0"), ("--negatives", "-3"), ("--batch", "-2"), ("--batch", "0"),
-    ])
+    @pytest.mark.parametrize("flag, value", [("--negatives", "0"), ("--negatives", "-3")])
     def test_sampling_flags_below_one_usage_error(self, sim_dir, tmp_path, capsys, flag, value):
         with pytest.raises(SystemExit) as exc:
             main(["fit", "--events", str(sim_dir / "events.csv"),
@@ -174,7 +259,7 @@ class TestFit:
         assert f"argument {flag}: must be >= 1, got {value}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flag, value", [
-        ("--epochs", "0"), ("--K", "0"), ("--d", "-1"), ("--mc-samples", "0"),
+        ("--epochs", "0"), ("--K", "0"), ("--d", "-1"),
     ])
     def test_count_flags_below_one_usage_error(self, sim_dir, tmp_path, capsys, flag, value):
         with pytest.raises(SystemExit) as exc:
@@ -190,8 +275,7 @@ class TestFit:
                   "--out", str(tmp_path / "x"), "--riemann-r", "10"])
         assert exc.value.code == 2
 
-    @pytest.mark.parametrize("key, name", [("negatives", "negatives_per_node"),
-                                           ("batch", "batch_size")])
+    @pytest.mark.parametrize("key, name", [("negatives", "negatives_per_node")])
     def test_sampling_config_below_one_exits_one(self, sim_dir, tmp_path, capsys, key, name):
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps({key: 0}))
@@ -200,7 +284,7 @@ class TestFit:
         assert f"error: {name} must be >= 1, got 0" in capsys.readouterr().err
 
     @pytest.mark.parametrize("key, value", [
-        ("epochs", 0), ("K", 0), ("d", -1), ("mc_samples", 0),
+        ("epochs", 0), ("K", 0), ("d", -1),
     ])
     def test_count_config_below_one_exits_one_before_output(self, sim_dir, tmp_path, capsys,
                                                             key, value):
@@ -374,11 +458,12 @@ class TestEval:
         assert run(["fit", "--events", events, "--out", tmp_path / "fit",
                     "--K", 2, "--epochs", 3]) == 0
         capsys.readouterr()
-        # no scorers: the reconstruction benchmark has no negatives on one pair
+        # the reconstruction benchmark has no negatives on one pair, whatever the scorer
         code = run(["eval", "--events", events, "--model", tmp_path / "fit" / "model.json",
-                    "--out", tmp_path / "eval", "--test-frac", 0, "--B", 2, "--scorers", ""])
+                    "--out", tmp_path / "eval", "--test-frac", 0, "--B", 2, "--scorers", "pa"])
         assert code == 1
         assert "needs n >= 3" in capsys.readouterr().err
+        assert not (tmp_path / "eval").exists()
 
     @pytest.mark.parametrize("flag", [["--threads", "2"], ["--strict-deterministic"],
                                       ["--directed"], ["--no-directed"]])
@@ -461,6 +546,15 @@ class TestEval:
                     tmp_path / "missing.json", "--out", out, "--scorers", "tgne,tgne,pa"])
         assert code == 1
         assert "scorer 'tgne' is named twice" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("names", ["", ",,", " , "])
+    def test_no_scorer_exits_one_before_any_file_is_read(self, tmp_path, capsys, names):
+        out = tmp_path / "eval"
+        code = run(["eval", "--events", tmp_path / "missing.csv", "--model",
+                    tmp_path / "missing.json", "--out", out, "--scorers", names])
+        assert code == 1
+        assert "--scorers names no scorer" in capsys.readouterr().err
         assert not out.exists()
 
     def test_unknown_config_key_exits_one_before_output(self, sim_dir, fit_dir, tmp_path,
@@ -560,3 +654,18 @@ class TestScore:
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
         assert exc.value.code == 2
+
+
+def test_readme_names_only_existing_flags():
+    """Every --flag README.md names outside its pip commands is a flag of some
+    tgne subcommand, so a deleted flag cannot linger in the docs."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    named = {
+        flag
+        for line in readme.splitlines() if "pip " not in line
+        for flag in re.findall(r"(?<![\w-])--[A-Za-z][\w-]*", line)
+    }
+    subcommands = next(a for a in build_parser()._actions
+                       if isinstance(a, argparse._SubParsersAction)).choices.values()
+    flags = {s for sub in subcommands for a in sub._actions for s in a.option_strings}
+    assert named and named <= flags, sorted(named - flags)

@@ -37,6 +37,7 @@ from tgne.model import (
     total_nll,
 )
 from tgne.prior import PriorConfig, kl_to_prior
+from tgne.simulate import default_sbm_spec, sbm_generate
 
 from conftest import random_events
 
@@ -205,8 +206,7 @@ class TestLossGradient:
         ev, part, pc, vs, eps = tiny_problem(seed=5, n=6, m=30)
         for plan in (
             SamplingPlan(negatives_per_node=2, seed=3),
-            SamplingPlan(node_batch=(0, 2, 4), seed=1),
-            SamplingPlan(negatives_per_node=1, node_batch=(1, 3), seed=2),
+            SamplingPlan(negatives_per_node=1, seed=2),
         ):
             d_mu, d_ls, d_beta = loss_gradient(vs, ev, part, pc, EUCLIDEAN, plan, eps)
             h = 1e-5
@@ -336,35 +336,52 @@ class TestFit:
             fit(ten_node_events, hp)
         assert err.value.epoch >= 0
 
-    def test_negative_sampling_and_batch_modes_run(self, sbm_sample):
-        hp = Hyperparams(epochs=5, seed=1, negatives_per_node=5, batch_size=20)
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_divergent_step_raises_with_its_epoch(self):
+        """A step that leaves sigma = exp(log sigma) infinite is reported at
+        its own epoch, before the next epoch's prior check can fire."""
+        ev = sbm_generate(default_sbm_spec(n=12, seed=1)).events
+        with pytest.raises(FitDivergedError) as err:
+            fit(ev, Hyperparams(epochs=50, lr_phi=1e3, lr_beta=10.0))
+        assert err.value.epoch == 0
+        assert str(err.value).startswith("non-finite state after the Adam step at epoch 0: ")
+        assert "np.float64(" not in str(err.value)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_loss_after_epoch_zero_prints_plain_floats(self):
+        """After the first Adam step beta is a numpy scalar; the message still
+        shows each value as a plain float."""
+        ev = sbm_generate(default_sbm_spec(n=12, seed=1)).events
+        with pytest.raises(FitDivergedError) as err:
+            fit(ev, Hyperparams(epochs=50, lr_beta=1e4))
+        assert err.value.epoch == 3
+        assert str(err.value).startswith("non-finite loss at epoch 3: nll=inf, kl=")
+        assert "np.float64(" not in str(err.value)
+        assert type(err.value.nll) is float and type(err.value.kl) is float
+
+    def test_negative_sampling_mode_runs(self, sbm_sample):
+        hp = Hyperparams(epochs=5, seed=1, negatives_per_node=5)
         fm = fit(sbm_sample.events, hp)
         assert np.all(np.isfinite(fm.loss_trace))
 
-    @pytest.mark.parametrize("negatives, batch, directed", [
-        (20, None, False), (20, None, True), (5, 20, False), (None, 20, False),
-    ])
+    @pytest.mark.parametrize("directed", [False, True])
     def test_plan_parts_match_a_realize_plan_per_epoch(self, sbm_sample, monkeypatch,
-                                                       negatives, batch, directed):
-        """fit builds a plan's fixed part once per fit (per epoch under a
-        batch) and draws from it; the trace and state equal, bit for bit, a
-        fit that realizes each epoch's plan from scratch, its seed and batch
-        drawn from the third and fourth children of the fit seed."""
+                                                       directed):
+        """fit builds a negatives plan's fixed part once per fit and draws from
+        it; the trace and state equal, bit for bit, a fit that realizes each
+        epoch's plan from scratch, its seed drawn from the third child of the
+        fit seed."""
         ev = sbm_sample.events
         if directed:
             ev = EventList(src=ev.dst, dst=ev.src, time=ev.time, n=ev.n, directed=True)
-        hp = Hyperparams(epochs=6, seed=2, negatives_per_node=negatives, batch_size=batch)
+        hp = Hyperparams(epochs=6, seed=2, negatives_per_node=20)
         split = split_edges(ev, 0.1, 0.0, seed=0)
         parts = fit(ev, hp, split=split)
 
-        _, _, seq_plan, seq_batch = np.random.SeedSequence(hp.seed).spawn(4)
-        rng_plan, rng_batch = np.random.default_rng(seq_plan), np.random.default_rng(seq_batch)
+        rng_plan = np.random.default_rng(np.random.SeedSequence(hp.seed).spawn(3)[2])
 
         def epoch_plan(_fixed, _seed):
-            nodes = None
-            if batch is not None:
-                nodes = tuple(sorted(rng_batch.choice(ev.n, size=batch, replace=False).tolist()))
-            plan = SamplingPlan(negatives_per_node=negatives, node_batch=nodes,
+            plan = SamplingPlan(negatives_per_node=hp.negatives_per_node,
                                 seed=int(rng_plan.integers(2**63)),
                                 excluded_pairs=frozenset(split.held_out()))
             return realize_plan(ev, IntervalPartition.uniform(hp.K), plan)
@@ -381,11 +398,6 @@ class TestFit:
         fm = fit(ten_node_events, hp)
         assert np.all(np.isfinite(fm.loss_trace))
         assert fm.loss_trace[-1] < fm.loss_trace[0]
-
-    def test_multi_sample_elbo_fit(self, ten_node_events):
-        hp = Hyperparams(K=3, epochs=10, seed=0, mc_samples=3)
-        fm = fit(ten_node_events, hp)
-        assert np.all(np.isfinite(fm.loss_trace))
 
     def test_directed_events_fit(self):
         ev = random_events(n=8, m=30, seed=2, directed=True)
@@ -429,7 +441,29 @@ class TestFit:
         assert np.isclose(mean_frame_displacement(vs), 5.0)
 
 
+class TestHyperparams:
+    # tests/test_cli.py checks every rejected float through the flags and --config
+    def test_float_edges_accepted(self):
+        hp = Hyperparams(tau=1e-300, lr_phi=1e-300, lr_beta=0.0, beta_init=-50.0)
+        assert hp.tau0 == 1e-300
+
+
 class TestModelIo:
+    def test_older_file_with_deleted_options_loads(self, tmp_path, ten_node_events):
+        fm = fit(ten_node_events, Hyperparams(K=3, epochs=2, seed=0))
+        path = tmp_path / "m.json"
+        save_model(fm, path)
+        doc = json.loads(path.read_text())
+        doc["hyperparams"].update(batch_size=None, mc_samples=1)
+        old = tmp_path / "old.json"
+        old.write_text(json.dumps(doc))
+        back = load_model(old)
+        assert back.hyper == fm.hyper
+        assert back.state.mu.tobytes() == fm.state.mu.tobytes()
+        again = tmp_path / "again.json"
+        save_model(back, again)
+        assert again.read_bytes() == path.read_bytes()
+
     def test_round_trip(self, tmp_path, ten_node_events):
         fm = fit(ten_node_events, Hyperparams(K=3, epochs=4, seed=0))
         path = tmp_path / "model.json"
@@ -587,9 +621,12 @@ class TestModelIo:
 
 
 def set_based_empirical_beta(ev, excluded_pairs=frozenset()):
-    """empirical_beta through per-event tuple membership and a set of pairs."""
+    """empirical_beta through per-event tuple membership and a set of pairs,
+    an undirected pair in either orientation."""
     if ev.m == 0:
         return 0.0
+    if not ev.directed:
+        excluded_pairs = {(min(a, b), max(a, b)) for a, b in excluded_pairs}
     if excluded_pairs:
         keep = ~np.asarray(
             [(a, b) in excluded_pairs for a, b in zip(ev.src.tolist(), ev.dst.tolist())]
@@ -612,9 +649,37 @@ class TestEmpiricalBeta:
         rng = np.random.default_rng(seed)
         pairs = sorted(ev.unique_pairs())
         held = [pairs[r] for r in rng.choice(len(pairs), size=len(pairs) // 3, replace=False)]
-        flipped = {(b, a) for a, b in held[: len(held) // 2]}  # match no stored event
+        # the reverse orientation: undirected, the same pair; directed, no stored event
+        flipped = {(b, a) for a, b in held[: len(held) // 2]}
         for excluded in (frozenset(), frozenset(held), frozenset(held) | flipped,
                          frozenset(pairs), frozenset({(0, 99), (-1, 2)})):
             got = empirical_beta(ev, excluded)
             assert got == set_based_empirical_beta(ev, excluded)
             assert type(got) is float
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        n=st.integers(2, 9),
+        m=st.integers(0, 40),
+        directed=st.booleans(),
+        picks=st.lists(st.tuples(st.integers(-1, 9), st.integers(-1, 9)), max_size=12),
+        as_array=st.booleans(),
+    )
+    def test_excludes_what_the_likelihood_excludes(self, seed, n, m, directed, picks,
+                                                    as_array):
+        """Pairs in any order and orientation, repeated or naming no node, as a
+        set or an array: the bias start leaves out exactly the events and
+        pairs that realize_plan leaves out of the likelihood."""
+        ev = random_events(n=n, m=m, seed=seed, directed=directed)
+        pairs = [(a, b) for a, b in picks if a != b]
+        excluded = np.asarray(pairs, dtype=np.int64).reshape(-1, 2) if as_array else pairs
+        got = empirical_beta(ev, excluded)
+        assert got == set_based_empirical_beta(ev, pairs)
+        terms = realize_plan(ev, IntervalPartition.uniform(2),
+                             SamplingPlan(excluded_pairs=frozenset(pairs)))
+        events = terms.ev_w0.sum()
+        kept_pairs = np.unique(terms.ev_i * n + terms.ev_j).size
+        assert got == (float(np.log(events / kept_pairs)) if events else 0.0)
+        if not directed:
+            assert got == empirical_beta(ev, [(b, a) for a, b in pairs])

@@ -406,22 +406,6 @@ class TestTotalNll:
         se = vals.std(ddof=1) / np.sqrt(draws)
         assert abs(vals.mean() - full) < 3 * se
 
-    def test_node_batch_unbiased(self, ten_node_events):
-        rng = np.random.default_rng(14)
-        ev = ten_node_events
-        part = IntervalPartition.uniform(3)
-        cfg = random_config(rng, n=ev.n, K=3, scale=0.6)
-        rm = RateModel(EUCLIDEAN, 0.1)
-        full = total_nll(cfg, rm, ev, part, SamplingPlan.full())
-        batch_rng = np.random.default_rng(0)
-        draws = 2000
-        vals = np.empty(draws)
-        for s in range(draws):
-            batch = tuple(sorted(batch_rng.choice(ev.n, size=4, replace=False).tolist()))
-            vals[s] = total_nll(cfg, rm, ev, part, SamplingPlan(node_batch=batch))
-        se = vals.std(ddof=1) / np.sqrt(draws)
-        assert abs(vals.mean() - full) < 3 * se
-
     def test_directed_decomposes_over_ordered_pairs(self):
         rng = np.random.default_rng(30)
         ev = random_events(n=3, m=14, seed=31, directed=True)
@@ -727,20 +711,6 @@ def ref_negative_plan(ev, plan):
         ),
         dtype=np.int64,
     )
-    in_batch = None
-    scale = 1.0
-    if plan.node_batch is not None:
-        in_batch = np.zeros(n, dtype=bool)
-        in_batch[list(plan.node_batch)] = True
-        scale = n / len(plan.node_batch)
-
-    def pair_weights(pi, pj):
-        if in_batch is None:
-            return np.ones(pi.shape[0], dtype=np.float64)
-        if ev.directed:
-            return scale * in_batch[pi].astype(np.float64)
-        return scale * 0.5 * (in_batch[pi].astype(np.float64) + in_batch[pj].astype(np.float64))
-
     pos_codes = np.unique(ev.src.astype(np.int64) * n + ev.dst.astype(np.int64))
     if ev.directed:
         rev = (pos_codes % n) * n + pos_codes // n
@@ -748,8 +718,6 @@ def ref_negative_plan(ev, plan):
     if excl_codes.size:
         pos_codes = pos_codes[~np.isin(pos_codes, excl_codes)]
     pos_i, pos_j = pos_codes // n, pos_codes % n
-    w_pos = pair_weights(pos_i, pos_j)
-    nz = w_pos > 0
 
     partners = [set() for _ in range(n)]
     for a, b in zip(ev.src.tolist(), ev.dst.tolist()):
@@ -759,16 +727,15 @@ def ref_negative_plan(ev, plan):
     for a, b in plan.excluded_pairs:
         excluded_of.setdefault(a, set()).add(b)
         excluded_of.setdefault(b, set()).add(a)
-    nodes = sorted(plan.node_batch) if plan.node_batch is not None else range(n)
     half = 1.0 if ev.directed else 0.5
     pools = []
-    for i in nodes:
+    for i in range(n):
         blocked = partners[i] | excluded_of.get(i, set())
         pool = [j for j in range(n) if j != i and j not in blocked]
         if pool:
             take = min(plan.negatives_per_node, len(pool))
-            pools.append((i, pool, take, scale * half * len(pool) / take))
-    return (pos_i[nz], pos_j[nz], w_pos[nz]), pools
+            pools.append((i, pool, take, half * len(pool) / take))
+    return (pos_i, pos_j, np.ones(pos_i.size)), pools
 
 
 def assert_plan_matches_reference(ev, plan):
@@ -802,22 +769,15 @@ class TestNegativePoolsMatchListForm:
         directed=st.booleans(),
         S=st.integers(1, 12),
         n_excl=st.integers(0, 6),
-        use_batch=st.booleans(),
     )
-    def test_random_plans(self, seed, n, m, directed, S, n_excl, use_batch):
+    def test_random_plans(self, seed, n, m, directed, S, n_excl):
         ev = random_events(n=n, m=m, seed=seed, directed=directed)
         rng = np.random.default_rng(seed + 1)
         excluded = set()
         for _ in range(n_excl):
             a, b = rng.choice(n, size=2, replace=False).tolist()
             excluded.add((a, b))  # either orientation, as given
-        batch = None
-        if use_batch:
-            size = int(rng.integers(1, n + 1))
-            batch = tuple(sorted(rng.choice(n, size=size, replace=False).tolist()))
-        plan = SamplingPlan(
-            negatives_per_node=S, node_batch=batch, seed=seed, excluded_pairs=frozenset(excluded)
-        )
+        plan = SamplingPlan(negatives_per_node=S, seed=seed, excluded_pairs=frozenset(excluded))
         assert_plan_matches_reference(ev, plan)
 
     @pytest.mark.parametrize("directed", [False, True])
@@ -832,11 +792,9 @@ class TestNegativePoolsMatchListForm:
                        directed=directed)
         met_by_0 = set(ev.dst[ev.src == 0].tolist()) | set(ev.src[ev.dst == 0].tolist())
         assert met_by_0 == set(range(1, n))
-        excluded = frozenset({(3, 1), (1, 6)})
-        for batch in (None, (0, 3, 4)):
-            plan = SamplingPlan(negatives_per_node=2, node_batch=batch, seed=5,
-                                excluded_pairs=excluded)
-            assert_plan_matches_reference(ev, plan)
+        plan = SamplingPlan(negatives_per_node=2, seed=5,
+                            excluded_pairs=frozenset({(3, 1), (1, 6)}))
+        assert_plan_matches_reference(ev, plan)
 
 
 def assert_terms_bits_equal(got, want):
@@ -860,22 +818,15 @@ class TestPlanParts:
         directed=st.booleans(),
         S=st.one_of(st.none(), st.integers(1, 12)),
         n_excl=st.integers(0, 6),
-        use_batch=st.booleans(),
     )
-    def test_one_fixed_part_serves_every_draw(self, seed, n, m, K, directed, S, n_excl,
-                                               use_batch):
+    def test_one_fixed_part_serves_every_draw(self, seed, n, m, K, directed, S, n_excl):
         """The fit builds the fixed part once and draws from it each epoch:
         every draw equals realize_plan under the same seed, bit for bit, and
         leaves the fixed part as it was."""
         ev = random_events(n=n, m=m, seed=seed, directed=directed)
         rng = np.random.default_rng(seed + 1)
         excluded = {tuple(rng.choice(n, size=2, replace=False).tolist()) for _ in range(n_excl)}
-        batch = None
-        if use_batch:
-            batch = tuple(sorted(rng.choice(n, size=int(rng.integers(1, n + 1)),
-                                            replace=False).tolist()))
-        plan = SamplingPlan(negatives_per_node=S, node_batch=batch,
-                            excluded_pairs=frozenset(excluded))
+        plan = SamplingPlan(negatives_per_node=S, excluded_pairs=frozenset(excluded))
         part = IntervalPartition.uniform(K)
         fixed = model.fixed_terms(ev, part, plan)
         before = {f.name: np.copy(getattr(fixed, f.name)) for f in dataclasses.fields(fixed)
@@ -898,15 +849,12 @@ def sampler_events(directed):
 
 
 class TestNegativeSampler:
-    @pytest.mark.parametrize("directed, batch", [
-        (False, None), (True, None), (False, (0, 1, 2, 3, 7, 8)),
-    ])
-    def test_inclusion_frequencies(self, directed, batch):
+    @pytest.mark.parametrize("directed", [False, True])
+    def test_inclusion_frequencies(self, directed):
         """Each pool member is picked in take / |pool| of the plans, within
         binomial bounds over 5,000 seeds; a whole pool in every plan."""
         ev = sampler_events(directed)
-        plan = SamplingPlan(negatives_per_node=3, node_batch=batch,
-                            excluded_pairs=frozenset({(8, 9)}))
+        plan = SamplingPlan(negatives_per_node=3, excluded_pairs=frozenset({(8, 9)}))
         exact, pools = ref_negative_plan(ev, plan)
         kinds = {"whole" if take == len(pool) else "complement" if 2 * take > len(pool)
                  else "draw" for _, pool, take, _ in pools}
@@ -949,16 +897,6 @@ class TestNegativeSampler:
         monkeypatch.setattr(model, "SEEN_CELLS", n * n)
         assert peak()[0] > 12e6
 
-    @pytest.mark.parametrize("batch, match", [
-        ((1, 1, 3), "distinct"), ((1, 9), "0..5"), ((-1, 3), "0..5"), ((), "non-empty"),
-    ])
-    def test_bad_node_batch(self, batch, match):
-        ev = random_events(n=6, m=10, seed=1)
-        for negatives in (None, 2):
-            plan = SamplingPlan(negatives_per_node=negatives, node_batch=batch)
-            with pytest.raises(ValueError, match=match):
-                realize_plan(ev, IntervalPartition.uniform(2), plan)
-
     @pytest.mark.parametrize("negatives", [0, -3])
     def test_negatives_below_one(self, negatives):
         ev = random_events(n=6, m=10, seed=1)
@@ -986,16 +924,8 @@ class PerEventTerms:
 
 
 def ref_event_weights(ev, plan):
-    """Per-event weights: n/|batch| scaling, 0 for an excluded pair."""
-    n = ev.n
+    """Per-event weights: 1, and 0 for an excluded pair."""
     w = np.ones(ev.m)
-    if plan.node_batch is not None:
-        in_batch = np.isin(np.arange(n), plan.node_batch).astype(np.float64)
-        scale = n / len(plan.node_batch)
-        if ev.directed:
-            w = scale * in_batch[ev.src]
-        else:
-            w = scale * 0.5 * (in_batch[ev.src] + in_batch[ev.dst])
     excluded = {canonical_pair(a, b, ev.directed) for a, b in plan.excluded_pairs}
     for m, pair in enumerate(zip(ev.src.tolist(), ev.dst.tolist())):
         if pair in excluded:
@@ -1069,18 +999,14 @@ def grouped_events(seed, n, m, K, directed, n_pairs):
     return EventList(src=src[order], dst=dst[order], time=t[order], n=n, directed=directed)
 
 
-def grouped_plan(ev, seed, n_excl, use_batch):
+def grouped_plan(ev, seed, n_excl):
     rng = np.random.default_rng(seed + 1)
     pairs = sorted(ev.unique_pairs())
     excluded = set()
     for r in rng.integers(0, len(pairs), size=n_excl):
         a, b = pairs[r]
         excluded.add((b, a) if rng.random() < 0.5 else (a, b))  # either orientation, as given
-    batch = None
-    if use_batch:
-        size = int(rng.integers(1, ev.n + 1))
-        batch = tuple(sorted(rng.choice(ev.n, size=size, replace=False).tolist()))
-    return SamplingPlan(node_batch=batch, excluded_pairs=frozenset(excluded))
+    return SamplingPlan(excluded_pairs=frozenset(excluded))
 
 
 class TestEventGroups:
@@ -1095,12 +1021,10 @@ class TestEventGroups:
         kind=st.sampled_from([EUCLIDEAN, DOT]),
         n_pairs=st.integers(1, 4),
         n_excl=st.integers(0, 2),
-        use_batch=st.booleans(),
     )
-    def test_matches_per_event_sum(self, seed, n, m, K, d, directed, kind, n_pairs, n_excl,
-                                   use_batch):
+    def test_matches_per_event_sum(self, seed, n, m, K, d, directed, kind, n_pairs, n_excl):
         ev = grouped_events(seed, n, m, K, directed, n_pairs)
-        plan = grouped_plan(ev, seed, n_excl, use_batch)
+        plan = grouped_plan(ev, seed, n_excl)
         part = IntervalPartition.uniform(K)
         rng = np.random.default_rng(seed + 2)
         z = rng.standard_normal((n, K + 1, d))
@@ -1130,13 +1054,12 @@ class TestEventGroups:
         directed=st.booleans(),
         n_pairs=st.integers(1, 6),
         n_excl=st.integers(0, 3),
-        use_batch=st.booleans(),
     )
     def test_groups_are_sorted_unique_and_keep_the_event_weight(
-        self, seed, n, m, K, directed, n_pairs, n_excl, use_batch
+        self, seed, n, m, K, directed, n_pairs, n_excl
     ):
         ev = grouped_events(seed, n, m, K, directed, n_pairs)
-        plan = grouped_plan(ev, seed, n_excl, use_batch)
+        plan = grouped_plan(ev, seed, n_excl)
         part = IntervalPartition.uniform(K)
         terms = realize_plan(ev, part, plan)
         ref = ref_realize_plan(ev, part, plan)
@@ -1149,11 +1072,10 @@ class TestEventGroups:
         assert np.all(terms.ev_w0 > 0)
         assert np.all((terms.ev_w1 >= terms.ev_w2) & (terms.ev_w1 <= terms.ev_w0))
 
-    @pytest.mark.parametrize("negatives, batch", [(None, None), (5, 20)])
-    def test_fit_matches_per_event_kernel(self, sbm_sample, monkeypatch, negatives, batch):
+    @pytest.mark.parametrize("negatives", [None, 5])
+    def test_fit_matches_per_event_kernel(self, sbm_sample, monkeypatch, negatives):
         ev = sbm_sample.events
-        hp = inference.Hyperparams(epochs=30, seed=3, negatives_per_node=negatives,
-                                   batch_size=batch)
+        hp = inference.Hyperparams(epochs=30, seed=3, negatives_per_node=negatives)
         split = split_edges(ev, 0.1, 0.0, seed=0)
         folded = inference.fit(ev, hp, split=split)
         realize_each_plan(monkeypatch, ref_realize_plan)
@@ -1304,7 +1226,6 @@ FOLD_PLANS = {
     "full": (False, SamplingPlan(excluded_pairs=frozenset({(3, 1), (20, 7)})), 1),
     "negatives": (False, SamplingPlan(negatives_per_node=30, seed=4,
                                       excluded_pairs=frozenset({(3, 1)})), 0),
-    "node_batch": (False, SamplingPlan(node_batch=tuple(range(0, 50, 4)) + (47,)), 0),
     "directed": (True, SamplingPlan(excluded_pairs=frozenset({(1, 3)})), 1),
 }
 
@@ -1399,11 +1320,10 @@ class TestBlockedSurvival:
         alone, no_dz, _ = nll_value_grad(z, -1.0, kind, part, terms)
         assert alone == value and no_dz is None
 
-    @pytest.mark.parametrize("negatives, batch", [(None, None), (5, 20)])
-    def test_fit_matches_row_kernel(self, sbm_sample, monkeypatch, negatives, batch):
+    @pytest.mark.parametrize("negatives", [None, 5])
+    def test_fit_matches_row_kernel(self, sbm_sample, monkeypatch, negatives):
         ev = sbm_sample.events
-        hp = inference.Hyperparams(epochs=30, seed=3, negatives_per_node=negatives,
-                                   batch_size=batch)
+        hp = inference.Hyperparams(epochs=30, seed=3, negatives_per_node=negatives)
         split = split_edges(ev, 0.1, 0.0, seed=0)
         blocked = inference.fit(ev, hp, split=split)
         realize_each_plan(monkeypatch, ref_realize_plan)

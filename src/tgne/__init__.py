@@ -12,6 +12,7 @@ from .events import (
     EventParseError,
     IntervalPartition,
     interval_counts,
+    pair_codes,
     pair_rows,
     parse_events,
     split_edges,

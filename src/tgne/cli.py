@@ -183,10 +183,10 @@ def cmd_fit(args: argparse.Namespace) -> int:
         seed=int(resolved["seed"]),
         beta_init=None if resolved["beta_init"] is None else float(resolved["beta_init"]),
     )
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
     ev = parse_events(args.events, directed=bool(resolved["directed"]))
     split = _make_split(ev, resolved)
+    outdir = Path(args.out)
+    outdir.mkdir(parents=True, exist_ok=True)
     fm = fit(ev, hp, split=split)
     save_model(fm, outdir / "model.json")
     write_loss_csv(fm, outdir / "loss.csv")
@@ -238,10 +238,10 @@ def cmd_eval(args: argparse.Namespace) -> int:
     if ev.n < 3:
         # the rate table pairs each event with a swapped-destination negative
         raise ValueError(f"eval needs n >= 3 nodes, got n={ev.n}")
+    split = _make_split(ev, resolved)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     part = fm.part
-    split = _make_split(ev, resolved)
     counts = interval_counts(ev, part)
     rng = np.random.SeedSequence(seed)
 
@@ -266,7 +266,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
             warnings.warn(
                 f"interval k = {', '.join(map(str, stopped))}: distance-model fit stopped "
                 f"at the --lsdm-iters cap of {opts.iters} (gradient inf-norm up to "
-                f"{worst:.3g}, tolerance {opts.grad_tol:g}); see lsdm_fit in auc.json",
+                f"{worst:.3g}, tolerance {evl.LSDM_GRAD_TOL:g}); see lsdm_fit in auc.json",
                 RuntimeWarning,
             )
 
@@ -329,7 +329,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     )
 
     # edge-level posterior-predictive uncertainty over the training pairs
-    pi, pj = train_counts.active_pair_arrays()
+    pi, pj = train_counts.active_pairs()
     if pi.size:
         ii, jj = pi.repeat(K), pj.repeat(K)
         kk0 = np.tile(np.arange(K), pi.size)

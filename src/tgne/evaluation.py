@@ -51,15 +51,14 @@ from .events import (
     Pair,
     in_sorted,
     interval_counts,
+    pair_codes,
     unique_codes,
 )
 from .inference import FittedModel, VariationalState
 from .model import (
     EUCLIDEAN,
-    _all_pair_arrays,
+    _all_pairs,
     _endpoints,
-    _pair_array,
-    _pairs_to_array,
     _rate_batch,
 )
 
@@ -88,36 +87,10 @@ class InstanceTable(_Columns):
 
 
 def restrict_counts(counts: CountTensor, pairs: Iterable[Pair] | np.ndarray) -> CountTensor:
-    """Counts filtered down to the given pairs (train-only views).
-
-    Pairs naming a node outside 0..n-1 are dropped: their codes would alias
-    other pairs'.
-    """
-    keep = _pair_array(pairs, counts.n)
-    if not counts.directed:
-        keep = np.sort(keep, axis=1)
-    sel = in_sorted(counts.codes // counts.K, unique_codes(keep[:, 0] * counts.n + keep[:, 1]))
+    """Counts filtered down to the given pairs (train-only views); ``pairs``
+    as ``pair_codes`` reads them."""
+    sel = in_sorted(counts.codes // counts.K, pair_codes(pairs, counts.n, counts.directed))
     return CountTensor(counts.n, counts.K, counts.directed, counts.codes[sel], counts.values[sel])
-
-
-def _sorted_pairs(
-    pairs: Iterable[Pair] | np.ndarray, n: int, directed: bool
-) -> tuple[np.ndarray, np.ndarray]:
-    """Stored-orientation pairs as (i, j) arrays in ascending (i, j) order.
-
-    Raises ValueError at the first pair that names a node outside 0..n-1.
-    """
-    arr = _pairs_to_array(pairs)
-    bad = np.flatnonzero(((arr < 0) | (arr >= n)).any(axis=1))
-    if bad.size:
-        a, b = arr[bad[0]].tolist()
-        raise ValueError(f"pair ({a}, {b}) names a node outside 0..{n - 1}")
-    if not directed:
-        arr = np.sort(arr, axis=1)
-    # (i, j) order is code order; a stable sort takes pairs already in it
-    # (a split's code rows) in one pass
-    order = np.argsort(arr[:, 0] * n + arr[:, 1], kind="stable")
-    return arr[order, 0], arr[order, 1]
 
 
 def build_instances(
@@ -133,16 +106,15 @@ def build_instances(
     the interval) from the node-pair universe restricted to pairs with no
     event in that interval. Returns the instances (per interval, positives
     then negatives, each in ascending (i, j) order) plus a per-interval
-    shortfall count for intervals whose negatives ran out. ``pairs`` is any
-    iterable of (i, j) pairs or an (m, 2) integer array; a pair naming a
-    node outside 0..n-1 raises ValueError.
+    shortfall count for intervals whose negatives ran out. ``pairs`` is read
+    by ``pair_codes``.
     """
-    pair_i, pair_j = _sorted_pairs(pairs, counts.n, counts.directed)
     n = counts.n
+    split_code = pair_codes(pairs, n, counts.directed)
+    pair_i, pair_j = np.divmod(split_code, n)
     universe = n * (n - 1) if counts.directed else n * (n - 1) // 2
     pair_code, k0 = np.divmod(counts.codes, counts.K)  # pair codes i * n + j
     # active_in[k - 1, p]: the split's p-th pair has an event in interval k
-    split_code = pair_i * n + pair_j  # ascending, as the pairs are sorted
     in_split = in_sorted(pair_code, split_code)
     active_in = np.zeros((counts.K, split_code.size), dtype=bool)
     active_in[k0[in_split], np.searchsorted(split_code, pair_code[in_split])] = True
@@ -162,7 +134,7 @@ def build_instances(
         if take and n_inactive <= 4 * take:
             # dense interval: enumerate the inactive pairs in (i, j) order and
             # sample directly; sorted picks give the chosen pairs in order
-            all_i, all_j = _all_pair_arrays(n, counts.directed)
+            all_i, all_j = _all_pairs(n, counts.directed)
             free = np.ones(universe, dtype=bool)
             free[np.searchsorted(all_i * n + all_j, active)] = False
             picks = np.sort(rng.choice(n_inactive, size=take, replace=False))
@@ -306,21 +278,23 @@ def score_tgne_many(fm: FittedModel, ii, jj, kk) -> np.ndarray:
     )
 
 
+LSDM_INIT_SCALE = 0.1  # std of the start positions z
+LSDM_GRAD_TOL = 1e-4  # a fit has converged below this gradient inf-norm
+
+
 @dataclass
 class LsdmOpts:
     """Settings for the per-interval binary latent distance fit.
 
     ``iters`` (>= 1) caps the L-BFGS-B iterations, and the objective
     evaluations up to the end of the iteration that passes it. The fit has
-    converged when the gradient's inf-norm is below ``grad_tol``. ``lr`` is
-    accepted and ignored: L-BFGS-B chooses its own steps.
+    converged when the gradient's inf-norm is below ``LSDM_GRAD_TOL``.
+    ``lr`` is accepted and ignored: L-BFGS-B chooses its own steps.
     """
 
     iters: int = 800
     lr: float = 0.05
-    init_scale: float = 0.1
     seed: int = 0
-    grad_tol: float = 1e-4
 
     def __post_init__(self):
         if self.iters < 1:
@@ -404,11 +378,9 @@ def fit_lsdm(
     Maximizes the Bernoulli likelihood of y_ij = 1{N_ij(I_k) >= 1} over the
     training pairs, with p = logistic(beta - ||z_i - z_j||^2), by L-BFGS-B
     on the packed vector (z, beta). It stops only when the gradient's
-    inf-norm falls below ``opts.grad_tol`` or at the ``opts.iters`` cap;
+    inf-norm falls below ``LSDM_GRAD_TOL`` or at the ``opts.iters`` cap;
     every accepted iterate lowers the objective. No temporal coupling: every
-    interval is fit independently. ``train_pairs`` is any iterable of (i, j)
-    pairs or an (m, 2) integer array; a pair naming a node outside 0..n-1
-    raises ValueError.
+    interval is fit independently. ``train_pairs`` is read by ``pair_codes``.
     """
     return _LsdmFitter(counts, train_pairs, d, opts).fit(k)
 
@@ -419,7 +391,7 @@ def fit_lsdm_intervals(
     d: int,
     opts: Optional[LsdmOpts] = None,
 ) -> dict[int, LsdmModel]:
-    """``fit_lsdm`` for each interval k = 1..K, with the pairs sorted once."""
+    """``fit_lsdm`` for each interval k = 1..K, with the pairs read once."""
     fitter = _LsdmFitter(counts, train_pairs, d, opts)
     return {k: fitter.fit(k) for k in range(1, counts.K + 1)}
 
@@ -431,13 +403,13 @@ class _LsdmFitter:
     def __init__(self, counts: CountTensor, train_pairs, d: int, opts: Optional[LsdmOpts]):
         self.counts, self.d = counts, d
         self.opts = opts or LsdmOpts()
-        self.ii, self.jj = _sorted_pairs(train_pairs, counts.n, counts.directed)
+        self.ii, self.jj = np.divmod(pair_codes(train_pairs, counts.n, counts.directed), counts.n)
         if self.ii.size == 0:
             raise ValueError("need at least one training pair")
         n = counts.n
         rng = np.random.default_rng(self.opts.seed)
         # x holds z coordinate by coordinate, then beta
-        self.x0 = np.append(self.opts.init_scale * rng.standard_normal((n, d)).T, 0.0)
+        self.x0 = np.append(LSDM_INIT_SCALE * rng.standard_normal((n, d)).T, 0.0)
         self.index = np.concatenate([self.ii, self.jj]) + n * np.arange(d)[:, None]
 
     def fit(self, k: int) -> LsdmModel:
@@ -466,13 +438,13 @@ class _LsdmFitter:
 
         res = minimize(
             value, self.x0, jac=gradient, method="L-BFGS-B", callback=record,
-            options={"maxiter": opts.iters, "maxfun": opts.iters, "gtol": opts.grad_tol,
+            options={"maxiter": opts.iters, "maxfun": opts.iters, "gtol": LSDM_GRAD_TOL,
                      "ftol": 0.0},
         )
         grad_inf = float(np.abs(res.jac).max())
         return LsdmModel(
             z=res.x[:-1].reshape(d, n).T.copy(), beta=float(res.x[-1]),
-            nll_trace=np.asarray(trace), converged=grad_inf < opts.grad_tol,
+            nll_trace=np.asarray(trace), converged=grad_inf < LSDM_GRAD_TOL,
             iterations=int(res.nit), evaluations=int(res.nfev), grad_inf=grad_inf,
         )
 
@@ -880,23 +852,15 @@ def _exact_lambda_moments(
     return mean * lengths, np.sqrt(np.maximum(var, 0.0)) * lengths
 
 
-def regression_slope_from_points(
-    n_values: np.ndarray, stds: np.ndarray, per_unique_n: bool = True
-) -> float:
-    """OLS slope of uncertainty against interaction count.
-
-    With ``per_unique_n`` the regression points are the mean std over each
-    unique count value (one point per distinct N); otherwise the raw points.
-    """
+def regression_slope_from_points(n_values: np.ndarray, stds: np.ndarray) -> float:
+    """OLS slope of uncertainty against interaction count, over one point per
+    distinct count value: the mean std of the points with that count."""
     n_values = np.asarray(n_values, dtype=np.float64)
     stds = np.asarray(stds, dtype=np.float64)
     if np.unique(n_values).size < 2:
         raise ValueError("regression needs at least two distinct interaction counts")
-    if per_unique_n:
-        xs = np.unique(n_values)
-        ys = np.asarray([stds[n_values == x].mean() for x in xs])
-    else:
-        xs, ys = n_values, stds
+    xs = np.unique(n_values)
+    ys = np.asarray([stds[n_values == x].mean() for x in xs])
     slope, _intercept = np.polyfit(xs, ys, 1)
     return float(slope)
 
@@ -908,18 +872,17 @@ def uncertainty_regression(
     part: IntervalPartition,
     B: int = 200,
     seed: int = 0,
-    per_unique_n: bool = True,
 ) -> float:
     """OLS slope of posterior Std(Lambda_ij(I_k)) against N_ij(I_k).
 
     The std is exact for both rate kinds; ``B`` and ``seed`` are accepted
     and ignored. The population is every (pair, interval) with the
     pair taken from the given counts (pass a train-restricted tensor to stay
-    on training data), including the pair's zero-count intervals. By default
-    the regression runs on per-unique-N averages of the std;
-    ``per_unique_n=False`` uses the raw (N, std) points instead.
+    on training data), including the pair's zero-count intervals. The
+    regression runs on per-unique-N averages of the std
+    (``regression_slope_from_points``).
     """
-    pi, pj = counts.active_pair_arrays()
+    pi, pj = counts.active_pairs()
     if not pi.size:
         raise ValueError("counts contain no active pairs")
     K = part.K
@@ -927,7 +890,7 @@ def uncertainty_regression(
     kk0 = np.tile(np.arange(K), pi.size)
     _, stds = _exact_lambda_moments(vs, part, ii, jj, kk0, kind=rm_kind)
     n_events = counts.counts_of(ii, jj, kk0 + 1).astype(np.float64)
-    return regression_slope_from_points(n_events, stds, per_unique_n=per_unique_n)
+    return regression_slope_from_points(n_events, stds)
 
 
 @dataclass(eq=False)

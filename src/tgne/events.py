@@ -16,7 +16,7 @@ import io
 import itertools
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional, Sequence, TextIO
+from typing import Iterable, Optional, Sequence, TextIO
 
 import numpy as np
 import orjson
@@ -519,7 +519,7 @@ class CountTensor:
         out[hit] = values[pos[hit]]
         return out
 
-    def active_pair_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+    def active_pairs(self) -> tuple[np.ndarray, np.ndarray]:
         """(i, j) arrays of the pairs active in some interval, ascending (i, j)."""
         # codes ascend, so their pair codes do too
         return np.divmod(distinct_sorted(self.codes // self.K), self.n)
@@ -586,6 +586,28 @@ def interval_counts(ev: EventList, part: IntervalPartition) -> CountTensor:
 def pair_rows(codes: np.ndarray, n: int) -> np.ndarray:
     """Pair codes i * n + j as an (m, 2) int64 array of (i, j) rows, in code order."""
     return np.stack(np.divmod(codes, n), axis=1)
+
+
+def pair_codes(pairs: Iterable[Pair] | np.ndarray, n: int, directed: bool) -> np.ndarray:
+    """The ascending distinct int64 codes i * n + j of a pair set.
+
+    ``pairs`` is any iterable of (i, j) pairs or an (m, 2) integer array; an
+    undirected pair is coded in the stored orientation i < j. Raises
+    ValueError at the first pair, in iteration order, that names a node
+    outside 0..n-1: its code would alias another pair's.
+    """
+    if isinstance(pairs, np.ndarray) and pairs.dtype.kind in "iu" and pairs.shape[1:] == (2,):
+        arr = pairs.astype(np.int64, copy=False)
+    else:
+        arr = np.fromiter(itertools.chain.from_iterable(pairs), np.int64).reshape(-1, 2)
+    bad = np.flatnonzero(((arr < 0) | (arr >= n)).any(axis=1))
+    if bad.size:
+        a, b = arr[bad[0]].tolist()
+        raise ValueError(f"pair ({a}, {b}) names a node outside 0..{n - 1}")
+    i, j = arr[:, 0], arr[:, 1]
+    if not directed:
+        i, j = np.minimum(i, j), np.maximum(i, j)
+    return unique_codes(i * n + j)
 
 
 @dataclass(frozen=True, eq=False)
@@ -656,7 +678,7 @@ def split_edges(
     shuffled in ascending code order, test first, then validation, then
     train; each part keeps its codes sorted.
     """
-    if test_frac < 0 or val_frac < 0 or test_frac + val_frac >= 1:
+    if not (test_frac >= 0 and val_frac >= 0 and test_frac + val_frac < 1):  # NaN fails too
         raise ValueError("need 0 <= test_frac + val_frac < 1")
     # ascending pair codes are the pairs in sorted (i, j) order
     codes = unique_codes(ev.src * ev.n + ev.dst)

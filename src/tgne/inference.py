@@ -29,6 +29,7 @@ from .events import (
     distinct_sorted,
     float_text,
     in_sorted,
+    pair_codes,
     pair_rows,
     write_csv_columns,
 )
@@ -36,8 +37,6 @@ from .model import (
     EUCLIDEAN,
     SamplingPlan,
     _KINDS,
-    _excluded_codes,
-    _pair_codes,
     draw_terms,
     fixed_terms,
     nll_value_grad,
@@ -218,20 +217,21 @@ def loss_gradient(
     return d_mu, d_log_sigma, d_beta
 
 
+ADAM_BETA1 = 0.9  # decay rate of the first moment
+ADAM_BETA2 = 0.999  # decay rate of the second moment
+ADAM_EPS = 1e-8
+
+
 class Adam:
     """Adaptive-moment optimizer over (mu, log_sigma) and the scalar beta.
 
-    Decay rates 0.9 / 0.999, epsilon 1e-8, bias-corrected; phi parameters
-    use lr_phi and beta uses lr_beta.
+    Decay rates ``ADAM_BETA1`` / ``ADAM_BETA2``, epsilon ``ADAM_EPS``,
+    bias-corrected; phi parameters use lr_phi and beta uses lr_beta.
     """
 
-    def __init__(self, shape_mu, shape_sigma, lr_phi: float, lr_beta: float,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, shape_mu, shape_sigma, lr_phi: float, lr_beta: float):
         self.lr_phi = lr_phi
         self.lr_beta = lr_beta
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m_mu = np.zeros(shape_mu)
         self.v_mu = np.zeros(shape_mu)
@@ -240,39 +240,37 @@ class Adam:
         self.m_beta = 0.0
         self.v_beta = 0.0
 
-    def _update(self, m, v, g, lr, bc1, bc2):
-        m *= self.beta1
-        m += (1.0 - self.beta1) * g
-        v *= self.beta2
-        v += (1.0 - self.beta2) * (g * g)
-        return lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+    @staticmethod
+    def _update(m, v, g, lr, bc1, bc2):
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * (g * g)
+        return lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
 
     def step(self, vs: VariationalState, d_mu, d_log_sigma, d_beta) -> None:
         self.t += 1
-        bc1 = 1.0 - self.beta1**self.t
-        bc2 = 1.0 - self.beta2**self.t
+        bc1 = 1.0 - ADAM_BETA1**self.t
+        bc2 = 1.0 - ADAM_BETA2**self.t
         vs.mu -= self._update(self.m_mu, self.v_mu, d_mu, self.lr_phi, bc1, bc2)
         vs.log_sigma -= self._update(self.m_ls, self.v_ls, d_log_sigma, self.lr_phi, bc1, bc2)
-        self.m_beta = self.beta1 * self.m_beta + (1.0 - self.beta1) * d_beta
-        self.v_beta = self.beta2 * self.v_beta + (1.0 - self.beta2) * d_beta * d_beta
-        vs.beta -= self.lr_beta * (self.m_beta / bc1) / (
-            np.sqrt(self.v_beta / bc2) + self.eps
-        )
+        self.m_beta = ADAM_BETA1 * self.m_beta + (1.0 - ADAM_BETA1) * d_beta
+        self.v_beta = ADAM_BETA2 * self.v_beta + (1.0 - ADAM_BETA2) * d_beta * d_beta
+        vs.beta -= self.lr_beta * (self.m_beta / bc1) / (np.sqrt(self.v_beta / bc2) + ADAM_EPS)
 
 
 def empirical_beta(ev: EventList, excluded_pairs=frozenset()) -> float:
     """log of the mean event count per interacting pair over the window.
 
     Held-out pairs (and their events) are left out of the estimate, as
-    ``fixed_terms`` leaves them out of the likelihood: any iterable of (i, j)
-    pairs or an (m, 2) integer array, in either orientation on an undirected
-    graph.
+    ``fixed_terms`` leaves them out of the likelihood; ``excluded_pairs`` is
+    read by ``pair_codes``.
     """
+    held = pair_codes(excluded_pairs, ev.n, ev.directed)
     if ev.m == 0:
         return 0.0
-    codes = np.sort(_pair_codes(ev.src, ev.dst, ev.n))
+    codes = np.sort(ev.src * ev.n + ev.dst)
     pairs = distinct_sorted(codes)
-    held = _excluded_codes(excluded_pairs, ev.n, ev.directed)
     held = held[in_sorted(held, pairs)]
     # a held-out pair's events are one run of the sorted codes; finding the
     # runs, not testing each event, keeps this to the one sort
@@ -302,13 +300,8 @@ def fit(
     # first three of any larger spawn (the benchmark's replica spawns four)
     seq_init, seq_eps, seq_plan = np.random.SeedSequence(hp.seed).spawn(3)
     state = init_state(n, hp, seed=seq_init)
-    excluded = split.held_out() if split is not None else frozenset()
-    if hp.beta_init is not None:
-        state.beta = float(hp.beta_init)
-    elif split is not None:
-        state.beta = empirical_beta(ev, pair_rows(split.held_out_codes, n))
-    else:
-        state.beta = empirical_beta(ev)
+    excluded = pair_rows(split.held_out_codes, n) if split is not None else frozenset()
+    state.beta = float(hp.beta_init) if hp.beta_init is not None else empirical_beta(ev, excluded)
     rng_eps = np.random.default_rng(seq_eps)
     rng_plan = np.random.default_rng(seq_plan)
     plan = SamplingPlan(negatives_per_node=hp.negatives_per_node, excluded_pairs=excluded)

@@ -32,15 +32,14 @@ places each group on its pair's survival row, so one blocked kernel
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterable, Optional
 
 import numpy as np
 from scipy.sparse import csc_matrix
 from scipy.special import dawsn, erfc, erfcx
 
-from .events import EventList, IntervalPartition, in_sorted, unique_codes
+from .events import EventList, IntervalPartition, Pair, in_sorted, pair_codes, unique_codes
 
 SQRT_2PI = np.sqrt(2.0 * np.pi)
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
@@ -432,13 +431,14 @@ class SamplingPlan:
 
     ``None`` means the full likelihood. ``negatives_per_node`` switches the
     never-interacting survival terms to a reweighted per-node subsample.
-    ``excluded_pairs`` (e.g. held-out validation/test pairs) are dropped from
-    the likelihood entirely and never appear in negative pools.
+    ``excluded_pairs`` (e.g. held-out validation/test pairs; any pair set
+    that ``pair_codes`` reads) are dropped from the likelihood entirely and
+    never appear in negative pools.
     """
 
     negatives_per_node: Optional[int] = None
     seed: int = 0
-    excluded_pairs: frozenset = frozenset()
+    excluded_pairs: Iterable[Pair] | np.ndarray = frozenset()
 
     @classmethod
     def full(cls) -> "SamplingPlan":
@@ -472,7 +472,7 @@ class _Terms:
     pair_incidence: csc_matrix
 
 
-def _all_pair_arrays(n: int, directed: bool) -> tuple[np.ndarray, np.ndarray]:
+def _all_pairs(n: int, directed: bool) -> tuple[np.ndarray, np.ndarray]:
     if directed:
         ii, jj = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
         mask = ii != jj
@@ -483,29 +483,6 @@ def _all_pair_arrays(n: int, directed: bool) -> tuple[np.ndarray, np.ndarray]:
 
 def _pair_codes(i: np.ndarray, j: np.ndarray, n: int) -> np.ndarray:
     return i.astype(np.int64) * n + j.astype(np.int64)
-
-
-def _pairs_to_array(pairs) -> np.ndarray:
-    """Pairs as an (m, 2) int64 array: an (m, 2) integer array as it is, and
-    any other iterable of (a, b) pairs in iteration order."""
-    if isinstance(pairs, np.ndarray) and pairs.dtype.kind in "iu" and pairs.shape[1:] == (2,):
-        return pairs.astype(np.int64, copy=False)
-    return np.fromiter(itertools.chain.from_iterable(pairs), np.int64).reshape(-1, 2)
-
-
-def _pair_array(pairs, n: int) -> np.ndarray:
-    """Pairs as an (m, 2) int64 array, without those naming a node outside 0..n-1."""
-    arr = _pairs_to_array(pairs)
-    return arr[((arr >= 0) & (arr < n)).all(axis=1)]
-
-
-def _excluded_codes(pairs, n: int, directed: bool) -> np.ndarray:
-    """The ascending distinct codes of ``pairs`` (as ``_pair_array`` reads them),
-    an undirected pair's in the stored orientation i < j."""
-    ex = _pair_array(pairs, n)
-    if not directed:
-        ex = np.sort(ex, axis=1)
-    return unique_codes(_pair_codes(ex[:, 0], ex[:, 1], n))
 
 
 def _pair_incidence(pair_i: np.ndarray, pair_j: np.ndarray, n: int) -> csc_matrix:
@@ -630,18 +607,17 @@ def fixed_terms(ev: EventList, part: IntervalPartition, plan: SamplingPlan) -> _
     calls ``draw_terms`` each epoch.
     """
     n = ev.n
-    excluded = _pair_array(plan.excluded_pairs, n)
-    excl_codes = _excluded_codes(excluded, n, ev.directed)
+    excl_codes = pair_codes(plan.excluded_pairs, n, ev.directed)
     if plan.negatives_per_node is not None and plan.negatives_per_node < 1:
         raise ValueError(f"negatives_per_node must be >= 1, got {plan.negatives_per_node}")
 
     draw = {}
     if plan.negatives_per_node is None:
-        pair_i, pair_j = _all_pair_arrays(n, ev.directed)
-        pair_codes = _pair_codes(pair_i, pair_j, n)  # ascending, in triu or meshgrid order
+        pair_i, pair_j = _all_pairs(n, ev.directed)
+        row_codes = _pair_codes(pair_i, pair_j, n)  # ascending, in triu or meshgrid order
         if excl_codes.size:
-            keep = ~in_sorted(pair_codes, excl_codes)
-            pair_i, pair_j, pair_codes = pair_i[keep], pair_j[keep], pair_codes[keep]
+            keep = ~in_sorted(row_codes, excl_codes)
+            pair_i, pair_j, row_codes = pair_i[keep], pair_j[keep], row_codes[keep]
     else:
         pos_codes = unique_codes(_pair_codes(ev.src, ev.dst, n))
         if ev.directed and pos_codes.size:
@@ -651,13 +627,14 @@ def fixed_terms(ev: EventList, part: IntervalPartition, plan: SamplingPlan) -> _
             pos_codes = unique_codes(np.concatenate([pos_codes, rev]))
         if excl_codes.size:
             pos_codes = pos_codes[~in_sorted(pos_codes, excl_codes)]
-        pair_codes = pos_codes  # the leading rows; every event pair is among them
+        row_codes = pos_codes  # the leading rows; every event pair is among them
         pair_i, pair_j = np.divmod(pos_codes, n)
 
         # blocked (node, partner) codes: event partners and excluded pairs in
         # both orientations, and the node itself; node i owns [i*n, (i+1)*n)
-        src = np.concatenate([ev.src, excluded[:, 0]]).astype(np.int64)
-        dst = np.concatenate([ev.dst, excluded[:, 1]]).astype(np.int64)
+        ex_i, ex_j = np.divmod(excl_codes, n)
+        src = np.concatenate([ev.src, ex_i])
+        dst = np.concatenate([ev.dst, ex_j])
         blocked = unique_codes(np.concatenate(
             [src * n + dst, dst * n + src, np.arange(n, dtype=np.int64) * (n + 1)]
         ))
@@ -688,7 +665,7 @@ def fixed_terms(ev: EventList, part: IntervalPartition, plan: SamplingPlan) -> _
             own = ~in_sorted(pair, excl_codes)
             pair, ev_k0, ev_w0, ev_w1, ev_w2 = (x[own] for x in (pair, ev_k0, ev_w0, ev_w1, ev_w2))
         ev_i, ev_j = np.divmod(pair, n)
-        ev_cell = np.searchsorted(pair_codes, pair) * K + ev_k0
+        ev_cell = np.searchsorted(row_codes, pair) * K + ev_k0
     else:
         ev_i = ev_j = ev_k0 = ev_cell = np.empty(0, dtype=np.int64)
         ev_w0 = ev_w1 = ev_w2 = np.empty(0, dtype=np.float64)

@@ -598,6 +598,22 @@ class TestEval:
         assert not (tmp_path / "y").exists()
 
 
+@pytest.mark.parametrize("command", ["fit", "eval"])
+@pytest.mark.parametrize("flag", ["--test-frac", "--val-frac"])
+@pytest.mark.parametrize("value", ["nan", "inf", "1.5", "-0.1"])
+def test_bad_split_fraction_exits_one_before_output(sim_dir, fit_dir, tmp_path, capsys,
+                                                    command, flag, value):
+    out = tmp_path / "x"
+    args = [command, "--events", sim_dir / "events.csv", "--out", out, f"{flag}={value}"]
+    if command == "eval":
+        args += ["--model", fit_dir / "model.json", "--scorers", "pa"]
+    else:
+        args += ["--epochs", 2]
+    assert run(args) == 1
+    assert "error: need 0 <= test_frac + val_frac < 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 class TestScore:
     def test_score_triplets(self, tmp_path, fit_dir):
         triplets = tmp_path / "triplets.csv"

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -8,7 +9,7 @@ from scipy.special import expit
 from scipy.stats import rankdata
 
 from tgne import evaluation, events
-from tgne.events import IntervalPartition, interval_counts, split_edges
+from tgne.events import IntervalPartition, interval_counts, pair_codes, split_edges
 from tgne.evaluation import (
     InstanceTable,
     LsdmModel,
@@ -36,7 +37,7 @@ from tgne.evaluation import (
     score_tgne_many,
 )
 from tgne.inference import FittedModel, Hyperparams, VariationalState, empirical_beta, fit
-from tgne.model import DOT, EUCLIDEAN
+from tgne.model import DOT, EUCLIDEAN, SamplingPlan, realize_plan
 
 from conftest import (
     canonical_pair,
@@ -271,18 +272,48 @@ class TestRestrictCounts:
         ev = random_events(n=8, m=50, seed=21, directed=directed)
         counts = interval_counts(ev, IntervalPartition.uniform(3))
         pairs = sorted(ev.unique_pairs())[::2]
-        # reversed orientation, never-active and out-of-range pairs too
-        given_pairs = [(j, i) for i, j in pairs[:3]] + pairs[3:] + [(0, 7), (0, 8), (-1, 2)]
+        # reversed orientation and never-active pairs too
+        given_pairs = [(j, i) for i, j in pairs[:3]] + pairs[3:] + [(0, 7)]
         keep = {canonical_pair(a, b, directed) for a, b in given_pairs}
         ref = {key: c for key, c in counts_dict(counts).items() if (key[0], key[1]) in keep}
         sub = restrict_counts(counts, given_pairs)
         assert counts_dict(sub) == ref
         assert sub.codes.tolist() == sorted(sub.codes.tolist())
+        for bad in ((0, 8), (-1, 2)):
+            with pytest.raises(ValueError, match="names a node outside"):
+                restrict_counts(counts, given_pairs + [bad])
+
+
+PAIR_SET_ENTRY_POINTS = ("restrict_counts", "build_instances", "fit_lsdm_intervals",
+                         "empirical_beta", "realize_plan")
+
+
+def read_pair_set(entry, ev, part, counts, pairs):
+    """What the entry point makes of the pair set ``pairs``: its arrays as
+    bytes, and its other results as they are."""
+    if entry == "restrict_counts":
+        sub = restrict_counts(counts, pairs)
+        out = [sub.codes, sub.values]
+    elif entry == "build_instances":
+        table, shortfall = build_instances(counts, pairs, part, seed=3)
+        out = [table.i, table.j, table.k, table.label, shortfall]
+    elif entry == "fit_lsdm_intervals":
+        fits = fit_lsdm_intervals(counts, pairs, 2, LsdmOpts(iters=10, seed=1))
+        out = [x for m in fits.values() for x in (m.z, m.beta, m.nll_trace)]
+    elif entry == "empirical_beta":
+        out = [empirical_beta(ev, pairs)]
+    else:
+        plan = SamplingPlan(negatives_per_node=3, seed=4, excluded_pairs=pairs)
+        terms = realize_plan(ev, part, plan)
+        out = [getattr(terms, f.name) for f in dataclasses.fields(terms)
+               if f.name != "pair_incidence"]
+    return [x.tobytes() if isinstance(x, np.ndarray) else x for x in out]
 
 
 class TestPairArguments:
-    """A pair argument may be a frozenset of tuples or the equal (m, 2) array,
-    with bit-equal results."""
+    """A pair argument may be a frozenset of tuples or any other form of the
+    same set that ``pair_codes`` reads, with bit-equal results; a pair naming
+    a node outside 0..n-1 raises one message from every entry point."""
 
     @staticmethod
     def forms(pairs):
@@ -298,13 +329,17 @@ class TestPairArguments:
     @pytest.mark.parametrize("directed", [False, True])
     def test_restrict_counts(self, directed):
         ev, _part, counts, split = self.split_case(directed)
-        # reversed, never-active and out-of-range pairs are in the argument too
-        given = set(split.train) | {(b, a) for a, b in split.test} | {(0, 12), (-1, 3), (5, 5)}
+        # reversed and never-active pairs are in the argument too
+        given = set(split.train) | {(b, a) for a, b in split.test} | {(5, 5)}
         for pairs in (given, set(split.train), set()):
             as_set, as_array = self.forms(pairs)
             a, b = restrict_counts(counts, as_set), restrict_counts(counts, as_array)
             assert a.codes.tobytes() == b.codes.tobytes()
             assert a.values.tobytes() == b.values.tobytes()
+        for bad in ((0, 12), (-1, 3)):
+            for form in self.forms(given | {bad}):
+                with pytest.raises(ValueError, match="names a node outside"):
+                    restrict_counts(counts, form)
 
     @pytest.mark.parametrize("directed", [False, True])
     def test_build_instances(self, directed):
@@ -340,6 +375,34 @@ class TestPairArguments:
             assert empirical_beta(ev, as_set) == empirical_beta(ev, as_array)
         held_out = events.pair_rows(split.held_out_codes, ev.n)
         assert empirical_beta(ev, held_out) == empirical_beta(ev, split.held_out())
+
+    @staticmethod
+    def other_forms(pairs, directed):
+        """The pair set ``pairs`` in every form but the frozenset."""
+        rows = sorted(pairs)
+        forms = {
+            "list": rows[::-1],
+            "generator": (p for p in rows),
+            "int32": np.asarray(rows, dtype=np.int32).reshape(-1, 2),
+            "duplicated": np.asarray(rows + rows[::2], dtype=np.int64).reshape(-1, 2),
+        }
+        if not directed:
+            forms["reversed"] = [(b, a) for a, b in rows]
+        return forms
+
+    @pytest.mark.parametrize("entry", PAIR_SET_ENTRY_POINTS)
+    def test_every_form_reads_as_the_frozenset(self, entry):
+        for directed in (False, True):
+            ev, part, counts, split = self.split_case(directed)
+            want = read_pair_set(entry, ev, part, counts, split.train)
+            for name, pairs in self.other_forms(split.train, directed).items():
+                assert read_pair_set(entry, ev, part, counts, pairs) == want, name
+            rows = sorted(split.train)
+            bad = rows[:3] + [(3, 12)] + rows[3:] + [(-1, 0)]
+            for pairs in (bad, frozenset(bad) - {(-1, 0)}, np.asarray(bad, dtype=np.int32)):
+                with pytest.raises(ValueError, match=r"pair \(3, 12\) names a node outside 0\.\.11"):
+                    read_pair_set(entry, ev, part, counts, pairs)
+
 
 
 def scored_table(scores, labels) -> InstanceTable:
@@ -516,7 +579,7 @@ def reference_lsdm_fit(counts, ii, jj, k, d, opts):
     ``_lsdm_objective``; returns scipy's result and the objective trace."""
     n = counts.n
     rng = np.random.default_rng(opts.seed)
-    x0 = np.append(opts.init_scale * rng.standard_normal((n, d)).T, 0.0)
+    x0 = np.append(evaluation.LSDM_INIT_SCALE * rng.standard_normal((n, d)).T, 0.0)
     index = np.concatenate([ii, jj]) + n * np.arange(d)[:, None]
     sign = 1.0 - 2.0 * (counts.counts_of(ii, jj, k) >= 1)
     trace = []
@@ -530,7 +593,7 @@ def reference_lsdm_fit(counts, ii, jj, k, d, opts):
     res = minimize(
         objective, x0, jac=True, method="L-BFGS-B",
         callback=lambda intermediate_result: trace.append(float(intermediate_result.fun)),
-        options={"maxiter": opts.iters, "maxfun": opts.iters, "gtol": opts.grad_tol,
+        options={"maxiter": opts.iters, "maxfun": opts.iters, "gtol": evaluation.LSDM_GRAD_TOL,
                  "ftol": 0.0},
     )
     return res, trace
@@ -544,7 +607,7 @@ class TestLsdm:
         split = split_edges(ev, 0.1, 0.0, seed=0)
         train_counts = restrict_counts(interval_counts(ev, part), split.train)
         opts = LsdmOpts(iters=iters, seed=0)
-        ii, jj = evaluation._sorted_pairs(split.train, ev.n, False)
+        ii, jj = np.divmod(pair_codes(split.train, ev.n, False), ev.n)
         for k, model in fit_lsdm_intervals(train_counts, split.train, 2, opts).items():
             res, trace = reference_lsdm_fit(train_counts, ii, jj, k, 2, opts)
             assert model.z.tobytes() == res.x[:-1].reshape(2, ev.n).T.tobytes()
@@ -552,7 +615,7 @@ class TestLsdm:
             assert model.nll_trace.tobytes() == np.asarray(trace).tobytes()
             assert (model.iterations, model.evaluations) == (res.nit, res.nfev)
             assert model.grad_inf == np.abs(res.jac).max()
-            assert model.converged == (model.grad_inf < opts.grad_tol)
+            assert model.converged == (model.grad_inf < evaluation.LSDM_GRAD_TOL)
 
     @pytest.mark.parametrize("fit", ["one", "all"])
     def test_pair_outside_the_nodes_rejected(self, sbm_sample, fit):
@@ -669,7 +732,7 @@ class TestLsdm:
 
     def test_every_sbm_interval_converges_at_cli_defaults(self, sbm_lsdm_fits):
         train_counts, train_pairs, models = sbm_lsdm_fits
-        ii, jj = evaluation._sorted_pairs(train_pairs, train_counts.n, False)
+        ii, jj = np.divmod(pair_codes(train_pairs, train_counts.n, False), train_counts.n)
         for k, model in models.items():
             assert model.converged, (k, model.grad_inf, model.iterations)
             assert model.iterations < 800 and model.evaluations >= model.iterations
@@ -755,7 +818,7 @@ class TestScorePaAndRandom:
         counts = interval_counts(ev, part)
         split = split_edges(ev, 0.3, 0.0, seed=0)
         train_counts = restrict_counts(counts, split.train)
-        active = train_counts.active_pair_arrays()
+        active = train_counts.active_pairs()
         assert set(zip(*(x.tolist() for x in active))) == set(split.train)
         assert train_counts.values.sum() < counts.values.sum()
 
@@ -1213,8 +1276,6 @@ class TestUncertaintyRegression:
         stds = np.asarray([1.0, 3.0, 0.0, 1.0])
         # unique means: (2.0 at N=0, 0.5 at N=1) -> slope -1.5
         assert np.isclose(regression_slope_from_points(n_values, stds), -1.5)
-        raw = regression_slope_from_points(n_values, stds, per_unique_n=False)
-        assert np.isclose(raw, -1.5)  # balanced design: same here
 
     def test_degenerate_design_rejected(self):
         with pytest.raises(ValueError):

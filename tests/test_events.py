@@ -694,7 +694,7 @@ class TestCodeStorage:
         assert counts_dict(counts) == ref
         assert counts.codes.tolist() == sorted(counts.codes.tolist())
         assert counts.values.sum() == ev.m
-        active = counts.active_pair_arrays()
+        active = counts.active_pairs()
         assert list(zip(*(x.tolist() for x in active))) == sorted({(a, b) for a, b, _k in ref})
         for k in range(1, K + 1):
             assert counts.pairs_active_in(k) == {(a, b) for a, b, kk in ref if kk == k}

@@ -652,10 +652,13 @@ class TestEmpiricalBeta:
         # the reverse orientation: undirected, the same pair; directed, no stored event
         flipped = {(b, a) for a, b in held[: len(held) // 2]}
         for excluded in (frozenset(), frozenset(held), frozenset(held) | flipped,
-                         frozenset(pairs), frozenset({(0, 99), (-1, 2)})):
+                         frozenset(pairs)):
             got = empirical_beta(ev, excluded)
             assert got == set_based_empirical_beta(ev, excluded)
             assert type(got) is float
+        for bad in ((0, 99), (-1, 2)):
+            with pytest.raises(ValueError, match="names a node outside"):
+                empirical_beta(ev, frozenset(held) | {bad})
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -668,13 +671,22 @@ class TestEmpiricalBeta:
     )
     def test_excludes_what_the_likelihood_excludes(self, seed, n, m, directed, picks,
                                                     as_array):
-        """Pairs in any order and orientation, repeated or naming no node, as a
-        set or an array: the bias start leaves out exactly the events and
-        pairs that realize_plan leaves out of the likelihood."""
+        """Pairs in any order and orientation, repeated or with no events, as a
+        list or an array: the bias start leaves out exactly the events and
+        pairs that realize_plan leaves out of the likelihood. A pair naming a
+        node outside 0..n-1 raises, in either form."""
         ev = random_events(n=n, m=m, seed=seed, directed=directed)
-        pairs = [(a, b) for a, b in picks if a != b]
-        excluded = np.asarray(pairs, dtype=np.int64).reshape(-1, 2) if as_array else pairs
-        got = empirical_beta(ev, excluded)
+
+        def form(pairs):
+            return np.asarray(pairs, dtype=np.int64).reshape(-1, 2) if as_array else pairs
+
+        picked = [(a, b) for a, b in picks if a != b]
+        pairs = [(a, b) for a, b in picked if 0 <= a < n and 0 <= b < n]
+        if len(pairs) < len(picked):  # the first pair outside, in iteration order
+            a, b = next(p for p in picked if p not in pairs)
+            with pytest.raises(ValueError, match=rf"pair \({a}, {b}\) names a node outside"):
+                empirical_beta(ev, form(picked))
+        got = empirical_beta(ev, form(pairs))
         assert got == set_based_empirical_beta(ev, pairs)
         terms = realize_plan(ev, IntervalPartition.uniform(2),
                              SamplingPlan(excluded_pairs=frozenset(pairs)))

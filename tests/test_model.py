@@ -8,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 from scipy.special import erfc
 
-from tgne import evaluation, inference, model
-from tgne.events import EventList, IntervalPartition, split_edges
+from tgne import inference, model
+from tgne.events import EventList, IntervalPartition, pair_codes, split_edges
 from tgne.model import (
     DOT,
     EPS_DEGENERATE,
@@ -31,9 +31,7 @@ from tgne.model import (
     _dot_coeffs,
     _exp_linear_integrals,
     _normal_cdf_diff,
-    _pair_array,
     _pair_incidence,
-    _pairs_to_array,
 )
 
 from conftest import (
@@ -1423,28 +1421,27 @@ def list_pairs(pairs):
     return np.asarray(list(pairs), dtype=np.int64).reshape(-1, 2)
 
 
+def int32_pairs(pairs):
+    return list_pairs(pairs).astype(np.int32)
+
+
 class TestPairArrays:
+    """``pair_codes`` reads every form of a pair set alike."""
+
     @pytest.mark.parametrize("m", [0, 1, 37])
-    @pytest.mark.parametrize("form", [set, frozenset, list, lambda p: (x for x in p), list_pairs])
+    @pytest.mark.parametrize(
+        "form", [set, frozenset, list, lambda p: (x for x in p), list_pairs, int32_pairs]
+    )
     def test_match_the_list_form(self, m, form):
         rng = np.random.default_rng(m)
         pairs = [tuple(int(v) for v in rng.integers(-2, 12, size=2)) for _ in range(m)]
-        want = list_pairs(form(pairs))
-        assert_bits_equal(_pairs_to_array(form(pairs)), want)
-        inside = want[((want >= 0) & (want < 10)).all(axis=1)]
-        assert_bits_equal(_pair_array(form(pairs), 10), inside)
+        rows = list_pairs(form(pairs))  # in the form's iteration order
+        inside = rows[((rows >= 0) & (rows < 10)).all(axis=1)]
         for directed in (False, True):
             arr = inside if directed else np.sort(inside, axis=1)
-            order = np.lexsort((arr[:, 1], arr[:, 0]))
-            got_i, got_j = evaluation._sorted_pairs(form(map(tuple, inside.tolist())), 10, directed)
-            assert_bits_equal(got_i, arr[order, 0])
-            assert_bits_equal(got_j, arr[order, 1])
-            if len(inside) < len(want):  # the first pair outside, in iteration order
-                a, b = want[((want < 0) | (want >= 10)).any(axis=1)][0]
+            want = np.unique(arr[:, 0] * 10 + arr[:, 1])
+            assert_bits_equal(pair_codes(form(map(tuple, inside.tolist())), 10, directed), want)
+            if len(inside) < len(rows):  # the first pair outside, in iteration order
+                a, b = rows[((rows < 0) | (rows >= 10)).any(axis=1)][0]
                 with pytest.raises(ValueError, match=rf"pair \({a}, {b}\) names a node outside 0\.\.9"):
-                    evaluation._sorted_pairs(form(pairs), 10, directed)
-
-    def test_an_integer_array_is_returned_as_it_is(self):
-        rows = np.array([[3, 1], [0, 2]])
-        assert _pairs_to_array(rows) is rows
-        assert_bits_equal(_pairs_to_array(rows.astype(np.int32)), rows)
+                    pair_codes(form(pairs), 10, directed)

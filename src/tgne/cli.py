@@ -329,17 +329,10 @@ def cmd_eval(args: argparse.Namespace) -> int:
     )
 
     # edge-level posterior-predictive uncertainty over the training pairs
-    pi, pj = train_counts.active_pairs()
-    if pi.size:
-        ii, jj = pi.repeat(K), pj.repeat(K)
-        kk0 = np.tile(np.arange(K), pi.size)
-        mean, std = evl._exact_lambda_moments(
-            fm.state, part, ii, jj, kk0, kind=fm.hyper.rate_model
-        )
-        write_csv_columns(
-            outdir / "uncertainty_edges.csv", ["i", "j", "k", "N", "lambda_mean", "lambda_std"],
-            [ii, jj, kk0 + 1, counts.counts_of(ii, jj, kk0 + 1), mean, std],
-        )
+    write_csv_columns(
+        outdir / "uncertainty_edges.csv", ["i", "j", "k", "N", "lambda_mean", "lambda_std"],
+        evl.edge_table(fm.state, train_counts, fm.hyper.rate_model, part),
+    )
 
     rates = evl.rate_vs_uncertainty_table(ev, fm.state, fm.hyper.rate_model, part, seed=seed)
     times = float_text(ev.time)  # the negatives repeat the events' times
@@ -387,14 +380,8 @@ def cmd_score(args: argparse.Namespace) -> int:
         raise ValueError("no triplets to score")
     ii, jj, kk = np.asarray(triplets, dtype=np.int64).T
     evl.check_triplets(fm, ii, jj, kk, lines=lines)
-    if scorer == "tgne":
-        scores = evl._lambda_batch(
-            fm.state.mu, fm.state.beta, fm.hyper.rate_model, fm.part, ii, jj, kk - 1
-        )
-    else:
-        scores, _ = evl._exact_lambda_moments(
-            fm.state, fm.part, ii, jj, kk - 1, want_std=False, kind=fm.hyper.rate_model
-        )
+    table = evl.InstanceTable(ii, jj, kk, np.full(ii.size, np.nan), np.zeros(ii.size, np.int64))
+    scores = evl.score_instances(table, scorer, fm=fm).score
     out_path = Path(args.out)
     write_csv_columns(out_path, ["i", "j", "k", "score"], [ii, jj, kk, scores])
     print(f"scored {len(triplets)} triplets with {scorer} -> {out_path}")

@@ -268,16 +268,6 @@ def check_triplets(fm: FittedModel, ii, jj, kk, lines=None) -> None:
         )
 
 
-def score_tgne_many(fm: FittedModel, ii, jj, kk) -> np.ndarray:
-    """Expected interactions Lambda_ij(I_k) at the posterior-mean trajectories,
-    for triplet arrays; ValueError on an out-of-range triplet."""
-    check_triplets(fm, ii, jj, kk)
-    return _lambda_batch(
-        fm.state.mu, fm.state.beta, fm.hyper.rate_model, fm.part,
-        np.asarray(ii), np.asarray(jj), np.asarray(kk) - 1,
-    )
-
-
 LSDM_INIT_SCALE = 0.1  # std of the start positions z
 LSDM_GRAD_TOL = 1e-4  # a fit has converged below this gradient inf-norm
 
@@ -508,6 +498,25 @@ def node_table(
         seg = np.flatnonzero(seg_len == length)
         nd[seg] = dists[indptr[seg, None] + np.arange(length)].mean(axis=1)
     return u, nd.reshape(counts.n, K), counts.degrees
+
+
+def edge_table(
+    vs: VariationalState, counts: CountTensor, rm_kind: str, part: IntervalPartition
+) -> tuple[np.ndarray, ...]:
+    """Columns (i, j, k, N, lambda_mean, lambda_std), one row per active pair
+    of ``counts`` and interval in (pair, interval) order, k 1-based.
+
+    Every interval of an active pair is a row, its zero-count ones included;
+    the moments are ``_exact_lambda_moments``'.
+    """
+    pi, pj = counts.active_pairs()
+    if not pi.size:
+        raise ValueError("counts contain no active pairs")
+    K = part.K
+    ii, jj = pi.repeat(K), pj.repeat(K)
+    kk0 = np.tile(np.arange(K), pi.size)
+    mean, std = _exact_lambda_moments(vs, part, ii, jj, kk0, kind=rm_kind)
+    return ii, jj, kk0 + 1, counts.counts_of(ii, jj, kk0 + 1), mean, std
 
 
 def _mean_differences(vs: VariationalState, ii, jj, kk0) -> tuple[np.ndarray, np.ndarray]:
@@ -873,23 +882,13 @@ def uncertainty_regression(
     B: int = 200,
     seed: int = 0,
 ) -> float:
-    """OLS slope of posterior Std(Lambda_ij(I_k)) against N_ij(I_k).
+    """OLS slope of posterior Std(Lambda_ij(I_k)) against N_ij(I_k) over
+    ``edge_table``'s rows (``regression_slope_from_points``).
 
     The std is exact for both rate kinds; ``B`` and ``seed`` are accepted
-    and ignored. The population is every (pair, interval) with the
-    pair taken from the given counts (pass a train-restricted tensor to stay
-    on training data), including the pair's zero-count intervals. The
-    regression runs on per-unique-N averages of the std
-    (``regression_slope_from_points``).
+    and ignored. Pass a train-restricted tensor to stay on training data.
     """
-    pi, pj = counts.active_pairs()
-    if not pi.size:
-        raise ValueError("counts contain no active pairs")
-    K = part.K
-    ii, jj = pi.repeat(K), pj.repeat(K)
-    kk0 = np.tile(np.arange(K), pi.size)
-    _, stds = _exact_lambda_moments(vs, part, ii, jj, kk0, kind=rm_kind)
-    n_events = counts.counts_of(ii, jj, kk0 + 1).astype(np.float64)
+    _, _, _, n_events, _, stds = edge_table(vs, counts, rm_kind, part)
     return regression_slope_from_points(n_events, stds)
 
 
@@ -1050,8 +1049,12 @@ def score_instances(
     if len(instances) == 0:
         return replace(instances, score=np.empty(0))
     ii, jj, kk = instances.i, instances.j, instances.k
+    if scorer in ("tgne", "tgne_predictive"):
+        check_triplets(fm, ii, jj, kk)
     if scorer == "tgne":
-        scores = score_tgne_many(fm, ii, jj, kk)
+        scores = _lambda_batch(
+            fm.state.mu, fm.state.beta, fm.hyper.rate_model, fm.part, ii, jj, kk - 1
+        )
     elif scorer == "tgne_predictive":
         scores, _ = _exact_lambda_moments(
             fm.state, fm.part, ii, jj, kk - 1, want_std=False, kind=fm.hyper.rate_model

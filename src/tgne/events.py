@@ -395,11 +395,8 @@ def write_events_csv(ev: EventList, path: str | Path) -> None:
 
 def write_nodes_csv(ev: EventList, path: str | Path) -> None:
     """Export the label -> id map as `label,id`."""
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["label", "id"])
-        for idx, label in enumerate(ev.node_labels):
-            writer.writerow([label, idx])
+    labels = [csv_field(label) for label in ev.node_labels]
+    write_csv_columns(path, ["label", "id"], [labels, np.arange(len(labels))])
 
 
 @dataclass(frozen=True, eq=False)
@@ -481,7 +478,6 @@ class CountTensor:
     directed: bool
     codes: np.ndarray
     values: np.ndarray
-    _keys: Optional[np.ndarray] = field(default=None, init=False, repr=False)
     _degrees: Optional[np.ndarray] = field(default=None, init=False, repr=False)
     _adjacency: Optional[tuple[np.ndarray, np.ndarray]] = field(
         default=None, init=False, repr=False
@@ -490,13 +486,10 @@ class CountTensor:
     def _code(self, i, j, k):
         return (i * self.n + j) * self.K + (k - 1)
 
-    def _index(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(keys (nnz, 3), codes, values), sorted by the int64 key code."""
-        if self._keys is None:
-            pair, k0 = np.divmod(self.codes, self.K)
-            i, j = np.divmod(pair, self.n)
-            self._keys = np.stack([i, j, k0 + 1], axis=1)
-        return self._keys, self.codes, self.values
+    def _triplets(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(i, j, k0) of every stored key, in code order (k0 0-based)."""
+        pair, k0 = np.divmod(self.codes, self.K)
+        return *np.divmod(pair, self.n), k0
 
     def counts_of(self, i, j, k) -> np.ndarray:
         """Int64 counts N_ij(I_k) for broadcast (i, j, k) arrays, k 1-based;
@@ -525,18 +518,17 @@ class CountTensor:
         return np.divmod(distinct_sorted(self.codes // self.K), self.n)
 
     def pairs_active_in(self, k: int) -> set[Pair]:
-        keys, _codes, _values = self._index()
-        sel = keys[:, 2] == k
-        return set(zip(keys[sel, 0].tolist(), keys[sel, 1].tolist()))
+        i, j, k0 = self._triplets()
+        sel = k0 == k - 1
+        return set(zip(i[sel].tolist(), j[sel].tolist()))
 
     @property
     def degrees(self) -> np.ndarray:
         """(n, K) int64 table of deg(i, k), column k-1 for interval k."""
         if self._degrees is None:
-            keys, _codes, values = self._index()
-            k0 = keys[:, 2] - 1
-            slots = np.concatenate([keys[:, 0] * self.K + k0, keys[:, 1] * self.K + k0])
-            weights = np.tile(values, 2).astype(np.float64)  # exact below 2**53
+            i, j, k0 = self._triplets()
+            slots = np.concatenate([i * self.K + k0, j * self.K + k0])
+            weights = np.tile(self.values, 2).astype(np.float64)  # exact below 2**53
             deg = np.bincount(slots, weights=weights, minlength=self.n * self.K)
             self._degrees = deg.astype(np.int64).reshape(self.n, self.K)
         return self._degrees
@@ -552,9 +544,7 @@ class CountTensor:
         where a directed tensor counts only the stored (i, j) orientation.
         """
         if self._adjacency is None:
-            keys, _codes, values = self._index()
-            keys = keys[values >= 1]
-            a, b, k0 = keys[:, 0], keys[:, 1], keys[:, 2] - 1
+            a, b, k0 = self._triplets()
             if not self.directed:
                 a, b, k0 = np.concatenate([a, b]), np.concatenate([b, a]), np.tile(k0, 2)
             slots = a * self.K + k0

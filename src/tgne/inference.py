@@ -90,9 +90,6 @@ class VariationalState:
     def d(self) -> int:
         return self.mu.shape[2]
 
-    def copy(self) -> "VariationalState":
-        return VariationalState(self.mu.copy(), self.log_sigma.copy(), self.beta)
-
 
 @dataclass
 class Hyperparams:
@@ -167,7 +164,7 @@ def init_state(n: int, hp: Hyperparams, seed) -> VariationalState:
     return VariationalState(mu=mu, log_sigma=log_sigma, beta=0.0)
 
 
-def _elbo_value_grad(vs, ev, part, pc, rm_kind, terms, eps, want_grad):
+def _elbo_value_grad(vs, part, pc, rm_kind, terms, eps, want_grad):
     sigma = vs.sigma
     z = vs.mu + sigma[:, :, None] * eps
     nll, dz, dbeta = nll_value_grad(z, vs.beta, rm_kind, part, terms, want_grad=want_grad)
@@ -195,7 +192,7 @@ def elbo_loss(
     """Single-sample negative ELBO: reconstruction NLL at z(eps) plus KL."""
     terms = realize_plan(ev, part, plan)
     loss, _, _, _, _, _ = _elbo_value_grad(
-        vs, ev, part, pc, rm_kind, terms, np.asarray(eps), want_grad=False
+        vs, part, pc, rm_kind, terms, np.asarray(eps), want_grad=False
     )
     return loss
 
@@ -212,7 +209,7 @@ def loss_gradient(
     """Exact gradient of elbo_loss at the given eps: (d_mu, d_log_sigma, d_beta)."""
     terms = realize_plan(ev, part, plan)
     _, _, _, d_mu, d_log_sigma, d_beta = _elbo_value_grad(
-        vs, ev, part, pc, rm_kind, terms, np.asarray(eps), want_grad=True
+        vs, part, pc, rm_kind, terms, np.asarray(eps), want_grad=True
     )
     return d_mu, d_log_sigma, d_beta
 
@@ -316,7 +313,7 @@ def fit(
             terms = draw_terms(fixed, int(rng_plan.integers(2**63)))
         eps = rng_eps.standard_normal(state.mu.shape)
         loss, nll, kl, d_mu, d_ls, d_beta = _elbo_value_grad(
-            state, ev, part, pc, hp.rate_model, terms, eps, want_grad=True
+            state, part, pc, hp.rate_model, terms, eps, want_grad=True
         )
         if not np.isfinite(loss):
             raise FitDivergedError(epoch, nll, kl)

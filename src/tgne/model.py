@@ -244,30 +244,6 @@ def _closed_coeffs(c0, dav, w2, dadb, lengths, beta, want_grad=False):
     return lam, p, q, r
 
 
-def _closed_rate_batch(da, db, beta, lengths, want_grad=False):
-    """Cumulative euclidean rate for batched interval endpoints.
-
-    ``da``/``db`` are the pair position differences at the interval start and
-    end, shape (..., d); ``lengths`` broadcast over the leading shape. Returns
-    Lambda (...) and, when ``want_grad``, the exact gradients with respect to
-    da and db (see ``_closed_coeffs``).
-    """
-    da = np.asarray(da, dtype=np.float64)
-    db = np.asarray(db, dtype=np.float64)
-    v = da - db
-    lam, p, q, r = _closed_coeffs(
-        np.einsum("...d,...d->...", da, da),
-        np.einsum("...d,...d->...", da, v),
-        np.einsum("...d,...d->...", v, v),
-        np.einsum("...d,...d->...", da, db),
-        lengths, beta, want_grad,
-    )
-    if not want_grad:
-        return lam, None, None
-    p, q, r = p[..., None], q[..., None], r[..., None]
-    return lam, p * da + q * db, q * da + r * db
-
-
 def _exp_power_integrals(b, kmax):
     """F_k(b) = integral_0^1 s^k exp(b s) ds for k = 0..kmax, stacked on a new first axis.
 
@@ -404,13 +380,17 @@ def _dot_coeffs(caa, cab, cbb, beta, lengths, want_grad=False):
 
 def _rate_batch(zi_a, zi_b, zj_a, zj_b, beta, lengths, kind):
     """Exact cumulative rate of either kind for batched endpoints (..., d)."""
-    if kind == EUCLIDEAN:
-        lam, _, _ = _closed_rate_batch(zi_a - zj_a, zi_b - zj_b, beta, lengths)
-        return lam
 
     def dot(x, y):
         return np.einsum("...d,...d->...", x, y)
 
+    if kind == EUCLIDEAN:
+        da, db = zi_a - zj_a, zi_b - zj_b
+        v = da - db
+        lam, _, _, _ = _closed_coeffs(
+            dot(da, da), dot(da, v), dot(v, v), dot(da, db), lengths, beta
+        )
+        return lam
     lam, _, _, _ = _dot_coeffs(dot(zi_a, zj_a), 0.5 * (dot(zi_a, zj_b) + dot(zi_b, zj_a)),
                                dot(zi_b, zj_b), beta, lengths)
     return lam

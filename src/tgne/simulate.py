@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .events import EventList
+from .events import EventList, write_csv_columns
 
 
 @dataclass
@@ -141,12 +141,9 @@ def sbm_generate(spec: SbmSpec) -> SbmSample:
 
 def write_labels_csv(sample: SbmSample, path) -> None:
     """Ground-truth memberships as `node,segment,cluster` (segment 1-based)."""
-    import csv
-
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["node", "segment", "cluster"])
-        n, n_seg = sample.labels.shape
-        for i in range(n):
-            for s in range(n_seg):
-                writer.writerow([i, s + 1, int(sample.labels[i, s])])
+    n, n_seg = sample.labels.shape
+    write_csv_columns(
+        path, ["node", "segment", "cluster"],
+        [np.repeat(np.arange(n), n_seg), np.tile(np.arange(1, n_seg + 1), n),
+         sample.labels.ravel()],
+    )

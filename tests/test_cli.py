@@ -1,4 +1,5 @@
 import argparse
+import ast
 import csv
 import io
 import json
@@ -7,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from tgne import cli
 from tgne.cli import build_parser, main
 from tgne.evaluation import rate_vs_uncertainty_table
 from tgne.events import parse_events
@@ -685,3 +687,22 @@ def test_readme_names_only_existing_flags():
                        if isinstance(a, argparse._SubParsersAction)).choices.values()
     flags = {s for sub in subcommands for a in sub._actions for s in a.option_strings}
     assert named and named <= flags, sorted(named - flags)
+
+
+def test_cli_reads_no_private_name_of_the_package():
+    """cli.py calls only public names of the tgne modules: it imports no
+    ``_``-prefixed name from the package and reads no such attribute of a
+    name it imports from there (a module such as ``evl``)."""
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    package = [node for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+               and (node.level > 0 or (node.module or "").split(".")[0] == "tgne")]
+    names = {alias.asname or alias.name for node in package for alias in node.names}
+    private = [f"line {node.lineno}: {alias.name}" for node in package for alias in node.names
+               if alias.name.startswith("_")]
+    private += [
+        f"line {node.lineno}: {node.value.id}.{node.attr}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr.startswith("_")
+        and isinstance(node.value, ast.Name) and node.value.id in names
+    ]
+    assert names and not private, private

@@ -24,6 +24,7 @@ from tgne.evaluation import (
     auc,
     auc_from_scores,
     build_instances,
+    edge_table,
     fit_lsdm,
     fit_lsdm_intervals,
     lsdm_score,
@@ -34,7 +35,7 @@ from tgne.evaluation import (
     regression_slope_from_points,
     restrict_counts,
     score_instances,
-    score_tgne_many,
+    uncertainty_regression,
 )
 from tgne.inference import FittedModel, Hyperparams, VariationalState, empirical_beta, fit
 from tgne.model import DOT, EUCLIDEAN, SamplingPlan, realize_plan
@@ -519,6 +520,13 @@ class TestAuc:
         assert np.isclose(auc_from_scores(np.exp(scores), labels), base, rtol=1e-12)
 
 
+def model_scores(fm, ii, jj, kk, scorer="tgne"):
+    """``score_instances``' column for triplet lists under a model scorer."""
+    ii, jj, kk = (np.asarray(x) for x in (ii, jj, kk))
+    table = InstanceTable(ii, jj, kk, np.full(ii.size, np.nan), np.zeros(ii.size, np.int64))
+    return score_instances(table, scorer, fm=fm).score
+
+
 class TestScoreTgne:
     @pytest.mark.parametrize(
         "i, j, k", [(0, 1, 0), (-1, 1, 1), (0, 1, 5), (0, 3, 1), (3, 0, 2)]
@@ -526,18 +534,28 @@ class TestScoreTgne:
     def test_out_of_range_triplet_rejected(self, i, j, k):
         fm = static_model([(0.0, 0.0), (1.0, 0.0), (2.0, 0.0)], K=4)
         with pytest.raises(ValueError, match=r"triplet 1: .* out of range"):
-            score_tgne_many(fm, [0, i], [1, j], [1, k])
+            model_scores(fm, [0, i], [1, j], [1, k])
         with pytest.raises(ValueError, match="triplet 0: .* out of range"):
-            score_tgne_many(fm, [i], [j], [k])
+            model_scores(fm, [i], [j], [k])
+
+    @pytest.mark.parametrize("scorer", ["tgne", "tgne_predictive"])
+    @pytest.mark.parametrize("i, j, k", [(0, -1, 2), (0, 1, 0), (0, 1, 5), (0, 3, 1)])
+    def test_model_scorers_share_one_range_policy(self, scorer, i, j, k):
+        # n = 3 and K = 4: a negative id, k = 0, k = K + 1 and id n. Unchecked,
+        # tgne_predictive reads another node's or interval's rows for the first
+        # two and raises IndexError for the last two
+        fm = static_model([(0.0, 0.0), (1.0, 0.0), (2.0, 0.0)], K=4)
+        with pytest.raises(ValueError, match="is out of range"):
+            model_scores(fm, [i], [j], [k], scorer)
 
     def test_coincident_static_means(self):
         fm = static_model([(0.0, 0.0), (0.0, 0.0)], beta=0.0, K=15)
-        assert np.isclose(score_tgne_many(fm, [0], [1], [3])[0], 1 / 15, rtol=1e-12)
+        assert np.isclose(model_scores(fm, [0], [1], [3])[0], 1 / 15, rtol=1e-12)
 
     def test_monotone_decreasing_in_separation(self):
         seps = np.linspace(0, 3, 12)
         fm = static_model([(0.0, 0.0)] + [(s, 0.0) for s in seps], K=5)
-        scores = score_tgne_many(fm, np.zeros(12, int), np.arange(1, 13), np.full(12, 2))
+        scores = model_scores(fm, np.zeros(12, int), np.arange(1, 13), np.full(12, 2))
         assert all(a > b for a, b in zip(scores, scores[1:]))
 
     def test_structural_sanity_on_fixture(self, sbm_sample, fitted_sbm):
@@ -550,7 +568,7 @@ class TestScoreTgne:
             i, j = rng.choice(nodes, size=2, replace=False)
             triplets.append((i, j, rng.integers(1, 6)))
         ii, jj, kk = np.asarray(triplets).T
-        scores = score_tgne_many(fitted_sbm, ii, jj, kk)
+        scores = model_scores(fitted_sbm, ii, jj, kk)
         intra = labels[ii] == labels[jj]
         assert np.median(scores[intra]) > np.median(scores[~intra])
 
@@ -571,7 +589,7 @@ class TestScoreTgne:
         cfg = LatentConfiguration(fm.state.mu, fm.part)
         for k in (2, 3):
             ref = cumulative_rate_riemann(cfg, RateModel(DOT, 0.0), 0, 1, k, 1_000_000)
-            assert np.isclose(score_tgne_many(fm, [0], [1], [k])[0], ref, rtol=1e-6)
+            assert np.isclose(model_scores(fm, [0], [1], [k])[0], ref, rtol=1e-6)
 
 
 def reference_lsdm_fit(counts, ii, jj, k, d, opts):
@@ -931,7 +949,7 @@ class TestEdgeUncertainty:
         ii, jj, kk = np.array([0]), np.array([1]), np.array([2])
         mean, std = _exact_lambda_moments(fm.state, fm.part, ii, jj, kk - 1, kind=EUCLIDEAN)
         assert std[0] < 1e-7
-        assert np.isclose(mean[0], score_tgne_many(fm, ii, jj, kk)[0], rtol=1e-6)
+        assert np.isclose(mean[0], model_scores(fm, ii, jj, kk)[0], rtol=1e-6)
 
     def test_deterministic_under_seed(self):
         fm = static_model([(0.0, 0.0), (0.8, 0.0)], sigma=0.3, K=4)
@@ -940,6 +958,32 @@ class TestEdgeUncertainty:
             a = _exact_lambda_moments(fm.state, fm.part, ii, jj, kk0, kind=kind)
             b = _exact_lambda_moments(fm.state, fm.part, ii, jj, kk0, kind=kind)
             assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("kind", [EUCLIDEAN, DOT])
+    def test_edge_table_rows(self, kind):
+        rng = np.random.default_rng(2)
+        fm = static_model(rng.standard_normal((12, 2)) * 0.5, sigma=0.2, K=3)
+        ev = random_events(n=12, m=60, seed=8)
+        counts = interval_counts(ev, fm.part)
+        pairs = sorted(ev.unique_pairs())[::2]
+        train = restrict_counts(counts, pairs)
+        ii, jj, kk, n_events, mean, std = edge_table(fm.state, train, kind, fm.part)
+        want = [(i, j, k) for i, j in pairs for k in (1, 2, 3)]
+        assert list(zip(ii.tolist(), jj.tolist(), kk.tolist())) == want
+        # a restricted tensor holds the full counts of its pairs
+        assert np.array_equal(n_events, counts.counts_of(ii, jj, kk))
+        assert np.array_equal(n_events, train.counts_of(ii, jj, kk))
+        moments = _exact_lambda_moments(fm.state, fm.part, ii, jj, kk - 1, kind=kind)
+        assert np.array_equal(mean, moments[0]) and np.array_equal(std, moments[1])
+        assert uncertainty_regression(fm.state, train, kind, fm.part) == (
+            regression_slope_from_points(n_events, std)
+        )
+
+    def test_edge_table_needs_an_active_pair(self):
+        fm = static_model([(0.0, 0.0), (0.8, 0.0)], K=3)
+        empty = restrict_counts(interval_counts(random_events(2, 5, seed=0), fm.part), [])
+        with pytest.raises(ValueError, match="no active pairs"):
+            edge_table(fm.state, empty, EUCLIDEAN, fm.part)
 
 
 class PairMoments:

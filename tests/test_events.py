@@ -25,6 +25,7 @@ from tgne.events import (
     unique_codes,
     write_csv_columns,
     write_events_csv,
+    write_nodes_csv,
 )
 
 from conftest import canonical_pair, counts_dict, random_events, tuple_list_split
@@ -604,6 +605,14 @@ class TestCsvColumns:
         ]
         expected = _csv_writer_bytes(["source", "dest", "timestamp"], ref)
         assert (tmp_path / "events.csv").read_bytes() == expected
+
+    def test_nodes_file_matches_csv_writer(self, tmp_path):
+        labels = ["a,b", 'q"x', "plain", " sp", "line\nbreak", "cr\r", ""]
+        ev = EventList(src=np.array([0]), dst=np.array([1]), time=np.array([0.5]), n=7,
+                       node_labels=labels)
+        write_nodes_csv(ev, tmp_path / "nodes.csv")
+        expected = _csv_writer_bytes(["label", "id"], [[x, i] for i, x in enumerate(labels)])
+        assert (tmp_path / "nodes.csv").read_bytes() == expected
 
 
 def _repr_text(x: np.ndarray) -> list[str]:

@@ -27,11 +27,12 @@ from tgne.model import (
     realize_plan,
     total_nll,
     _Terms,
-    _closed_rate_batch,
+    _closed_coeffs,
     _dot_coeffs,
     _exp_linear_integrals,
     _normal_cdf_diff,
     _pair_incidence,
+    _rate_batch,
 )
 
 from conftest import (
@@ -592,6 +593,23 @@ def ref_closed_rate_batch(da, db, beta, lengths, want_grad=False):
     return lam, np.where(mask, ga_d, ga_nd), np.where(mask, gb_d, gb_nd)
 
 
+def closed_rate_batch(da, db, beta, lengths, want_grad=False):
+    """Lambda by ``_rate_batch`` and, when ``want_grad``, its gradients in da
+    and db composed from ``_closed_coeffs``' (p, q, r): (p da + q db, q da + r db)."""
+    lam = _rate_batch(da, db, np.zeros_like(da), np.zeros_like(db), beta, lengths, EUCLIDEAN)
+    if not want_grad:
+        return lam, None, None
+    v = da - db
+
+    def dot(x, y):
+        return np.einsum("...d,...d->...", x, y)
+
+    _, p, q, r = _closed_coeffs(dot(da, da), dot(da, v), dot(v, v), dot(da, db), lengths, beta,
+                                True)
+    p, q, r = p[..., None], q[..., None], r[..., None]
+    return lam, p * da + q * db, q * da + r * db
+
+
 def assert_bits_equal(got, want):
     got, want = np.asarray(got), np.asarray(want)
     assert got.shape == want.shape and got.dtype == want.dtype
@@ -638,14 +656,14 @@ class TestKernelsMatchBothBranchForms:
         beta=st.floats(-2.0, 2.0),
         kinds=st.lists(st.sampled_from(ROW_KINDS), min_size=1, max_size=35),
     )
-    def test_closed_rate_batch_pk_rows(self, seed, d, P, K, beta, kinds):
+    def test_closed_form_pk_rows(self, seed, d, P, K, beta, kinds):
         rng = np.random.default_rng(seed)
         idx = rng.integers(len(kinds), size=P * K)
         da, db = mixed_rows(rng, [kinds[r] for r in idx], d)
         da, db = da.reshape(P, K, d), db.reshape(P, K, d)
         lengths = rng.uniform(0.01, 0.5, size=K)[None, :]
         for want_grad in (False, True):
-            got = _closed_rate_batch(da, db, beta, lengths, want_grad)
+            got = closed_rate_batch(da, db, beta, lengths, want_grad)
             want = ref_closed_rate_batch(da, db, beta, lengths, want_grad)
             for g, w in zip(got, want):
                 if w is None:
@@ -661,10 +679,10 @@ class TestKernelsMatchBothBranchForms:
         beta=st.floats(-2.0, 2.0),
         length=st.floats(0.01, 1.0),
     )
-    def test_closed_rate_batch_single_row(self, seed, d, kind, beta, length):
+    def test_closed_form_single_row(self, seed, d, kind, beta, length):
         # (d,) inputs give 0-d results, as cumulative_rate_closed passes them
         da, db = mixed_rows(np.random.default_rng(seed), [kind], d)
-        got = _closed_rate_batch(da[0], db[0], beta, length, True)
+        got = closed_rate_batch(da[0], db[0], beta, length, True)
         want = ref_closed_rate_batch(da[0], db[0], beta, length, True)
         assert got[0].shape == ()
         for g, w in zip(got, want):

@@ -1,8 +1,10 @@
+import csv
+
 import numpy as np
 import pytest
 from scipy.stats import kstest
 
-from tgne.simulate import SbmSpec, default_sbm_spec, sbm_generate
+from tgne.simulate import SbmSpec, default_sbm_spec, sbm_generate, write_labels_csv
 
 
 def expected_total_events(spec: SbmSpec) -> float:
@@ -121,3 +123,16 @@ class TestSbmGenerate:
         )
         with pytest.raises(ValueError):
             sbm_generate(spec)
+
+
+def test_labels_file_matches_csv_writer(tmp_path):
+    sample = sbm_generate(default_sbm_spec(n=7, seed=2))
+    write_labels_csv(sample, tmp_path / "labels.csv")
+    with open(tmp_path / "ref.csv", "w", encoding="utf-8", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(["node", "segment", "cluster"])
+        n, n_seg = sample.labels.shape
+        writer.writerows(
+            [i, s + 1, int(sample.labels[i, s])] for i in range(n) for s in range(n_seg)
+        )
+    assert (tmp_path / "labels.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()

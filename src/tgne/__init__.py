@@ -57,7 +57,6 @@ from .evaluation import (
     neighbor_distance,
     node_uncertainty,
     rate_vs_uncertainty_table,
-    regression_slope_from_points,
     restrict_counts,
     score_instances,
     uncertainty_regression,

@@ -15,6 +15,7 @@ positivity holds by construction.
 from __future__ import annotations
 
 import json
+import warnings
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Optional
@@ -288,7 +289,8 @@ def fit(
     With a split, the likelihood is restricted to training pairs: held-out
     pairs contribute no terms and are excluded from negative pools. The bias
     starts at hp.beta_init (empirical rate scale when None) and then trains
-    at its own learning rate.
+    at its own learning rate. A RuntimeWarning names the first and the last
+    loss when the last is above the first.
     """
     n = ev.n
     part = IntervalPartition.uniform(hp.K)
@@ -321,6 +323,12 @@ def fit(
         if not _finite_state(state):
             raise FitDivergedError(epoch, nll, kl, what="state after the Adam step")
         trace[epoch] = loss
+    if trace[-1] > trace[0]:
+        warnings.warn(
+            f"the loss ended above where it started: {trace[0]:.6g} at epoch 1, "
+            f"{trace[-1]:.6g} at epoch {hp.epochs}; try smaller learning rates",
+            RuntimeWarning,
+        )
 
     return FittedModel(
         state=state,

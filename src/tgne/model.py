@@ -40,6 +40,7 @@ from scipy.sparse import csc_matrix
 from scipy.special import dawsn, erfc, erfcx
 
 from .events import EventList, IntervalPartition, Pair, in_sorted, pair_codes, unique_codes
+from .expectations import DOT, EUCLIDEAN
 
 SQRT_2PI = np.sqrt(2.0 * np.pi)
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
@@ -65,8 +66,6 @@ SURVIVAL_BLOCK = 1024
 # per table whatever n is
 SEEN_CELLS = 1 << 21
 
-EUCLIDEAN = "euclidean"
-DOT = "dot"
 _KINDS = (EUCLIDEAN, DOT)
 
 
@@ -698,16 +697,6 @@ def realize_plan(ev: EventList, part: IntervalPartition, plan: SamplingPlan) -> 
     Raises ``ValueError`` for ``negatives_per_node`` < 1.
     """
     return draw_terms(fixed_terms(ev, part, plan), plan.seed)
-
-
-def _endpoints(z: np.ndarray, ii: np.ndarray, kk0: np.ndarray):
-    """(z[ii, kk0, :], z[ii, kk0 + 1, :]) gathered as rows of the (n*(K+1), d) view.
-
-    ``take`` on flat rows is several times faster than the two-array index.
-    """
-    flat = z.reshape(-1, z.shape[2])
-    rows = ii * z.shape[1] + kk0
-    return flat.take(rows, axis=0), flat.take(rows + 1, axis=0)
 
 
 def _kernel(z, beta, kind, lengths, terms, want_grad):

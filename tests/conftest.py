@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from tgne import inference
+from tgne import evaluation, inference
 from tgne.events import EventList
 from tgne.model import (
     EUCLIDEAN,
@@ -94,6 +94,16 @@ def posterior_draws(vs, rng, B, size, values_at):
         total_sq += values * values
     mean = total / B
     return mean, np.sqrt(np.maximum(total_sq / B - mean * mean, 0.0))
+
+
+def lsdm_nll_grad(z: np.ndarray, beta: float, ii, jj, y):
+    """``evaluation._lsdm_objective`` unpacked: the Bernoulli NLL of
+    p = logistic(beta - |z_i - z_j|^2) over the pairs (ii, jj) with labels y,
+    and its gradients in z (n, d) and beta."""
+    n, d = z.shape
+    index = np.concatenate([ii, jj]) + n * np.arange(d)[:, None]
+    nll, grad = evaluation._lsdm_objective(np.append(z.T, beta), index, 1.0 - 2.0 * y)
+    return nll, grad[:-1].reshape(d, n).T, float(grad[-1])
 
 
 def canonical_pair(i: int, j: int, directed: bool) -> tuple[int, int]:

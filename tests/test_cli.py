@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import re
+import warnings
 from pathlib import Path
 
 import pytest
@@ -100,6 +101,28 @@ class TestFit:
         assert nodes[0] == "label,id" and len(nodes) == 25
         echoed = json.loads((fit_dir / "config.json").read_text())
         assert echoed["epochs"] == 25 and echoed["test_frac"] == 0.1
+
+    def test_rising_loss_warns_once(self, tmp_path):
+        """A fit whose loss ends above its start names both losses in one
+        warning and still writes its outputs; the same fit at the default
+        learning rates is silent."""
+        sim = tmp_path / "sim"
+        assert run(["simulate", "--out", sim, "--n", 12, "--seed", 1]) == 0
+        args = ["fit", "--events", sim / "events.csv", "--epochs", 50]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(args + ["--out", tmp_path / "calm"]) == 0
+        out = tmp_path / "diverged"
+        with pytest.warns(RuntimeWarning) as record:
+            assert run(args + ["--out", out, "--lr-beta", 100]) == 0
+        losses = [float(line.split(",")[1]) for line in
+                  (out / "loss.csv").read_text().splitlines()[1:]]
+        assert losses[-1] > 400 * abs(losses[0])  # -748 -> 348,050
+        assert [str(w.message) for w in record] == [
+            f"the loss ended above where it started: {losses[0]:.6g} at epoch 1, "
+            f"{losses[-1]:.6g} at epoch 50; try smaller learning rates"
+        ]
+        assert (out / "model.json").is_file()
 
     def test_rerun_identical_model(self, tmp_path, sim_dir):
         a, b = tmp_path / "a", tmp_path / "b"

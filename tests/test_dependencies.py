@@ -59,6 +59,36 @@ def test_package_does_not_import_scipy_stats():
     assert not stats, f"src/tgne imports {stats}"
 
 
+def _module_imports(tree: ast.AST, with_type_checking: bool) -> set[str]:
+    """Dotted names a module imports, relative imports resolved under tgne;
+    the bodies of ``if TYPE_CHECKING:`` are left out unless asked for."""
+    names = set()
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, ast.If) and ast.unparse(node.test).endswith("TYPE_CHECKING"):
+            body = node.body + node.orelse if with_type_checking else node.orelse
+            names |= _module_imports(ast.Module(body=body, type_ignores=[]), with_type_checking)
+            continue
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = ".".join(filter(None, ["tgne" if node.level else "", node.module]))
+            names.update(f"{base}.{alias.name}" for alias in node.names)
+        names |= _module_imports(node, with_type_checking)
+    return names
+
+
+def test_expectations_is_a_leaf_at_run_time():
+    # model and inference import the moments, so the moments may not import them back
+    tree = ast.parse((ROOT / "src" / "tgne" / "expectations.py").read_text(encoding="utf-8"))
+    assert "tgne.inference.VariationalState" in _module_imports(tree, True), "the scan is broken"
+    run_time = _module_imports(tree, False)
+    assert "numpy" in run_time, "the scan is broken"
+    layers = sorted(n for n in run_time if n.startswith("tgne.") and n.split(".")[1] != "events")
+    assert not layers, f"expectations.py imports {layers} at run time; only tgne.events may be"
+    scipy = sorted(n for n in run_time if n.split(".")[0] == "scipy")
+    assert not scipy, f"expectations.py imports {scipy}"
+
+
 FRESH_IMPORT = """
 import sys
 import scipy.optimize, scipy.sparse, scipy.special

@@ -8,16 +8,13 @@ from scipy.optimize import minimize
 from scipy.special import expit
 from scipy.stats import rankdata
 
-from tgne import evaluation, events
+from tgne import evaluation, events, expectations
 from tgne.events import IntervalPartition, interval_counts, pair_codes, split_edges
 from tgne.evaluation import (
     InstanceTable,
     LsdmModel,
     LsdmOpts,
-    _exact_lambda_moments,
-    _exact_rate_std,
     _lambda_batch,
-    _lsdm_nll_grad,
     _average_ranks,
     _rejection_sample,
     _swapped_destinations,
@@ -37,6 +34,7 @@ from tgne.evaluation import (
     score_instances,
     uncertainty_regression,
 )
+from tgne.expectations import _exact_lambda_moments, _exact_rate_std
 from tgne.inference import FittedModel, Hyperparams, VariationalState, empirical_beta, fit
 from tgne.model import DOT, EUCLIDEAN, SamplingPlan, realize_plan
 
@@ -44,6 +42,7 @@ from conftest import (
     canonical_pair,
     counts_dict,
     cumulative_rate_riemann,
+    lsdm_nll_grad,
     pair_times,
     posterior_draws,
     random_events,
@@ -662,17 +661,17 @@ class TestLsdm:
         ii = rng.integers(0, n, P)
         jj = (ii + 1 + rng.integers(0, n - 1, P)) % n
         y = rng.integers(0, 2, P).astype(float)
-        _nll, g_z, g_b = _lsdm_nll_grad(z, beta, ii, jj, y)
+        _nll, g_z, g_b = lsdm_nll_grad(z, beta, ii, jj, y)
         h = 1e-6
         for _ in range(10):
             a, c = rng.integers(n), rng.integers(d)
             zp = z.copy(); zp[a, c] += h
             zm = z.copy(); zm[a, c] -= h
-            fd = (_lsdm_nll_grad(zp, beta, ii, jj, y)[0] - _lsdm_nll_grad(zm, beta, ii, jj, y)[0]) / (2 * h)
+            fd = (lsdm_nll_grad(zp, beta, ii, jj, y)[0] - lsdm_nll_grad(zm, beta, ii, jj, y)[0]) / (2 * h)
             assert abs(g_z[a, c] - fd) <= 1e-4 * max(abs(fd), 1e-8)
         fd_b = (
-            _lsdm_nll_grad(z, beta + h, ii, jj, y)[0]
-            - _lsdm_nll_grad(z, beta - h, ii, jj, y)[0]
+            lsdm_nll_grad(z, beta + h, ii, jj, y)[0]
+            - lsdm_nll_grad(z, beta - h, ii, jj, y)[0]
         ) / (2 * h)
         assert abs(g_b - fd_b) <= 1e-4 * max(abs(fd_b), 1e-8)
 
@@ -686,7 +685,7 @@ class TestLsdm:
         jj = (ii + 1 + rng.integers(0, n - 1, P)) % n
         y = rng.integers(0, 2, P).astype(float)
         beta = float(rng.standard_normal())
-        _nll, g_z, _g_b = _lsdm_nll_grad(z, beta, ii, jj, y)
+        _nll, g_z, _g_b = lsdm_nll_grad(z, beta, ii, jj, y)
         # reference: the per-pair gradient scattered by two np.add.at passes,
         # with the kernel's residual (1 - 2y) sigma(u) written out
         diff = z[ii] - z[jj]
@@ -706,7 +705,7 @@ class TestLsdm:
         """Each term is softplus((1 - 2y) logit): no cap, and it agrees with the gradient."""
         z = np.zeros((2, 1))
         ii, jj, y = np.array([0]), np.array([1]), np.array([float(label)])
-        nll, _g_z, g_b = _lsdm_nll_grad(z, logit, ii, jj, y)
+        nll, _g_z, g_b = lsdm_nll_grad(z, logit, ii, jj, y)
         sign = 1.0 - 2.0 * label
         # a term below e^-600 is floored there (about 3e-261)
         assert nll == pytest.approx(np.logaddexp(0.0, sign * logit), rel=1e-15, abs=1e-260)
@@ -717,7 +716,7 @@ class TestLsdm:
     def test_residual_never_subnormal(self, logit):
         """|u| is floored at 600, so no residual falls in the slow subnormal range."""
         z = np.zeros((2, 1))
-        _nll, _g_z, g_b = _lsdm_nll_grad(z, logit, np.array([0]), np.array([1]), np.array([0.0]))
+        _nll, _g_z, g_b = lsdm_nll_grad(z, logit, np.array([0]), np.array([1]), np.array([0.0]))
         assert np.finfo(float).tiny <= g_b < 1e-260
 
     def test_value_matches_logaddexp_over_wide_logits(self):
@@ -728,7 +727,7 @@ class TestLsdm:
         jj = (ii + 1 + rng.integers(0, n - 1, P)) % n
         y = rng.integers(0, 2, P).astype(float)
         beta = 60.0
-        nll, _g_z, g_b = _lsdm_nll_grad(z, beta, ii, jj, y)
+        nll, _g_z, g_b = lsdm_nll_grad(z, beta, ii, jj, y)
         diff = z[ii] - z[jj]
         logits = beta - (diff * diff).sum(axis=1)
         assert logits.min() < -100 and logits.max() > 20
@@ -756,7 +755,7 @@ class TestLsdm:
             assert model.iterations < 800 and model.evaluations >= model.iterations
             # the reported figures are those of the returned (z, beta)
             y = (train_counts.counts_of(ii, jj, k) >= 1).astype(float)
-            nll, g_z, g_b = _lsdm_nll_grad(model.z, model.beta, ii, jj, y)
+            nll, g_z, g_b = lsdm_nll_grad(model.z, model.beta, ii, jj, y)
             assert model.nll_trace[-1] == nll
             assert model.grad_inf == max(np.abs(g_z).max(), abs(g_b)) < 1e-4
 
@@ -1189,13 +1188,13 @@ class TestExactMoments:
         ii, jj = (a.repeat(K) for a in np.triu_indices(n, 1))
         kk0 = np.tile(np.arange(K), ii.size // K)
         sizes = []
-        real = evaluation._interval_variance
+        real = expectations._interval_variance
         monkeypatch.setattr(
-            evaluation, "_interval_variance",
+            expectations, "_interval_variance",
             lambda S, *a: sizes.append(a[3].w.size) or real(S, *a),
         )
         mean, std = _exact_lambda_moments(vs, part, ii, jj, kk0)
-        assert ii.size > evaluation.MOMENT_ROWS and len(set(sizes)) > 1
+        assert ii.size > expectations.MOMENT_ROWS and len(set(sizes)) > 1
         pick = np.flatnonzero((ii < 8) & (jj >= 8) & (jj < 16))[:5].tolist() + [0, 700, 2000]
         for r in pick:
             m1, s1 = _exact_lambda_moments(vs, part, ii[r : r + 1], jj[r : r + 1], kk0[r : r + 1])
@@ -1244,8 +1243,8 @@ class TestDotMoments:
         ev = ten_node_events
         table = rate_vs_uncertainty_table(ev, vs, DOT, part, seed=2)
         k1, s = part.local_coord(table.t)
-        S = evaluation._dot_scalars(vs, table.i, table.j, k1 - 1)
-        rate_mean = evaluation._dot_mean(S, s, vs.beta)
+        S = expectations._dot_scalars(vs, table.i, table.j, k1 - 1)
+        rate_mean = expectations._dot_mean(S, s, vs.beta)
         r, m = ii.size, len(table)
 
         def values_at(z):
@@ -1266,7 +1265,7 @@ class TestDotMoments:
         # 30-point Gauss-Hermite rule each, against E_s E_t exp(g)
         vs, part = dot_state(3, n=2, K=1, sigma=(0.2, 0.45))
         vs.mu = vs.mu[:, :, :1].copy()
-        S = evaluation._dot_scalars(vs, np.asarray([0]), np.asarray([1]), np.asarray([0]))
+        S = expectations._dot_scalars(vs, np.asarray([0]), np.asarray([1]), np.asarray([0]))
         x, w = np.polynomial.hermite_e.hermegauss(30)
         w = w / w.sum()
         sig = vs.sigma
@@ -1278,8 +1277,8 @@ class TestDotMoments:
             return np.exp(vs.beta + ((1 - u) * za + u * zb) * ((1 - u) * ya + u * yb))
 
         want = (weight * lam(s) * lam(t)).sum()
-        e_s, e_t = (evaluation._dot_mean(S, np.asarray([u]), vs.beta)[0] for u in (s, t))
-        g = evaluation._dot_log_cov(S, np.asarray([s]), np.asarray([t]))[0]
+        e_s, e_t = (expectations._dot_mean(S, np.asarray([u]), vs.beta)[0] for u in (s, t))
+        g = expectations._dot_log_cov(S, np.asarray([s]), np.asarray([t]))[0]
         assert e_s * e_t * np.exp(g) == pytest.approx(want, rel=1e-10)
         assert e_s == pytest.approx((weight * lam(s)).sum(), rel=1e-12)
 

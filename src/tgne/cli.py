@@ -27,6 +27,7 @@ from .events import (
     parse_events,
     split_edges,
     unique_codes,
+    write_csv_chunks,
     write_csv_columns,
     write_events_csv,
     write_nodes_csv,
@@ -122,6 +123,12 @@ def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
         if value is None:
             value = config.get(key, default)
         resolved[key] = value
+    for key in ("seed", "split_seed"):
+        value = resolved.get(key, 0)  # a flag's value was checked by its type
+        if type(value) is not int or value < 0:
+            raise ValueError(
+                f"--config key {key!r} must be an integer >= 0, got {json.dumps(value)}"
+            )
     for key in vars(args):
         if key not in resolved and key not in ("func", "config"):
             resolved[key] = getattr(args, key)
@@ -139,14 +146,14 @@ def _echo_config(resolved: dict, outdir: Path) -> None:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     resolved = _resolve(args, _SIM_DEFAULTS)
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
     spec = default_sbm_spec(
         n=int(resolved["n"]),
         intra_rate=float(resolved["intra_rate"]),
         inter_rate=float(resolved["inter_rate"]),
         seed=int(resolved["seed"]),
     )
+    outdir = Path(args.out)
+    outdir.mkdir(parents=True, exist_ok=True)
     sample = sbm_generate(spec)
     write_events_csv(sample.events, outdir / "events.csv")
     write_labels_csv(sample, outdir / "labels.csv")
@@ -328,8 +335,9 @@ def cmd_eval(args: argparse.Namespace) -> int:
         ],
     )
 
-    # edge-level posterior-predictive uncertainty over the training pairs
-    write_csv_columns(
+    # edge-level posterior-predictive uncertainty over the training pairs,
+    # one batch of rows at a time
+    write_csv_chunks(
         outdir / "uncertainty_edges.csv", ["i", "j", "k", "N", "lambda_mean", "lambda_std"],
         evl.edge_table(fm.state, train_counts, fm.hyper.rate_model, part),
     )
@@ -388,14 +396,32 @@ def cmd_score(args: argparse.Namespace) -> int:
     return 0
 
 
-def _positive_int(text: str) -> int:
-    """An argparse type: an integer >= 1 (argparse names the flag on failure)."""
+def _int_at_least(lo: int):
+    """An argparse type: an integer >= ``lo`` (argparse names the flag on failure)."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < lo:
+            raise argparse.ArgumentTypeError(f"must be >= {lo}, got {value}")
+        return value
+
+    return parse
+
+
+_positive_int, _seed = _int_at_least(1), _int_at_least(0)
+
+
+def _rate(text: str) -> float:
+    """An argparse type: a finite float >= 0."""
     try:
-        value = int(text)
+        value = float(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not 0 <= value < np.inf:
+        raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {text}")
     return value
 
 
@@ -409,10 +435,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim = sub.add_parser("simulate", help="generate the block-model fixture")
     p_sim.add_argument("--out", required=True, help="output directory")
     p_sim.add_argument("--config", help="JSON file with default flag values")
-    p_sim.add_argument("--n", type=int)
-    p_sim.add_argument("--intra-rate", dest="intra_rate", type=float)
-    p_sim.add_argument("--inter-rate", dest="inter_rate", type=float)
-    p_sim.add_argument("--seed", type=int)
+    p_sim.add_argument("--n", type=_int_at_least(2), help="number of nodes (>= 2)")
+    p_sim.add_argument("--intra-rate", dest="intra_rate", type=_rate)
+    p_sim.add_argument("--inter-rate", dest="inter_rate", type=_rate)
+    p_sim.add_argument("--seed", type=_seed)
     p_sim.set_defaults(func=cmd_simulate)
 
     p_fit = sub.add_parser("fit", help="fit latent trajectories to an event file")
@@ -430,7 +456,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit.add_argument(
         "--negatives", type=_positive_int, help="negative samples per node per epoch (>= 1)"
     )
-    p_fit.add_argument("--seed", type=int)
+    p_fit.add_argument("--seed", type=_seed)
     p_fit.add_argument(
         "--beta-init", dest="beta_init", type=float,
         help="rate bias start value (default: empirical log rate per active pair)",
@@ -438,7 +464,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit.add_argument("--directed", action=argparse.BooleanOptionalAction)
     p_fit.add_argument("--test-frac", dest="test_frac", type=float)
     p_fit.add_argument("--val-frac", dest="val_frac", type=float)
-    p_fit.add_argument("--split-seed", dest="split_seed", type=int)
+    p_fit.add_argument("--split-seed", dest="split_seed", type=_seed)
     p_fit.set_defaults(func=cmd_fit)
 
     p_eval = sub.add_parser("eval", help="reconstruction benchmark + uncertainty tables")
@@ -451,10 +477,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--B", type=int,
         help="ignored: the posterior-predictive moments are exact for both rate models",
     )
-    p_eval.add_argument("--seed", type=int)
+    p_eval.add_argument("--seed", type=_seed)
     p_eval.add_argument("--test-frac", dest="test_frac", type=float)
     p_eval.add_argument("--val-frac", dest="val_frac", type=float)
-    p_eval.add_argument("--split-seed", dest="split_seed", type=int)
+    p_eval.add_argument("--split-seed", dest="split_seed", type=_seed)
     p_eval.add_argument(
         "--lsdm-iters", dest="lsdm_iters", type=_positive_int,
         help="L-BFGS-B iteration cap of each interval's lsdm fit (>= 1)",

@@ -14,13 +14,14 @@ the posterior-predictive mean and spread of rates and cumulative rates (from
 from __future__ import annotations
 
 from dataclasses import dataclass, fields, replace
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 import numpy as np
 from scipy.optimize import minimize
 from scipy.special import expit
 
 from .events import (
+    CSV_CHUNK_ROWS,
     CountTensor,
     EventList,
     IntervalPartition,
@@ -469,21 +470,43 @@ def node_table(
 
 def edge_table(
     vs: VariationalState, counts: CountTensor, rm_kind: str, part: IntervalPartition
-) -> tuple[np.ndarray, ...]:
-    """Columns (i, j, k, N, lambda_mean, lambda_std), one row per active pair
-    of ``counts`` and interval in (pair, interval) order, k 1-based.
+) -> Iterator[tuple[np.ndarray, ...]]:
+    """Batches of columns (i, j, k, N, lambda_mean, lambda_std), one row per
+    active pair of ``counts`` and interval in (pair, interval) order, k 1-based.
 
     Every interval of an active pair is a row, its zero-count ones included;
-    the moments are ``_exact_lambda_moments``'.
+    the moments are ``_exact_lambda_moments``'. The rows come
+    ``CSV_CHUNK_ROWS`` at a time, each batch from one moment call and one
+    ``counts_of`` call, so only one batch of the table is alive; a batch may
+    end inside a pair's K rows. ``CSV_CHUNK_ROWS`` is a multiple of
+    ``MOMENT_ROWS``, so every moment chunk holds the rows it would hold in
+    one call over the whole table, and the values are the same bits. A dot
+    table with inf rows is the exception: its finite rows fill the moment
+    chunks within each batch, so they may differ in the last bits. The
+    ValueError for counts with no active pair is raised by this call, not by
+    the first batch.
     """
     pi, pj = counts.active_pairs()
     if not pi.size:
         raise ValueError("counts contain no active pairs")
-    K = part.K
-    ii, jj = pi.repeat(K), pj.repeat(K)
-    kk0 = np.tile(np.arange(K), pi.size)
-    mean, std = _exact_lambda_moments(vs, part, ii, jj, kk0, kind=rm_kind)
-    return ii, jj, kk0 + 1, counts.counts_of(ii, jj, kk0 + 1), mean, std
+    return _edge_batches(vs, counts, rm_kind, part, pi, pj)
+
+
+def _edge_batches(
+    vs: VariationalState,
+    counts: CountTensor,
+    rm_kind: str,
+    part: IntervalPartition,
+    pi: np.ndarray,
+    pj: np.ndarray,
+) -> Iterator[tuple[np.ndarray, ...]]:
+    """``edge_table``'s batches over the active pairs (pi, pj)."""
+    rows = pi.size * part.K
+    for start in range(0, rows, CSV_CHUNK_ROWS):
+        pair, kk0 = np.divmod(np.arange(start, min(start + CSV_CHUNK_ROWS, rows)), part.K)
+        ii, jj = pi[pair], pj[pair]
+        mean, std = _exact_lambda_moments(vs, part, ii, jj, kk0, kind=rm_kind)
+        yield ii, jj, kk0 + 1, counts.counts_of(ii, jj, kk0 + 1), mean, std
 
 
 def regression_slope_from_points(n_values: np.ndarray, stds: np.ndarray) -> float:
@@ -508,12 +531,14 @@ def uncertainty_regression(
     seed: int = 0,
 ) -> float:
     """OLS slope of posterior Std(Lambda_ij(I_k)) against N_ij(I_k) over
-    ``edge_table``'s rows (``regression_slope_from_points``).
+    ``edge_table``'s rows (``regression_slope_from_points``), keeping only the
+    N and std columns of each batch.
 
     The std is exact for both rate kinds; ``B`` and ``seed`` are accepted
     and ignored. Pass a train-restricted tensor to stay on training data.
     """
-    _, _, _, n_events, _, stds = edge_table(vs, counts, rm_kind, part)
+    batches = [(n, std) for _, _, _, n, _, std in edge_table(vs, counts, rm_kind, part)]
+    n_events, stds = map(np.concatenate, zip(*batches))
     return regression_slope_from_points(n_events, stds)
 
 

@@ -361,29 +361,39 @@ def _renderer(column):
     return lambda chunk: chunk.tolist()
 
 
-def write_csv_columns(path: str | Path, header: Sequence[str], columns: Sequence) -> None:
-    """Write equal-length columns as CSV with the bytes of csv.writer.
+def write_csv_chunks(path: str | Path, header: Sequence[str], chunks: Iterable[Sequence]) -> None:
+    """Write a CSV whose rows arrive as chunks of equal-length columns, with
+    the bytes of csv.writer.
 
-    A float array is written as ``repr`` of each value (by ``float_text``) and
-    a bool or integer array as ``str``, which is what csv.writer writes for
-    Python floats and ints; any other column holds fields already rendered as
-    text (see ``csv_field``). Fields are joined by "," and rows end in
-    "\\r\\n". Rows are rendered ``CSV_CHUNK_ROWS`` at a time, so only one chunk
-    of strings is alive.
+    Each chunk is a sequence of columns, and its rows follow the previous
+    chunk's; an empty chunk writes nothing. A float array is written as
+    ``repr`` of each value (by ``float_text``) and a bool or integer array as
+    ``str``, which is what csv.writer writes for Python floats and ints; any
+    other column holds fields already rendered as text (see ``csv_field``).
+    Fields are joined by "," and rows end in "\\r\\n". Rows are rendered
+    ``CSV_CHUNK_ROWS`` at a time, so only one slice of strings is alive, and
+    only one chunk's columns when ``chunks`` is a generator.
 
-    An integer (not bool) array whose range hi - lo + 1 is no larger than its
-    length has ``str`` of each of lo..hi rendered once, as an object array,
-    and each chunk becomes ``table.take(chunk - lo)``: about a tenth of the
-    time of ``str`` per value on a 214k-row column.
+    Each chunk picks its columns' renderers on its own. An integer (not bool)
+    array whose range hi - lo + 1 is no larger than its length has ``str`` of
+    each of lo..hi rendered once, as an object array, and each slice becomes
+    ``table.take(slice - lo)``: about a tenth of the time of ``str`` per value
+    on a 214k-row column. Either renderer writes the same text.
     """
-    rows = len(columns[0]) if columns else 0
-    renderers = [_renderer(col) for col in columns]
     with open(path, "w", encoding="utf-8", newline="") as handle:
         handle.write(",".join(map(csv_field, header)) + "\r\n")
-        for start in range(0, rows, CSV_CHUNK_ROWS):
-            stop = start + CSV_CHUNK_ROWS
-            fields = [render(col[start:stop]) for render, col in zip(renderers, columns)]
-            handle.write("\r\n".join(map(",".join, zip(*fields))) + "\r\n")
+        for columns in chunks:
+            rows = len(columns[0]) if columns else 0
+            renderers = [_renderer(col) for col in columns]
+            for start in range(0, rows, CSV_CHUNK_ROWS):
+                stop = start + CSV_CHUNK_ROWS
+                fields = [render(col[start:stop]) for render, col in zip(renderers, columns)]
+                handle.write("\r\n".join(map(",".join, zip(*fields))) + "\r\n")
+
+
+def write_csv_columns(path: str | Path, header: Sequence[str], columns: Sequence) -> None:
+    """Write equal-length columns as CSV: ``write_csv_chunks`` with one chunk."""
+    write_csv_chunks(path, header, [columns])
 
 
 def write_events_csv(ev: EventList, path: str | Path) -> None:

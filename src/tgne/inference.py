@@ -121,6 +121,8 @@ class Hyperparams:
         for name in ("d", "K", "epochs"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.negatives_per_node is not None and self.negatives_per_node < 1:
             raise ValueError(f"negatives_per_node must be >= 1, got {self.negatives_per_node}")
         for name in ("tau", "tau0", "lr_phi", "lr_beta", "beta_init"):

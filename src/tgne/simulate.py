@@ -57,8 +57,8 @@ def default_sbm_spec(
     community, spends the middle segment alone in cluster 2, then joins the
     second community.
     """
-    if intra_rate < 0 or inter_rate < 0:
-        raise ValueError("rates must be >= 0")
+    if not (0 <= intra_rate < np.inf and 0 <= inter_rate < np.inf):
+        raise ValueError(f"rates must be finite and >= 0, got {intra_rate} and {inter_rate}")
     half = n // 2
 
     def membership(node: int, segment: int) -> int:

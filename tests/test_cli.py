@@ -3,6 +3,7 @@ import ast
 import csv
 import io
 import json
+import math
 import re
 import warnings
 from pathlib import Path
@@ -636,6 +637,61 @@ def test_bad_split_fraction_exits_one_before_output(sim_dir, fit_dir, tmp_path, 
         args += ["--epochs", 2]
     assert run(args) == 1
     assert "error: need 0 <= test_frac + val_frac < 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _usage_error_before_output(argv, out, flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 2
+    assert f"argument {flag}: " in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--seed", "-2"), ("--n", "1"), ("--intra-rate", "-1"), ("--inter-rate", "nan"),
+    ("--inter-rate", "inf"),
+])
+def test_bad_simulate_value_usage_error_before_output(tmp_path, capsys, flag, value):
+    out = tmp_path / "x"
+    _usage_error_before_output(["simulate", "--out", out, flag, value], out, flag, capsys)
+
+
+@pytest.mark.parametrize("flag", ["--seed", "--split-seed"])
+def test_negative_fit_seed_usage_error_before_output(sim_dir, tmp_path, capsys, flag):
+    out = tmp_path / "x"
+    argv = ["fit", "--events", sim_dir / "events.csv", "--out", out, flag, "-1"]
+    _usage_error_before_output(argv, out, flag, capsys)
+
+
+@pytest.mark.parametrize("flag", ["--seed", "--split-seed"])
+def test_negative_eval_seed_usage_error_before_output(sim_dir, fit_dir, tmp_path, capsys, flag):
+    out = tmp_path / "x"
+    argv = ["eval", "--events", sim_dir / "events.csv", "--model", fit_dir / "model.json",
+            "--out", out, flag, "-3"]
+    _usage_error_before_output(argv, out, flag, capsys)
+
+
+@pytest.mark.parametrize("command, key, value, message", [
+    ("simulate", "seed", -2, "--config key 'seed' must be an integer >= 0, got -2"),
+    ("simulate", "inter_rate", math.nan, "rates must be finite and >= 0"),
+    ("fit", "seed", -1, "--config key 'seed' must be an integer >= 0, got -1"),
+    ("fit", "split_seed", -1, "--config key 'split_seed' must be an integer >= 0, got -1"),
+    ("eval", "seed", 1.5, "--config key 'seed' must be an integer >= 0, got 1.5"),
+    ("eval", "split_seed", -3, "--config key 'split_seed' must be an integer >= 0, got -3"),
+])
+def test_bad_config_value_exits_one_before_output(sim_dir, fit_dir, tmp_path, capsys, command,
+                                                  key, value, message):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({key: value}))
+    out = tmp_path / "x"
+    args = [command, "--out", out, "--config", cfg]
+    if command != "simulate":
+        args += ["--events", sim_dir / "events.csv"]
+    if command == "eval":
+        args += ["--model", fit_dir / "model.json", "--scorers", "pa"]
+    assert run(args) == 1
+    assert f"error: {message}" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,15 @@ from scipy.special import expit
 from scipy.stats import rankdata
 
 from tgne import evaluation, events, expectations
-from tgne.events import IntervalPartition, interval_counts, pair_codes, split_edges
+from tgne.events import (
+    CSV_CHUNK_ROWS,
+    EventList,
+    IntervalPartition,
+    interval_counts,
+    pair_codes,
+    split_edges,
+    write_csv_chunks,
+)
 from tgne.evaluation import (
     InstanceTable,
     LsdmModel,
@@ -966,7 +975,9 @@ class TestEdgeUncertainty:
         counts = interval_counts(ev, fm.part)
         pairs = sorted(ev.unique_pairs())[::2]
         train = restrict_counts(counts, pairs)
-        ii, jj, kk, n_events, mean, std = edge_table(fm.state, train, kind, fm.part)
+        batches = list(edge_table(fm.state, train, kind, fm.part))
+        assert len(batches) == 1
+        ii, jj, kk, n_events, mean, std = batches[0]
         want = [(i, j, k) for i, j in pairs for k in (1, 2, 3)]
         assert list(zip(ii.tolist(), jj.tolist(), kk.tolist())) == want
         # a restricted tensor holds the full counts of its pairs
@@ -978,11 +989,75 @@ class TestEdgeUncertainty:
             regression_slope_from_points(n_events, std)
         )
 
-    def test_edge_table_needs_an_active_pair(self):
+    @pytest.mark.parametrize("kind, hub", [(EUCLIDEAN, False), (DOT, False), (DOT, True)])
+    def test_batches_match_one_whole_table_call(self, kind, hub):
+        # 40 nodes and K = 15 give over CSV_CHUNK_ROWS rows, and 8,192 = 546 * 15 + 2,
+        # so the first batch ends inside the rows of active pair 546
+        vs, part = dot_state(0, n=40, K=15)
+        if hub:  # 4 v_3 v_17 > 1: the dot moments of pair (3, 17) are inf
+            vs.log_sigma[[3, 17]] = np.log(0.9)
+        counts = interval_counts(random_events(40, 3000, seed=0), part)
+        batches = list(edge_table(vs, counts, kind, part))
+        assert [b[0].size for b in batches[:-1]] == [CSV_CHUNK_ROWS]
+        assert CSV_CHUNK_ROWS % part.K
+        ii, jj, kk, n_events, mean, std = map(np.concatenate, zip(*batches))
+        pi, pj = counts.active_pairs()
+        assert np.array_equal(ii, pi.repeat(part.K)) and np.array_equal(jj, pj.repeat(part.K))
+        assert np.array_equal(kk, np.tile(np.arange(1, part.K + 1), pi.size))
+        assert np.array_equal(n_events, counts.counts_of(ii, jj, kk))
+        want_mean, want_std = _exact_lambda_moments(vs, part, ii, jj, kk - 1, kind=kind)
+        if not hub:
+            assert np.array_equal(mean, want_mean) and np.array_equal(std, want_std)
+        else:
+            # the finite dot rows fill 512-row moment chunks within each batch,
+            # not across the table, so they may differ in the last bits
+            assert np.isinf(mean).sum() == part.K
+            np.testing.assert_allclose(mean, want_mean, rtol=1e-14)
+            np.testing.assert_allclose(std, want_std, rtol=1e-14)
+
+    def test_csv_batches_hold_whole_moment_chunks(self):
+        assert CSV_CHUNK_ROWS % expectations.MOMENT_ROWS == 0
+
+    def test_edge_table_needs_an_active_pair(self, tmp_path):
         fm = static_model([(0.0, 0.0), (0.8, 0.0)], K=3)
         empty = restrict_counts(interval_counts(random_events(2, 5, seed=0), fm.part), [])
         with pytest.raises(ValueError, match="no active pairs"):
             edge_table(fm.state, empty, EUCLIDEAN, fm.part)
+        # the call raises, so the file the CLI streams into is never opened
+        path = tmp_path / "uncertainty_edges.csv"
+        with pytest.raises(ValueError, match="no active pairs"):
+            write_csv_chunks(path, EDGE_HEADER, edge_table(fm.state, empty, EUCLIDEAN, fm.part))
+        assert not path.exists()
+
+    def test_writing_the_table_holds_one_batch(self, tmp_path):
+        """The traced peak of writing the table at R and at 4R rows (R = 4
+        batches) differs by less than one batch of six 8-byte columns."""
+        n, K = 130, 16
+        rng = np.random.default_rng(0)
+        vs = VariationalState(
+            mu=rng.standard_normal((n, K + 1, 2)), log_sigma=np.full((n, K + 1), -1.0), beta=0.0
+        )
+        part = IntervalPartition.uniform(K)
+        src, dst = np.triu_indices(n, 1)
+
+        def peak(rows):
+            pairs = rows // K  # each pair active in one interval
+            ev = EventList(src=src[:pairs], dst=dst[:pairs], time=np.sort(rng.random(pairs)), n=n)
+            counts = interval_counts(ev, part)
+            tracemalloc.start()
+            try:
+                write_csv_chunks(tmp_path / "e.csv", EDGE_HEADER,
+                                 edge_table(vs, counts, EUCLIDEAN, part))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        rows = 4 * CSV_CHUNK_ROWS
+        small, large = peak(rows), peak(4 * rows)
+        assert abs(large - small) < CSV_CHUNK_ROWS * 6 * 8
+
+
+EDGE_HEADER = ["i", "j", "k", "N", "lambda_mean", "lambda_std"]
 
 
 class PairMoments:

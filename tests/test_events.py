@@ -23,6 +23,7 @@ from tgne.events import (
     parse_events,
     split_edges,
     unique_codes,
+    write_csv_chunks,
     write_csv_columns,
     write_events_csv,
     write_nodes_csv,
@@ -591,6 +592,27 @@ class TestCsvColumns:
         write_csv_columns(tmp_path / "t.csv", header, columns)
         ref = zip(*(col.tolist() for col in columns))
         assert (tmp_path / "t.csv").read_bytes() == _csv_writer_bytes(header, ref)
+
+    def test_chunks_match_one_write_of_their_concatenation(self, tmp_path):
+        rng = np.random.default_rng(4)
+        chunks = []
+        for at, size in enumerate([5, 0, CSV_CHUNK_ROWS + 3, 40]):
+            wide = 2**40 if at in (0, 3) else 3
+            chunks.append([
+                # 0..9 spans more than 5 rows but fewer than the other chunks'
+                rng.integers(0, 10, size),
+                # a range past the length in chunks 0 and 3 only
+                rng.integers(-wide, wide, size),
+                rng.standard_normal(size),
+                rng.random(size) < 0.5,
+                [csv_field(f"r{at},{x}") for x in range(size)],
+            ])
+        header = ["a", "b", "x", "flag", "text"]
+        write_csv_chunks(tmp_path / "chunks.csv", header, iter(chunks))
+        whole = [np.concatenate(c) for c in list(zip(*chunks))[:4]]
+        whole.append([field for chunk in chunks for field in chunk[4]])
+        write_csv_columns(tmp_path / "whole.csv", header, whole)
+        assert (tmp_path / "chunks.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
 
     def test_events_file_matches_csv_writer(self, tmp_path):
         labels = ["a,b", 'q"x', "plain", " sp", "line\nbreak", "cr\r", ""]

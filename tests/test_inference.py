@@ -447,6 +447,11 @@ class TestHyperparams:
         hp = Hyperparams(tau=1e-300, lr_phi=1e-300, lr_beta=0.0, beta_init=-50.0)
         assert hp.tau0 == 1e-300
 
+    def test_negative_seed_rejected(self):
+        assert Hyperparams(seed=0).seed == 0
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            Hyperparams(seed=-1)
+
 
 class TestModelIo:
     def test_older_file_with_deleted_options_loads(self, tmp_path, ten_node_events):

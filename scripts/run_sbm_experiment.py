@@ -8,17 +8,15 @@ regression slope per scale), and mean inter-frame displacements.
 """
 
 import argparse
-import csv
 import json
 from pathlib import Path
 
 import numpy as np
 
-from tgne.events import interval_counts
-from tgne.evaluation import node_uncertainty, uncertainty_regression
+from tgne.events import interval_counts, write_csv_columns, write_events_csv
+from tgne.evaluation import node_table, uncertainty_regression
 from tgne.inference import Hyperparams, fit, mean_frame_displacement, save_model
-from tgne.simulate import default_sbm_spec, sbm_generate, write_labels_csv
-from tgne.events import write_events_csv
+from tgne.simulate import SbmSpec, sbm_generate, write_labels_csv
 
 
 def main():
@@ -33,7 +31,7 @@ def main():
     args = ap.parse_args()
     args.out.mkdir(parents=True, exist_ok=True)
 
-    sample = sbm_generate(default_sbm_spec(seed=args.seed))
+    sample = sbm_generate(SbmSpec(seed=args.seed))
     ev = sample.events
     write_events_csv(ev, args.out / "events.csv")
     write_labels_csv(sample, args.out / "labels.csv")
@@ -50,15 +48,14 @@ def main():
         save_model(fm, args.out / f"model_{tag}.json")
         counts = interval_counts(ev, fm.part)
 
-        with open(args.out / f"uncertainty_nodes_{tag}.csv", "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["node", "k", "u", "degree", "is_switcher"])
-            for i in range(ev.n):
-                for k in range(1, fm.part.K + 1):
-                    writer.writerow([
-                        i, k, repr(node_uncertainty(fm.state, i, k)),
-                        counts.degree(i, k), int(i == 0),
-                    ])
+        u, _, deg = node_table(fm, counts)
+        n, K = u.shape
+        node = np.repeat(np.arange(n), K)
+        write_csv_columns(
+            args.out / f"uncertainty_nodes_{tag}.csv", ["node", "k", "u", "degree", "is_switcher"],
+            [node, np.tile(np.arange(1, K + 1), n), u.ravel(), deg.ravel(),
+             (node == 0).astype(np.int64)],
+        )
 
         # the euclidean model's posterior std is exact: no draws to set
         slope = uncertainty_regression(fm.state, counts, fm.hyper.rate_model, fm.part)

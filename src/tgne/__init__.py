@@ -44,7 +44,7 @@ from .inference import (
     mean_frame_displacement,
     save_model,
 )
-from .simulate import SbmSample, SbmSpec, default_sbm_spec, sbm_generate
+from .simulate import SbmSample, SbmSpec, sbm_generate
 from .evaluation import (
     LsdmModel,
     LsdmOpts,

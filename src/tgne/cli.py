@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import sys
 import warnings
@@ -40,14 +41,9 @@ from .inference import (
     write_embeddings_csv,
     write_loss_csv,
 )
-from .simulate import default_sbm_spec, sbm_generate, write_labels_csv
+from .simulate import SbmSpec, sbm_generate, write_labels_csv
 
-_SIM_DEFAULTS = {
-    "n": 60,
-    "intra_rate": 8.0,
-    "inter_rate": 0.3,
-    "seed": 0,
-}
+_SIM_DEFAULTS = {f.name: f.default for f in dataclasses.fields(SbmSpec)}
 
 _FIT_DEFAULTS = {
     "d": 2,
@@ -78,6 +74,18 @@ _EVAL_DEFAULTS = {
 }
 
 _SCORE_DEFAULTS = {"scorer": "tgne"}
+
+# the number type of each key whose default is None; every other key with an
+# int, float or bool default takes values of its default's type
+_OPTIONAL_NUMBERS = {"tau0": float, "negatives": int, "beta_init": float}
+
+# the JSON values each of those types accepts from a config file, and their
+# name; bool is no number
+_CONFIG_TYPES = {
+    int: ((int,), "an integer"),
+    float: ((int, float), "a number"),
+    bool: ((bool,), "true or false"),
+}
 
 _ANY = object()
 
@@ -123,12 +131,17 @@ def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
         if value is None:
             value = config.get(key, default)
         resolved[key] = value
-    for key in ("seed", "split_seed"):
-        value = resolved.get(key, 0)  # a flag's value was checked by its type
-        if type(value) is not int or value < 0:
-            raise ValueError(
-                f"--config key {key!r} must be an integer >= 0, got {json.dumps(value)}"
-            )
+    # a flag's value was checked by its type; a config value is checked here,
+    # so that what runs is what config.json echoes (bool is no number)
+    for key, value in resolved.items():
+        kind = _OPTIONAL_NUMBERS.get(key, type(defaults[key]))
+        if kind not in _CONFIG_TYPES or (value is None and defaults[key] is None):
+            continue
+        allowed, name = _CONFIG_TYPES[kind]
+        is_seed = key in ("seed", "split_seed")
+        if type(value) not in allowed or (is_seed and value < 0):
+            name += " >= 0" if is_seed else ""
+            raise ValueError(f"--config key {key!r} must be {name}, got {json.dumps(value)}")
     for key in vars(args):
         if key not in resolved and key not in ("func", "config"):
             resolved[key] = getattr(args, key)
@@ -146,15 +159,15 @@ def _echo_config(resolved: dict, outdir: Path) -> None:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     resolved = _resolve(args, _SIM_DEFAULTS)
-    spec = default_sbm_spec(
-        n=int(resolved["n"]),
+    spec = SbmSpec(
+        n=resolved["n"],
         intra_rate=float(resolved["intra_rate"]),
         inter_rate=float(resolved["inter_rate"]),
-        seed=int(resolved["seed"]),
+        seed=resolved["seed"],
     )
+    sample = sbm_generate(spec)  # a failed draw leaves no directory
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    sample = sbm_generate(spec)
     write_events_csv(sample.events, outdir / "events.csv")
     write_labels_csv(sample, outdir / "labels.csv")
     _echo_config(resolved, outdir)

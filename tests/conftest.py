@@ -13,13 +13,13 @@ from tgne.model import (
     cumulative_rate_closed,
     log_rate,
 )
-from tgne.simulate import default_sbm_spec, sbm_generate
+from tgne.simulate import SbmSpec, sbm_generate
 
 
 @pytest.fixture(scope="session")
 def sbm_sample():
     """Default 60-node, 3-segment block-model fixture."""
-    return sbm_generate(default_sbm_spec(seed=1))
+    return sbm_generate(SbmSpec(seed=1))
 
 
 @pytest.fixture(scope="session")

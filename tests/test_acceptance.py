@@ -51,7 +51,7 @@ from tgne.model import (
     total_nll,
 )
 from tgne.prior import PriorConfig, kl_monte_carlo, kl_to_prior
-from tgne.simulate import default_sbm_spec, sbm_generate
+from tgne.simulate import SbmSpec, sbm_generate
 
 from conftest import random_events
 
@@ -61,7 +61,7 @@ HIGHSCHOOL = Path(os.environ.get("TGNE_HIGHSCHOOL", DATA_DIR / "highschool.csv")
 
 @pytest.fixture(scope="module")
 def sbm_events():
-    return sbm_generate(default_sbm_spec(seed=1))
+    return sbm_generate(SbmSpec(seed=1))
 
 
 def test_criterion_1_closed_form_vs_quadrature():

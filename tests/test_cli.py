@@ -15,7 +15,7 @@ from tgne.cli import build_parser, main
 from tgne.evaluation import rate_vs_uncertainty_table
 from tgne.events import parse_events
 from tgne.inference import load_model
-from tgne.simulate import default_sbm_spec, sbm_generate
+from tgne.simulate import SbmSpec, sbm_generate
 
 
 def csv_writer_bytes(header, rows) -> bytes:
@@ -73,7 +73,7 @@ class TestSimulate:
     def test_events_bytes_match_csv_writer(self, tmp_path):
         out = tmp_path / "s"
         assert run(["simulate", "--out", out, "--seed", 7, "--n", 20]) == 0
-        ev = sbm_generate(default_sbm_spec(n=20, intra_rate=8.0, inter_rate=0.3, seed=7)).events
+        ev = sbm_generate(SbmSpec(n=20, intra_rate=8.0, inter_rate=0.3, seed=7)).events
         rows = [
             [ev.node_labels[a], ev.node_labels[b], repr(t)]
             for a, b, t in zip(ev.src.tolist(), ev.dst.tolist(), ev.time.tolist())
@@ -682,8 +682,12 @@ def test_negative_eval_seed_usage_error_before_output(sim_dir, fit_dir, tmp_path
 ])
 def test_bad_config_value_exits_one_before_output(sim_dir, fit_dir, tmp_path, capsys, command,
                                                   key, value, message):
+    _config_error_before_output(sim_dir, fit_dir, tmp_path, capsys, command, {key: value}, message)
+
+
+def _config_error_before_output(sim_dir, fit_dir, tmp_path, capsys, command, config, message):
     cfg = tmp_path / "run.json"
-    cfg.write_text(json.dumps({key: value}))
+    cfg.write_text(json.dumps(config))
     out = tmp_path / "x"
     args = [command, "--out", out, "--config", cfg]
     if command != "simulate":
@@ -692,6 +696,59 @@ def test_bad_config_value_exits_one_before_output(sim_dir, fit_dir, tmp_path, ca
         args += ["--model", fit_dir / "model.json", "--scorers", "pa"]
     assert run(args) == 1
     assert f"error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+# a config value of the wrong JSON type once ran coerced (n 5.9 as 5, epochs
+# true as 1, directed "false" as true) while config.json echoed the raw value
+@pytest.mark.parametrize("config, message", [
+    ({"n": 5.9}, "--config key 'n' must be an integer, got 5.9"),
+    ({"n": True}, "--config key 'n' must be an integer, got true"),
+    ({"seed": 1.0}, "--config key 'seed' must be an integer >= 0, got 1.0"),
+    ({"intra_rate": "8"}, '--config key \'intra_rate\' must be a number, got "8"'),
+    ({"inter_rate": False}, "--config key 'inter_rate' must be a number, got false"),
+])
+def test_simulate_config_number_types(sim_dir, fit_dir, tmp_path, capsys, config, message):
+    _config_error_before_output(sim_dir, fit_dir, tmp_path, capsys, "simulate", config, message)
+
+
+@pytest.mark.parametrize("config, message", [
+    ({"d": 2.7, "epochs": True, "K": 3.9}, "--config key 'd' must be an integer, got 2.7"),
+    ({"epochs": True}, "--config key 'epochs' must be an integer, got true"),
+    ({"K": 3.9}, "--config key 'K' must be an integer, got 3.9"),
+    ({"negatives": 2.5}, "--config key 'negatives' must be an integer, got 2.5"),
+    ({"tau": "1"}, '--config key \'tau\' must be a number, got "1"'),
+    ({"beta_init": False}, "--config key 'beta_init' must be a number, got false"),
+    ({"test_frac": None}, "--config key 'test_frac' must be a number, got null"),
+    ({"directed": "false"}, '--config key \'directed\' must be true or false, got "false"'),
+])
+def test_fit_config_number_types(sim_dir, fit_dir, tmp_path, capsys, config, message):
+    _config_error_before_output(sim_dir, fit_dir, tmp_path, capsys, "fit", config, message)
+
+
+@pytest.mark.parametrize("config, message", [
+    ({"lsdm_iters": 2.5}, "--config key 'lsdm_iters' must be an integer, got 2.5"),
+    ({"B": 200.0}, "--config key 'B' must be an integer, got 200.0"),
+    ({"seed": True}, "--config key 'seed' must be an integer >= 0, got true"),
+    ({"val_frac": "0"}, '--config key \'val_frac\' must be a number, got "0"'),
+])
+def test_eval_config_number_types(sim_dir, fit_dir, tmp_path, capsys, config, message):
+    _config_error_before_output(sim_dir, fit_dir, tmp_path, capsys, "eval", config, message)
+
+
+def test_config_integer_for_float_key_runs_as_that_float(tmp_path):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"n": 20, "intra_rate": 8, "seed": 7}))
+    a, b = tmp_path / "a", tmp_path / "b"
+    assert run(["simulate", "--out", a, "--config", cfg]) == 0
+    assert run(["simulate", "--out", b, "--n", 20, "--intra-rate", "8.0", "--seed", 7]) == 0
+    assert (a / "events.csv").read_bytes() == (b / "events.csv").read_bytes()
+
+
+def test_failed_simulate_draw_leaves_no_directory(tmp_path, capsys):
+    out = tmp_path / "x"
+    assert run(["simulate", "--out", out, "--n", 4, "--intra-rate", "1e19"]) == 1
+    assert "error: lam value too large" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -37,7 +37,7 @@ from tgne.model import (
     total_nll,
 )
 from tgne.prior import PriorConfig, kl_to_prior
-from tgne.simulate import default_sbm_spec, sbm_generate
+from tgne.simulate import SbmSpec, sbm_generate
 
 from conftest import random_events
 
@@ -306,9 +306,9 @@ class TestFit:
 
     def test_training_reduces_loss_across_seeds(self):
         """Final loss below initial loss in >= 95% of seeded short runs."""
-        from tgne.simulate import default_sbm_spec, sbm_generate
+        from tgne.simulate import SbmSpec, sbm_generate
 
-        ev = sbm_generate(default_sbm_spec(n=30, seed=5)).events
+        ev = sbm_generate(SbmSpec(n=30, seed=5)).events
         improved = 0
         runs = 50
         for seed in range(runs):
@@ -340,7 +340,7 @@ class TestFit:
     def test_divergent_step_raises_with_its_epoch(self):
         """A step that leaves sigma = exp(log sigma) infinite is reported at
         its own epoch, before the next epoch's prior check can fire."""
-        ev = sbm_generate(default_sbm_spec(n=12, seed=1)).events
+        ev = sbm_generate(SbmSpec(n=12, seed=1)).events
         with pytest.raises(FitDivergedError) as err:
             fit(ev, Hyperparams(epochs=50, lr_phi=1e3, lr_beta=10.0))
         assert err.value.epoch == 0
@@ -351,7 +351,7 @@ class TestFit:
     def test_non_finite_loss_after_epoch_zero_prints_plain_floats(self):
         """After the first Adam step beta is a numpy scalar; the message still
         shows each value as a plain float."""
-        ev = sbm_generate(default_sbm_spec(n=12, seed=1)).events
+        ev = sbm_generate(SbmSpec(n=12, seed=1)).events
         with pytest.raises(FitDivergedError) as err:
             fit(ev, Hyperparams(epochs=50, lr_beta=1e4))
         assert err.value.epoch == 3

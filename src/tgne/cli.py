@@ -24,8 +24,11 @@ from .events import (
     EventList,
     float_text,
     interval_counts,
+    load_parsed_events,
     pair_rows,
     parse_events,
+    parse_events_file,
+    save_parsed_events,
     split_edges,
     unique_codes,
     write_csv_chunks,
@@ -74,6 +77,10 @@ _EVAL_DEFAULTS = {
 }
 
 _SCORE_DEFAULTS = {"scorer": "tgne"}
+
+# the events fit parsed, beside its model.json; eval reads them instead of
+# parsing when its --events file has the bytes fit parsed
+PARSED_EVENTS = "parsed_events.npy"
 
 # the number type of each key whose default is None; every other key with an
 # int, float or bool default takes values of its default's type
@@ -203,7 +210,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
         seed=int(resolved["seed"]),
         beta_init=None if resolved["beta_init"] is None else float(resolved["beta_init"]),
     )
-    ev = parse_events(args.events, directed=bool(resolved["directed"]))
+    ev, csv_sha256 = parse_events_file(args.events, directed=bool(resolved["directed"]))
     split = _make_split(ev, resolved)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -212,6 +219,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
     write_loss_csv(fm, outdir / "loss.csv")
     write_embeddings_csv(fm, outdir / "embeddings.csv")
     write_nodes_csv(ev, outdir / "nodes.csv")
+    save_parsed_events(ev, csv_sha256, outdir / PARSED_EVENTS)
     resolved["events"] = str(args.events)
     _echo_config(resolved, outdir)
     print(
@@ -247,7 +255,9 @@ def cmd_eval(args: argparse.Namespace) -> int:
     fm = load_model(args.model)
     # the model fixes the orientation and the label -> id map
     resolved["directed"] = fm.directed
-    ev = parse_events(args.events, directed=fm.directed)
+    ev = load_parsed_events(Path(args.model).with_name(PARSED_EVENTS), args.events, fm.directed)
+    if ev is None:
+        ev = parse_events(args.events, directed=fm.directed)
     if ev.node_labels != fm.node_labels:
         labels = zip_longest(fm.node_labels, ev.node_labels)  # None past the shorter
         at, (a, b) = next((i, ab) for i, ab in enumerate(labels) if ab[0] != ab[1])

@@ -177,7 +177,7 @@ def _average_ranks(x: np.ndarray) -> np.ndarray:
     The same float64 values as ``scipy.stats.rankdata(x)``: every rank is a
     multiple of 0.5, so each is exact.
     """
-    order = np.argsort(x, kind="stable")
+    order = np.argsort(x)  # a tie group's members share one rank, in any order
     xs = x[order]
     # each tie group fills sorted positions first..last-1 (0-based), i.e.
     # ranks first+1..last, whose mean is (first + last + 1) / 2

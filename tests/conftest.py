@@ -1,4 +1,6 @@
 import dataclasses
+import importlib.util
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +16,15 @@ from tgne.model import (
     log_rate,
 )
 from tgne.simulate import SbmSpec, sbm_generate
+
+
+def load_script(name: str):
+    """Import ``scripts/<name>.py`` of this checkout as a module."""
+    path = Path(__file__).resolve().parents[1] / "scripts" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture(scope="session")

@@ -17,6 +17,8 @@ from tgne.events import parse_events
 from tgne.inference import load_model
 from tgne.simulate import SbmSpec, sbm_generate
 
+from conftest import load_script
+
 
 def csv_writer_bytes(header, rows) -> bytes:
     buf = io.StringIO(newline="")
@@ -131,7 +133,8 @@ class TestFit:
                 "--epochs", 10, "--seed", 2]
         assert run(args + ["--out", a]) == 0
         assert run(args + ["--out", b]) == 0
-        assert (a / "model.json").read_bytes() == (b / "model.json").read_bytes()
+        for name in ("model.json", "parsed_events.npy"):
+            assert (a / name).read_bytes() == (b / name).read_bytes()
 
     def test_echoed_config_reproduces_outputs(self, tmp_path, sim_dir):
         """Re-running from a run's config.json echo rebuilds identical outputs."""
@@ -145,7 +148,8 @@ class TestFit:
             ["fit", "--events", sim_dir / "events.csv", "--out", second,
              "--config", first / "config.json"]
         ) == 0
-        for name in ("model.json", "loss.csv", "embeddings.csv", "nodes.csv"):
+        for name in ("model.json", "loss.csv", "embeddings.csv", "nodes.csv",
+                     "parsed_events.npy"):
             assert (first / name).read_bytes() == (second / name).read_bytes()
 
     def test_config_with_deleted_thread_keys_reproduces_outputs(self, tmp_path, sim_dir):
@@ -164,7 +168,8 @@ class TestFit:
             ["fit", "--events", sim_dir / "events.csv", "--out", second, "--config", cfg]
         ) == 0
         assert "threads" not in json.loads((second / "config.json").read_text())
-        for name in ("model.json", "loss.csv", "embeddings.csv", "nodes.csv"):
+        for name in ("model.json", "loss.csv", "embeddings.csv", "nodes.csv",
+                     "parsed_events.npy"):
             assert (first / name).read_bytes() == (second / name).read_bytes()
 
     @pytest.mark.parametrize("flag", [["--threads", "2"], ["--strict-deterministic"]])
@@ -201,7 +206,8 @@ class TestFit:
         ) == 0
         echoed = json.loads((second / "config.json").read_text())
         assert "batch" not in echoed and "mc_samples" not in echoed
-        for name in ("model.json", "loss.csv", "embeddings.csv", "nodes.csv"):
+        for name in ("model.json", "loss.csv", "embeddings.csv", "nodes.csv",
+                     "parsed_events.npy"):
             assert (first / name).read_bytes() == (second / name).read_bytes()
 
     @pytest.mark.parametrize("key, value, shown", [
@@ -808,6 +814,61 @@ class TestScore:
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
         assert exc.value.code == 2
+
+
+def _events_variant(sim_dir, name) -> bytes:
+    """The simulated events.csv (CRLF rows) rewritten to take another ingest path."""
+    data = (sim_dir / "events.csv").read_bytes()
+    if name == "crlf":
+        return data
+    lines = data.decode().split("\r\n")[:-1]
+    if name == "quoted":  # labels with a comma and a quote: the row loop reads them
+        lines[1:] = [
+            f'"n, {a}","say ""{b}""",{t}' for a, b, t in (line.split(",") for line in lines[1:])
+        ]
+    elif name == "self_loops":  # one drops a label no other row has
+        t = lines[5].split(",")[2]
+        lines[3:3] = [f"3,3,{t}", f"solo,solo,{t}"]
+    return ("\n".join(lines) + "\n").encode()
+
+
+class TestParsedEventsInEval:
+    """eval reads fit's parsed_events.npy in place of parsing --events only
+    when the CSV has the bytes fit parsed, and writes the same outputs."""
+
+    @pytest.mark.parametrize("name", ["lf", "crlf", "quoted", "self_loops", "directed"])
+    def test_outputs_identical_with_without_and_past_the_file(self, tmp_path, sim_dir,
+                                                              monkeypatch, name):
+        csv_path = tmp_path / "events.csv"
+        csv_path.write_bytes(_events_variant(sim_dir, "lf" if name == "directed" else name))
+        fit_out = tmp_path / "fit"
+        assert run(["fit", "--events", csv_path, "--out", fit_out, "--K", 4, "--epochs", 5,
+                    "--seed", 1, "--test-frac", 0.2, "--split-seed", 3]
+                   + (["--directed"] if name == "directed" else [])) == 0
+        assert (fit_out / cli.PARSED_EVENTS).is_file()
+        calls = []
+        parse = cli.parse_events
+        monkeypatch.setattr(cli, "parse_events",
+                            lambda *a, **kw: calls.append(a) or parse(*a, **kw))
+
+        def evaluate(events, out):
+            calls.clear()
+            assert run(["eval", "--events", events, "--model", fit_out / "model.json",
+                        "--out", out, "--scorers", "tgne,tgne_predictive,pa,random",
+                        "--test-frac", 0.2, "--split-seed", 3, "--seed", 2]) == 0
+            return len(calls)
+
+        assert evaluate(csv_path, tmp_path / "with_file") == 0
+        one_byte_more = tmp_path / "events_plus.csv"  # parses to the same events
+        one_byte_more.write_bytes(csv_path.read_bytes() + b"\n")
+        assert evaluate(one_byte_more, tmp_path / "other_bytes") == 1
+        (fit_out / cli.PARSED_EVENTS).unlink()
+        assert evaluate(csv_path, tmp_path / "without_file") == 1
+        differences = load_script("compare_outputs").differences
+        for other in ("other_bytes", "without_file"):
+            assert differences(tmp_path / "with_file", tmp_path / other) == []
+        doc = json.loads((tmp_path / "with_file" / "config.json").read_text())
+        assert doc["directed"] is (name == "directed")
 
 
 def test_readme_names_only_existing_flags():

@@ -474,6 +474,26 @@ class TestAuc:
         assert ranks.dtype == expected.dtype == np.float64
         assert ranks.tobytes() == expected.tobytes()
 
+    @pytest.mark.parametrize("kind", ["tie_heavy", "infinite"])
+    def test_average_ranks_need_no_stable_sort(self, kind):
+        """Ranks and AUC are bit-identical to the ranks from a stable sort on
+        20k scores whose default sort leaves tie groups in another order."""
+        rng = np.random.default_rng(7)
+        values = [-1.5, -0.0, 0.0, 0.25, 1.0] if kind == "tie_heavy" else [-np.inf, 0.5, np.inf]
+        x = rng.choice(np.array(values), 20_000)
+        order = np.argsort(x, kind="stable")
+        xs = x[order]
+        first = np.flatnonzero(np.r_[True, xs[1:] != xs[:-1]])
+        last = np.r_[first[1:], xs.size]
+        stable = np.empty(xs.size)
+        stable[order] = np.repeat(0.5 * (first + last + 1), last - first)
+        assert not np.array_equal(np.argsort(x), order)
+        assert _average_ranks(x).tobytes() == stable.tobytes() == rankdata(x).tobytes()
+        labels = rng.integers(0, 2, x.size)
+        pos, neg = labels.sum(), x.size - labels.sum()
+        by_stable = (stable[labels == 1].sum() - pos * (pos + 1) / 2.0) / (pos * neg)
+        assert auc_from_scores(x, labels) == by_stable
+
     @settings(max_examples=100, deadline=None)
     @given(
         data=st.lists(st.tuples(tie_prone, st.integers(0, 1)), min_size=2, max_size=60).filter(

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import math
 from unittest import mock
@@ -8,6 +9,7 @@ import orjson
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from tgne import events as events_module
 from tgne.events import (
     CSV_CHUNK_ROWS,
     EventList,
@@ -20,7 +22,10 @@ from tgne.events import (
     distinct_sorted,
     float_text,
     interval_counts,
+    load_parsed_events,
     parse_events,
+    parse_events_file,
+    save_parsed_events,
     split_edges,
     unique_codes,
     write_csv_chunks,
@@ -311,6 +316,20 @@ def _count_tensor_cases():
     ]
 
 
+def _counts_by_unsorted_search(counts, i, j, k):
+    """``counts_of`` as one binary search per query, in the queries' order."""
+    i, j, k = np.broadcast_arrays(*(np.asarray(a, dtype=np.int64) for a in (i, j, k)))
+    if not counts.directed:
+        i, j = np.minimum(i, j), np.maximum(i, j)
+    query = (i * counts.n + j) * counts.K + (k - 1)
+    pos = np.minimum(np.searchsorted(counts.codes, query), counts.codes.size - 1)
+    valid = (i >= 0) & (i < counts.n) & (j >= 0) & (j < counts.n) & (k >= 1) & (k <= counts.K)
+    hit = valid & (counts.codes[pos] == query)
+    out = np.zeros(i.shape, dtype=np.int64)
+    out[hit] = counts.values[pos[hit]]
+    return out
+
+
 class TestCountIndex:
     @settings(max_examples=40, deadline=None)
     @given(
@@ -351,6 +370,37 @@ class TestCountIndex:
         assert counts.counts_of(ii, jj, 2).tolist() == [
             stored.get((i, j, 2), 0) for i, j in zip(ii.tolist(), jj.tolist())
         ]
+
+    @pytest.mark.parametrize("case", [0, 1], ids=["undirected", "directed"])
+    @pytest.mark.parametrize("order", ["ascending", "unsorted", "reversed_pairs", "out_of_range"])
+    def test_counts_of_matches_unsorted_search(self, case, order):
+        """Sorting the queries for one ascending search gives the counts of
+        one binary search per query in the given order."""
+        counts = _count_tensor_cases()[case]
+        i, j, k0 = counts._triplets()
+        ii, jj, kk = i, j, k0 + 1
+        if order == "unsorted":
+            perm = np.random.default_rng(0).permutation(ii.size)
+            ii, jj, kk = ii[perm], jj[perm], kk[perm]
+        elif order == "reversed_pairs":
+            ii, jj = np.concatenate([jj[::-1], ii]), np.concatenate([ii[::-1], jj])
+            kk = np.concatenate([kk[::-1], kk])
+        elif order == "out_of_range":
+            n, K = counts.n, counts.K
+            ii = np.concatenate([ii, [-1, n, 0, 0, 2**40, 1]])
+            jj = np.concatenate([jj, [1, 0, n, -3, 1, 2]])
+            kk = np.concatenate([kk, [1, 1, 1, 1, 1, K + 1]])[::-1]
+            ii, jj = ii[::-1], jj[::-1]
+        got = counts.counts_of(ii, jj, kk)
+        assert got.dtype == np.int64
+        assert got.tolist() == _counts_by_unsorted_search(counts, ii, jj, kk).tolist()
+        if order == "ascending":  # the stored keys, in code order
+            assert got.tolist() == counts.values.tolist()
+        grid = counts.counts_of(ii.reshape(-1, 1), jj.reshape(-1, 1), np.arange(1, counts.K + 1))
+        assert grid.shape == (ii.size, counts.K)
+        assert grid.tolist() == _counts_by_unsorted_search(
+            counts, ii.reshape(-1, 1), jj.reshape(-1, 1), np.arange(1, counts.K + 1)
+        ).tolist()
 
     @pytest.mark.parametrize("case", [0, 1], ids=["undirected", "directed"])
     def test_degrees_match_key_loop(self, case):
@@ -521,6 +571,88 @@ class TestFastParse:
     )
     def test_unsure_input_goes_to_the_loop(self, text):
         assert _fast_columns(text) is None
+
+
+# inputs that take each way through parse_events: the one-pass reader (LF and
+# CRLF), and the row loop (quoted labels, and self-loops that drop a label)
+_PARSED_EVENTS_INPUTS = {
+    "lf": b"source,dest,timestamp\nb,a,30\nc,a,10\na,b,20\nb,c,10\n",
+    "crlf": b"source,dest,timestamp\r\nb,a,30\r\nc,a,10\r\na,b,20\r\nb,c,10\r\n",
+    "quoted": 'source,dest,timestamp\n"x, y",a,3\n"say ""hi""",a,1\na,é,2\n'.encode(),
+    "self_loops": b"source,dest,timestamp\nz,z,5\nb,a,3\na,a,9\nc,b,1\na,c,1\n",
+}
+
+
+class TestParsedEvents:
+    @pytest.mark.parametrize("directed", [False, True], ids=["undirected", "directed"])
+    @pytest.mark.parametrize("name", sorted(_PARSED_EVENTS_INPUTS))
+    def test_load_gives_what_parse_gives(self, tmp_path, name, directed):
+        data = _PARSED_EVENTS_INPUTS[name]
+        csv_path = tmp_path / "events.csv"
+        csv_path.write_bytes(data)
+        ev, digest = parse_events_file(csv_path, directed=directed)
+        assert digest == hashlib.sha256(data).hexdigest()
+        expected = _outcome(lambda: parse_events(csv_path, directed=directed))
+        assert _outcome(lambda: ev) == expected
+        save_parsed_events(ev, digest, tmp_path / "parsed.npy")
+        loaded = load_parsed_events(tmp_path / "parsed.npy", csv_path, directed)
+        assert _outcome(lambda: loaded) == expected
+        assert loaded.directed is directed
+        assert (loaded.src.dtype, loaded.dst.dtype) == (np.int64, np.int64)
+
+    def test_file_is_npy_records_and_repeats_byte_for_byte(self, tmp_path):
+        csv_path = tmp_path / "events.csv"
+        csv_path.write_bytes(_PARSED_EVENTS_INPUTS["self_loops"])
+        for out in ("a.npy", "b.npy"):
+            save_parsed_events(*parse_events_file(csv_path), tmp_path / out)
+        assert (tmp_path / "a.npy").read_bytes() == (tmp_path / "b.npy").read_bytes()
+        ev = parse_events(csv_path)
+        with open(tmp_path / "a.npy", "rb") as handle:
+            head = orjson.loads(np.load(handle, allow_pickle=False).tobytes())
+            columns = [np.load(handle, allow_pickle=False) for _ in range(3)]
+            assert handle.read() == b""
+        assert head["csv_sha256"] == hashlib.sha256(csv_path.read_bytes()).hexdigest()
+        assert head["format"] == events_module.PARSED_EVENTS_FORMAT
+        assert head["dropped_self_loops"] == 2 and head["node_labels"] == ev.node_labels
+        for got, want in zip(columns, (ev.src, ev.dst, ev.time)):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize(
+        "change",
+        ["csv_byte", "csv_missing", "directed", "format", "missing", "truncated", "empty"],
+    )
+    def test_mismatch_or_bad_file_gives_none(self, tmp_path, monkeypatch, change):
+        csv_path, cache = tmp_path / "events.csv", tmp_path / "parsed.npy"
+        data = _PARSED_EVENTS_INPUTS["lf"]
+        csv_path.write_bytes(data)
+        save_parsed_events(*parse_events_file(csv_path), cache)
+        assert load_parsed_events(cache, csv_path, False) is not None
+        directed = False
+        if change == "csv_byte":  # parses to the same events, but other bytes
+            csv_path.write_bytes(data + b"\n")
+        elif change == "csv_missing":
+            csv_path.unlink()
+        elif change == "directed":
+            directed = True
+        elif change == "format":
+            monkeypatch.setattr(events_module, "PARSED_EVENTS_FORMAT", "tgne-parsed-events-0")
+        elif change == "missing":
+            cache.unlink()
+        elif change == "truncated":
+            cache.write_bytes(cache.read_bytes()[:-8])
+        else:
+            cache.write_bytes(b"")
+        assert load_parsed_events(cache, csv_path, directed) is None
+
+    def test_file_read_errors_as_parse_events_does(self, tmp_path):
+        bad = tmp_path / "events.csv"
+        bad.write_bytes(b"source,dest,timestamp\na,b,1\n\xff,c,2\n")
+        for path in (bad, tmp_path / "absent.csv"):
+            with pytest.raises(Exception) as want:
+                parse_events(path)
+            with pytest.raises(Exception) as got:
+                parse_events_file(path)
+            assert (type(got.value), str(got.value)) == (type(want.value), str(want.value))
 
 
 def _csv_writer_bytes(header, rows) -> bytes:

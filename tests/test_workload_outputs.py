@@ -1,19 +1,9 @@
-import importlib.util
 import json
-from pathlib import Path
 
-_SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+from conftest import load_script
 
-
-def _load(name):
-    spec = importlib.util.spec_from_file_location(name, _SCRIPTS / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-workload_outputs = _load("workload_outputs")
-compare_outputs = _load("compare_outputs")
+workload_outputs = load_script("workload_outputs")
+compare_outputs = load_script("compare_outputs")
 
 
 def test_toy_workload_writes_fit_and_eval_outputs_that_repeat(tmp_path):

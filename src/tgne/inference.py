@@ -305,16 +305,14 @@ def fit(
     state.beta = float(hp.beta_init) if hp.beta_init is not None else empirical_beta(ev, excluded)
     rng_eps = np.random.default_rng(seq_eps)
     rng_plan = np.random.default_rng(seq_plan)
-    plan = SamplingPlan(negatives_per_node=hp.negatives_per_node, excluded_pairs=excluded)
-    # only a negatives plan's draw depends on the epoch
-    fixed = fixed_terms(ev, part, plan)
-    terms = draw_terms(fixed, plan.seed) if hp.negatives_per_node is None else None
+    fixed = fixed_terms(ev, part, SamplingPlan(negatives_per_node=hp.negatives_per_node,
+                                               excluded_pairs=excluded))
 
     opt = Adam(state.mu.shape, state.log_sigma.shape, hp.lr_phi, hp.lr_beta)
     trace = np.empty(hp.epochs)
     for epoch in range(hp.epochs):
-        if hp.negatives_per_node is not None:
-            terms = draw_terms(fixed, int(rng_plan.integers(2**63)))
+        # only a negatives plan's draw reads the seed; rng_plan feeds nothing else
+        terms = draw_terms(fixed, int(rng_plan.integers(2**63)))
         eps = rng_eps.standard_normal(state.mu.shape)
         loss, nll, kl, d_mu, d_ls, d_beta = _elbo_value_grad(
             state, part, pc, hp.rate_model, terms, eps, want_grad=True
@@ -401,7 +399,8 @@ def save_model(fm: FittedModel, path: str | Path) -> None:
 
 def load_model(path: str | Path) -> FittedModel:
     """Read a save_model file; ValueError naming the field if its shapes
-    disagree or a value of mu, log_sigma or beta is not finite.
+    disagree, a value of mu, log_sigma or beta is not finite, or directed
+    is not a bool.
 
     One ``orjson.loads`` parses it; orjson rounds each float as ``float``
     does, and refuses NaN, Infinity and numbers that overflow a double.
@@ -430,6 +429,9 @@ def load_model(path: str | Path) -> FittedModel:
     for name, value in (("mu", mu), ("log_sigma", log_sigma), ("beta", beta)):
         if not np.isfinite(value).all():
             raise ValueError(f"{name} holds a value that is not finite")
+    directed = doc["directed"]
+    if not isinstance(directed, bool):
+        raise ValueError(f"directed is {directed!r}, expected true or false")
     if len(doc["node_labels"]) != n:
         raise ValueError(f"node_labels has {len(doc['node_labels'])} entries, expected n = {n}")
     state = VariationalState(mu=mu, log_sigma=log_sigma, beta=beta)
@@ -445,7 +447,7 @@ def load_model(path: str | Path) -> FittedModel:
         loss_trace=np.empty(0),
         node_labels=list(doc["node_labels"]),
         time_range=tuple(doc["time_range"]) if doc["time_range"] else None,
-        directed=bool(doc["directed"]),
+        directed=directed,
     )
 
 

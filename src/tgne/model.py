@@ -25,14 +25,14 @@ s, so for either kind the log rate of a pair is a quadratic form in s with
 coefficients (1-s)^2, s(1-s) and s^2 on the endpoint products. The events
 of one (pair, interval) therefore enter the NLL and its gradient only
 through the weighted sums W = sum w, S1 = sum w s and S2 = sum w s^2.
-``realize_plan`` folds them into one row per (pair, interval) group and
+``fixed_terms`` folds them into one row per (pair, interval) group and
 places each group on its pair's survival row, so one blocked kernel
 (``_kernel``) adds both terms and scatters their gradient once.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Optional
 
 import numpy as np
@@ -425,6 +425,21 @@ class SamplingPlan:
 
 
 @dataclass(eq=False)
+class _Draw:
+    """A negatives plan's per-node draw: node ``nodes[r]`` takes ``take[r]``
+    of its ``pool[r]`` free partners (``blocked`` and ``starts`` as in
+    ``_draw_partners``), each drawn pair weighing ``neg_w[r]``."""
+
+    n: int
+    nodes: np.ndarray
+    pool: np.ndarray
+    take: np.ndarray
+    neg_w: np.ndarray
+    blocked: np.ndarray
+    starts: np.ndarray
+
+
+@dataclass(eq=False)
 class _Terms:
     """Realized likelihood terms: weighted survival pairs and event groups.
 
@@ -435,7 +450,9 @@ class _Terms:
     p * K + ev_k0, p the row of its pair in pair_i / pair_j; it ascends
     with the groups. ``pair_incidence`` is the signed (n, P) CSC matrix
     with +1 at (pair_i[p], p) and -1 at (pair_j[p], p): one product with
-    it scatters per-pair gradients onto the nodes.
+    it scatters per-pair gradients onto the nodes. A negatives plan's fixed
+    part (``fixed_terms``) holds its exact pairs, the ``draw`` still to make
+    and no incidence; ``draw_terms`` appends the drawn pairs.
     """
 
     pair_i: np.ndarray
@@ -448,7 +465,8 @@ class _Terms:
     ev_w1: np.ndarray
     ev_w2: np.ndarray
     ev_cell: np.ndarray
-    pair_incidence: csc_matrix
+    pair_incidence: Optional[csc_matrix]
+    draw: Optional[_Draw] = None
 
 
 def _all_pairs(n: int, directed: bool) -> tuple[np.ndarray, np.ndarray]:
@@ -458,10 +476,6 @@ def _all_pairs(n: int, directed: bool) -> tuple[np.ndarray, np.ndarray]:
         return ii[mask].astype(np.int64), jj[mask].astype(np.int64)
     ii, jj = np.triu_indices(n, k=1)
     return ii.astype(np.int64), jj.astype(np.int64)
-
-
-def _pair_codes(i: np.ndarray, j: np.ndarray, n: int) -> np.ndarray:
-    return i.astype(np.int64) * n + j.astype(np.int64)
 
 
 def _pair_incidence(pair_i: np.ndarray, pair_j: np.ndarray, n: int) -> csc_matrix:
@@ -545,60 +559,28 @@ def _draw_partners(
     return np.concatenate(rows), np.concatenate(partners)
 
 
-@dataclass(eq=False)
-class _FixedTerms:
-    """The part of a realized plan that its seed does not change.
-
-    ``pair_i`` and ``pair_j`` are the exact survival pairs, each weighing 1
-    in ``pair_w``: every pair of a full plan, or the interacting pairs of a
-    negatives plan, which lead the survival rows, so the event groups and
-    their ``ev_cell`` (see ``_Terms``) are fixed too. Under ``negatives_per_node`` node ``nodes[r]``
-    draws ``take[r]`` of its ``pool[r]`` free partners (``blocked`` and
-    ``starts`` as in ``_draw_partners``), each drawn pair weighing
-    ``neg_w[r]``; ``nodes`` is None for a full plan, which draws nothing.
-    """
-
-    n: int
-    pair_i: np.ndarray
-    pair_j: np.ndarray
-    pair_w: np.ndarray
-    ev_i: np.ndarray
-    ev_j: np.ndarray
-    ev_k0: np.ndarray
-    ev_w0: np.ndarray
-    ev_w1: np.ndarray
-    ev_w2: np.ndarray
-    ev_cell: np.ndarray
-    nodes: Optional[np.ndarray] = None
-    pool: Optional[np.ndarray] = None
-    take: Optional[np.ndarray] = None
-    neg_w: Optional[np.ndarray] = None
-    blocked: Optional[np.ndarray] = None
-    starts: Optional[np.ndarray] = None
-
-
-def fixed_terms(ev: EventList, part: IntervalPartition, plan: SamplingPlan) -> _FixedTerms:
+def fixed_terms(ev: EventList, part: IntervalPartition, plan: SamplingPlan) -> _Terms:
     """Everything of ``realize_plan`` but the draw: the plan's seed is not read.
 
-    The excluded codes, the exact pairs and their weights, the blocked codes,
-    each node's pool and take, and the event groups with their cells. A fit
-    whose plan changes only its seed from epoch to epoch builds this once and
-    calls ``draw_terms`` each epoch.
+    The exact pairs, each weighing 1, lead the survival rows: every pair of
+    a full plan, whose terms are then complete, or the interacting pairs of
+    a negatives plan, which carries its ``_Draw``. A fit builds this once
+    and calls ``draw_terms`` each epoch.
     """
     n = ev.n
     excl_codes = pair_codes(plan.excluded_pairs, n, ev.directed)
     if plan.negatives_per_node is not None and plan.negatives_per_node < 1:
         raise ValueError(f"negatives_per_node must be >= 1, got {plan.negatives_per_node}")
 
-    draw = {}
+    draw = None
     if plan.negatives_per_node is None:
         pair_i, pair_j = _all_pairs(n, ev.directed)
-        row_codes = _pair_codes(pair_i, pair_j, n)  # ascending, in triu or meshgrid order
+        row_codes = pair_i * n + pair_j  # ascending, in triu or meshgrid order
         if excl_codes.size:
             keep = ~in_sorted(row_codes, excl_codes)
             pair_i, pair_j, row_codes = pair_i[keep], pair_j[keep], row_codes[keep]
     else:
-        pos_codes = unique_codes(_pair_codes(ev.src, ev.dst, n))
+        pos_codes = unique_codes(ev.src * n + ev.dst)
         if ev.directed and pos_codes.size:
             # negative pools are dyad-level, so the exact survival terms must
             # cover both orientations of any dyad that interacts at all
@@ -611,9 +593,8 @@ def fixed_terms(ev: EventList, part: IntervalPartition, plan: SamplingPlan) -> _
 
         # blocked (node, partner) codes: event partners and excluded pairs in
         # both orientations, and the node itself; node i owns [i*n, (i+1)*n)
-        ex_i, ex_j = np.divmod(excl_codes, n)
-        src = np.concatenate([ev.src, ex_i])
-        dst = np.concatenate([ev.dst, ex_j])
+        src = np.concatenate([ev.src, excl_codes // n])
+        dst = np.concatenate([ev.dst, excl_codes % n])
         blocked = unique_codes(np.concatenate(
             [src * n + dst, dst * n + src, np.arange(n, dtype=np.int64) * (n + 1)]
         ))
@@ -623,16 +604,14 @@ def fixed_terms(ev: EventList, part: IntervalPartition, plan: SamplingPlan) -> _
         pool = pool[nodes]
         take = np.minimum(plan.negatives_per_node, pool)
         half = 1.0 if ev.directed else 0.5
-        draw = dict(nodes=nodes, pool=pool, take=take, neg_w=half * pool / take,
-                    blocked=blocked, starts=starts)
+        draw = _Draw(n, nodes, pool, take, half * pool / take, blocked, starts)
 
     if ev.m:
         k1, s = part.local_coord(ev.time)
         K = part.K
         k0 = np.atleast_1d(k1).astype(np.int64) - 1
         s = np.atleast_1d(s)
-        groups, group_of = np.unique(_pair_codes(ev.src, ev.dst, n) * K + k0,
-                                     return_inverse=True)
+        groups, group_of = np.unique((ev.src * n + ev.dst) * K + k0, return_inverse=True)
         # every event weighs 1: ev_w0 counts a group's events
         ev_w0 = np.bincount(group_of, minlength=groups.size).astype(np.float64)
         ev_w1 = np.bincount(group_of, weights=s, minlength=groups.size)
@@ -649,31 +628,29 @@ def fixed_terms(ev: EventList, part: IntervalPartition, plan: SamplingPlan) -> _
         ev_i = ev_j = ev_k0 = ev_cell = np.empty(0, dtype=np.int64)
         ev_w0 = ev_w1 = ev_w2 = np.empty(0, dtype=np.float64)
 
-    pair_w = np.ones(pair_i.size)
-    return _FixedTerms(n, pair_i, pair_j, pair_w, ev_i, ev_j, ev_k0, ev_w0, ev_w1, ev_w2,
-                       ev_cell, **draw)
+    # a negatives plan's incidence must cover its drawn pairs: draw_terms builds it
+    incidence = _pair_incidence(pair_i, pair_j, n) if draw is None else None
+    return _Terms(pair_i, pair_j, np.ones(pair_i.size), ev_i, ev_j, ev_k0, ev_w0, ev_w1, ev_w2,
+                  ev_cell, incidence, draw)
 
 
-def draw_terms(fixed: _FixedTerms, seed: int) -> _Terms:
-    """The realized terms of a plan's fixed part under ``seed``.
-
-    A negatives plan draws each node's partners (``_draw_partners``) and
-    appends them after the exact pairs; every plan then gets its pair
-    incidence. ``fixed`` is read, never written, so it serves any number of
-    draws.
+def draw_terms(fixed: _Terms, seed: int) -> _Terms:
+    """The realized terms of a plan's fixed part under ``seed``: ``fixed``
+    itself for a full plan; for a negatives plan, a copy with each node's
+    drawn partners (``_draw_partners``) after the exact pairs, their weights
+    and the incidence of all its pairs. ``fixed`` is never written, so it
+    serves any number of draws.
     """
-    pair_i, pair_j, pair_w = fixed.pair_i, fixed.pair_j, fixed.pair_w
-    if fixed.nodes is not None:
-        row, partner = _draw_partners(
-            np.random.default_rng(seed), fixed.nodes, fixed.pool, fixed.take, fixed.blocked,
-            fixed.starts, fixed.n,
-        )
-        pair_i = np.concatenate([pair_i, fixed.nodes[row]])
-        pair_j = np.concatenate([pair_j, partner])
-        pair_w = np.concatenate([pair_w, fixed.neg_w[row]])
-    return _Terms(pair_i, pair_j, pair_w, fixed.ev_i, fixed.ev_j, fixed.ev_k0, fixed.ev_w0,
-                  fixed.ev_w1, fixed.ev_w2, fixed.ev_cell,
-                  _pair_incidence(pair_i, pair_j, fixed.n))
+    d = fixed.draw
+    if d is None:
+        return fixed
+    row, partner = _draw_partners(np.random.default_rng(seed), d.nodes, d.pool, d.take,
+                                  d.blocked, d.starts, d.n)
+    pair_i = np.concatenate([fixed.pair_i, d.nodes[row]])
+    pair_j = np.concatenate([fixed.pair_j, partner])
+    return replace(fixed, pair_i=pair_i, pair_j=pair_j,
+                   pair_w=np.concatenate([fixed.pair_w, d.neg_w[row]]),
+                   pair_incidence=_pair_incidence(pair_i, pair_j, d.n), draw=None)
 
 
 def realize_plan(ev: EventList, part: IntervalPartition, plan: SamplingPlan) -> _Terms:
@@ -683,11 +660,7 @@ def realize_plan(ev: EventList, part: IntervalPartition, plan: SamplingPlan) -> 
     plan), plan.seed)``. Under ``negatives_per_node`` = S, each node i
     keeps its interacting pairs and draws take_i = min(S, pool_i) partners,
     uniformly without replacement, from its pool: the nodes it never meets
-    and that no excluded pair joins it to. All nodes draw in one vectorized
-    pass of Floyd's algorithm (``_draw_partners``): max(min(S, pool_i - S))
-    steps, each a few array operations over the nodes still drawing, with
-    boolean tables of at most ``SEEN_CELLS`` cells. One ``searchsorted`` on
-    the blocked (node, partner) codes turns the drawn ranks into partners.
+    and that no excluded pair joins it to (``_draw_partners`` says how).
 
     In undirected mode a sampled never-interacting pair carries weight
     pool_i / (2 * take_i): pools are per-node over all partners, so each

@@ -70,10 +70,9 @@ def tuple_list_split(ev: EventList, test_frac: float, val_frac: float, seed: int
 
 
 def realize_each_plan(monkeypatch, realize):
-    """Make inference.fit realize every plan, the static one and each epoch's,
-    through ``realize(ev, part, plan)`` instead of building a plan's fixed
-    part once and drawing from it."""
-    monkeypatch.setattr(inference, "realize_plan", realize)
+    """Make inference.fit realize each epoch's plan through ``realize(ev,
+    part, plan)`` instead of building the plan's fixed part once and drawing
+    from it."""
     monkeypatch.setattr(inference, "fixed_terms", lambda ev, part, plan: (ev, part, plan))
     monkeypatch.setattr(inference, "draw_terms", lambda fixed, seed: realize(
         fixed[0], fixed[1], dataclasses.replace(fixed[2], seed=seed)))

@@ -364,17 +364,19 @@ class TestFit:
         fm = fit(sbm_sample.events, hp)
         assert np.all(np.isfinite(fm.loss_trace))
 
-    @pytest.mark.parametrize("directed", [False, True])
+    @pytest.mark.parametrize("directed, negatives",
+                             [(False, 20), (True, 20), (False, None), (True, None)],
+                             ids=["False", "True", "False-full", "True-full"])
     def test_plan_parts_match_a_realize_plan_per_epoch(self, sbm_sample, monkeypatch,
-                                                       directed):
-        """fit builds a negatives plan's fixed part once per fit and draws from
-        it; the trace and state equal, bit for bit, a fit that realizes each
+                                                       directed, negatives):
+        """fit builds a plan's fixed part once per fit and draws from it each
+        epoch; the trace and state equal, bit for bit, a fit that realizes each
         epoch's plan from scratch, its seed drawn from the third child of the
-        fit seed."""
+        fit seed, which a full plan ignores."""
         ev = sbm_sample.events
         if directed:
             ev = EventList(src=ev.dst, dst=ev.src, time=ev.time, n=ev.n, directed=True)
-        hp = Hyperparams(epochs=6, seed=2, negatives_per_node=20)
+        hp = Hyperparams(epochs=6, seed=2, negatives_per_node=negatives)
         split = split_edges(ev, 0.1, 0.0, seed=0)
         parts = fit(ev, hp, split=split)
 
@@ -603,9 +605,13 @@ class TestModelIo:
             ("mu", lambda doc: doc["mu"][3][1].__setitem__(0, float("nan"))),
             ("log_sigma", lambda doc: doc["log_sigma"][0].__setitem__(2, float("inf"))),
             ("beta", lambda doc: doc.update(beta=float("-inf"))),
+            ("directed", lambda doc: doc.update(directed="false")),
+            ("directed", lambda doc: doc.update(directed=0)),
+            ("directed", lambda doc: doc.update(directed=None)),
         ],
         ids=["K", "cut_points", "n", "d", "log_sigma", "node_labels", "rate_model",
-             "hyperparams_K", "hyperparams_d", "mu_nan", "log_sigma_inf", "beta_inf"],
+             "hyperparams_K", "hyperparams_d", "mu_nan", "log_sigma_inf", "beta_inf",
+             "directed_text", "directed_int", "directed_null"],
     )
     def test_inconsistent_file_rejected(self, tmp_path, ten_node_events, monkeypatch, field,
                                         edit):

@@ -820,8 +820,23 @@ def assert_terms_bits_equal(got, want):
             assert x.shape == y.shape
             for part in ("data", "indices", "indptr"):
                 assert_bits_equal(getattr(x, part), getattr(y, part))
+        elif field.name == "draw":
+            assert x is None and y is None  # realized terms have no draw left to make
         else:
             assert_bits_equal(x, y)
+
+
+def terms_arrays(terms):
+    """Copies of every array that ``terms`` holds, by name: its own fields,
+    its incidence's CSC arrays and its draw's arrays."""
+    arrays = {f.name: getattr(terms, f.name) for f in dataclasses.fields(terms)}
+    if terms.pair_incidence is not None:
+        arrays.update({f"pair_incidence.{part}": getattr(terms.pair_incidence, part)
+                       for part in ("data", "indices", "indptr")})
+    if terms.draw is not None:
+        arrays.update({f"draw.{f.name}": getattr(terms.draw, f.name)
+                       for f in dataclasses.fields(terms.draw)})
+    return {name: np.copy(x) for name, x in arrays.items() if isinstance(x, np.ndarray)}
 
 
 class TestPlanParts:
@@ -838,20 +853,28 @@ class TestPlanParts:
     def test_one_fixed_part_serves_every_draw(self, seed, n, m, K, directed, S, n_excl):
         """The fit builds the fixed part once and draws from it each epoch:
         every draw equals realize_plan under the same seed, bit for bit, and
-        leaves the fixed part as it was."""
+        leaves the fixed part as it was, down to its draw's arrays; a full
+        plan's draw is its fixed part."""
         ev = random_events(n=n, m=m, seed=seed, directed=directed)
         rng = np.random.default_rng(seed + 1)
         excluded = {tuple(rng.choice(n, size=2, replace=False).tolist()) for _ in range(n_excl)}
         plan = SamplingPlan(negatives_per_node=S, excluded_pairs=frozenset(excluded))
         part = IntervalPartition.uniform(K)
         fixed = model.fixed_terms(ev, part, plan)
-        before = {f.name: np.copy(getattr(fixed, f.name)) for f in dataclasses.fields(fixed)
-                  if isinstance(getattr(fixed, f.name), np.ndarray)}
+        assert (fixed.draw is None) == (S is None)
+        assert (fixed.pair_incidence is None) == (S is not None)
+        before = terms_arrays(fixed)
+        held = {"pair_incidence.indices"} if S is None else {"draw.blocked", "draw.take"}
+        assert {"pair_i", "ev_cell"} | held <= before.keys()
         for epoch_seed in rng.integers(2**63, size=4).tolist():
             want = realize_plan(ev, part, dataclasses.replace(plan, seed=epoch_seed))
-            assert_terms_bits_equal(model.draw_terms(fixed, epoch_seed), want)
+            drawn = model.draw_terms(fixed, epoch_seed)
+            assert (drawn is fixed) == (S is None)
+            assert_terms_bits_equal(drawn, want)
+        after = terms_arrays(fixed)
+        assert after.keys() == before.keys()
         for name, value in before.items():
-            assert_bits_equal(getattr(fixed, name), value)
+            assert_bits_equal(after[name], value)
 
 
 def sampler_events(directed):
